@@ -49,9 +49,11 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Version of the cache entry layout. Bumping it orphans (never misreads)
-/// existing entries: the version participates in every key.
-pub const CACHE_VERSION: u64 = 1;
+/// Version of the cache entry layout and key derivation. Bumping it orphans
+/// (never misreads) existing entries: the version participates in every
+/// key. Version 2: trace identities are the word-wise streamed
+/// [`ltp_isa::TraceHasher`] fingerprint, not FNV over the trace encoding.
+pub const CACHE_VERSION: u64 = 2;
 
 /// Default byte budget: generous for sweep-sized working sets (a sampled
 /// warm entry is a few hundred kilobytes) while bounded on shared machines.

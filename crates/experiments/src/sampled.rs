@@ -27,6 +27,10 @@
 //! 4. aggregates per-interval IPC into a mean with a Student-t 95 %
 //!    confidence interval ([`ltp_stats::ConfidenceInterval`]).
 //!
+//! A request without a caller-supplied trace never collects one (see
+//! [`SampledRequest::new`]): the decode streams the generator, and each
+//! interval replays the generator from its checkpoint onwards.
+//!
 //! [`run_sampled_two_phase_on`] keeps the previous checkpoint-all-then-
 //! simulate-all discipline over the per-instruction functional interpreter:
 //! it is the differential reference the streaming pipeline is tested against
@@ -46,7 +50,7 @@ use crate::parallel::{
 use crate::report::Report;
 use crate::runner::{limit_study_config, RunOptions};
 use ltp_core::{LtpMode, OracleClassifier};
-use ltp_isa::{DecodedTrace, DynInst};
+use ltp_isa::{DecodedTrace, DynInst, InstStream};
 use ltp_pipeline::{FunctionalFastForward, PipelineConfig, RunError, Snapshot};
 use ltp_stats::ConfidenceInterval;
 use ltp_workloads::{replay_slice, trace, WorkloadKind};
@@ -453,8 +457,14 @@ impl std::fmt::Debug for SampledRequest<'_> {
 
 impl<'a> SampledRequest<'a> {
     /// Starts a request for one `(configuration, workload, spec)` point with
-    /// default controls: the trace is generated from the spec's seed, no
-    /// retries, no journal, no cache.
+    /// default controls: no retries, no journal, no cache, and the trace
+    /// comes from the workload generator at the spec's seed. A generated
+    /// trace is never collected unless an oracle analysis or the two-phase
+    /// reference needs it whole: the functional pass decodes the generator
+    /// as it runs, the cache key is the streamed
+    /// [`ltp_workloads::trace_identity`], and each interval seeks a fresh
+    /// generator to its checkpoint, so a cache hit costs only the intervals'
+    /// own windows.
     #[must_use]
     pub fn new(cfg: PipelineConfig, kind: WorkloadKind, spec: SampleSpec) -> SampledRequest<'a> {
         SampledRequest {
@@ -612,34 +622,92 @@ impl<'a> SampledRequest<'a> {
     /// Panics if the spec is inconsistent (zero intervals) or if a shared
     /// decoded trace does not match the trace.
     pub fn run(&self) -> Result<SampledResult, RunError> {
-        let generated: Option<Vec<DynInst>> = match (self.trace, &self.owned_trace) {
-            (None, None) => Some(trace(
-                self.kind,
-                self.spec.seed.wrapping_add(1),
-                self.spec.total_insts as usize,
-            )),
-            _ => None,
+        let seed = self.spec.seed.wrapping_add(1);
+        let supplied = self.trace.or(self.owned_trace.as_deref());
+        // Without a caller-supplied trace the run replays the generator and
+        // never collects the trace, except for the two consumers that need
+        // all of it at once: the two-phase reference and an oracle analysis.
+        let whole = self.two_phase || (self.oracle.is_none() && self.cfg.needs_oracle());
+        let generated: Option<Vec<DynInst>> = (whole && supplied.is_none())
+            .then(|| trace(self.kind, seed, self.spec.total_insts as usize));
+        let source = match supplied.or(generated.as_deref()) {
+            Some(detail) => TraceSource::Slice(detail),
+            None => TraceSource::Generator {
+                kind: self.kind,
+                seed,
+                total: self.spec.total_insts,
+            },
         };
-        let detail: &[DynInst] = self
-            .trace
-            .or(self.owned_trace.as_deref())
-            .or(generated.as_deref())
-            .expect("a trace source is always present");
-        if self.two_phase {
-            return run_two_phase(self.cfg, self.kind, detail, &self.spec);
+        match source {
+            TraceSource::Slice(detail) if self.two_phase => {
+                run_two_phase(self.cfg, self.kind, detail, &self.spec)
+            }
+            _ => run_controlled(
+                self.cfg,
+                self.kind,
+                source,
+                self.dec,
+                self.oracle,
+                &self.spec,
+                &self.control,
+            ),
         }
-        let decoded: Option<DecodedTrace> =
-            self.dec.is_none().then(|| DecodedTrace::from_insts(detail));
-        let dec = self.dec.or(decoded.as_ref()).expect("decoded trace");
-        run_controlled(
-            self.cfg,
-            self.kind,
-            detail,
-            dec,
-            self.oracle,
-            &self.spec,
-            &self.control,
-        )
+    }
+}
+
+/// Where a sampled run reads its detailed trace from.
+#[derive(Debug, Clone, Copy)]
+enum TraceSource<'t> {
+    /// A collected trace: caller-supplied, or built for a consumer that
+    /// needs all of it.
+    Slice(&'t [DynInst]),
+    /// The first `total` instructions of the workload generator with this
+    /// seed. Nothing is collected: the decode and the fingerprint stream
+    /// the generator, and each interval seeks a fresh generator to its
+    /// checkpoint and generates only its own window.
+    Generator {
+        kind: WorkloadKind,
+        seed: u64,
+        total: u64,
+    },
+}
+
+impl TraceSource<'_> {
+    fn len(self) -> u64 {
+        match self {
+            TraceSource::Slice(detail) => detail.len() as u64,
+            TraceSource::Generator { total, .. } => total,
+        }
+    }
+
+    /// The decoded form the functional pass replays.
+    fn decode(self) -> DecodedTrace {
+        match self {
+            TraceSource::Slice(detail) => DecodedTrace::from_insts(detail),
+            TraceSource::Generator { kind, seed, total } => {
+                DecodedTrace::from_stream(kind.build(seed), total)
+            }
+        }
+    }
+
+    /// The content fingerprint the checkpoint cache keys on; both arms give
+    /// [`ltp_isa::trace_fingerprint`] of the same instructions.
+    fn fingerprint(self) -> u64 {
+        match self {
+            TraceSource::Slice(detail) => ltp_isa::trace_fingerprint(detail),
+            TraceSource::Generator { kind, seed, total } => {
+                ltp_workloads::trace_identity(kind, seed, total as usize)
+            }
+        }
+    }
+
+    /// Runs `f` over the trace as a slice, collecting it from the
+    /// generator if need be.
+    fn with_slice<R>(self, f: impl FnOnce(&[DynInst]) -> R) -> R {
+        match self {
+            TraceSource::Slice(detail) => f(detail),
+            TraceSource::Generator { kind, seed, total } => f(&trace(kind, seed, total as usize)),
+        }
     }
 }
 
@@ -768,27 +836,39 @@ pub fn run_sampled_controlled(
     spec: &SampleSpec,
     control: &SampleControl,
 ) -> Result<SampledResult, RunError> {
-    run_controlled(cfg, kind, detail, dec, oracle, spec, control)
+    run_controlled(
+        cfg,
+        kind,
+        TraceSource::Slice(detail),
+        Some(dec),
+        oracle,
+        spec,
+        control,
+    )
 }
 
-/// The streaming runner body behind [`SampledRequest::run`].
+/// The streaming runner body behind [`SampledRequest::run`]. `dec`, when
+/// shared, must be the decoded form of `source`; otherwise the trace is
+/// decoded only if the functional pass runs (a cache hit never decodes).
 fn run_controlled(
     cfg: PipelineConfig,
     kind: WorkloadKind,
-    detail: &[DynInst],
-    dec: &DecodedTrace,
+    source: TraceSource<'_>,
+    dec: Option<&DecodedTrace>,
     oracle: Option<&OracleClassifier>,
     spec: &SampleSpec,
     control: &SampleControl,
 ) -> Result<SampledResult, RunError> {
     spec.validate();
-    assert_eq!(
-        dec.len(),
-        detail.len() as u64,
-        "decoded trace does not match the detailed trace"
-    );
+    let total = source.len();
+    if let Some(dec) = dec {
+        assert_eq!(
+            dec.len(),
+            total,
+            "decoded trace does not match the detailed trace"
+        );
+    }
     let run_t0 = Instant::now();
-    let total = detail.len() as u64;
     let intervals = spec.intervals.min(total.max(1) as usize);
     let stride = total / intervals as u64;
     let (warm_eff, measure_eff) = spec.effective_window(stride);
@@ -866,7 +946,7 @@ fn run_controlled(
     // none at all when the journal already covers every interval).
     let analysed: Option<OracleClassifier> = if !all_done && oracle.is_none() && cfg.needs_oracle()
     {
-        Some(crate::sim::analyze_oracle(&cfg, detail))
+        Some(source.with_slice(|detail| crate::sim::analyze_oracle(&cfg, detail)))
     } else {
         None
     };
@@ -904,7 +984,7 @@ fn run_controlled(
             control.faults.inject(job.index, attempt);
             let simulate = || {
                 let t0 = Instant::now();
-                let m = simulate_interval(job, oracle, name, detail, warm_eff, measure_eff);
+                let m = simulate_interval(job, oracle, name, source, warm_eff, measure_eff);
                 detail_nanos.fetch_add(
                     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
                     Ordering::Relaxed,
@@ -965,9 +1045,7 @@ fn run_controlled(
         // observe, so detail-only sweep dimensions (ROB/IQ/PRF, classifier
         // kind, LTP mode) share one entry.
         let cache_key = control.cache.as_deref().map(|cache| {
-            let trace_fnv = control
-                .trace_fnv
-                .unwrap_or_else(|| ltp_isa::trace_fingerprint(detail));
+            let trace_fnv = control.trace_fnv.unwrap_or_else(|| source.fingerprint());
             let geometry = IntervalGeometry {
                 total_insts: total,
                 intervals: spec.intervals as u64,
@@ -1050,6 +1128,14 @@ fn run_controlled(
                 worker,
             )
         } else {
+            let decoded: DecodedTrace;
+            let dec = match dec {
+                Some(dec) => dec,
+                None => {
+                    decoded = source.decode();
+                    &decoded
+                }
+            };
             let mut ff = FunctionalFastForward::new(cfg);
             if spec.warm_insts > 0 {
                 let warm = trace(kind, spec.seed, spec.warm_insts as usize);
@@ -1348,22 +1434,34 @@ struct IntervalJob {
 /// Resumes a processor from one checkpoint and runs its detailed warm-up +
 /// measurement — the worker body shared by the streaming and two-phase
 /// runners, so the two schedules cannot drift apart in simulation semantics.
+/// The resumed front end seeks its stream to the checkpoint, so a generator
+/// source produces only this interval's window.
 fn simulate_interval(
     job: &IntervalJob,
     oracle: Option<&OracleClassifier>,
     name: &str,
-    detail: &[DynInst],
+    source: TraceSource<'_>,
     warm_eff: u64,
     measure_eff: u64,
 ) -> Result<IntervalMeasurement, RunError> {
-    let total = detail.len() as u64;
+    let total = source.len();
     let mut resumed = job.snap.resume();
     if let Some(oracle) = oracle {
         resumed.set_oracle(oracle.clone());
     }
     let max_insts = (job.start + warm_eff + measure_eff).min(total);
-    let result =
-        resumed.run_measured_from(replay_slice(name, detail), max_insts, job.start + warm_eff)?;
+    let measure_from = job.start + warm_eff;
+    let result = match source {
+        TraceSource::Slice(detail) => {
+            resumed.run_measured_from(replay_slice(name, detail), max_insts, measure_from)?
+        }
+        // Capped at `total` like the slice: the last interval's front end
+        // must see the trace end where the slice would.
+        TraceSource::Generator { kind, seed, total } => {
+            let stream = InstStream::take_insts(kind.build(seed), total);
+            resumed.run_measured_from(stream, max_insts, measure_from)?
+        }
+    };
     Ok(IntervalMeasurement {
         index: job.index,
         start: job.start,
@@ -1459,7 +1557,14 @@ fn run_two_phase(
         |job| job.weight + 1,
         |job| {
             let t0 = Instant::now();
-            let m = simulate_interval(job, oracle.as_ref(), name, detail, warm_eff, measure_eff);
+            let m = simulate_interval(
+                job,
+                oracle.as_ref(),
+                name,
+                TraceSource::Slice(detail),
+                warm_eff,
+                measure_eff,
+            );
             detail_nanos.fetch_add(
                 u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
                 Ordering::Relaxed,
@@ -1744,8 +1849,8 @@ pub fn run_with_control(
             let sampled = match run_controlled(
                 cfg,
                 kind,
-                &detail,
-                &dec,
+                TraceSource::Slice(&detail),
+                Some(&dec),
                 oracle.as_ref(),
                 &spec,
                 &point_control,

@@ -38,6 +38,7 @@
 #![warn(missing_debug_implementations)]
 
 mod decoded;
+mod fingerprint;
 mod inst;
 mod mem_access;
 mod op;
@@ -46,11 +47,11 @@ mod snap;
 mod stream;
 
 pub use decoded::{BranchEvent, DecodedTrace, MemEvent};
+pub use fingerprint::{trace_fingerprint, TraceHasher};
 pub use inst::{BranchInfo, DynInst, SeqNum, StaticInst, ThreadId, MAX_SRCS};
 pub use mem_access::MemAccess;
 pub use op::{ExecLatency, FuKind, OpClass};
 pub use reg::{ArchReg, PhysReg, RegClass, NUM_ARCH_FP_REGS, NUM_ARCH_INT_REGS, NUM_ARCH_REGS};
-pub use snap::trace_fingerprint;
 pub use stream::{ArcStream, InstStream, PeekableStream, SliceStream, TakeStream, VecStream};
 
 /// A program counter (byte address of a static instruction).

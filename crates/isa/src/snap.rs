@@ -198,22 +198,6 @@ impl Codec for DynInst {
     }
 }
 
-/// Content fingerprint of an instruction trace: FNV-1a over the canonical
-/// encoding of `(length, instructions...)`. This is the *stable trace
-/// identity* cache keys use — two traces hash equal exactly when every
-/// instruction (PC, operands, memory access, branch outcome) encodes
-/// identically, independent of how the trace was generated. The leading
-/// length keeps a prefix trace from hashing equal to its extension.
-#[must_use]
-pub fn trace_fingerprint(insts: &[DynInst]) -> u64 {
-    let mut w = Writer::with_capacity(insts.len() * 24 + 16);
-    (insts.len() as u64).write(&mut w);
-    for inst in insts {
-        inst.write(&mut w);
-    }
-    ltp_snapshot::fnv1a64(&w.into_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -23,6 +23,18 @@ pub trait InstStream {
         "anonymous"
     }
 
+    /// Seeks forward over the next `n` instructions, returning how many were
+    /// skipped (fewer than `n` only when the stream ends first). The stream
+    /// is left exactly where pulling and dropping them would leave it;
+    /// streams that can seek cheaply override the default, which pulls.
+    fn skip_insts(&mut self, n: u64) -> u64 {
+        let mut skipped = 0;
+        while skipped < n && self.next_inst().is_some() {
+            skipped += 1;
+        }
+        skipped
+    }
+
     /// Adapter: stop after `n` instructions.
     fn take_insts(self, n: u64) -> TakeStream<Self>
     where
@@ -88,6 +100,21 @@ impl InstStream for VecStream {
     fn name(&self) -> &str {
         &self.name
     }
+
+    fn skip_insts(&mut self, n: u64) -> u64 {
+        let skip = clamp(n, self.insts.len());
+        if skip > 0 {
+            // `nth` advances the owning iterator in place: `DynInst` has no
+            // drop glue, so this is O(1).
+            let _ = self.insts.nth(skip - 1);
+        }
+        skip as u64
+    }
+}
+
+/// `n` as a count of at most `available` items.
+fn clamp(n: u64, available: usize) -> usize {
+    usize::try_from(n).map_or(available, |n| n.min(available))
 }
 
 /// A finite stream borrowing a pre-collected trace. Replaying a trace this
@@ -124,6 +151,12 @@ impl InstStream for SliceStream<'_> {
     fn name(&self) -> &str {
         self.name
     }
+
+    fn skip_insts(&mut self, n: u64) -> u64 {
+        let skip = clamp(n, self.insts.len().saturating_sub(self.next));
+        self.next += skip;
+        skip as u64
+    }
 }
 
 /// A finite stream over a reference-counted trace, for sharing one trace
@@ -159,6 +192,12 @@ impl InstStream for ArcStream {
     fn name(&self) -> &str {
         &self.name
     }
+
+    fn skip_insts(&mut self, n: u64) -> u64 {
+        let skip = clamp(n, self.insts.len().saturating_sub(self.next));
+        self.next += skip;
+        skip as u64
+    }
 }
 
 /// Stream adapter returned by [`InstStream::take_insts`].
@@ -179,6 +218,29 @@ impl<S: InstStream> InstStream for TakeStream<S> {
 
     fn name(&self) -> &str {
         self.inner.name()
+    }
+
+    fn skip_insts(&mut self, n: u64) -> u64 {
+        let n = n.min(self.remaining);
+        self.remaining -= n;
+        self.inner.skip_insts(n)
+    }
+}
+
+/// Boxed streams (the workload generators are built as
+/// `Box<dyn InstStream>`) are streams too, so they can be handed to the
+/// pipeline and to the stream adapters directly.
+impl<S: InstStream + ?Sized> InstStream for Box<S> {
+    fn next_inst(&mut self) -> Option<DynInst> {
+        (**self).next_inst()
+    }
+
+    fn name(&self) -> &str {
+        (**self).name()
+    }
+
+    fn skip_insts(&mut self, n: u64) -> u64 {
+        (**self).skip_insts(n)
     }
 }
 

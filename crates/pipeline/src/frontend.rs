@@ -161,9 +161,9 @@ impl<S: InstStream> FrontEnd<S> {
     }
 
     /// Rebuilds a front end from exported state over a fresh `stream` of the
-    /// same trace, consuming the `fetched` instructions the original already
-    /// pulled. The pipe depth and redirect penalty come from the machine
-    /// configuration (the snapshot stores them once, inside its
+    /// same trace, seeking past the `fetched` instructions the original
+    /// already pulled. The pipe depth and redirect penalty come from the
+    /// machine configuration (the snapshot stores them once, inside its
     /// `PipelineConfig`), exactly as [`FrontEnd::new`] receives them.
     pub(crate) fn from_state(
         mut stream: S,
@@ -171,9 +171,7 @@ impl<S: InstStream> FrontEnd<S> {
         frontend_delay: u64,
         mispredict_penalty: u64,
     ) -> FrontEnd<S> {
-        for _ in 0..state.fetched {
-            let _ = stream.next_inst();
-        }
+        stream.skip_insts(state.fetched);
         FrontEnd {
             stream,
             predictor: state.predictor,

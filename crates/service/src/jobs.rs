@@ -284,6 +284,9 @@ pub struct JobShared {
     /// emit one interval twice; see
     /// [`ltp_experiments::sampled::ProgressSink`]).
     seen: std::collections::HashSet<usize>,
+    /// Bumped by every update, so a waiter can tell whether anything
+    /// changed since it last looked (see [`Job::wait_update`]).
+    generation: u64,
 }
 
 /// One job: identity, shared state and its cancellation flag.
@@ -310,6 +313,7 @@ impl Job {
                 summary: None,
                 error: None,
                 seen: std::collections::HashSet::new(),
+                generation: 0,
             }),
             changed: Condvar::new(),
             cancel: Arc::new(AtomicBool::new(false)),
@@ -333,16 +337,24 @@ impl Job {
         self.changed.notify_all();
     }
 
-    /// Blocks until the shared state changes or `timeout` elapses; returns a
-    /// snapshot of `(state, completed intervals, summary, error)` evaluated
-    /// by `f`.
-    pub fn wait_update<R>(&self, timeout: Duration, f: impl FnOnce(&JobShared) -> R) -> R {
+    /// Blocks until the shared state is newer than generation `seen` (at
+    /// once if it already is) or `timeout` elapses; returns the generation
+    /// it read and `f` evaluated on the state. A caller passing back the
+    /// generation of its previous read therefore sees every update, even
+    /// one that landed while it was busy between two waits. Generation 0
+    /// is a job no update has touched yet.
+    pub fn wait_update<R>(
+        &self,
+        seen: u64,
+        timeout: Duration,
+        f: impl FnOnce(&JobShared) -> R,
+    ) -> (u64, R) {
         let guard = self.shared.lock().expect("job lock");
         let (guard, _) = self
             .changed
-            .wait_timeout(guard, timeout)
+            .wait_timeout_while(guard, timeout, |s| s.generation == seen)
             .expect("job condvar");
-        f(&guard)
+        (guard.generation, f(&guard))
     }
 
     /// Blocks until the job reaches a terminal state.
@@ -361,6 +373,7 @@ impl Job {
     fn update(&self, f: impl FnOnce(&mut JobShared)) {
         let mut guard = self.shared.lock().expect("job lock");
         f(&mut guard);
+        guard.generation += 1;
         drop(guard);
         self.changed.notify_all();
     }
@@ -1100,6 +1113,36 @@ mod tests {
         assert!(!JobState::Sampling.is_terminal());
         assert!(JobState::Cancelled.is_terminal());
         assert_eq!(JobState::Partial.as_str(), "partial");
+    }
+
+    /// The result stream reads the job, writes a chunk, then waits again.
+    /// An update landing while it writes must end the next wait at once,
+    /// not when its timeout fires; so must one landing while it waits.
+    #[test]
+    fn wait_update_sees_updates_between_and_during_waits() {
+        let job = Arc::new(Job::new(1, String::new()));
+        let forever = Duration::from_secs(3600);
+        job.update(|s| s.state = JobState::Sampling);
+        let (seen, state) = job.wait_update(0, forever, |s| s.state);
+        assert_eq!((seen, state), (1, JobState::Sampling));
+        // The terminal update lands between the read and the next wait.
+        job.update(|s| s.state = JobState::Done);
+        let (seen, state) = job.wait_update(seen, forever, |s| s.state);
+        assert_eq!((seen, state), (2, JobState::Done));
+
+        // An update made while another thread waits wakes it.
+        let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+        let waiter = {
+            let job = Arc::clone(&job);
+            std::thread::spawn(move || {
+                ready_tx.send(()).expect("send");
+                job.wait_update(seen, forever, |s| s.error.clone())
+            })
+        };
+        ready_rx.recv().expect("waiter started");
+        job.update(|s| s.error = Some("late".into()));
+        let (seen, error) = waiter.join().expect("waiter");
+        assert_eq!((seen, error.as_deref()), (3, Some("late")));
     }
 
     #[test]

@@ -2,6 +2,12 @@
 //! the vendored `crates/compat` crates: exactly the surface the job server
 //! needs (parse request bodies, render responses), no serde.
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a cap one request body of nothing
+/// but `[` overflows the stack and aborts the whole server; real request
+/// bodies nest three levels deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value. Objects preserve insertion order (a `Vec` of pairs),
 /// which keeps rendering deterministic.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,11 +32,13 @@ impl Json {
     /// # Errors
     ///
     /// Returns a human-readable message naming the byte offset of the first
-    /// syntax error.
+    /// syntax error, or of the first array or object nested deeper than
+    /// [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -165,6 +173,8 @@ pub fn escape(s: &str) -> String {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -193,8 +203,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at offset {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -391,6 +415,26 @@ mod tests {
         assert!(Json::parse("{} trailing").is_err());
         assert!(Json::parse(r#"{"a" 1}"#).is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        // `depth` levels: arrays, or objects whose innermost value is `{}`.
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects = |depth: usize| {
+            let d = depth - 1;
+            format!("{}{{}}{}", "{\"k\":".repeat(d), "}".repeat(d))
+        };
+        assert!(Json::parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&objects(MAX_DEPTH)).is_ok());
+        for too_deep in [arrays(MAX_DEPTH + 1), objects(MAX_DEPTH + 1)] {
+            let err = Json::parse(&too_deep).expect_err("one level too deep");
+            assert!(err.contains("nesting deeper than"), "{err}");
+        }
+        // A body that once overflowed the stack and aborted the process is
+        // now an ordinary error, found after MAX_DEPTH + 1 bytes.
+        let err = Json::parse(&"[".repeat(1_000_000)).expect_err("deep body");
+        assert!(err.contains(&format!("offset {MAX_DEPTH}")), "{err}");
     }
 
     #[test]

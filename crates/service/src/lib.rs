@@ -310,12 +310,13 @@ fn job_results(stream: &mut TcpStream, registry: &Arc<Registry>, id_text: &str) 
     };
     let mut out = ChunkedResponse::start(stream, 200, "application/x-ndjson")?;
     let mut sent = 0usize;
+    let mut seen = 0u64;
     loop {
         enum Step {
             Lines(String),
             Final(String, Option<String>),
         }
-        let step = job.wait_update(Duration::from_millis(100), |s| {
+        let (generation, step) = job.wait_update(seen, Duration::from_millis(100), |s| {
             let mut lines = String::new();
             for m in &s.intervals[sent.min(s.intervals.len())..] {
                 lines.push_str(&interval_json(m));
@@ -336,6 +337,7 @@ fn job_results(stream: &mut TcpStream, registry: &Arc<Registry>, id_text: &str) 
                 Step::Lines(lines)
             }
         });
+        seen = generation;
         match step {
             Step::Lines(lines) => {
                 sent += lines.matches('\n').count();
@@ -560,6 +562,18 @@ mod tests {
         .expect("request");
         assert_eq!(r.status, 400);
         assert!(r.text().contains("unknown workload"));
+        server.shutdown();
+    }
+
+    #[test]
+    fn deeply_nested_submission_is_400_and_server_survives() {
+        let mut server = start_test_server(4);
+        let body = "[".repeat(1_000_000);
+        let r = client::request(server.addr(), "POST", "/jobs", Some(&body)).expect("request");
+        assert_eq!(r.status, 400);
+        assert!(r.text().contains("nesting deeper than"), "{}", r.text());
+        let health = client::request(server.addr(), "GET", "/healthz", None).expect("healthz");
+        assert_eq!(health.status, 200, "the server still answers");
         server.shutdown();
     }
 

@@ -10,27 +10,45 @@
 //!
 //! The trace and configuration are fixed, so the test is deterministic; a
 //! failure means a per-cycle allocation crept back into the IQ, stage-bus,
-//! release or commit path.
+//! release or commit path — or, for the seeked-generator audit, into the
+//! workload generator that feeds sampled intervals.
+//!
+//! Allocations are counted per thread: the simulation and its observer run
+//! on the test's own thread, and libtest runs the audits in parallel, so a
+//! process-wide count would charge each audit with the others' work.
 
+use ltp_isa::InstStream;
 use ltp_pipeline::{PipelineConfig, Processor};
 use ltp_workloads::{replay_slice, trace, WorkloadKind};
-use std::sync::atomic::Ordering;
 
 // The counting allocator needs `unsafe impl GlobalAlloc`; the workspace
 // otherwise denies unsafe code, so the exemption is scoped to this shim.
 #[allow(unsafe_code)]
 mod counting {
     use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::cell::Cell;
 
-    /// Number of allocation (and reallocation) calls observed.
-    pub static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+    thread_local! {
+        /// Allocation (and reallocation) calls made by this thread. Const
+        /// initialised and without a destructor, so counting never
+        /// allocates or touches a torn-down slot.
+        static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn count() {
+        let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
+    }
+
+    /// Allocation calls the current thread has made so far.
+    pub fn calls() -> u64 {
+        ALLOC_CALLS.with(Cell::get)
+    }
 
     pub struct CountingAlloc;
 
     unsafe impl GlobalAlloc for CountingAlloc {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+            count();
             unsafe { System.alloc(layout) }
         }
 
@@ -39,12 +57,12 @@ mod counting {
         }
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+            count();
             unsafe { System.realloc(ptr, layout, new_size) }
         }
 
         unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+            count();
             unsafe { System.alloc_zeroed(layout) }
         }
     }
@@ -53,23 +71,20 @@ mod counting {
 #[global_allocator]
 static ALLOCATOR: counting::CountingAlloc = counting::CountingAlloc;
 
-fn alloc_calls() -> u64 {
-    counting::ALLOC_CALLS.load(Ordering::Relaxed)
-}
-
-/// Runs `kind` on `cfg` and returns `(steady_cycles, allocating_cycles)`
-/// for the window after `warm_committed` instructions have committed.
-fn audit(cfg: PipelineConfig, kind: WorkloadKind, insts: u64, warm_committed: u64) -> (u64, u64) {
-    let warm = trace(kind, 7, 2_000);
-    let detail = trace(kind, 8, insts as usize);
-    let mut cpu = Processor::new(cfg);
-    cpu.warm_caches(&warm);
-
-    let mut last = alloc_calls();
+/// Runs `cpu` over `stream` until `max_insts` have committed and returns
+/// `(steady_cycles, allocating_cycles)` for the cycles after
+/// `warm_committed` instructions have committed.
+fn count_steady<S: InstStream>(
+    cpu: &mut Processor,
+    stream: S,
+    max_insts: u64,
+    warm_committed: u64,
+) -> (u64, u64) {
+    let mut last = counting::calls();
     let mut steady_cycles = 0u64;
     let mut allocating_cycles = 0u64;
-    cpu.run_observed(replay_slice(kind.name(), &detail), insts, |view| {
-        let now = alloc_calls();
+    cpu.run_observed(stream, max_insts, |view| {
+        let now = counting::calls();
         if view.committed > warm_committed {
             steady_cycles += 1;
             if now != last {
@@ -80,6 +95,21 @@ fn audit(cfg: PipelineConfig, kind: WorkloadKind, insts: u64, warm_committed: u6
     })
     .expect("no deadlock");
     (steady_cycles, allocating_cycles)
+}
+
+/// Runs `kind` on `cfg` and returns `(steady_cycles, allocating_cycles)`
+/// for the window after `warm_committed` instructions have committed.
+fn audit(cfg: PipelineConfig, kind: WorkloadKind, insts: u64, warm_committed: u64) -> (u64, u64) {
+    let warm = trace(kind, 7, 2_000);
+    let detail = trace(kind, 8, insts as usize);
+    let mut cpu = Processor::new(cfg);
+    cpu.warm_caches(&warm);
+    count_steady(
+        &mut cpu,
+        replay_slice(kind.name(), &detail),
+        insts,
+        warm_committed,
+    )
 }
 
 /// The proposed LTP machine on the mixed kernel: after warm-up, the cycle
@@ -113,6 +143,28 @@ fn baseline_steady_state_cycles_do_not_allocate() {
         6_000,
         3_000,
     );
+    assert!(steady > 500, "audit window too small: {steady} cycles");
+    assert_eq!(
+        allocating, 0,
+        "{allocating} of {steady} steady-state cycles performed a heap allocation"
+    );
+}
+
+/// The generator that feeds sampled intervals, seeked with `skip_insts` the
+/// way a resumed front end seeks it, drives the cycle loop. The seek lands
+/// mid-iteration and the audited window lies in a memory phase of the
+/// mixed kernel. Once the machine is warm, neither the loop nor the
+/// generator allocates: the kernel's emitter reuses one iteration buffer
+/// for the life of the stream.
+#[test]
+fn seeked_generator_cycles_do_not_allocate() {
+    let kind = WorkloadKind::MixedPhases;
+    let start = 24_007;
+    let mut stream = InstStream::take_insts(kind.build(8), start + 8_000);
+    assert_eq!(stream.skip_insts(start), start);
+    let mut cpu = Processor::new(PipelineConfig::ltp_proposed());
+    cpu.warm_caches(&trace(kind, 7, 2_000));
+    let (steady, allocating) = count_steady(&mut cpu, stream, 6_000, 3_000);
     assert!(steady > 500, "audit window too small: {steady} cycles");
     assert_eq!(
         allocating, 0,
