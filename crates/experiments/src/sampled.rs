@@ -626,9 +626,9 @@ impl<'a> SampledRequest<'a> {
         let supplied = self.trace.or(self.owned_trace.as_deref());
         // Without a caller-supplied trace the run replays the generator and
         // never collects the trace, except for the two consumers that need
-        // all of it at once: the two-phase reference and an oracle analysis.
-        let whole = self.two_phase || (self.oracle.is_none() && self.cfg.needs_oracle());
-        let generated: Option<Vec<DynInst>> = (whole && supplied.is_none())
+        // all of it at once: the two-phase reference (here) and an oracle
+        // analysis (in `run_controlled`, only if the analysis runs).
+        let generated: Option<Vec<DynInst>> = (self.two_phase && supplied.is_none())
             .then(|| trace(self.kind, seed, self.spec.total_insts as usize));
         let source = match supplied.or(generated.as_deref()) {
             Some(detail) => TraceSource::Slice(detail),
@@ -658,8 +658,8 @@ impl<'a> SampledRequest<'a> {
 /// Where a sampled run reads its detailed trace from.
 #[derive(Debug, Clone, Copy)]
 enum TraceSource<'t> {
-    /// A collected trace: caller-supplied, or built for a consumer that
-    /// needs all of it.
+    /// A collected trace: caller-supplied, or built for the two-phase
+    /// reference.
     Slice(&'t [DynInst]),
     /// The first `total` instructions of the workload generator with this
     /// seed. Nothing is collected: the decode and the fingerprint stream

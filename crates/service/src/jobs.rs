@@ -669,7 +669,8 @@ impl Registry {
 }
 
 /// Marks the job complete on disk (`.done` sidecar) so a restart does not
-/// re-run it.
+/// re-run it. Called before the terminal-state update, so a job that any
+/// client has seen finish is already marked when the server restarts.
 fn mark_done(registry: &Registry, id: u64, detail: &str) {
     if let Some(dir) = &registry.journal_dir {
         let _ = std::fs::write(dir.join(format!("{id}.done")), format!("{detail}\n"));
@@ -710,11 +711,11 @@ fn run_job(registry: &Arc<Registry>, job: &Arc<Job>, kind: JobKind) {
         Ok(()) => {}
         Err(panic) => {
             let msg = panic_message(&panic);
+            mark_done(registry, job.id, "failed: panic");
             job.update(|s| {
                 s.state = JobState::Failed;
                 s.error = Some(format!("job panicked: {msg}"));
             });
-            mark_done(registry, job.id, "failed: panic");
         }
     }
 }
@@ -824,11 +825,11 @@ fn run_point_job(
     fold_cache_stats(registry, cache.as_ref());
     match outcome {
         Err(e) => {
+            mark_done(registry, job.id, "failed");
             job.update(|s| {
                 s.state = JobState::Failed;
                 s.error = Some(format!("simulation failed: {e}"));
             });
-            mark_done(registry, job.id, "failed");
         }
         Ok(result) => {
             let mut lines = String::new();
@@ -856,17 +857,17 @@ fn run_point_job(
                     .collect::<Vec<_>>()
                     .join("; ")
             });
+            mark_done(registry, job.id, &format!("{} {digest}", state.as_str()));
             job.update(|s| {
                 s.state = state;
                 s.planned = result.planned_intervals;
                 s.error = error;
                 s.summary = Some(JobSummary {
-                    digest: digest.clone(),
+                    digest,
                     ipc: result.ipc,
                     report_json: None,
                 });
             });
-            mark_done(registry, job.id, &format!("{} {digest}", state.as_str()));
         }
     }
 }
@@ -914,7 +915,10 @@ fn run_experiment_job(
             counter.fetch_add(n, Ordering::Relaxed);
         }
     }
-    let digest = report.meta("digest").map(ToString::to_string);
+    let digest = report
+        .meta("digest")
+        .map(ToString::to_string)
+        .unwrap_or_default();
     let partial: usize = report
         .meta("partial_points")
         .and_then(|v| v.parse().ok())
@@ -931,6 +935,7 @@ fn run_experiment_job(
     } else {
         JobState::Done
     };
+    mark_done(registry, job.id, &format!("{} {digest}", state.as_str()));
     job.update(|s| {
         s.state = state;
         s.planned = report
@@ -944,16 +949,11 @@ fn run_experiment_job(
         }
         let ipcs: Vec<f64> = s.intervals.iter().map(|m| m.ipc).collect();
         s.summary = Some(JobSummary {
-            digest: digest.clone().unwrap_or_default(),
+            digest,
             ipc: ConfidenceInterval::from_samples(&ipcs),
             report_json: Some(report.to_json()),
         });
     });
-    mark_done(
-        registry,
-        job.id,
-        &format!("{} {}", state.as_str(), digest.unwrap_or_default()),
-    );
 }
 
 /// Renders one interval measurement as the wire JSON object used by status

@@ -141,53 +141,20 @@ pub fn trace(kind: WorkloadKind, seed: u64, n: usize) -> Vec<DynInst> {
     out
 }
 
-/// How many `(kind, seed, n)` identities [`trace_identity`] remembers per
-/// process. Sweeps and the job server ask for a handful of distinct traces
-/// over and over; this bounds the memo for callers that ask for many.
-const TRACE_IDENTITY_MEMO: usize = 64;
-
-type IdentityMemo = Vec<((WorkloadKind, u64, usize), u64)>;
-
-/// Recently computed identities, oldest first.
-static IDENTITY_MEMO: std::sync::Mutex<IdentityMemo> = std::sync::Mutex::new(Vec::new());
-
 /// Stable identity of the first `n` instructions of a workload: the content
 /// fingerprint ([`ltp_isa::trace_fingerprint`]) of the generated trace.
 /// Checkpoint-cache keys use this instead of trusting (name, seed, length)
 /// alone, so a workload-generator change can never alias a stale cache
-/// entry.
-///
-/// The fingerprint is hashed while the generator runs, so no trace is
-/// collected. It is memoised per process, for the 64 most recently hashed
-/// `(kind, seed, n)` triples, so a repeated request costs a lookup.
+/// entry. The fingerprint is hashed while the generator runs, so no trace
+/// is collected.
 #[must_use]
 pub fn trace_identity(kind: WorkloadKind, seed: u64, n: usize) -> u64 {
-    let key = (kind, seed, n);
-    let memo = || IDENTITY_MEMO.lock().unwrap_or_else(|p| p.into_inner());
-    if let Some(&(_, id)) = memo().iter().find(|(k, _)| *k == key) {
-        return id;
-    }
-    let mut stream = kind.build(seed);
+    let mut stream = kind.build(seed).take_insts(n as u64);
     let mut hasher = ltp_isa::TraceHasher::new();
-    while hasher.len() < n as u64 {
-        match stream.next_inst() {
-            Some(inst) => hasher.push(&inst),
-            None => break,
-        }
+    while let Some(inst) = stream.next_inst() {
+        hasher.push(&inst);
     }
-    let id = hasher.finish();
-    // A generator that ended early is hashed correctly above, but only
-    // full-length identities are remembered.
-    if hasher.len() == n as u64 {
-        let mut memo = memo();
-        if !memo.iter().any(|(k, _)| *k == key) {
-            if memo.len() == TRACE_IDENTITY_MEMO {
-                memo.remove(0);
-            }
-            memo.push((key, id));
-        }
-    }
-    id
+    hasher.finish()
 }
 
 /// Byte stride separating the address spaces of SMT co-runners. Large

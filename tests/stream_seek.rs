@@ -168,15 +168,13 @@ fn edge_offsets_match_pulling() {
     }
 }
 
-/// The streamed, memoised identity is the fingerprint of the collected
-/// trace — on the first (hashing) call and on the memoised repeat.
+/// The streamed identity is the fingerprint of the collected trace.
 #[test]
 fn trace_identity_equals_fingerprint_of_collected_trace() {
     for kind in WorkloadKind::ALL {
         for (seed, n) in [(2016, 5_000), (7, 1), (7, 0)] {
             let collected = trace_fingerprint(&trace(kind, seed, n));
             assert_eq!(trace_identity(kind, seed, n), collected, "{kind} {n}");
-            assert_eq!(trace_identity(kind, seed, n), collected, "{kind} memoised");
         }
         assert_ne!(
             trace_identity(kind, 2016, 5_000),
@@ -187,9 +185,11 @@ fn trace_identity_equals_fingerprint_of_collected_trace() {
 }
 
 /// Golden identities of the quick sampled traces (seed 2016, 96 k
-/// instructions). A change to a generator or to the trace hash moves them:
-/// update the values and bump `ltp_experiments::cache::CACHE_VERSION` in the
-/// same change, so caches filled before it are orphaned, never misread.
+/// instructions). A generator change moves them and needs only the pinned
+/// values updated: the cache keys follow the content, so entries filled
+/// before it are orphaned, never misread. The cache's `CACHE_VERSION`
+/// changes only with the entry layout or the key derivation (the trace
+/// hash function itself).
 #[test]
 fn trace_identities_are_pinned() {
     let pinned = [
