@@ -52,7 +52,7 @@ pub struct ParkedInst {
 ///   is empty — precisely the candidates of the out-of-order release path.
 /// * The writer/load/store composition counters of Figure 7 are maintained
 ///   on park/release instead of being recounted by iteration.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct LtpQueue {
     pub(crate) capacity: usize,
     pub(crate) ports: usize,
@@ -76,6 +76,25 @@ pub struct LtpQueue {
     pub(crate) ticket_holders: Vec<Vec<u64>>,
     /// Seq-sorted Urgent entries with an empty ticket set.
     pub(crate) ready_urgent: Vec<u64>,
+}
+
+/// Clones keep the room [`LtpQueue::new`] gives the entry FIFO and the
+/// ready-urgent set: a derived clone would trim both to their length, and a
+/// processor resumed from a snapshot would then grow them while parking.
+impl Clone for LtpQueue {
+    fn clone(&self) -> LtpQueue {
+        let room = self.capacity.min(1024);
+        let mut entries = VecDeque::with_capacity(room);
+        entries.extend(self.entries.iter().cloned());
+        let mut ready_urgent = Vec::with_capacity(room);
+        ready_urgent.extend_from_slice(&self.ready_urgent);
+        LtpQueue {
+            entries,
+            ticket_holders: self.ticket_holders.clone(),
+            ready_urgent,
+            ..*self
+        }
+    }
 }
 
 impl LtpQueue {

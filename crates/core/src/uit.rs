@@ -19,7 +19,7 @@ use std::collections::HashSet;
 /// With a finite size the UIT is organised as a 4-way set-associative
 /// structure with LRU replacement; with `usize::MAX` entries it degenerates
 /// to an unbounded hash set (the paper's "unlimited UIT").
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Uit {
     pub(crate) capacity: usize,
     pub(crate) ways: usize,
@@ -30,6 +30,24 @@ pub struct Uit {
     pub(crate) insertions: u64,
     pub(crate) hits: u64,
     pub(crate) lookups: u64,
+}
+
+/// Clones keep each set's pre-sized room: a derived clone would trim every
+/// set to its length, and a processor resumed from a snapshot would then
+/// grow sets on the rename path.
+impl Clone for Uit {
+    fn clone(&self) -> Uit {
+        let presized = |tags: &Vec<u64>| {
+            let mut set = Vec::with_capacity(self.ways + 1);
+            set.extend_from_slice(tags);
+            set
+        };
+        Uit {
+            sets: self.sets.iter().map(presized).collect(),
+            unlimited: self.unlimited.clone(),
+            ..*self
+        }
+    }
 }
 
 impl Uit {

@@ -198,7 +198,10 @@ impl LtpUnit {
             tickets: TicketFile::new(cfg.num_tickets.max(1)),
             monitor: DramTimerMonitor::new(monitor_timeout.max(1)),
             classifier_attached: false,
-            ticket_owner: HashMap::new(),
+            // One key per ticket in use; twice that room keeps the map at
+            // most half full, so clearing tombstones never grows it
+            // (unlimited tickets take the same 1024-entry cap as the IQ).
+            ticket_owner: HashMap::with_capacity(2 * cfg.num_tickets.clamp(1, 1024)),
             stats: LtpStats::default(),
             cfg,
         }

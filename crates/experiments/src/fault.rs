@@ -1,6 +1,6 @@
 //! Deterministic fault injection for the sampled runner.
 //!
-//! The fault-tolerance layer ([`crate::parallel::stream_map_lpt_ft`]) is only
+//! The fault-tolerance layer ([`crate::parallel::stream_map_lpt`]) is only
 //! trustworthy if its failure paths are exercised on purpose: a [`FaultPlan`]
 //! injects worker panics, deadline-busting delays and journal-record
 //! corruption at *chosen* `(interval index, attempt number)` coordinates, so
@@ -8,8 +8,8 @@
 //! cover and the run is reproducible down to which attempt dies.
 //!
 //! Plans reach the runner two ways: tests build them with the builder
-//! methods, and the `experiments` binary parses `--inject` / the
-//! `LTP_FAULT_PLAN` environment variable via [`FaultPlan::parse`].
+//! methods, and the `experiments` binary parses `--inject` via
+//! [`FaultPlan::parse`].
 
 use std::time::Duration;
 

@@ -1,8 +1,7 @@
 //! # ltp-experiments
 //!
 //! Experiment harnesses that regenerate every table and figure of the LTP
-//! paper's evaluation (see `DESIGN.md` §5 for the experiment index and
-//! `EXPERIMENTS.md` for paper-vs-measured numbers).
+//! paper's evaluation (see [`Experiment`] for the index).
 //!
 //! Each figure module exposes a `run` function that performs the simulations
 //! (fanning independent simulation points out over the available cores) and
@@ -40,23 +39,42 @@ pub use runner::{run_point, run_point_cached, try_run_point, MlpGrouping, RunOpt
 pub use sim::{CoRunBuilder, SimBuilder};
 
 /// Everything an experiment invocation needs besides its identity: the
-/// simulation sizing options and the optional checkpoint cache shared across
-/// experiments. Sweep-shaped experiments (fig1, uit, ablation) and the
-/// sampled run use the cache to pay each functional warm-up once per
-/// distinct warm configuration; the remaining experiments ignore it.
-#[derive(Debug, Clone, Copy)]
+/// simulation sizing options, the optional checkpoint cache shared across
+/// experiments, and the controls of the `sample` experiment's points.
+/// Sweep-shaped experiments (fig1, uit, ablation) and the sampled run use the
+/// cache to pay each functional warm-up once per distinct warm
+/// configuration; the remaining experiments ignore it.
+#[derive(Debug, Clone)]
 pub struct ExperimentCtx<'a> {
     /// Simulation sizing options.
     pub opts: &'a RunOptions,
     /// Checkpoint cache shared across the experiments of one invocation.
     pub cache: Option<&'a std::sync::Arc<CheckpointCache>>,
+    /// Controls applied to every point of the `sample` experiment: retry,
+    /// faults, resume, progress, cancellation and governor. The experiment
+    /// sets each point's journal, configuration label, cache and trace
+    /// fingerprint itself.
+    pub sample: sampled::SampleControl,
+    /// Directory of the `sample` experiment's per-point journals
+    /// ([`journal::journal_path`] names the files); journaling is on when
+    /// set.
+    pub journal_dir: Option<std::path::PathBuf>,
 }
 
 impl<'a> ExperimentCtx<'a> {
-    /// A context over `opts` with no checkpoint cache.
+    /// A context over `opts` with no checkpoint cache, no journal, and
+    /// [`parallel::RetryPolicy::default_sampled`] for the `sample` points.
     #[must_use]
     pub fn new(opts: &'a RunOptions) -> ExperimentCtx<'a> {
-        ExperimentCtx { opts, cache: None }
+        ExperimentCtx {
+            opts,
+            cache: None,
+            sample: sampled::SampleControl {
+                retry: parallel::RetryPolicy::default_sampled(),
+                ..sampled::SampleControl::default()
+            },
+            journal_dir: None,
+        }
     }
 
     /// Attaches a shared checkpoint cache.
@@ -154,13 +172,7 @@ impl Experiment {
             Experiment::UitSweep => uit_sweep::run(ctx),
             Experiment::Ablation => ablation::run(ctx),
             Experiment::FigSmt => Report::from_text(self.name(), fig_smt::run(opts)),
-            Experiment::Sample => {
-                let control = sampled::SampleRunControl {
-                    cache_dir: ctx.cache.map(|c| c.dir().to_path_buf()),
-                    ..sampled::SampleRunControl::default()
-                };
-                sampled::run_with_control(opts, &control).0
-            }
+            Experiment::Sample => sampled::run_experiment(ctx),
         }
     }
 }
@@ -175,6 +187,31 @@ mod tests {
             assert_eq!(Experiment::from_name(e.name()), Some(e));
         }
         assert_eq!(Experiment::from_name("bogus"), None);
+    }
+
+    /// `sample` counts its cache lookups on the context's cache handle: the
+    /// first run misses and stores through it, and a second run over the
+    /// same context hits on that handle and misses nothing.
+    #[test]
+    fn sample_looks_up_the_context_cache() {
+        let dir = std::env::temp_dir().join(format!("ltp-sample-ctx-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = std::sync::Arc::new(CheckpointCache::open(&dir).expect("open cache"));
+        let opts = RunOptions {
+            detail_insts: 1_000,
+            warm_insts: 500,
+            seed: 2015,
+        };
+        let ctx = ExperimentCtx::new(&opts).with_cache(Some(&cache));
+        let cold_report = Experiment::Sample.run(&ctx);
+        let cold = cache.stats();
+        assert!(cold.misses > 0 && cold.stores > 0, "{cold:?}");
+        let warm_report = Experiment::Sample.run(&ctx);
+        let warm = cache.stats();
+        assert!(warm.hits > cold.hits, "{warm:?}");
+        assert_eq!(warm.misses, cold.misses, "the second run misses nothing");
+        assert_eq!(cold_report.meta("digest"), warm_report.meta("digest"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

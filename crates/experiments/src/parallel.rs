@@ -14,11 +14,13 @@
 //! (useful for reproducible CI runs and for pinning experiments to a core
 //! budget); invalid or zero values fall back to the detected count.
 //!
-//! The `_ft` variants ([`stream_map_lpt_ft`], [`par_map_lpt_ft`]) add a
-//! fault-tolerance layer: each task runs under [`catch_unwind`], a panicking
-//! or deadline-overrunning attempt is retried with exponential backoff per a
-//! [`RetryPolicy`], and a task whose attempts are exhausted comes back as a
-//! structured [`TaskFailure`] instead of tearing down the whole scope.
+//! [`stream_map_lpt`] is the streaming distributor of the sampled runner: a
+//! producer emits jobs one at a time while workers claim the heaviest
+//! available one (online LPT). It is fault tolerant: each task runs under
+//! [`catch_unwind`], a panicking or deadline-overrunning attempt is retried
+//! with exponential backoff per a [`RetryPolicy`], and a task whose attempts
+//! are exhausted comes back as a structured [`TaskFailure`] instead of
+//! tearing down the whole scope.
 //!
 //! [`catch_unwind`]: std::panic::catch_unwind
 
@@ -46,11 +48,6 @@ pub fn worker_threads(n: usize) -> usize {
     threads.min(n).max(1)
 }
 
-/// Internal alias kept for the distributors' historical name.
-fn thread_count(n: usize) -> usize {
-    worker_threads(n)
-}
-
 /// Applies `f` to every item, in parallel, preserving order.
 pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
@@ -62,7 +59,7 @@ where
     if n == 0 {
         return Vec::new();
     }
-    let threads = thread_count(n);
+    let threads = worker_threads(n);
     let chunk = n.div_ceil(threads);
 
     let mut results: Vec<(usize, Vec<R>)> = std::thread::scope(|scope| {
@@ -94,79 +91,6 @@ where
     }
     debug_assert_eq!(out.len(), n);
     out
-}
-
-/// Greedy LPT (Longest Processing Time first) assignment: jobs are visited in
-/// descending cost order and each goes to the currently least-loaded worker.
-/// Graham's classic bound guarantees a makespan within 4/3 − 1/(3m) of
-/// optimal, which is exactly the right discipline for heterogeneous
-/// sample-interval simulations (interval cost varies with the miss behaviour
-/// of the region, so contiguous chunking can leave one worker with all the
-/// memory-bound intervals).
-///
-/// Returns one index list per worker (workers may be empty when there are
-/// fewer jobs than workers). Ties are broken towards the lower worker index,
-/// so the assignment is deterministic.
-#[must_use]
-pub fn lpt_assign(costs: &[u64], workers: usize) -> Vec<Vec<usize>> {
-    let workers = workers.max(1);
-    let mut order: Vec<usize> = (0..costs.len()).collect();
-    // Descending cost; ties by index for determinism.
-    order.sort_by_key(|&i| (std::cmp::Reverse(costs[i]), i));
-    let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); workers];
-    let mut load = vec![0u64; workers];
-    for i in order {
-        let w = (0..workers)
-            .min_by_key(|&w| (load[w], w))
-            .expect(">=1 worker");
-        load[w] += costs[i];
-        assignment[w].push(i);
-    }
-    assignment
-}
-
-/// Applies `f` to every item in parallel with LPT load balancing: `cost`
-/// estimates each item's processing time, and items are distributed over the
-/// workers longest-first so no thread is left running one expensive tail job
-/// while the others idle. Results come back in item order.
-pub fn par_map_lpt<T, R, F, C>(items: Vec<T>, cost: C, f: F) -> Vec<R>
-where
-    T: Send + Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-    C: Fn(&T) -> u64,
-{
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = thread_count(n);
-    let costs: Vec<u64> = items.iter().map(&cost).collect();
-    let assignment = lpt_assign(&costs, workers);
-
-    let mut results: Vec<(usize, R)> = std::thread::scope(|scope| {
-        let items_ref = &items;
-        let f_ref = &f;
-        let mut handles = Vec::with_capacity(workers);
-        for worker_items in &assignment {
-            if worker_items.is_empty() {
-                continue;
-            }
-            handles.push(scope.spawn(move || {
-                worker_items
-                    .iter()
-                    .map(|&i| (i, f_ref(&items_ref[i])))
-                    .collect::<Vec<(usize, R)>>()
-            }));
-        }
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    });
-    results.sort_by_key(|(i, _)| *i);
-    debug_assert_eq!(results.len(), n);
-    results.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Locks a mutex, recovering the data if a previous holder panicked while
@@ -208,8 +132,8 @@ struct StreamShared<T> {
 #[derive(Debug)]
 struct StreamState<T> {
     /// Jobs pushed but not yet claimed: `(push index, cost, attempt, item)`.
-    /// Producer pushes always carry attempt 0; the fault-tolerant runners
-    /// re-enqueue failed jobs with the attempt count bumped.
+    /// Producer pushes always carry attempt 0; failed attempts are
+    /// re-enqueued with the attempt count bumped.
     pending: Vec<(usize, u64, u32, T)>,
     /// Set when the producer finishes (or either side unwinds): workers
     /// drain `pending` and exit, pushes become no-ops.
@@ -284,84 +208,6 @@ impl<T> Drop for StreamCloseGuard<'_, T> {
         self.shared.not_empty.notify_all();
         self.shared.not_full.notify_all();
     }
-}
-
-/// Streaming variant of [`par_map_lpt`]: the producer closure runs on the
-/// caller's thread and *emits* jobs one at a time through a bounded
-/// [`StreamQueue`], while worker threads consume them concurrently — each
-/// worker claims the **heaviest currently available** job (ties to the
-/// earliest pushed), the online adaptation of LPT scheduling for jobs whose
-/// costs are only discovered as the producer advances.
-///
-/// Compared to produce-all-then-[`par_map_lpt`], the first worker starts the
-/// moment the first job lands instead of after the whole production pass, so
-/// a serial production phase overlaps the parallel consumption phase; and the
-/// bounded queue (twice the worker count) caps how many encoded jobs exist at
-/// once.
-///
-/// `expected_jobs` sizes the worker pool (same `LTP_THREADS`-aware policy as
-/// the other helpers); it is a hint, not a limit — the producer may push any
-/// number of jobs. Results come back in push order.
-pub fn stream_map_lpt<T, R, P, F>(expected_jobs: usize, produce: P, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    P: FnOnce(&StreamQueue<'_, T>),
-    F: Fn(T) -> R + Sync,
-{
-    let workers = thread_count(expected_jobs.max(1));
-    let shared = StreamShared {
-        state: std::sync::Mutex::new(StreamState {
-            pending: Vec::new(),
-            closed: false,
-            pushed: 0,
-        }),
-        not_empty: std::sync::Condvar::new(),
-        not_full: std::sync::Condvar::new(),
-    };
-
-    let mut results: Vec<(usize, R)> = std::thread::scope(|scope| {
-        let shared_ref = &shared;
-        let f_ref = &f;
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(move || {
-                    // If `f` unwinds, close the stream so the producer (and
-                    // peers waiting on an empty queue) cannot block forever;
-                    // the panic itself surfaces at join below.
-                    let guard = StreamCloseGuard { shared: shared_ref };
-                    let mut out: Vec<(usize, R)> = Vec::new();
-                    while let Some((idx, _, _, item)) = claim_heaviest(shared_ref) {
-                        shared_ref.not_full.notify_one();
-                        out.push((idx, f_ref(item)));
-                    }
-                    // Normal exit: disarm by forgetting nothing — closing an
-                    // already-closed stream is harmless, so just drop.
-                    drop(guard);
-                    out
-                })
-            })
-            .collect();
-
-        {
-            // Producer runs on the caller's thread; the guard closes the
-            // stream when it returns *or unwinds*, releasing the workers.
-            let _close = StreamCloseGuard { shared: shared_ref };
-            let queue = StreamQueue {
-                shared: shared_ref,
-                capacity: (workers * 2).max(1),
-            };
-            produce(&queue);
-        }
-
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("stream worker panicked"))
-            .collect()
-    });
-
-    results.sort_by_key(|(i, _)| *i);
-    results.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Retry discipline for the fault-tolerant runners.
@@ -523,8 +369,17 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Fault-tolerant [`stream_map_lpt`]: same bounded queue and online-LPT
-/// claiming, but every task attempt runs under
+/// Streaming, fault-tolerant work distributor: the producer closure runs on
+/// the caller's thread and *emits* jobs one at a time through a bounded
+/// [`StreamQueue`], while worker threads consume them concurrently — each
+/// worker claims the **heaviest currently available** job (ties to the
+/// earliest pushed), the online adaptation of LPT scheduling for jobs whose
+/// costs are only discovered as the producer advances. The first worker
+/// starts the moment the first job lands, so a serial production phase
+/// overlaps the parallel consumption phase, and the bounded queue (twice the
+/// worker count) caps how many jobs exist at once.
+///
+/// Every task attempt runs under
 /// [`catch_unwind`](std::panic::catch_unwind), so one panicking job reports
 /// a structured failure instead of tearing down the scope. A failed attempt
 /// (panic or deadline overrun) is re-enqueued — after the policy backoff,
@@ -532,12 +387,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// task that exhausts `policy.max_attempts` comes back as
 /// [`TaskOutcome::Failed`].
 ///
-/// The task closure receives the job by reference plus the zero-based
-/// attempt number (a panicking attempt must not consume the job — it is
-/// needed again for the retry). Results come back in push order. A worker
-/// that claims the last pending job stays alive across its own retries, so
-/// progress is guaranteed even after its peers have drained out.
-pub fn stream_map_lpt_ft<T, R, P, F>(
+/// `expected_jobs` sizes the worker pool ([`worker_threads`]); it is a hint,
+/// not a limit — the producer may push any number of jobs. The task closure
+/// receives the job by reference plus the zero-based attempt number (a
+/// panicking attempt must not consume the job — it is needed again for the
+/// retry). Results come back in push order. A worker that claims the last
+/// pending job stays alive across its own retries, so progress is guaranteed
+/// even after its peers have drained out.
+pub fn stream_map_lpt<T, R, P, F>(
     expected_jobs: usize,
     policy: RetryPolicy,
     produce: P,
@@ -550,7 +407,7 @@ where
     F: Fn(&T, u32) -> R + Sync,
 {
     let max_attempts = policy.max_attempts.max(1);
-    let workers = thread_count(expected_jobs.max(1));
+    let workers = worker_threads(expected_jobs.max(1));
     let shared = StreamShared {
         state: std::sync::Mutex::new(StreamState {
             pending: Vec::new(),
@@ -640,41 +497,12 @@ where
     results.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Fault-tolerant [`par_map_lpt`]: applies `f` to every item with LPT load
-/// balancing and the panic/deadline/retry isolation of
-/// [`stream_map_lpt_ft`]. Outcomes come back in item order.
-pub fn par_map_lpt_ft<T, R, C, F>(
-    items: Vec<T>,
-    policy: RetryPolicy,
-    cost: C,
-    f: F,
-) -> Vec<TaskOutcome<R>>
-where
-    T: Send,
-    R: Send,
-    C: Fn(&T) -> u64,
-    F: Fn(&T, u32) -> R + Sync,
-{
-    let n = items.len();
-    stream_map_lpt_ft(
-        n,
-        policy,
-        move |q| {
-            for item in items {
-                let c = cost(&item);
-                q.push(c, item);
-            }
-        },
-        f,
-    )
-}
-
 /// A cross-pool execution governor: at most `permits` sections run at once,
 /// and when several are waiting the **heaviest** (by its declared LPT weight)
 /// is admitted first.
 ///
-/// The streaming distributors above balance load *within* one
-/// [`stream_map_lpt_ft`] call; the governor extends the same
+/// The streaming distributor above balances load *within* one
+/// [`stream_map_lpt`] call; the governor extends the same
 /// heaviest-first discipline *across* independent calls. The `ltp-service`
 /// job server runs one sampled request per active job, each with its own
 /// worker pool, and wraps every interval simulation in
@@ -832,83 +660,53 @@ mod tests {
         }
     }
 
-    #[test]
-    fn thread_count_clamps_to_items() {
-        assert_eq!(thread_count(1), 1);
-        assert!(thread_count(1_000_000) >= 1);
+    /// Streams `items` (cost 1 each) through [`stream_map_lpt`].
+    fn stream_items<R: Send>(
+        items: Vec<u64>,
+        policy: RetryPolicy,
+        f: impl Fn(&u64, u32) -> R + Sync,
+    ) -> Vec<TaskOutcome<R>> {
+        stream_map_lpt(
+            items.len(),
+            policy,
+            |q| {
+                for x in items {
+                    q.push(1, x);
+                }
+            },
+            f,
+        )
     }
 
-    #[test]
-    fn lpt_puts_longest_jobs_first_on_least_loaded_workers() {
-        // Classic example: jobs 5,4,3,3,3 on 2 workers. LPT gives {5,3} and
-        // {4,3,3} (makespan 10); naive contiguous chunking of the sorted list
-        // would give {5,4,3} = 12.
-        let assignment = lpt_assign(&[3, 5, 3, 4, 3], 2);
-        let mut loads: Vec<u64> = assignment
-            .iter()
-            .map(|idx| idx.iter().map(|&i| [3u64, 5, 3, 4, 3][i]).sum())
-            .collect();
-        loads.sort_unstable();
-        assert_eq!(loads, vec![8, 10]);
-        // Every job appears exactly once.
-        let mut all: Vec<usize> = assignment.into_iter().flatten().collect();
-        all.sort_unstable();
-        assert_eq!(all, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn lpt_handles_degenerate_shapes() {
-        assert_eq!(lpt_assign(&[], 4), vec![Vec::<usize>::new(); 4]);
-        let one = lpt_assign(&[7], 3);
-        assert_eq!(one.iter().map(Vec::len).sum::<usize>(), 1);
-        // Zero workers is clamped to one.
-        let clamped = lpt_assign(&[1, 2], 0);
-        assert_eq!(clamped.len(), 1);
-        assert_eq!(clamped[0].len(), 2);
-    }
-
-    #[test]
-    fn lpt_makespan_beats_contiguous_chunking_on_skewed_costs() {
-        // A skewed cost vector: one huge job at the end of the list plus many
-        // small ones — the shape contiguous chunking handles worst.
-        let mut costs = vec![1u64; 15];
-        costs.push(20);
-        let workers = 4;
-        let makespan = |assign: &[Vec<usize>]| -> u64 {
-            assign
-                .iter()
-                .map(|idx| idx.iter().map(|&i| costs[i]).sum::<u64>())
-                .max()
-                .unwrap_or(0)
-        };
-        let lpt = lpt_assign(&costs, workers);
-        // Optimal makespan here is 20 (the huge job alone); LPT achieves it.
-        assert_eq!(makespan(&lpt), 20);
-        // Contiguous chunks of 4 put the huge job with 3 small ones -> 23.
-        let chunked: Vec<Vec<usize>> = (0..4).map(|w| (w * 4..w * 4 + 4).collect()).collect();
-        assert_eq!(makespan(&chunked), 23);
+    /// The values of outcomes that must all have succeeded.
+    fn values<R: Clone>(out: &[TaskOutcome<R>]) -> Vec<R> {
+        out.iter()
+            .map(|o| o.value().expect("task succeeded").clone())
+            .collect()
     }
 
     #[test]
     fn stream_map_preserves_push_order() {
         let out = stream_map_lpt(
             97,
+            RetryPolicy::none(),
             |q| {
                 for i in 0..97u64 {
                     q.push(i % 7 + 1, i);
                 }
             },
-            |x| x * 3,
+            |&x, _| x * 3,
         );
         assert_eq!(out.len(), 97);
-        for (i, v) in out.iter().enumerate() {
+        for (i, v) in values(&out).iter().enumerate() {
             assert_eq!(*v, i as u64 * 3);
         }
     }
 
     #[test]
     fn stream_map_empty_producer() {
-        let out: Vec<u64> = stream_map_lpt(0, |_q| {}, |x: u64| x);
+        let out: Vec<TaskOutcome<u64>> =
+            stream_map_lpt(0, RetryPolicy::none(), |_q| {}, |&x: &u64, _| x);
         assert!(out.is_empty());
     }
 
@@ -917,21 +715,13 @@ mod tests {
         // Push far more jobs than the bounded queue holds while workers are
         // artificially slowed: every job must still come back, in order.
         let n = 500u64;
-        let out = stream_map_lpt(
-            n as usize,
-            |q| {
-                for i in 0..n {
-                    q.push(1, i);
-                }
-            },
-            |x| {
-                if x % 50 == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
-                x
-            },
-        );
-        assert_eq!(out, (0..n).collect::<Vec<u64>>());
+        let out = stream_items((0..n).collect(), RetryPolicy::none(), |&x, _| {
+            if x % 50 == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            x
+        });
+        assert_eq!(values(&out), (0..n).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -940,33 +730,16 @@ mod tests {
         // they arrive rather than after production completes.
         let out = stream_map_lpt(
             8,
+            RetryPolicy::none(),
             |q| {
                 for i in 0..8u64 {
                     std::thread::sleep(std::time::Duration::from_millis(1));
                     q.push(8 - i, i);
                 }
             },
-            |x| x + 100,
+            |&x, _| x + 100,
         );
-        assert_eq!(out, (100..108).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn stream_map_matches_par_map_lpt_results() {
-        // The streaming distributor is a drop-in for the two-phase one:
-        // identical inputs produce identical ordered outputs.
-        let items: Vec<u64> = (0..64).map(|i| (i * 37) % 19).collect();
-        let two_phase = par_map_lpt(items.clone(), |&x| x + 1, |&x| x * x);
-        let streamed = stream_map_lpt(
-            items.len(),
-            |q| {
-                for &x in &items {
-                    q.push(x + 1, x);
-                }
-            },
-            |x| x * x,
-        );
-        assert_eq!(two_phase, streamed);
+        assert_eq!(values(&out), (100..108).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -984,9 +757,20 @@ mod tests {
 
     #[test]
     fn ft_matches_plain_when_fault_free() {
+        // Fault-free, the streaming distributor is a drop-in for `par_map`:
+        // identical inputs give identical ordered values, one attempt each.
         let items: Vec<u64> = (0..64).map(|i| (i * 37) % 19).collect();
-        let plain = par_map_lpt(items.clone(), |&x| x + 1, |&x| x * x);
-        let ft = par_map_lpt_ft(items, RetryPolicy::none(), |&x| x + 1, |&x, _| x * x);
+        let plain = par_map(items.clone(), |&x| x * x);
+        let ft = stream_map_lpt(
+            items.len(),
+            RetryPolicy::none(),
+            |q| {
+                for &x in &items {
+                    q.push(x + 1, x);
+                }
+            },
+            |&x, _| x * x,
+        );
         assert_eq!(ft.len(), plain.len());
         for (out, expect) in ft.iter().zip(plain) {
             assert_eq!(out.value(), Some(&expect));
@@ -996,15 +780,13 @@ mod tests {
 
     #[test]
     fn ft_panicking_task_retries_and_succeeds() {
-        let items: Vec<u64> = (0..40).collect();
-        let out = par_map_lpt_ft(
-            items,
+        let out = stream_items(
+            (0..40).collect(),
             RetryPolicy {
                 max_attempts: 2,
                 base_backoff: Duration::ZERO,
                 deadline: None,
             },
-            |_| 1,
             |&x, attempt| {
                 if x == 17 && attempt == 0 {
                     panic!("injected fault at item 17");
@@ -1022,14 +804,13 @@ mod tests {
 
     #[test]
     fn ft_exhausted_retries_report_structured_failure() {
-        let out = par_map_lpt_ft(
+        let out = stream_items(
             (0..8u64).collect(),
             RetryPolicy {
                 max_attempts: 3,
                 base_backoff: Duration::ZERO,
                 deadline: None,
             },
-            |_| 1,
             |&x, _| {
                 if x == 3 {
                     panic!("item {x} always fails");
@@ -1056,14 +837,13 @@ mod tests {
 
     #[test]
     fn ft_deadline_overrun_discards_and_retries() {
-        let out = par_map_lpt_ft(
+        let out = stream_items(
             (0..4u64).collect(),
             RetryPolicy {
                 max_attempts: 2,
                 base_backoff: Duration::ZERO,
                 deadline: Some(Duration::from_millis(20)),
             },
-            |_| 1,
             |&x, attempt| {
                 if x == 2 && attempt == 0 {
                     std::thread::sleep(Duration::from_millis(60));
@@ -1082,7 +862,7 @@ mod tests {
         // expected_jobs = 1 sizes the pool to exactly one worker; the retry
         // re-enqueue must not deadlock when the failing worker is the only
         // one left to pick the job back up.
-        let out = stream_map_lpt_ft(
+        let out = stream_map_lpt(
             1,
             RetryPolicy {
                 max_attempts: 2,
@@ -1122,18 +902,6 @@ mod tests {
         // Shift is capped: huge attempt counts don't overflow.
         assert_eq!(p.backoff_for(64), Duration::from_millis(2 * 1024));
         assert_eq!(RetryPolicy::none().backoff_for(9), Duration::ZERO);
-    }
-
-    #[test]
-    fn par_map_lpt_preserves_order() {
-        let items: Vec<u64> = (0..97).collect();
-        let out = par_map_lpt(items, |&x| x % 7 + 1, |&x| x * 3);
-        assert_eq!(out.len(), 97);
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, i as u64 * 3);
-        }
-        let empty: Vec<u64> = par_map_lpt(Vec::<u64>::new(), |_| 1, |&x| x);
-        assert!(empty.is_empty());
     }
 
     #[test]

@@ -31,27 +31,31 @@
 //! [`SampledRequest::new`]): the decode streams the generator, and each
 //! interval replays the generator from its checkpoint onwards.
 //!
-//! [`run_sampled_two_phase_on`] keeps the previous checkpoint-all-then-
-//! simulate-all discipline over the per-instruction functional interpreter:
-//! it is the differential reference the streaming pipeline is tested against
-//! (identical per-interval results, byte-identical checkpoints) and the
-//! baseline its overlap is measured against.
+//! [`SampledRequest`] is the only way in. A checkpoint cache hit replaces
+//! the functional pass with checkpoints rebuilt from the cached warm state;
+//! either way one producer loop feeds the workers. With
+//! [`SampledRequest::two_phase`] the request instead runs the previous
+//! checkpoint-all-then-simulate-all discipline over the per-instruction
+//! functional interpreter: the differential reference the streaming pipeline
+//! is tested against (identical per-interval results, byte-identical
+//! checkpoints) and the baseline its overlap is measured against.
 //!
-//! The `sample` experiment compares this estimate (and its wall-clock) to
-//! the full-detail run of the same trace, reporting the IPC error and the
-//! speed-up per simulation point.
+//! The `sample` experiment ([`crate::Experiment::Sample`]) compares this
+//! estimate (and its wall-clock) to the full-detail run of the same trace,
+//! reporting the IPC error and the speed-up per simulation point.
 
 use crate::cache::{sampled_warm_key, CachedInterval, IntervalGeometry, SampledWarmEntry};
 use crate::fault::FaultPlan;
 use crate::journal::{self, JournalHeader, JournalRecord, JournalWriter};
 use crate::parallel::{
-    par_map_lpt, stream_map_lpt_ft, LptGovernor, RetryPolicy, TaskFailure, TaskOutcome,
+    par_map, stream_map_lpt, LptGovernor, RetryPolicy, TaskFailure, TaskOutcome,
 };
 use crate::report::Report;
 use crate::runner::{limit_study_config, RunOptions};
+use crate::ExperimentCtx;
 use ltp_core::{LtpMode, OracleClassifier};
 use ltp_isa::{DecodedTrace, DynInst, InstStream};
-use ltp_pipeline::{FunctionalFastForward, PipelineConfig, RunError, Snapshot};
+use ltp_pipeline::{FunctionalFastForward, PipelineConfig, RunError, Snapshot, SnapshotError};
 use ltp_stats::ConfidenceInterval;
 use ltp_workloads::{replay_slice, trace, WorkloadKind};
 use std::path::PathBuf;
@@ -400,17 +404,15 @@ impl SampledResult {
     }
 }
 
-/// One sampled-simulation request: the single entry point to the sampled
-/// runner, replacing the historical `run_sampled` / `run_sampled_on` /
-/// `run_sampled_prepared` / `run_sampled_controlled` /
-/// `run_sampled_two_phase_on` family.
+/// One sampled-simulation request: the only entry point to the sampled
+/// runner.
 ///
 /// A request names the configuration, workload and [`SampleSpec`]; everything
 /// else — trace source, pre-decoded trace, shared oracle analysis,
 /// [`SampleControl`] (retry/faults/journal/cache/progress/cancel/governor)
 /// and the two-phase reference schedule — is opt-in through builder methods.
-/// Both the CLI and the `ltp-service` job server construct their runs through
-/// this type, so there is exactly one path into the runner.
+/// The `sample` experiment, the `ltp-service` job server and the repo
+/// benchmark all construct their runs through this type.
 ///
 /// ```no_run
 /// use ltp_experiments::sampled::{SampleSpec, SampledRequest};
@@ -433,7 +435,6 @@ pub struct SampledRequest<'a> {
     kind: WorkloadKind,
     spec: SampleSpec,
     trace: Option<&'a [DynInst]>,
-    owned_trace: Option<Vec<DynInst>>,
     dec: Option<&'a DecodedTrace>,
     oracle: Option<&'a OracleClassifier>,
     control: SampleControl,
@@ -446,7 +447,6 @@ impl std::fmt::Debug for SampledRequest<'_> {
             .field("kind", &self.kind.name())
             .field("spec", &self.spec)
             .field("trace", &self.trace.map(<[DynInst]>::len))
-            .field("owned_trace", &self.owned_trace.as_ref().map(Vec::len))
             .field("dec", &self.dec.is_some())
             .field("oracle", &self.oracle.is_some())
             .field("control", &self.control)
@@ -472,7 +472,6 @@ impl<'a> SampledRequest<'a> {
             kind,
             spec,
             trace: None,
-            owned_trace: None,
             dec: None,
             oracle: None,
             control: SampleControl::default(),
@@ -486,16 +485,6 @@ impl<'a> SampledRequest<'a> {
     #[must_use]
     pub fn trace(mut self, detail: &'a [DynInst]) -> SampledRequest<'a> {
         self.trace = Some(detail);
-        self.owned_trace = None;
-        self
-    }
-
-    /// Uses an owned detailed trace — e.g. one decoded off the wire by the
-    /// service's inline-trace job submissions.
-    #[must_use]
-    pub fn owned_trace(mut self, detail: Vec<DynInst>) -> SampledRequest<'a> {
-        self.owned_trace = Some(detail);
-        self.trace = None;
         self
     }
 
@@ -516,38 +505,20 @@ impl<'a> SampledRequest<'a> {
         self
     }
 
-    /// Replaces the whole [`SampleControl`] at once.
+    /// Sets the run's whole [`SampleControl`]: retry, faults, journal,
+    /// resume, cache, progress, cancellation and governor. The setters
+    /// below change one field of it, so they go after this call.
     #[must_use]
     pub fn control(mut self, control: SampleControl) -> SampledRequest<'a> {
         self.control = control;
         self
     }
 
-    /// Sets the retry discipline for interval attempts.
-    #[must_use]
-    pub fn retry(mut self, retry: RetryPolicy) -> SampledRequest<'a> {
-        self.control.retry = retry;
-        self
-    }
-
-    /// Sets the deterministic fault plan injected into interval attempts.
-    #[must_use]
-    pub fn faults(mut self, faults: FaultPlan) -> SampledRequest<'a> {
-        self.control.faults = faults;
-        self
-    }
-
-    /// Journals completed intervals to `path`; with `resume` they replay.
+    /// Journals completed intervals to `path`; with
+    /// [`SampleControl::resume`] they replay.
     #[must_use]
     pub fn journal(mut self, path: PathBuf) -> SampledRequest<'a> {
         self.control.journal = Some(path);
-        self
-    }
-
-    /// Replays completed intervals from the journal before simulating.
-    #[must_use]
-    pub fn resume(mut self, resume: bool) -> SampledRequest<'a> {
-        self.control.resume = resume;
         self
     }
 
@@ -576,20 +547,6 @@ impl<'a> SampledRequest<'a> {
     #[must_use]
     pub fn progress(mut self, sink: ProgressSink) -> SampledRequest<'a> {
         self.control.progress = Some(sink);
-        self
-    }
-
-    /// Makes the run cooperatively cancellable through `flag`.
-    #[must_use]
-    pub fn cancel_flag(mut self, flag: Arc<AtomicBool>) -> SampledRequest<'a> {
-        self.control.cancel = Some(flag);
-        self
-    }
-
-    /// Runs every interval simulation under a shared cross-run governor.
-    #[must_use]
-    pub fn governor(mut self, governor: Arc<LptGovernor>) -> SampledRequest<'a> {
-        self.control.governor = Some(governor);
         self
     }
 
@@ -623,14 +580,13 @@ impl<'a> SampledRequest<'a> {
     /// decoded trace does not match the trace.
     pub fn run(&self) -> Result<SampledResult, RunError> {
         let seed = self.spec.seed.wrapping_add(1);
-        let supplied = self.trace.or(self.owned_trace.as_deref());
         // Without a caller-supplied trace the run replays the generator and
         // never collects the trace, except for the two consumers that need
         // all of it at once: the two-phase reference (here) and an oracle
         // analysis (in `run_controlled`, only if the analysis runs).
-        let generated: Option<Vec<DynInst>> = (self.two_phase && supplied.is_none())
+        let generated: Option<Vec<DynInst>> = (self.two_phase && self.trace.is_none())
             .then(|| trace(self.kind, seed, self.spec.total_insts as usize));
-        let source = match supplied.or(generated.as_deref()) {
+        let source = match self.trace.or(generated.as_deref()) {
             Some(detail) => TraceSource::Slice(detail),
             None => TraceSource::Generator {
                 kind: self.kind,
@@ -642,15 +598,7 @@ impl<'a> SampledRequest<'a> {
             TraceSource::Slice(detail) if self.two_phase => {
                 run_two_phase(self.cfg, self.kind, detail, &self.spec)
             }
-            _ => run_controlled(
-                self.cfg,
-                self.kind,
-                source,
-                self.dec,
-                self.oracle,
-                &self.spec,
-                &self.control,
-            ),
+            _ => run_controlled(self, source),
         }
     }
 }
@@ -711,157 +659,33 @@ impl TraceSource<'_> {
     }
 }
 
-/// Runs one workload through sampled simulation (see the module docs).
-///
-/// # Errors
-///
-/// Propagates [`RunError`] from any interval's detailed simulation, and the
-/// snapshot errors of unsupported configurations as
-/// [`RunError::SnapshotUnsupported`].
-///
-/// # Panics
-///
-/// Panics if `spec` is inconsistent (zero intervals, detailed window larger
-/// than the interval stride).
-#[deprecated(note = "construct a `SampledRequest` and call `run()`")]
-pub fn run_sampled(
-    cfg: PipelineConfig,
-    kind: WorkloadKind,
-    spec: &SampleSpec,
-) -> Result<SampledResult, RunError> {
-    reraise_first_failure(SampledRequest::new(cfg, kind, *spec).run())
-}
-
-/// Like [`run_sampled`], over a caller-provided trace.
-///
-/// # Errors
-///
-/// Same as [`run_sampled`].
-///
-/// # Panics
-///
-/// Same as [`run_sampled`].
-#[deprecated(note = "construct a `SampledRequest` with `.trace(..)` and call `run()`")]
-pub fn run_sampled_on(
-    cfg: PipelineConfig,
-    kind: WorkloadKind,
-    detail: &[DynInst],
-    spec: &SampleSpec,
-) -> Result<SampledResult, RunError> {
-    reraise_first_failure(SampledRequest::new(cfg, kind, *spec).trace(detail).run())
-}
-
-/// The streaming runner over caller-prepared inputs (pre-decoded trace and
-/// optional shared oracle analysis).
-///
-/// # Errors
-///
-/// Same as [`run_sampled`].
-///
-/// # Panics
-///
-/// Same as [`run_sampled`], plus if `dec` was not decoded from `detail`.
-#[deprecated(
-    note = "construct a `SampledRequest` with `.trace(..).decoded(..).oracle(..)` and call `run()`"
-)]
-pub fn run_sampled_prepared(
-    cfg: PipelineConfig,
-    kind: WorkloadKind,
-    detail: &[DynInst],
-    dec: &DecodedTrace,
-    oracle: Option<&OracleClassifier>,
-    spec: &SampleSpec,
-) -> Result<SampledResult, RunError> {
-    let mut req = SampledRequest::new(cfg, kind, *spec)
-        .trace(detail)
-        .decoded(dec);
-    if let Some(oracle) = oracle {
-        req = req.oracle(oracle);
-    }
-    reraise_first_failure(req.run())
-}
-
-/// The historical strict contract of the pre-`SampledRequest` entry points:
-/// a lost interval re-raises — deterministic errors propagate as `Err`,
-/// anything else (a genuine bug panic, since no faults are injected on these
-/// paths) resurfaces as a panic.
-fn reraise_first_failure(r: Result<SampledResult, RunError>) -> Result<SampledResult, RunError> {
-    let mut r = r?;
-    if !r.failures.is_empty() {
-        let first = r.failures.remove(0);
-        return match first.error {
-            IntervalError::Run(e) => Err(e),
-            IntervalError::Task(t) => panic!("{t}"),
-            IntervalError::Cancelled => unreachable!("legacy entry points cannot be cancelled"),
-        };
-    }
-    Ok(r)
-}
-
-/// The fully controlled streaming runner: [`run_sampled_prepared`] plus the
-/// fault-tolerance layer. Interval attempts run isolated under
-/// [`stream_map_lpt_ft`] with `control.retry`; a deterministic [`RunError`]
-/// (e.g. a detected deadlock) is *not* retried and surfaces as an
-/// [`IntervalFailure`] carrying the error, while panics and deadline
-/// overruns are retried per policy before the interval is declared lost.
-/// Lost intervals degrade the result to a clearly flagged partial one
+/// The streaming runner body behind [`SampledRequest::run`]. Interval
+/// attempts run isolated under [`stream_map_lpt`] with `control.retry`; a
+/// deterministic [`RunError`] (e.g. a detected deadlock) is *not* retried and
+/// surfaces as an [`IntervalFailure`] carrying the error, while panics and
+/// deadline overruns are retried per policy before the interval is declared
+/// lost. Lost intervals degrade the result to a clearly flagged partial one
 /// ([`SampledResult::is_partial`]) with a widened confidence interval rather
 /// than failing the run.
 ///
-/// With `control.journal` set, every completed interval is appended to an
-/// on-disk, checksummed journal as it finishes; with `control.resume` also
-/// set, intervals already in a matching journal are replayed instead of
-/// re-simulated (if *all* intervals replay, the functional pass is skipped
-/// entirely). Per-interval measurements are deterministic, so a resumed or
+/// With `control.journal` set, every completed interval is written to an
+/// on-disk, checksummed journal; with `control.resume` also set, intervals
+/// already in a matching journal are replayed instead of re-simulated (if
+/// *all* intervals replay, the functional pass is skipped entirely).
+/// Per-interval measurements are deterministic, so a resumed or
 /// fault-recovered run aggregates bit-identically to an uninterrupted one.
 ///
-/// # Errors
-///
-/// Same as [`run_sampled`] for whole-run failures (e.g. unsupported
-/// snapshot configurations). Per-interval failures come back *inside* the
-/// result, not as `Err`.
-///
-/// # Panics
-///
-/// Same as [`run_sampled`].
-#[deprecated(
-    note = "construct a `SampledRequest` with `.trace(..).decoded(..).control(..)` and call `run()`"
-)]
-pub fn run_sampled_controlled(
-    cfg: PipelineConfig,
-    kind: WorkloadKind,
-    detail: &[DynInst],
-    dec: &DecodedTrace,
-    oracle: Option<&OracleClassifier>,
-    spec: &SampleSpec,
-    control: &SampleControl,
-) -> Result<SampledResult, RunError> {
-    run_controlled(
-        cfg,
-        kind,
-        TraceSource::Slice(detail),
-        Some(dec),
-        oracle,
-        spec,
-        control,
-    )
-}
-
-/// The streaming runner body behind [`SampledRequest::run`]. `dec`, when
-/// shared, must be the decoded form of `source`; otherwise the trace is
-/// decoded only if the functional pass runs (a cache hit never decodes).
+/// A shared decoded trace must be the decoded form of `source`; otherwise
+/// the trace is decoded only if the functional pass runs (a cache hit never
+/// decodes).
 fn run_controlled(
-    cfg: PipelineConfig,
-    kind: WorkloadKind,
+    req: &SampledRequest<'_>,
     source: TraceSource<'_>,
-    dec: Option<&DecodedTrace>,
-    oracle: Option<&OracleClassifier>,
-    spec: &SampleSpec,
-    control: &SampleControl,
 ) -> Result<SampledResult, RunError> {
+    let (cfg, kind, spec, control) = (req.cfg, req.kind, &req.spec, &req.control);
     spec.validate();
     let total = source.len();
-    if let Some(dec) = dec {
+    if let Some(dec) = req.dec {
         assert_eq!(
             dec.len(),
             total,
@@ -944,21 +768,21 @@ fn run_controlled(
     // An oracle-classified configuration gets one whole-trace analysis shared
     // by every interval — the same analysis a full-detail run would use (and
     // none at all when the journal already covers every interval).
-    let analysed: Option<OracleClassifier> = if !all_done && oracle.is_none() && cfg.needs_oracle()
-    {
-        Some(source.with_slice(|detail| crate::sim::analyze_oracle(&cfg, detail)))
-    } else {
-        None
-    };
-    let oracle = oracle.or(analysed.as_ref());
+    let analysed: Option<OracleClassifier> =
+        if !all_done && req.oracle.is_none() && cfg.needs_oracle() {
+            Some(source.with_slice(|detail| crate::sim::analyze_oracle(&cfg, detail)))
+        } else {
+            None
+        };
+    let oracle = req.oracle.or(analysed.as_ref());
 
-    // Streaming pipeline: the functional pass runs on this thread and emits
-    // each interval's checkpoint into the bounded queue the moment its
-    // boundary is reached; workers start the detailed simulation of an
-    // interval immediately, heaviest (most functional misses) first. The
-    // detailed phase therefore overlaps all of the functional pass after the
-    // first interval boundary. Replayed intervals are fast-forwarded over
-    // without checkpointing; when everything replayed, the pass is skipped.
+    // Streaming pipeline: the producer runs on this thread and emits each
+    // interval's checkpoint into the bounded queue the moment its boundary
+    // is reached; workers start the detailed simulation of an interval
+    // immediately, heaviest (most functional misses) first. The detailed
+    // phase therefore overlaps all of the functional pass after the first
+    // interval boundary. Replayed intervals are passed over without
+    // checkpointing; when everything replayed, the pass is skipped.
     let mut producer_err: Option<RunError> = None;
     // Trace-order indices actually pushed into the stream: normally every
     // non-replayed interval, but cancellation stops production early and the
@@ -974,7 +798,6 @@ fn run_controlled(
         Vec::new()
     } else {
         let func_t0 = Instant::now();
-        // The worker body is shared by the cold and cache-hit producers.
         let worker = |job: &IntervalJob, attempt: u32| {
             // A queued interval observed after cancellation is skipped, not
             // simulated — the cheapest way to drain the stream fast.
@@ -1078,109 +901,48 @@ fn run_controlled(
                         .all(|ci| ci.state.has_classifier_state() == wants_classifier)
             })
         });
-
-        if let Some(entry) = cached {
-            // Cache hit: the functional pass is bypassed entirely. Each
-            // interval's checkpoint is rebuilt from the cached warm state
-            // under *this* configuration — byte-identical to what the cold
-            // fast-forward would have captured, per the warm-key contract.
-            stream_map_lpt_ft(
-                intervals - resumed_intervals,
-                control.retry,
-                |queue| {
-                    for (i, (cached_iv, &start)) in
-                        entry.intervals.into_iter().zip(&starts).enumerate()
-                    {
-                        if done.contains(&i) {
-                            continue;
-                        }
-                        if cancel_requested() {
-                            break;
-                        }
-                        let ff = FunctionalFastForward::from_warm_state(cfg, cached_iv.state);
-                        let snap = match ff.checkpoint() {
-                            Ok(snap) => snap,
-                            Err(e) => {
-                                producer_err = Some(RunError::SnapshotUnsupported(e.to_string()));
-                                break;
-                            }
-                        };
-                        let snap_bytes = encode_for_journal(&snap);
-                        if i == 0 {
-                            checkpoint_bytes = snap_bytes
-                                .as_ref()
-                                .map_or_else(|| snap.to_bytes().len(), |b| b.len());
-                        }
-                        pushed_log.push(i);
-                        queue.push(
-                            cached_iv.weight + 1,
-                            IntervalJob {
-                                index: i,
-                                start,
-                                snap: Arc::new(snap),
-                                snap_bytes,
-                                weight: cached_iv.weight,
-                            },
-                        );
+        let decoded: DecodedTrace;
+        let mut warm = match cached {
+            Some(entry) => WarmSource::Cached {
+                entries: entry.intervals.into_iter(),
+                weight: 0,
+            },
+            None => {
+                let dec = match req.dec {
+                    Some(dec) => dec,
+                    None => {
+                        decoded = source.decode();
+                        &decoded
                     }
-                    functional_secs = func_t0.elapsed().as_secs_f64();
-                },
-                worker,
-            )
-        } else {
-            let decoded: DecodedTrace;
-            let dec = match dec {
-                Some(dec) => dec,
-                None => {
-                    decoded = source.decode();
-                    &decoded
+                };
+                let mut ff = FunctionalFastForward::new(cfg);
+                if spec.warm_insts > 0 {
+                    ff.warm_caches(&trace(kind, spec.seed, spec.warm_insts as usize));
                 }
-            };
-            let mut ff = FunctionalFastForward::new(cfg);
-            if spec.warm_insts > 0 {
-                let warm = trace(kind, spec.seed, spec.warm_insts as usize);
-                ff.warm_caches(&warm);
-            }
-            stream_map_lpt_ft(
-                intervals - resumed_intervals,
-                control.retry,
-                |queue| {
-                    // On a miss with a cache attached, capture every interval
-                    // boundary's warm state (replayed intervals included —
-                    // the entry must be whole to serve future runs). A
-                    // capture failure abandons the store, never the run.
-                    let mut captured: Option<Vec<CachedInterval>> = cache_key
+                WarmSource::FastForward {
+                    ff: Box::new(ff),
+                    dec,
+                    capture: cache_key
                         .is_some()
-                        .then(|| Vec::with_capacity(starts.len()));
-                    for (i, &start) in starts.iter().enumerate() {
-                        if cancel_requested() {
-                            // Stop producing checkpoints; the incomplete
-                            // capture set is discarded below, never stored.
-                            captured = None;
-                            break;
-                        }
-                        ff.advance_on(dec, start);
-                        if let Some(cap) = captured.as_mut() {
-                            match ff.warm_state() {
-                                Ok(state) => cap.push(CachedInterval {
-                                    start,
-                                    weight: 0,
-                                    state,
-                                }),
-                                Err(_) => captured = None,
-                            }
-                        }
-                        let job_snap = if done.contains(&i) {
-                            None
-                        } else {
-                            let snap = match ff.checkpoint() {
-                                Ok(snap) => snap,
-                                Err(e) => {
-                                    producer_err =
-                                        Some(RunError::SnapshotUnsupported(e.to_string()));
-                                    break;
-                                }
-                            };
+                        .then(|| Vec::with_capacity(starts.len())),
+                }
+            }
+        };
+
+        stream_map_lpt(
+            intervals - resumed_intervals,
+            control.retry,
+            |queue| {
+                // Cancellation and checkpoint failures stop production early;
+                // only a pass over every interval may fill the cache.
+                let mut complete = true;
+                for (i, &start) in starts.iter().enumerate() {
+                    if cancel_requested() {
+                        complete = false;
+                        break;
+                    }
+                    let job_snap = match warm.enter(cfg, start, !done.contains(&i)) {
+                        Ok(snap) => snap.map(|snap| {
                             let snap_bytes = encode_for_journal(&snap);
                             if i == 0 {
                                 // Report what persisting a checkpoint costs;
@@ -1190,44 +952,47 @@ fn run_controlled(
                                     .as_ref()
                                     .map_or_else(|| snap.to_bytes().len(), |b| b.len());
                             }
-                            Some((snap, snap_bytes))
-                        };
-                        let end = starts.get(i + 1).copied().unwrap_or(total);
-                        ff.advance_on(dec, end);
-                        let weight = ff.take_llc_misses();
-                        if let Some(cap) = captured.as_mut() {
-                            if let Some(last) = cap.last_mut() {
-                                last.weight = weight;
-                            }
+                            (snap, snap_bytes)
+                        }),
+                        Err(e) => {
+                            producer_err = Some(RunError::SnapshotUnsupported(e.to_string()));
+                            complete = false;
+                            break;
                         }
-                        if let Some((snap, snap_bytes)) = job_snap {
-                            // LPT cost: the detailed window length is
-                            // constant, so the miss weight is the
-                            // differentiating term; +1 keeps zero-miss
-                            // intervals schedulable.
-                            pushed_log.push(i);
-                            queue.push(
-                                weight + 1,
-                                IntervalJob {
-                                    index: i,
-                                    start,
-                                    snap: Arc::new(snap),
-                                    snap_bytes,
-                                    weight,
-                                },
-                            );
-                        }
+                    };
+                    let weight = warm.leave(starts.get(i + 1).copied().unwrap_or(total));
+                    if let Some((snap, snap_bytes)) = job_snap {
+                        // LPT cost: the detailed window length is constant,
+                        // so the miss weight is the differentiating term; +1
+                        // keeps zero-miss intervals schedulable.
+                        pushed_log.push(i);
+                        queue.push(
+                            weight + 1,
+                            IntervalJob {
+                                index: i,
+                                start,
+                                snap: Arc::new(snap),
+                                snap_bytes,
+                                weight,
+                            },
+                        );
                     }
-                    if let (Some(cap), Some((cache, key))) = (captured, cache_key.as_ref()) {
-                        if cap.len() == starts.len() {
-                            cache.store_sampled_warm(*key, &SampledWarmEntry { intervals: cap });
-                        }
-                    }
-                    functional_secs = func_t0.elapsed().as_secs_f64();
-                },
-                worker,
-            )
-        }
+                }
+                if let (
+                    true,
+                    Some((cache, key)),
+                    WarmSource::FastForward {
+                        capture: Some(intervals),
+                        ..
+                    },
+                ) = (complete, cache_key.as_ref(), warm)
+                {
+                    cache.store_sampled_warm(*key, &SampledWarmEntry { intervals });
+                }
+                functional_secs = func_t0.elapsed().as_secs_f64();
+            },
+            worker,
+        )
     };
     // Single-threaded journal drain: the parallel stream is over, so this
     // runs with the machine to itself and its elapsed time is the true
@@ -1294,21 +1059,12 @@ fn run_controlled(
             ns.iter().map(|&d| d.min(cap) as f64).sum::<f64>() / 1e9
         }
     };
-    if std::env::var_os("LTP_JOURNAL_DEBUG").is_some() {
-        eprintln!(
-            "journal debug: setup {:.4}s encode {:.4}s handoff {:.4}s drain {:.4}s",
-            journal_setup_secs,
-            journal_encode_secs,
-            journal_nanos.load(Ordering::Relaxed) as f64 / 1e9,
-            journal_tail_secs,
-        );
-    }
     if let Some(e) = producer_err {
         return Err(e);
     }
 
     let agg_t0 = Instant::now();
-    // `stream_map_lpt_ft` returns outcomes in push order and `pushed_log`
+    // `stream_map_lpt` returns outcomes in push order and `pushed_log`
     // recorded exactly which trace-order intervals were pushed — map them
     // back. Intervals never pushed (production stopped by cancellation)
     // surface as `Cancelled` failures so the partial result accounts for
@@ -1394,6 +1150,85 @@ fn run_controlled(
     })
 }
 
+/// Where the producer reads each interval's warm state from: a cached entry
+/// or the functional fast-forward. The producer loop drives both the same
+/// way — [`WarmSource::enter`] at each interval's start, then
+/// [`WarmSource::leave`] at its end.
+enum WarmSource<'d> {
+    /// A cache hit: the stored warm state of every interval, in trace order.
+    /// Each checkpoint is rebuilt from it under the run's configuration —
+    /// byte-identical to what the fast-forward would have captured, per the
+    /// warm-key contract — so the functional pass is bypassed entirely.
+    Cached {
+        entries: std::vec::IntoIter<CachedInterval>,
+        /// Weight of the interval last entered.
+        weight: u64,
+    },
+    /// The functional fast-forward over the decoded trace. With a cache
+    /// attached, `capture` collects every interval boundary's warm state
+    /// (replayed intervals included — the entry must be whole to serve
+    /// future runs); a capture failure abandons the store, never the run.
+    FastForward {
+        ff: Box<FunctionalFastForward>,
+        dec: &'d DecodedTrace,
+        capture: Option<Vec<CachedInterval>>,
+    },
+}
+
+impl WarmSource<'_> {
+    /// Moves to the interval starting at trace position `start` and returns
+    /// its checkpoint when `checkpoint` is set (a replayed interval needs
+    /// none).
+    fn enter(
+        &mut self,
+        cfg: PipelineConfig,
+        start: u64,
+        checkpoint: bool,
+    ) -> Result<Option<Snapshot>, SnapshotError> {
+        match self {
+            WarmSource::Cached { entries, weight } => {
+                let iv = entries
+                    .next()
+                    .expect("the cached entry's shape matches the run");
+                *weight = iv.weight;
+                checkpoint
+                    .then(|| FunctionalFastForward::from_warm_state(cfg, iv.state).checkpoint())
+                    .transpose()
+            }
+            WarmSource::FastForward { ff, dec, capture } => {
+                ff.advance_on(dec, start);
+                if let Some(cap) = capture.as_mut() {
+                    match ff.warm_state() {
+                        Ok(state) => cap.push(CachedInterval {
+                            start,
+                            weight: 0,
+                            state,
+                        }),
+                        Err(_) => *capture = None,
+                    }
+                }
+                checkpoint.then(|| ff.checkpoint()).transpose()
+            }
+        }
+    }
+
+    /// Finishes the current interval at trace position `end` and returns its
+    /// LPT weight: the functional LLC misses inside it.
+    fn leave(&mut self, end: u64) -> u64 {
+        match self {
+            WarmSource::Cached { weight, .. } => *weight,
+            WarmSource::FastForward { ff, dec, capture } => {
+                ff.advance_on(dec, end);
+                let weight = ff.take_llc_misses();
+                if let Some(last) = capture.as_mut().and_then(|cap| cap.last_mut()) {
+                    last.weight = weight;
+                }
+                weight
+            }
+        }
+    }
+}
+
 /// Why one worker attempt produced no measurement (internal to the stream).
 enum WorkerErr {
     /// Deterministic simulation error: not retried, reported as
@@ -1472,32 +1307,13 @@ fn simulate_interval(
     })
 }
 
-/// The previous two-phase discipline, kept as the differential reference for
-/// the streaming pipeline: checkpoint **all** intervals with the
-/// per-instruction functional interpreter ([`FunctionalFastForward::feed`]),
-/// then simulate them all with offline-LPT scheduling
-/// ([`crate::parallel::par_map_lpt`]). Checkpoints, weights and per-interval
-/// measurements are bit-identical to [`run_sampled_on`]'s; only the schedule
-/// (and therefore the wall-clock) differs.
-///
-/// # Errors
-///
-/// Same as [`run_sampled`].
-///
-/// # Panics
-///
-/// Same as [`run_sampled`].
-#[deprecated(note = "construct a `SampledRequest` with `.trace(..).two_phase()` and call `run()`")]
-pub fn run_sampled_two_phase_on(
-    cfg: PipelineConfig,
-    kind: WorkloadKind,
-    detail: &[DynInst],
-    spec: &SampleSpec,
-) -> Result<SampledResult, RunError> {
-    run_two_phase(cfg, kind, detail, spec)
-}
-
-/// The two-phase runner body behind [`SampledRequest::two_phase`].
+/// The two-phase runner body behind [`SampledRequest::two_phase`], kept as
+/// the differential reference for the streaming pipeline: checkpoint **all**
+/// intervals with the per-instruction functional interpreter
+/// ([`FunctionalFastForward::feed`]), then simulate them all with
+/// [`par_map`]. Checkpoints, weights and per-interval measurements are
+/// bit-identical to the streaming runner's; only the schedule (and
+/// therefore the wall-clock) differs.
 fn run_two_phase(
     cfg: PipelineConfig,
     kind: WorkloadKind,
@@ -1550,28 +1366,25 @@ fn run_two_phase(
     }
     let functional_secs = func_t0.elapsed().as_secs_f64();
 
-    // Phase 2 — detailed interval simulations, longest first.
+    // Phase 2 — detailed interval simulations. Measurements do not depend
+    // on the schedule, so a plain parallel map will do.
     let detail_nanos = AtomicU64::new(0);
-    let measurements: Vec<Result<IntervalMeasurement, RunError>> = par_map_lpt(
-        jobs,
-        |job| job.weight + 1,
-        |job| {
-            let t0 = Instant::now();
-            let m = simulate_interval(
-                job,
-                oracle.as_ref(),
-                name,
-                TraceSource::Slice(detail),
-                warm_eff,
-                measure_eff,
-            );
-            detail_nanos.fetch_add(
-                u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                Ordering::Relaxed,
-            );
-            m
-        },
-    );
+    let measurements: Vec<Result<IntervalMeasurement, RunError>> = par_map(jobs, |job| {
+        let t0 = Instant::now();
+        let m = simulate_interval(
+            job,
+            oracle.as_ref(),
+            name,
+            TraceSource::Slice(detail),
+            warm_eff,
+            measure_eff,
+        );
+        detail_nanos.fetch_add(
+            u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
+            Ordering::Relaxed,
+        );
+        m
+    });
 
     let agg_t0 = Instant::now();
     let mut intervals_out = Vec::with_capacity(measurements.len());
@@ -1658,93 +1471,25 @@ pub fn result_digest(lines: &str) -> String {
     format!("{:#018x}", ltp_snapshot::fnv1a64(lines.as_bytes()))
 }
 
-/// Experiment-level fault-tolerance controls for the `sample` experiment,
-/// fanned out to every point's [`SampleControl`].
-#[derive(Clone, Default)]
-pub struct SampleRunControl {
-    /// Retry policy for every point; `None` means
-    /// [`RetryPolicy::default_sampled`].
-    pub retry: Option<RetryPolicy>,
-    /// Deterministic fault plan injected into every point.
-    pub faults: FaultPlan,
-    /// Directory for per-point journals ([`journal::journal_path`] names the
-    /// files); enables journaling when set.
-    pub journal_dir: Option<PathBuf>,
-    /// Replay matching journals from `journal_dir` before simulating.
-    pub resume: bool,
-    /// Checkpoint-cache directory shared across points (and across runs);
-    /// enables the content-addressed warm-state cache when set.
-    pub cache_dir: Option<PathBuf>,
-    /// Streaming per-interval observer fanned out to every point.
-    pub progress: Option<ProgressSink>,
-    /// Cooperative cancellation flag fanned out to every point; points not
-    /// yet started when it trips are skipped entirely.
-    pub cancel: Option<Arc<AtomicBool>>,
-    /// Cross-run execution governor fanned out to every point.
-    pub governor: Option<Arc<LptGovernor>>,
-}
-
-impl std::fmt::Debug for SampleRunControl {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SampleRunControl")
-            .field("retry", &self.retry)
-            .field("faults", &self.faults)
-            .field("journal_dir", &self.journal_dir)
-            .field("resume", &self.resume)
-            .field("cache_dir", &self.cache_dir)
-            .field("progress", &self.progress.is_some())
-            .field("cancel", &self.cancel.is_some())
-            .field("governor", &self.governor.is_some())
-            .finish()
-    }
-}
-
-/// What happened across the points of one `sample` experiment run — the
-/// basis for the binary's exit code.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SampleRunStatus {
-    /// Points that completed degraded (lost intervals, flagged PARTIAL).
-    pub partial_points: usize,
-    /// Points that failed outright.
-    pub error_points: usize,
-}
-
-/// Runs the `sample` experiment: Figure-1-style points simulated both ways,
-/// with IPC error, confidence interval and wall-clock speed-up per point.
-#[must_use]
-pub fn run(opts: &RunOptions) -> Report {
-    run_with_control(opts, &SampleRunControl::default()).0
-}
-
-/// [`run`] with explicit fault-tolerance controls, reporting the run status
-/// alongside the report (the binary maps it to distinct exit codes).
-#[must_use]
-pub fn run_with_control(
-    opts: &RunOptions,
-    control: &SampleRunControl,
-) -> (Report, SampleRunStatus) {
-    let spec = SampleSpec::from_options(opts);
+/// Runs the `sample` experiment over `ctx`: Figure-1-style points simulated
+/// both ways, with IPC error, confidence interval and wall-clock speed-up per
+/// point. Every point runs through a [`SampledRequest`] with `ctx.sample`'s
+/// controls, its own journal under `ctx.journal_dir`
+/// ([`journal::journal_path`] names the files) and `ctx.cache`. The report
+/// meta carries the result digest and how many points came back partial
+/// (`partial_points`) or failed (`error_points`).
+pub(crate) fn run_experiment(ctx: &ExperimentCtx<'_>) -> Report {
+    let spec = SampleSpec::from_options(ctx.opts);
+    let control = &ctx.sample;
     let kinds = WorkloadKind::ALL;
-    let mut status = SampleRunStatus::default();
-    let retry = control.retry.unwrap_or_else(RetryPolicy::default_sampled);
+    let mut partial_points = 0usize;
+    let mut error_points = 0usize;
     // A deterministic digest over every measured interval: two runs that
     // recover to the same measurements print the same digest, so the CI
     // canary can compare a fault-injected run against a fault-free one
     // without parsing the table.
     let mut digest_buf = String::new();
     let mut notes: Vec<String> = Vec::new();
-    let cache: Option<Arc<crate::cache::CheckpointCache>> = control
-        .cache_dir
-        .as_deref()
-        .map(|dir| match crate::cache::CheckpointCache::open(dir) {
-            Ok(c) => Ok(Arc::new(c)),
-            Err(e) => Err(e),
-        })
-        .transpose()
-        .unwrap_or_else(|e| {
-            notes.push(format!("checkpoint cache disabled: {e}"));
-            None
-        });
 
     let mut report = Report::new("sample");
     report.push_text(format!(
@@ -1793,7 +1538,7 @@ pub fn run_with_control(
         let dec = DecodedTrace::from_insts(&detail);
         // The trace fingerprint is part of every cache key for this
         // workload; hash it once here rather than once per configuration.
-        let trace_fnv = cache.as_ref().map(|_| ltp_isa::trace_fingerprint(&detail));
+        let trace_fnv = ctx.cache.map(|_| ltp_isa::trace_fingerprint(&detail));
         for (label, cfg) in fig1_configs() {
             if control
                 .cancel
@@ -1814,7 +1559,7 @@ pub fn run_with_control(
             let full = match full_detail_ipc(cfg, kind, &detail, oracle.as_ref(), &spec) {
                 Ok(ipc) => ipc,
                 Err(e) => {
-                    status.error_points += 1;
+                    error_points += 1;
                     rows.push(vec![
                         kind.name().to_string(),
                         label.to_string(),
@@ -1830,34 +1575,28 @@ pub fn run_with_control(
             };
             let full_secs = t0.elapsed().as_secs_f64();
 
-            let point_control = SampleControl {
-                retry,
-                faults: control.faults.clone(),
-                journal: control
-                    .journal_dir
-                    .as_deref()
-                    .map(|dir| journal::journal_path(dir, kind.name(), label)),
-                resume: control.resume,
-                config_label: label.to_string(),
-                cache: cache.clone(),
-                trace_fnv,
-                progress: control.progress.clone(),
-                cancel: control.cancel.clone(),
-                governor: control.governor.clone(),
-            };
+            let journal = ctx
+                .journal_dir
+                .as_deref()
+                .map(|dir| journal::journal_path(dir, kind.name(), label));
+            let mut request = SampledRequest::new(cfg, kind, spec)
+                .trace(&detail)
+                .decoded(&dec)
+                .control(SampleControl {
+                    journal: journal.clone(),
+                    config_label: label.to_string(),
+                    cache: ctx.cache.cloned(),
+                    trace_fnv,
+                    ..control.clone()
+                });
+            if let Some(oracle) = &oracle {
+                request = request.oracle(oracle);
+            }
             let t1 = std::time::Instant::now();
-            let sampled = match run_controlled(
-                cfg,
-                kind,
-                TraceSource::Slice(&detail),
-                Some(&dec),
-                oracle.as_ref(),
-                &spec,
-                &point_control,
-            ) {
+            let sampled = match request.run() {
                 Ok(s) => s,
                 Err(e) => {
-                    status.error_points += 1;
+                    error_points += 1;
                     rows.push(vec![
                         kind.name().to_string(),
                         label.to_string(),
@@ -1875,14 +1614,14 @@ pub fn run_with_control(
             // The fault plan's journal-corruption directives fire after the
             // point has written its journal, so a subsequent --resume run
             // exercises the checksum recovery end to end.
-            if let Some(path) = point_control.journal.as_deref() {
+            if let Some(path) = journal.as_deref() {
                 if !control.faults.corrupted_records().is_empty() {
                     let _ =
                         journal::corrupt_journal_records(path, control.faults.corrupted_records());
                 }
             }
             if sampled.is_partial() {
-                status.partial_points += 1;
+                partial_points += 1;
                 for f in &sampled.failures {
                     notes.push(format!("{}/{label}: {f}", kind.name()));
                 }
@@ -1945,7 +1684,7 @@ pub fn run_with_control(
     ));
     let functional_rate = functional_insts as f64 / functional_secs.max(1e-9);
     let detailed_rate = detailed_insts as f64 / detail_cpu_secs.max(1e-9);
-    let journal_part = if control.journal_dir.is_some() {
+    let journal_part = if ctx.journal_dir.is_some() {
         format!(
             ", journaling {journal_secs:.3}s ({:.2}% of sampled wall-clock)",
             journal_secs / total_sampled_secs.max(1e-9) * 100.0
@@ -1962,7 +1701,7 @@ pub fn run_with_control(
         "throughput: functional {} insts/s, detailed {} insts/s\n",
         functional_rate as u64, detailed_rate as u64
     ));
-    if let Some(cache) = &cache {
+    if let Some(cache) = ctx.cache {
         out.push_str(&cache.stats().summary_line());
         out.push('\n');
     }
@@ -1976,11 +1715,11 @@ pub fn run_with_control(
             "resume: {resumed_intervals}/{planned_intervals} intervals replayed from journals\n"
         ));
     }
-    if status.partial_points > 0 || status.error_points > 0 {
+    if partial_points > 0 || error_points > 0 {
         out.push_str(&format!(
             "DEGRADED RUN: {} partial point(s), {} failed point(s) — partial CIs are \
              widened for the missing intervals\n",
-            status.partial_points, status.error_points
+            partial_points, error_points
         ));
     }
     for note in &notes {
@@ -1992,18 +1731,11 @@ pub fn run_with_control(
     ));
     report.push_text(out);
     report.push_meta("digest", digest);
-    report.push_meta("partial_points", status.partial_points.to_string());
-    report.push_meta("error_points", status.error_points.to_string());
+    report.push_meta("partial_points", partial_points.to_string());
+    report.push_meta("error_points", error_points.to_string());
     report.push_meta("resumed_intervals", resumed_intervals.to_string());
     report.push_meta("planned_intervals", planned_intervals.to_string());
-    if let Some(cache) = &cache {
-        // Machine-readable cache counters alongside the summary text — the
-        // job server folds these into its /metrics aggregates.
-        let stats = cache.stats();
-        report.push_meta("cache_hits", stats.hits.to_string());
-        report.push_meta("cache_misses", stats.misses.to_string());
-    }
-    (report, status)
+    report
 }
 
 #[cfg(test)]
@@ -2342,25 +2074,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The deprecated wrappers still produce the same numbers as the
-    /// [`SampledRequest`] builder they delegate to.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_builder() {
-        let spec = cache_spec();
-        let cfg = PipelineConfig::ltp_proposed();
-        let legacy = run_sampled(cfg, WorkloadKind::IndirectStream, &spec).expect("legacy run");
-        let modern = SampledRequest::new(cfg, WorkloadKind::IndirectStream, spec)
-            .run()
-            .expect("builder run");
-        assert_eq!(legacy.ipc.mean.to_bits(), modern.ipc.mean.to_bits());
-        assert_eq!(
-            legacy.ipc.half_width.to_bits(),
-            modern.ipc.half_width.to_bits()
-        );
-        assert_eq!(legacy.intervals.len(), modern.intervals.len());
-    }
-
     /// A pre-set cancel flag cancels every interval: the run is partial with
     /// all failures tagged [`IntervalError::Cancelled`], not an error.
     #[test]
@@ -2372,7 +2085,10 @@ mod tests {
             WorkloadKind::IndirectStream,
             spec,
         )
-        .cancel_flag(cancel)
+        .control(SampleControl {
+            cancel: Some(cancel),
+            ..SampleControl::default()
+        })
         .run()
         .expect("cancelled run is not an error");
         assert!(r.is_partial(), "all intervals cancelled => partial");

@@ -122,7 +122,11 @@ impl IssueQueue {
             free_slots: Vec::with_capacity(reserve),
             occupancy: 0,
             phys_waiters: Vec::with_capacity(512),
-            seq_waiters: HashMap::new(),
+            // At most one key per waiting entry. Twice that room keeps the
+            // map at most half full, where a rehash that clears tombstones
+            // happens in place instead of growing the table, so the
+            // steady-state loop never allocates here.
+            seq_waiters: HashMap::with_capacity(2 * reserve),
             ready: BinaryHeap::with_capacity(reserve),
             skipped: Vec::with_capacity(16),
             peak: 0,

@@ -541,7 +541,7 @@ impl Snapshot {
         cpu.state.int_free = self.int_free.clone();
         cpu.state.fp_free = self.fp_free.clone();
         *cpu.state.thread = self.thread.clone();
-        cpu.buses[0] = self.bus.clone();
+        cpu.buses[0].restore_from(&self.bus);
         cpu.renames[0].pending = self.pending.clone();
         ResumedRun {
             cpu,

@@ -98,6 +98,21 @@ impl StageBus {
         }
     }
 
+    /// Makes this bus a copy of `src` inside its own buffers (see
+    /// [`TimingWheel::restore_from`]); restoring a snapshot uses this so the
+    /// restored bus runs without allocating in steady state.
+    pub(crate) fn restore_from(&mut self, src: &StageBus) {
+        self.completions.restore_from(&src.completions);
+        self.ll_signals.restore_from(&src.ll_signals);
+        self.force_release = src.force_release;
+        self.reg_wakeups.clone_from(&src.reg_wakeups);
+        self.seq_wakeups.clone_from(&src.seq_wakeups);
+        self.ticket_clears.clone_from(&src.ticket_clears);
+        self.commits.clone_from(&src.commits);
+        self.reg_frees.clone_from(&src.reg_frees);
+        self.releases.clone_from(&src.releases);
+    }
+
     /// Clears the per-cycle records. Delayed signals and cross-cycle latches
     /// survive; they are consumed by the stage they target.
     pub(crate) fn begin_cycle(&mut self) {

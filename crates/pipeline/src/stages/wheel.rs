@@ -63,6 +63,26 @@ impl TimingWheel {
         }
     }
 
+    /// Makes this wheel a copy of `src` inside its own buffers, so it keeps
+    /// the room [`TimingWheel::new`] gave every slot. A clone would trim
+    /// each slot to its length, and a processor restored from a snapshot
+    /// would then grow slots in steady state.
+    pub(crate) fn restore_from(&mut self, src: &TimingWheel) {
+        if self.mask != src.mask {
+            *self = src.clone();
+            return;
+        }
+        for (slot, from) in self.slots.iter_mut().zip(&src.slots) {
+            slot.clone_from(from);
+        }
+        self.staging.clone_from(&src.staging);
+        self.far.clone_from(&src.far);
+        self.drained_through = src.drained_through;
+        self.staging_sorted = src.staging_sorted;
+        self.far_min = src.far_min;
+        self.len = src.len;
+    }
+
     /// Number of scheduled events not yet popped.
     pub fn len(&self) -> usize {
         self.len

@@ -1,10 +1,11 @@
 //! Job model: request parsing, per-job state machines, the shared registry
 //! and the worker threads that drive jobs through the sampled runner.
 //!
-//! Every job funnels into the same [`SampledRequest`] / `run_with_control`
-//! entry points the CLI uses, with the same journal, checkpoint-cache and
-//! digest machinery — which is what makes an HTTP job's final digest
-//! bit-identical to the equivalent in-process or CLI run.
+//! Every job funnels into the same entry points the CLI uses — a point job
+//! into [`SampledRequest::run`], an experiment job into [`Experiment::run`] —
+//! with the same journal, checkpoint-cache and digest machinery, which is
+//! what makes an HTTP job's final digest bit-identical to the equivalent
+//! in-process or CLI run.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -16,7 +17,7 @@ use ltp_experiments::fault::FaultPlan;
 use ltp_experiments::parallel::{worker_threads, LptGovernor, RetryPolicy};
 use ltp_experiments::runner::named_config;
 use ltp_experiments::sampled::{
-    digest_line, result_digest, IntervalError, IntervalMeasurement, SampleRunControl, SampleSpec,
+    digest_line, result_digest, IntervalError, IntervalMeasurement, SampleControl, SampleSpec,
     SampledRequest,
 };
 use ltp_experiments::{CheckpointCache, Experiment, ExperimentCtx, RunOptions};
@@ -116,6 +117,28 @@ pub enum JobKind {
     },
 }
 
+/// Most instructions a job may ask to simulate or warm with:
+/// `spec.total_insts`, `spec.warm_insts` and an experiment's `warm`. A cold
+/// generator-sourced point decodes its whole trace and an oracle point
+/// collects it (80 B per instruction), so an unbounded size lets one request
+/// exhaust the server's memory. Ten times the largest in-repo request.
+pub const MAX_JOB_INSTS: u64 = 1 << 22;
+/// Most intervals a point job may ask for (`spec.intervals`).
+pub const MAX_JOB_INTERVALS: u64 = 1_024;
+/// Largest experiment `insts` budget: the `sample` experiment collects
+/// 16 × `insts` instructions per workload, which this keeps within
+/// [`MAX_JOB_INSTS`].
+pub const MAX_EXPERIMENT_INSTS: u64 = MAX_JOB_INSTS / 16;
+
+/// The unsigned field `key` of `obj`, if present. A value above `max` is an
+/// error naming the field (`prefix` + `key`) and the limit.
+fn at_most(obj: &Json, prefix: &str, key: &str, max: u64) -> Result<Option<u64>, String> {
+    match obj.get(key).and_then(Json::as_u64) {
+        Some(n) if n > max => Err(format!("\"{prefix}{key}\" must be at most {max}")),
+        n => Ok(n),
+    }
+}
+
 /// A parsed job submission.
 #[derive(Debug, Clone)]
 pub struct JobRequest {
@@ -138,8 +161,9 @@ impl JobRequest {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message for syntax errors, unknown names and
-    /// malformed inline traces.
+    /// Returns a human-readable message for syntax errors, unknown names,
+    /// malformed inline traces and sizes above [`MAX_JOB_INSTS`],
+    /// [`MAX_JOB_INTERVALS`] or [`MAX_EXPERIMENT_INSTS`].
     pub fn parse(body: &str) -> Result<JobRequest, String> {
         let v = Json::parse(body).map_err(|e| format!("bad JSON: {e}"))?;
         let quick = v.get("quick").and_then(Json::as_bool).unwrap_or(false);
@@ -157,10 +181,10 @@ impl JobRequest {
             } else {
                 RunOptions::default()
             };
-            if let Some(n) = v.get("insts").and_then(Json::as_u64) {
+            if let Some(n) = at_most(&v, "", "insts", MAX_EXPERIMENT_INSTS)? {
                 opts.detail_insts = n;
             }
-            if let Some(n) = v.get("warm").and_then(Json::as_u64) {
+            if let Some(n) = at_most(&v, "", "warm", MAX_JOB_INSTS)? {
                 opts.warm_insts = n;
             }
             if let Some(n) = v.get("seed").and_then(Json::as_u64) {
@@ -199,22 +223,26 @@ impl JobRequest {
         };
         let mut spec = SampleSpec::from_options(&base_opts);
         if let Some(s) = v.get("spec") {
-            for (key, field) in [
-                ("total_insts", &mut spec.total_insts as &mut u64),
-                ("detail_warm", &mut spec.detail_warm),
-                ("detail_measure", &mut spec.detail_measure),
-                ("seed", &mut spec.seed),
-                ("warm_insts", &mut spec.warm_insts),
+            for (key, field, max) in [
+                (
+                    "total_insts",
+                    &mut spec.total_insts as &mut u64,
+                    MAX_JOB_INSTS,
+                ),
+                ("detail_warm", &mut spec.detail_warm, u64::MAX),
+                ("detail_measure", &mut spec.detail_measure, u64::MAX),
+                ("seed", &mut spec.seed, u64::MAX),
+                ("warm_insts", &mut spec.warm_insts, MAX_JOB_INSTS),
             ] {
-                if let Some(n) = s.get(key).and_then(Json::as_u64) {
+                if let Some(n) = at_most(s, "spec.", key, max)? {
                     *field = n;
                 }
             }
-            if let Some(n) = s.get("intervals").and_then(Json::as_u64) {
+            if let Some(n) = at_most(s, "spec.", "intervals", MAX_JOB_INTERVALS)? {
                 if n == 0 {
                     return Err("\"spec.intervals\" must be at least 1".into());
                 }
-                spec.intervals = usize::try_from(n).map_err(|_| "intervals too large")?;
+                spec.intervals = n as usize;
             }
         }
 
@@ -794,28 +822,26 @@ fn run_point_job(
     let cfg = named_config(config_name).expect("config validated at parse");
     let cache = open_cache(registry);
 
-    let mut request = SampledRequest::new(cfg, workload, spec)
-        .config_label(config_name)
-        .retry(service_retry(retries))
-        .faults(faults)
-        .progress(progress_sink(job))
-        .cancel_flag(Arc::clone(&job.cancel))
-        .governor(Arc::clone(&registry.governor));
-    if let Some(detail) = inline {
-        request = request.owned_trace(detail);
-    }
-    if let Some(cache) = &cache {
-        request = request.cache(Arc::clone(cache));
-    }
-    if let Some(dir) = &registry.journal_dir {
-        let point_dir = dir.join(job.id.to_string());
-        let _ = std::fs::create_dir_all(&point_dir);
-        // Resume is always on: a fresh job has no journal (which silently
-        // degrades to a fresh run), and a journal left by a killed server
-        // replays its completed intervals bit-identically.
-        request = request
-            .journal(point_dir.join("point.journal"))
-            .resume(true);
+    let mut request = SampledRequest::new(cfg, workload, spec).control(SampleControl {
+        retry: service_retry(retries),
+        faults,
+        journal: registry
+            .journal_dir
+            .as_ref()
+            .map(|dir| dir.join(job.id.to_string()).join("point.journal")),
+        // Resume is on whenever journaling is: a fresh job has no journal
+        // (which silently degrades to a fresh run), and a journal left by a
+        // killed server replays its completed intervals bit-identically.
+        resume: registry.journal_dir.is_some(),
+        config_label: config_name.to_string(),
+        cache: cache.clone(),
+        trace_fnv: None,
+        progress: Some(progress_sink(job)),
+        cancel: Some(Arc::clone(&job.cancel)),
+        governor: Some(Arc::clone(&registry.governor)),
+    });
+    if let Some(detail) = &inline {
+        request = request.trace(detail);
     }
 
     let outcome = request.run();
@@ -879,42 +905,23 @@ fn run_experiment_job(
     opts: &RunOptions,
     retries: u32,
 ) {
-    let report = if experiment == Experiment::Sample {
-        let control = SampleRunControl {
-            retry: Some(service_retry(retries)),
-            journal_dir: registry.journal_dir.as_ref().map(|d| {
-                let dir = d.join(job.id.to_string());
-                let _ = std::fs::create_dir_all(&dir);
-                dir
-            }),
-            resume: registry.journal_dir.is_some(),
-            cache_dir: registry.cache_dir.clone(),
-            progress: Some(progress_sink(job)),
-            cancel: Some(Arc::clone(&job.cancel)),
-            governor: Some(Arc::clone(&registry.governor)),
-            ..SampleRunControl::default()
-        };
-        ltp_experiments::sampled::run_with_control(opts, &control).0
-    } else {
-        // Figure experiments run opaquely (no streaming, no mid-run
-        // cancellation); the checkpoint cache still applies.
-        let cache = open_cache(registry);
-        let ctx = ExperimentCtx::new(opts).with_cache(cache.as_ref());
-        let report = experiment.run(&ctx);
-        fold_cache_stats(registry, cache.as_ref());
-        report
-    };
-
-    // Fold the run's cache counters (exported via report meta) before the
-    // terminal-state update, so clients that observe completion see them.
-    for (key, counter) in [
-        ("cache_hits", &registry.metrics.cache_hits),
-        ("cache_misses", &registry.metrics.cache_misses),
-    ] {
-        if let Some(n) = report.meta(key).and_then(|v| v.parse::<u64>().ok()) {
-            counter.fetch_add(n, Ordering::Relaxed);
-        }
+    // The sample controls reach only the `sample` experiment, which streams
+    // intervals, journals per point and honours cancellation; the figure
+    // experiments run opaquely. Every experiment shares the cache.
+    let cache = open_cache(registry);
+    let mut ctx = ExperimentCtx::new(opts).with_cache(cache.as_ref());
+    ctx.sample.retry = service_retry(retries);
+    ctx.sample.progress = Some(progress_sink(job));
+    ctx.sample.cancel = Some(Arc::clone(&job.cancel));
+    ctx.sample.governor = Some(Arc::clone(&registry.governor));
+    if let Some(dir) = &registry.journal_dir {
+        ctx.journal_dir = Some(dir.join(job.id.to_string()));
+        ctx.sample.resume = true;
     }
+    let report = experiment.run(&ctx);
+    // Fold cache stats before the terminal-state update, so clients that
+    // observe completion see this job's lookups.
+    fold_cache_stats(registry, cache.as_ref());
     let digest = report
         .meta("digest")
         .map(ToString::to_string)
@@ -1080,6 +1087,53 @@ mod tests {
         assert!(JobRequest::parse(r#"{"zero":"keys"}"#).is_err());
         assert!(JobRequest::parse("not json").is_err());
         assert!(JobRequest::parse(r#"{"workload":"hash_probe","spec":{"intervals":0}}"#).is_err());
+    }
+
+    /// Every bounded size is accepted at its limit and rejected one past
+    /// it, with a message naming the field and the limit.
+    #[test]
+    fn job_sizes_are_bounded_at_parse_time() {
+        let point = |spec: &str| format!(r#"{{"workload":"hash_probe","spec":{{{spec}}}}}"#);
+        let experiment = |field: &str| format!(r#"{{"experiment":"sample",{field}}}"#);
+        for (body_at, body_over, field, max) in [
+            (
+                point(&format!(r#""total_insts":{MAX_JOB_INSTS}"#)),
+                point(&format!(r#""total_insts":{}"#, MAX_JOB_INSTS + 1)),
+                "spec.total_insts",
+                MAX_JOB_INSTS,
+            ),
+            (
+                point(&format!(r#""warm_insts":{MAX_JOB_INSTS}"#)),
+                point(&format!(r#""warm_insts":{}"#, MAX_JOB_INSTS + 1)),
+                "spec.warm_insts",
+                MAX_JOB_INSTS,
+            ),
+            (
+                point(&format!(r#""intervals":{MAX_JOB_INTERVALS}"#)),
+                point(&format!(r#""intervals":{}"#, MAX_JOB_INTERVALS + 1)),
+                "spec.intervals",
+                MAX_JOB_INTERVALS,
+            ),
+            (
+                experiment(&format!(r#""insts":{MAX_EXPERIMENT_INSTS}"#)),
+                experiment(&format!(r#""insts":{}"#, MAX_EXPERIMENT_INSTS + 1)),
+                "insts",
+                MAX_EXPERIMENT_INSTS,
+            ),
+            (
+                experiment(&format!(r#""warm":{MAX_JOB_INSTS}"#)),
+                experiment(&format!(r#""warm":{}"#, MAX_JOB_INSTS + 1)),
+                "warm",
+                MAX_JOB_INSTS,
+            ),
+        ] {
+            assert!(JobRequest::parse(&body_at).is_ok(), "{field} at its limit");
+            let err = JobRequest::parse(&body_over).expect_err(field);
+            assert_eq!(err, format!("\"{field}\" must be at most {max}"));
+        }
+        // The sample experiment at the experiment limit stays within the
+        // instruction limit.
+        assert_eq!(MAX_EXPERIMENT_INSTS * 16, MAX_JOB_INSTS);
     }
 
     #[test]

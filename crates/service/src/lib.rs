@@ -3,8 +3,8 @@
 //! A multi-threaded HTTP/1.1 + JSON job server, std-only (hand-rolled
 //! framing and JSON codec, no async runtime). Clients submit sampled
 //! simulation jobs; the server drives them through the exact
-//! [`ltp_experiments::sampled::SampledRequest`] / `run_with_control` entry
-//! points the CLI uses — same checkpoint cache, same journals, same digest —
+//! [`ltp_experiments::sampled::SampledRequest`] / [`ltp_experiments::Experiment`]
+//! entry points the CLI uses — same checkpoint cache, same journals, same digest —
 //! so a job's final result is bit-identical to the equivalent local run, and
 //! a server killed mid-job resumes bit-identically on restart from the same
 //! journal directory.
@@ -572,6 +572,26 @@ mod tests {
         let r = client::request(server.addr(), "POST", "/jobs", Some(&body)).expect("request");
         assert_eq!(r.status, 400);
         assert!(r.text().contains("nesting deeper than"), "{}", r.text());
+        let health = client::request(server.addr(), "GET", "/healthz", None).expect("healthz");
+        assert_eq!(health.status, 200, "the server still answers");
+        server.shutdown();
+    }
+
+    #[test]
+    fn oversized_job_is_400_and_server_survives() {
+        let mut server = start_test_server(4);
+        let body = format!(
+            r#"{{"workload":"pointer_chase","spec":{{"total_insts":{}}}}}"#,
+            jobs::MAX_JOB_INSTS + 1
+        );
+        let r = client::request(server.addr(), "POST", "/jobs", Some(&body)).expect("request");
+        assert_eq!(r.status, 400);
+        let limit = format!("must be at most {}", jobs::MAX_JOB_INSTS);
+        assert!(
+            r.text().contains("spec.total_insts") && r.text().contains(&limit),
+            "{}",
+            r.text()
+        );
         let health = client::request(server.addr(), "GET", "/healthz", None).expect("healthz");
         assert_eq!(health.status, 200, "the server still answers");
         server.shutdown();

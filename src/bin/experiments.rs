@@ -26,9 +26,8 @@
 //! appends completed intervals to per-point journals under `DIR`, `--resume
 //! DIR` replays matching journals (and implies journaling to the same
 //! directory), `--retries N` bounds attempts per interval, and `--inject
-//! SPEC` (or the `LTP_FAULT_PLAN` environment variable) injects a
-//! deterministic fault plan — see `ltp_experiments::fault::FaultPlan::parse`
-//! for the grammar.
+//! SPEC` injects a deterministic fault plan — see
+//! `ltp_experiments::fault::FaultPlan::parse` for the grammar.
 //!
 //! `serve` starts the `ltp-service` HTTP job server on `--bind` (default
 //! `127.0.0.1:8080`) and runs until killed. `--workers N` sizes the
@@ -44,8 +43,7 @@
 //! (lost intervals, flagged in the report).
 
 use ltp_experiments::fault::FaultPlan;
-use ltp_experiments::sampled::{SampleRunControl, SampleRunStatus};
-use ltp_experiments::{sampled, CheckpointCache, Experiment, ExperimentCtx, RunOptions};
+use ltp_experiments::{CheckpointCache, Experiment, ExperimentCtx, RunOptions};
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -59,15 +57,7 @@ const EXIT_PARTIAL: u8 = 4;
 
 fn main() -> ExitCode {
     match run() {
-        Ok(status) => {
-            if status.error_points > 0 {
-                ExitCode::from(EXIT_SIM_ERROR)
-            } else if status.partial_points > 0 {
-                ExitCode::from(EXIT_PARTIAL)
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
+        Ok(code) => code,
         Err(CliError { message, code }) => {
             eprintln!("error: {message}");
             if code == EXIT_CONFIG {
@@ -107,16 +97,19 @@ const USAGE: &str = "usage: experiments \
        experiments serve [--bind ADDR] [--workers N] [--max-jobs N] \
 [--cache DIR] [--journal DIR] [--resume DIR]";
 
-fn run() -> Result<SampleRunStatus, CliError> {
+fn run() -> Result<ExitCode, CliError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("serve") {
-        return serve(&args[1..]).map(|()| SampleRunStatus::default());
+        return serve(&args[1..]).map(|()| ExitCode::SUCCESS);
     }
     let mut experiments: Vec<Experiment> = Vec::new();
     let mut opts = RunOptions::default();
     let mut out_dir = String::from("results");
     let mut cache_dir: Option<PathBuf> = None;
-    let mut control = SampleRunControl::default();
+    let mut journal_dir: Option<PathBuf> = None;
+    let mut resume = false;
+    let mut faults = FaultPlan::new();
+    let mut retries: Option<u32> = None;
 
     let mut i = 0;
     while i < args.len() {
@@ -151,7 +144,7 @@ fn run() -> Result<SampleRunStatus, CliError> {
                     .get(i)
                     .cloned()
                     .ok_or_else(|| CliError::config("--journal needs a directory"))?;
-                control.journal_dir = Some(PathBuf::from(dir));
+                journal_dir = Some(PathBuf::from(dir));
             }
             "--resume" => {
                 i += 1;
@@ -159,8 +152,8 @@ fn run() -> Result<SampleRunStatus, CliError> {
                     .get(i)
                     .cloned()
                     .ok_or_else(|| CliError::config("--resume needs a directory"))?;
-                control.journal_dir = Some(PathBuf::from(dir));
-                control.resume = true;
+                journal_dir = Some(PathBuf::from(dir));
+                resume = true;
             }
             "--inject" => {
                 i += 1;
@@ -168,20 +161,17 @@ fn run() -> Result<SampleRunStatus, CliError> {
                     .get(i)
                     .cloned()
                     .ok_or_else(|| CliError::config("--inject needs a fault spec"))?;
-                control.faults = FaultPlan::parse(&spec)
+                faults = FaultPlan::parse(&spec)
                     .map_err(|e| CliError::config(format!("bad --inject spec: {e}")))?;
             }
             "--retries" => {
                 i += 1;
-                let n: u32 = parse_flag_value(&args, i, "--retries", "a number")?;
-                let mut policy = ltp_experiments::parallel::RetryPolicy::default_sampled();
-                policy.max_attempts = n.max(1);
-                control.retry = Some(policy);
+                retries = Some(parse_flag_value(&args, i, "--retries", "a number")?);
             }
             "all" => experiments.extend(Experiment::ALL),
             "--help" | "-h" => {
                 println!("{USAGE}");
-                return Ok(SampleRunStatus::default());
+                return Ok(ExitCode::SUCCESS);
             }
             name => match Experiment::from_name(name) {
                 Some(e) => experiments.push(e),
@@ -189,12 +179,6 @@ fn run() -> Result<SampleRunStatus, CliError> {
             },
         }
         i += 1;
-    }
-    if control.faults.is_empty() {
-        if let Ok(spec) = std::env::var("LTP_FAULT_PLAN") {
-            control.faults = FaultPlan::parse(&spec)
-                .map_err(|e| CliError::config(format!("bad LTP_FAULT_PLAN: {e}")))?;
-        }
     }
     if experiments.is_empty() {
         experiments.extend(Experiment::ALL);
@@ -218,22 +202,25 @@ fn run() -> Result<SampleRunStatus, CliError> {
         }
         None => None,
     };
-    control.cache_dir = cache_dir;
+    let mut ctx = ExperimentCtx::new(&opts).with_cache(cache.as_ref());
+    ctx.journal_dir = journal_dir;
+    ctx.sample.resume = resume;
+    ctx.sample.faults = faults;
+    if let Some(n) = retries {
+        ctx.sample.retry.max_attempts = n.max(1);
+    }
 
-    let mut status = SampleRunStatus::default();
+    let (mut partial_points, mut error_points) = (0usize, 0usize);
     for experiment in experiments {
         let started = std::time::Instant::now();
         eprintln!("== running {} ...", experiment.name());
-        // The `sample` experiment carries the fault-tolerance controls and
-        // reports how degraded the run was; everything else runs plainly.
-        let report = if experiment == Experiment::Sample {
-            let (report, run_status) = sampled::run_with_control(&opts, &control);
-            status.partial_points += run_status.partial_points;
-            status.error_points += run_status.error_points;
-            report
-        } else {
-            experiment.run(&ExperimentCtx::new(&opts).with_cache(cache.as_ref()))
-        };
+        let report = experiment.run(&ctx);
+        // Only the `sample` report carries these: how many of its points
+        // came back partial or failed.
+        let count =
+            |key: &str| -> usize { report.meta(key).and_then(|v| v.parse().ok()).unwrap_or(0) };
+        partial_points += count("partial_points");
+        error_points += count("error_points");
         let elapsed = started.elapsed();
         let rendered = report.render_text();
         println!("{rendered}");
@@ -248,7 +235,13 @@ fn run() -> Result<SampleRunStatus, CliError> {
         file.write_all(rendered.as_bytes())
             .map_err(|e| CliError::io("cannot write the report file", &path, &e))?;
     }
-    Ok(status)
+    Ok(if error_points > 0 {
+        ExitCode::from(EXIT_SIM_ERROR)
+    } else if partial_points > 0 {
+        ExitCode::from(EXIT_PARTIAL)
+    } else {
+        ExitCode::SUCCESS
+    })
 }
 
 /// The `serve` subcommand: parse flags, start the job server, run until

@@ -25,7 +25,7 @@ use ltp_experiments::parallel::{FailureKind, RetryPolicy};
 use ltp_experiments::sampled::{
     IntervalError, SampleControl, SampleSpec, SampledRequest, SampledResult,
 };
-use ltp_experiments::{journal, sampled};
+use ltp_experiments::{journal, Experiment, ExperimentCtx};
 use ltp_isa::{DecodedTrace, DynInst};
 use ltp_pipeline::{PipelineConfig, RunError};
 use ltp_workloads::{trace, WorkloadKind};
@@ -239,7 +239,10 @@ fn deadlock_surfaces_as_interval_failure_with_snapshot() {
     let r = SampledRequest::new(cfg, kind, spec())
         .trace(&detail)
         .decoded(&dec)
-        .retry(retrying())
+        .control(SampleControl {
+            retry: retrying(),
+            ..SampleControl::default()
+        })
         .run()
         .expect("deadlock is a per-interval failure, not a whole-run error");
     assert!(r.is_partial());
@@ -407,21 +410,30 @@ fn experiment_report_flags_partial_points_and_keeps_digest_deterministic() {
         meta
     };
 
-    let (clean_report, clean_status) =
-        sampled::run_with_control(&opts, &sampled::SampleRunControl::default());
-    assert_eq!(clean_status, sampled::SampleRunStatus::default());
+    let run = |faults: FaultPlan| {
+        let mut ctx = ExperimentCtx::new(&opts);
+        ctx.sample.faults = faults;
+        Experiment::Sample.run(&ctx)
+    };
+    // The exit-status accounting: (partial points, failed points).
+    let degraded_points = |report: &ltp_experiments::Report| -> (usize, usize) {
+        let count = |key| {
+            report
+                .meta(key)
+                .and_then(|v| v.parse().ok())
+                .expect("point count meta")
+        };
+        (count("partial_points"), count("error_points"))
+    };
+
+    let clean_report = run(FaultPlan::new());
+    assert_eq!(degraded_points(&clean_report), (0, 0));
     assert!(!clean_report.render_text().contains("DEGRADED RUN"));
 
     // One injected panic, recovered by the default retry policy: same
     // digest, clean status.
-    let (recovered_report, recovered_status) = sampled::run_with_control(
-        &opts,
-        &sampled::SampleRunControl {
-            faults: FaultPlan::new().panic_at(0, 0),
-            ..sampled::SampleRunControl::default()
-        },
-    );
-    assert_eq!(recovered_status, sampled::SampleRunStatus::default());
+    let recovered_report = run(FaultPlan::new().panic_at(0, 0));
+    assert_eq!(degraded_points(&recovered_report), (0, 0));
     assert_eq!(
         digest_of(&recovered_report),
         digest_of(&clean_report),
@@ -430,18 +442,13 @@ fn experiment_report_flags_partial_points_and_keeps_digest_deterministic() {
 
     // An unrecoverable interval (killed on every attempt of the default
     // 3-attempt policy): the affected points degrade and are flagged.
-    let (partial_report, partial_status) = sampled::run_with_control(
-        &opts,
-        &sampled::SampleRunControl {
-            faults: FaultPlan::new()
-                .panic_at(0, 0)
-                .panic_at(0, 1)
-                .panic_at(0, 2),
-            ..sampled::SampleRunControl::default()
-        },
-    );
-    assert!(partial_status.partial_points > 0);
-    assert_eq!(partial_status.error_points, 0);
+    let partial_report = run(FaultPlan::new()
+        .panic_at(0, 0)
+        .panic_at(0, 1)
+        .panic_at(0, 2));
+    let (partial, errors) = degraded_points(&partial_report);
+    assert!(partial > 0);
+    assert_eq!(errors, 0);
     let partial_text = partial_report.render_text();
     assert!(partial_text.contains("DEGRADED RUN"));
     assert!(partial_text.contains("[PARTIAL"));

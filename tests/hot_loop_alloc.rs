@@ -11,14 +11,16 @@
 //! The trace and configuration are fixed, so the test is deterministic; a
 //! failure means a per-cycle allocation crept back into the IQ, stage-bus,
 //! release or commit path — or, for the seeked-generator audit, into the
-//! workload generator that feeds sampled intervals.
+//! workload generator that feeds sampled intervals, or, for the resume
+//! audit, into containers a restored checkpoint gave less room than a
+//! fresh processor has.
 //!
 //! Allocations are counted per thread: the simulation and its observer run
 //! on the test's own thread, and libtest runs the audits in parallel, so a
 //! process-wide count would charge each audit with the others' work.
 
 use ltp_isa::InstStream;
-use ltp_pipeline::{PipelineConfig, Processor};
+use ltp_pipeline::{FunctionalFastForward, PipelineConfig, Processor};
 use ltp_workloads::{replay_slice, trace, WorkloadKind};
 
 // The counting allocator needs `unsafe impl GlobalAlloc`; the workspace
@@ -170,4 +172,51 @@ fn seeked_generator_cycles_do_not_allocate() {
         allocating, 0,
         "{allocating} of {steady} steady-state cycles performed a heap allocation"
     );
+}
+
+/// A processor resumed from a functional checkpoint allocates on no more
+/// steady-state cycles than a fresh processor over the same stretch of the
+/// stream: restoring a checkpoint keeps the capacities `Processor::new`
+/// sizes its queues, wheels and tables with. Every sampled interval resumes
+/// a processor, so every sampled job would pay for the difference.
+fn audit_resumed_against_fresh(cfg: PipelineConfig) {
+    let kind = WorkloadKind::MixedPhases;
+    let start = 30_000u64;
+    let seeked = || {
+        let mut stream = InstStream::take_insts(kind.build(8), start + 20_000);
+        assert_eq!(stream.skip_insts(start), start);
+        stream
+    };
+    let warm = trace(kind, 7, 2_000);
+
+    let mut ff = FunctionalFastForward::new(cfg);
+    ff.warm_caches(&warm);
+    ff.feed_all(&trace(kind, 8, start as usize));
+    let mut resumed = ff.checkpoint().expect("checkpoint").resume();
+    let (steady, resumed_allocating) = count_steady(
+        resumed.processor_mut(),
+        seeked(),
+        start + 20_000,
+        start + 10_000,
+    );
+    assert!(steady > 500, "audit window too small: {steady} cycles");
+
+    let mut fresh = Processor::new(cfg);
+    fresh.warm_caches(&warm);
+    let (fresh_steady, fresh_allocating) = count_steady(&mut fresh, seeked(), 20_000, 10_000);
+    assert!(
+        resumed_allocating <= fresh_allocating,
+        "resumed: {resumed_allocating} of {steady} steady-state cycles allocate; \
+         fresh: {fresh_allocating} of {fresh_steady}"
+    );
+}
+
+#[test]
+fn resumed_processor_allocates_no_more_than_fresh() {
+    audit_resumed_against_fresh(PipelineConfig::ltp_proposed());
+}
+
+#[test]
+fn resumed_baseline_allocates_no_more_than_fresh() {
+    audit_resumed_against_fresh(PipelineConfig::micro2015_baseline());
 }
