@@ -19,8 +19,8 @@ use std::time::Duration;
 pub struct FaultPlan {
     /// `(interval, attempt)` pairs whose simulation attempt panics.
     panics: Vec<(usize, u32)>,
-    /// `(interval, attempt, millis)`: delay the attempt by `millis` before
-    /// simulating (used to bust per-attempt deadlines).
+    /// `(interval, attempt, millis)`: charge the attempt `millis` of
+    /// injected time before simulating (used to bust per-attempt deadlines).
     delays: Vec<(usize, u32, u64)>,
     /// Journal record indices whose on-disk bytes are corrupted after the
     /// run (exercises the checksum recovery on resume).
@@ -48,7 +48,8 @@ impl FaultPlan {
     }
 
     /// Delays attempt `attempt` of interval `index` by `millis` milliseconds
-    /// before the simulation starts.
+    /// of injected time before the simulation starts (see
+    /// [`FaultPlan::inject`]).
     #[must_use]
     pub fn delay_at(mut self, index: usize, attempt: u32, millis: u64) -> FaultPlan {
         self.delays.push((index, attempt, millis));
@@ -75,23 +76,27 @@ impl FaultPlan {
         &self.corrupt
     }
 
-    /// Runs the faults scheduled for `(index, attempt)`: sleeps through any
+    /// Runs the faults scheduled for `(index, attempt)`: charges any
     /// matching delay, then panics if a panic is scheduled. Called at the top
     /// of each simulation attempt, inside the runner's panic isolation.
+    ///
+    /// A plan with any delay puts every attempt it runs on the injected clock
+    /// of [`crate::parallel::charge_attempt`], so exactly the attempts
+    /// delayed past a deadline overrun it, on any host.
     ///
     /// # Panics
     ///
     /// Panics exactly when the plan schedules a panic for this coordinate —
     /// that is the injected fault.
     pub fn inject(&self, index: usize, attempt: u32) {
-        let delay: u64 = self
-            .delays
-            .iter()
-            .filter(|&&(i, a, _)| i == index && a == attempt)
-            .map(|&(_, _, ms)| ms)
-            .sum();
-        if delay > 0 {
-            std::thread::sleep(Duration::from_millis(delay));
+        if !self.delays.is_empty() {
+            let delay: u64 = self
+                .delays
+                .iter()
+                .filter(|&&(i, a, _)| i == index && a == attempt)
+                .map(|&(_, _, ms)| ms)
+                .sum();
+            crate::parallel::charge_attempt(Duration::from_millis(delay));
         }
         if self.panics.contains(&(index, attempt)) {
             panic!("injected fault: interval {index} attempt {attempt}");

@@ -24,6 +24,7 @@
 //!
 //! [`catch_unwind`]: std::panic::catch_unwind
 
+use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 /// Number of worker threads for a pool processing up to `n` jobs: the
@@ -223,9 +224,10 @@ pub struct RetryPolicy {
     /// Backoff before retry `k` is `base_backoff << k` (k = 0 for the first
     /// retry), capping the shift at 10 doublings.
     pub base_backoff: Duration,
-    /// Per-attempt wall-clock deadline. The check is post-hoc — the attempt
-    /// is not interrupted, its result is discarded once the overrun is
-    /// observed — which is enough because the simulator bounds true hangs
+    /// Per-attempt deadline, on the wall clock unless the attempt moved onto
+    /// an injected clock ([`charge_attempt`]). The check is post-hoc — the
+    /// attempt is not interrupted, its result is discarded once the overrun
+    /// is observed — which is enough because the simulator bounds true hangs
     /// with its own deadlock watchdog, and task results are deterministic so
     /// a discarded value equals the retried one.
     pub deadline: Option<Duration>,
@@ -268,7 +270,7 @@ pub enum FailureKind {
     Panic(String),
     /// The attempt finished but overran the policy deadline.
     DeadlineExceeded {
-        /// How long the attempt actually took.
+        /// How long the attempt took on its clock.
         elapsed: Duration,
         /// The policy deadline it overran.
         deadline: Duration,
@@ -358,6 +360,22 @@ impl<R> TaskOutcome<R> {
     }
 }
 
+thread_local! {
+    /// The injected clock of the task attempt running on this thread, when
+    /// the attempt has moved onto one: the time charged to it so far.
+    static CHARGED: Cell<Option<Duration>> = const { Cell::new(None) };
+}
+
+/// Moves the task attempt running on this thread onto an injected clock and
+/// advances that clock by `d`; nothing sleeps. [`stream_map_lpt`] then checks
+/// the attempt's deadline against the time charged to it alone, so whether
+/// it overruns does not depend on the host's speed or load.
+pub fn charge_attempt(d: Duration) {
+    CHARGED.set(Some(
+        CHARGED.get().unwrap_or(Duration::ZERO).saturating_add(d),
+    ));
+}
+
 /// Best-effort extraction of a panic payload's message.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -428,12 +446,13 @@ where
                     let mut out: Vec<(usize, TaskOutcome<R>)> = Vec::new();
                     while let Some((idx, cost, attempt, item)) = claim_heaviest(shared_ref) {
                         shared_ref.not_full.notify_one();
+                        CHARGED.set(None);
                         let started = Instant::now();
                         let attempt_result =
                             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                                 f_ref(&item, attempt)
                             }));
-                        let elapsed = started.elapsed();
+                        let elapsed = CHARGED.take().unwrap_or_else(|| started.elapsed());
                         let failure = match attempt_result {
                             Ok(value) => match policy_ref.deadline {
                                 Some(deadline) if elapsed > deadline => {
@@ -756,9 +775,32 @@ mod tests {
     }
 
     #[test]
-    fn ft_matches_plain_when_fault_free() {
-        // Fault-free, the streaming distributor is a drop-in for `par_map`:
-        // identical inputs give identical ordered values, one attempt each.
+    fn par_map_lpt_preserves_order() {
+        // Heaviest-first claiming reorders execution, never results: under
+        // ascending, descending and flat weights alike, values come back in
+        // push order.
+        let weights: [fn(u64) -> u64; 3] = [|i| i + 1, |i| 97 - i, |_| 1];
+        for weight in weights {
+            let out = stream_map_lpt(
+                97,
+                RetryPolicy::none(),
+                |q| {
+                    for i in 0..97u64 {
+                        q.push(weight(i), i);
+                    }
+                },
+                |&x, _| x * 3,
+            );
+            let expected: Vec<u64> = (0..97).map(|i| i * 3).collect();
+            assert_eq!(values(&out), expected);
+        }
+    }
+
+    #[test]
+    fn stream_map_matches_par_map_lpt_results() {
+        // The streaming distributor is a drop-in for the batch `par_map` the
+        // two-phase reference runs on: identical inputs give identical
+        // ordered values, one attempt each.
         let items: Vec<u64> = (0..64).map(|i| (i * 37) % 19).collect();
         let plain = par_map(items.clone(), |&x| x * x);
         let ft = stream_map_lpt(
@@ -771,6 +813,24 @@ mod tests {
             },
             |&x, _| x * x,
         );
+        assert_eq!(ft.len(), plain.len());
+        for (out, expect) in ft.iter().zip(plain) {
+            assert_eq!(out.value(), Some(&expect));
+            assert_eq!(out.attempts(), 1);
+        }
+    }
+
+    #[test]
+    fn ft_matches_plain_when_fault_free() {
+        // When nothing fails, a retrying policy with a deadline gives the
+        // values of a single-attempt policy, and uses one attempt per task.
+        let items: Vec<u64> = (0..64).map(|i| (i * 37) % 19).collect();
+        let plain = values(&stream_items(
+            items.clone(),
+            RetryPolicy::none(),
+            |&x, _| x * x,
+        ));
+        let ft = stream_items(items, RetryPolicy::default_sampled(), |&x, _| x * x);
         assert_eq!(ft.len(), plain.len());
         for (out, expect) in ft.iter().zip(plain) {
             assert_eq!(out.value(), Some(&expect));
@@ -855,6 +915,31 @@ mod tests {
             assert_eq!(o.value(), Some(&(i as u64 + 100)), "item {i}");
         }
         assert_eq!(out[2].attempts(), 2, "slow first attempt must be retried");
+    }
+
+    #[test]
+    fn ft_charged_attempt_ignores_wall_clock() {
+        // On the injected clock an attempt overruns by what it is charged,
+        // not by how long it runs: every attempt sleeps past the 1 ms
+        // deadline, yet only the charged first attempt of item 1 is retried.
+        let out = stream_items(
+            (0..4u64).collect(),
+            RetryPolicy {
+                max_attempts: 2,
+                base_backoff: Duration::ZERO,
+                deadline: Some(Duration::from_millis(1)),
+            },
+            |&x, attempt| {
+                let charge = if x == 1 && attempt == 0 { 5 } else { 0 };
+                charge_attempt(Duration::from_millis(charge));
+                std::thread::sleep(Duration::from_millis(3));
+                x + 100
+            },
+        );
+        for (i, o) in out.iter().enumerate() {
+            assert_eq!(o.value(), Some(&(i as u64 + 100)), "item {i}");
+            assert_eq!(o.attempts(), if i == 1 { 2 } else { 1 }, "item {i}");
+        }
     }
 
     #[test]
@@ -984,6 +1069,15 @@ mod tests {
         assert_eq!(gov.running(), 0);
         // The permit must still be grantable afterwards.
         assert_eq!(gov.run(1, || 42), 42);
+    }
+
+    #[test]
+    fn thread_count_clamps_to_items() {
+        // A pool never has more workers than jobs, nor fewer than one.
+        for n in 1..=64 {
+            let threads = worker_threads(n);
+            assert!((1..=n).contains(&threads), "{threads} workers for {n} jobs");
+        }
     }
 
     #[test]

@@ -162,9 +162,10 @@ fn all_but_one_interval_panicking_still_recovers_bit_identically() {
 
 #[test]
 fn deadline_overrun_is_retried() {
-    // Attempt 0 of interval 1 sleeps well past the per-attempt deadline; the
-    // overrun attempt is discarded and the retry (which does not sleep)
-    // succeeds with the same deterministic measurement.
+    // Attempt 0 of interval 1 is delayed well past the per-attempt deadline;
+    // the overrun attempt is discarded and the retry (which is not delayed)
+    // succeeds with the same deterministic measurement. Injected delays run
+    // on an injected clock, so the outcome does not depend on host speed.
     let r = run_controlled(&SampleControl {
         retry: RetryPolicy {
             max_attempts: 2,
