@@ -42,7 +42,7 @@
 use ltp_mem::MemoryHierarchy;
 use ltp_pipeline::{FunctionalWarmState, WarmupConfig};
 use ltp_snapshot::{
-    encode_value, fnv1a64, frame_record, Codec, Reader, RecordIter, SnapError, Writer,
+    decode_value, encode_value, fnv1a64, frame_record, Codec, Reader, RecordIter, SnapError, Writer,
 };
 use std::fs;
 use std::io;
@@ -282,7 +282,7 @@ impl CheckpointCache {
     #[must_use]
     pub fn load_sampled_warm(&self, key: u64) -> Option<SampledWarmEntry> {
         let payload = self.load_raw(key)?;
-        match decode_payload::<SampledWarmEntry>(&payload) {
+        match decode_value::<SampledWarmEntry>(&payload) {
             Ok(entry) => Some(entry),
             Err(_) => {
                 self.note_decode_corruption(key);
@@ -300,7 +300,7 @@ impl CheckpointCache {
     #[must_use]
     pub fn load_warm_mem(&self, key: u64) -> Option<MemoryHierarchy> {
         let payload = self.load_raw(key)?;
-        match decode_payload::<MemoryHierarchy>(&payload) {
+        match decode_value::<MemoryHierarchy>(&payload) {
             Ok(mem) => Some(mem),
             Err(_) => {
                 self.note_decode_corruption(key);
@@ -360,16 +360,6 @@ fn validate_entry(bytes: &[u8], key: u64) -> Option<Vec<u8>> {
         return None;
     }
     r.bytes(len).ok().map(<[u8]>::to_vec)
-}
-
-/// Decodes a typed payload, demanding every byte is consumed.
-fn decode_payload<T: Codec>(payload: &[u8]) -> Result<T, SnapError> {
-    let mut r = Reader::new(payload);
-    let value = T::read(&mut r)?;
-    if r.remaining() != 0 {
-        return Err(SnapError::TrailingBytes(r.remaining()));
-    }
-    Ok(value)
 }
 
 // --- keys --------------------------------------------------------------------

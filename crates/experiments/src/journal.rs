@@ -21,8 +21,8 @@
 use crate::sampled::SampleSpec;
 use ltp_pipeline::PipelineConfig;
 use ltp_snapshot::{
-    encode_value, finish_frame, fnv1a64, frame_record, impl_codec, Codec, Reader, RecordIter,
-    SnapError, Writer,
+    decode_value, encode_value, finish_frame, fnv1a64, frame_record, impl_codec, Codec, Reader,
+    RecordIter, SnapError, Writer,
 };
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -247,16 +247,6 @@ pub struct LoadedJournal {
     pub lost_tail: bool,
 }
 
-/// Decodes one framed payload, rejecting trailing bytes.
-fn decode_payload<T: Codec>(payload: &[u8]) -> Result<T, SnapError> {
-    let mut r = Reader::new(payload);
-    let v = T::read(&mut r)?;
-    if r.remaining() != 0 {
-        return Err(SnapError::Invalid("trailing bytes in journal frame"));
-    }
-    Ok(v)
-}
-
 /// Loads a journal, tolerating a damaged tail.
 ///
 /// # Errors
@@ -272,8 +262,8 @@ pub fn load_journal(path: &Path) -> Result<LoadedJournal, JournalError> {
         .next()
         .ok_or(JournalError::Malformed("empty file"))?
         .map_err(|_| JournalError::Malformed("damaged header frame"))?;
-    let header: JournalHeader = decode_payload(header_payload)
-        .map_err(|_| JournalError::Malformed("undecodable header"))?;
+    let header: JournalHeader =
+        decode_value(header_payload).map_err(|_| JournalError::Malformed("undecodable header"))?;
     if header.version != JOURNAL_VERSION {
         return Err(JournalError::Malformed("unsupported journal version"));
     }
@@ -285,7 +275,7 @@ pub fn load_journal(path: &Path) -> Result<LoadedJournal, JournalError> {
             lost_tail = true;
             break;
         };
-        let Ok(rec) = decode_payload::<JournalRecord>(payload) else {
+        let Ok(rec) = decode_value::<JournalRecord>(payload) else {
             lost_tail = true;
             break;
         };

@@ -157,7 +157,7 @@ impl Experiment {
 
     /// Runs the experiment over `ctx` and returns its structured [`Report`].
     /// The CLI renders it with [`Report::render_text`]; the service ships
-    /// [`Report::to_json`] — one value, two renderings.
+    /// it as JSON — one value, two renderings.
     #[must_use]
     pub fn run(self, ctx: &ExperimentCtx<'_>) -> Report {
         let opts = ctx.opts;
@@ -220,6 +220,5 @@ mod tests {
         let report = Experiment::Table1.run(&ExperimentCtx::new(&opts));
         assert_eq!(report.name(), "table1");
         assert!(report.render_text().contains("Table 1"));
-        assert!(report.to_json().starts_with("{\"experiment\":\"table1\""));
     }
 }

@@ -6,8 +6,9 @@
 //! report with [`Report::render_text`] — byte-for-byte the text the
 //! experiments historically printed, so the canary scripts' `grep`/`awk`
 //! parsers keep working — while the `ltp-service` job server ships the very
-//! same value as JSON via [`Report::to_json`]. One value, two renderings;
-//! the two front ends can never drift apart.
+//! same value as JSON, built from [`Report::name`], [`Report::meta_entries`]
+//! and [`Report::blocks`]. One value, two renderings; the two front ends can
+//! never drift apart.
 
 use ltp_stats::TextTable;
 
@@ -81,8 +82,8 @@ impl Report {
         self.blocks.push(Block::Table { columns, rows });
     }
 
-    /// Records a machine-readable key/value. Meta entries are emitted in
-    /// [`Report::to_json`] but never rendered in text output (the text
+    /// Records a machine-readable key/value. Meta entries are shipped in the
+    /// service's JSON but never rendered in text output (the text
     /// equivalent, if any, is a separate [`Block::Text`]).
     pub fn push_meta(&mut self, key: impl Into<String>, value: impl Into<String>) {
         self.meta.push((key.into(), value.into()));
@@ -122,87 +123,12 @@ impl Report {
         }
         out
     }
-
-    /// Renders the report as a JSON object:
-    /// `{"experiment", "meta": {…}, "blocks": […]}`.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"experiment\":");
-        push_json_string(&mut out, &self.name);
-        out.push_str(",\"meta\":{");
-        for (i, (k, v)) in self.meta.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_string(&mut out, k);
-            out.push(':');
-            push_json_string(&mut out, v);
-        }
-        out.push_str("},\"blocks\":[");
-        for (i, block) in self.blocks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            match block {
-                Block::Text(text) => {
-                    out.push_str("{\"type\":\"text\",\"text\":");
-                    push_json_string(&mut out, text);
-                    out.push('}');
-                }
-                Block::Table { columns, rows } => {
-                    out.push_str("{\"type\":\"table\",\"columns\":[");
-                    for (j, c) in columns.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        push_json_string(&mut out, c);
-                    }
-                    out.push_str("],\"rows\":[");
-                    for (j, row) in rows.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        out.push('[');
-                        for (k, cell) in row.iter().enumerate() {
-                            if k > 0 {
-                                out.push(',');
-                            }
-                            push_json_string(&mut out, cell);
-                        }
-                        out.push(']');
-                    }
-                    out.push_str("]}");
-                }
-            }
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 impl std::fmt::Display for Report {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.render_text())
     }
-}
-
-/// Escapes `s` as a JSON string (with surrounding quotes) onto `out`.
-pub(crate) fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]
@@ -233,19 +159,6 @@ mod tests {
             ],
         );
         assert_eq!(r.render_text(), direct.render());
-    }
-
-    #[test]
-    fn json_escapes_and_structures() {
-        let mut r = Report::new("demo");
-        r.push_text("a \"quoted\"\nline\t!");
-        r.push_meta("digest", "0xabc");
-        r.push_table(vec!["k".into()], vec![vec!["v".into()]]);
-        let json = r.to_json();
-        assert!(json.starts_with("{\"experiment\":\"demo\""));
-        assert!(json.contains("\"digest\":\"0xabc\""));
-        assert!(json.contains("a \\\"quoted\\\"\\nline\\t!"));
-        assert!(json.contains("\"columns\":[\"k\"],\"rows\":[[\"v\"]]"));
     }
 
     #[test]

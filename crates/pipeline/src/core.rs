@@ -17,10 +17,13 @@
 //! [`crate::SharePolicy`] — and [`Processor::run_smt`] drives two (or more)
 //! independent instruction streams to a per-thread [`RunResult`] over one
 //! shared cycle timeline.
+//!
+//! Fresh, checkpointing, resumed and SMT runs all go through one cycle loop,
+//! `Processor::drive`, with their own stop and measured-window rules.
 
 use crate::config::{PipelineConfig, SharePolicy};
 use crate::free_list::FreeList;
-use crate::frontend::FrontEnd;
+use crate::frontend::{FrontEnd, FrontEndState};
 use crate::iq::IssueQueue;
 use crate::lsq::{LoadQueue, MemDepPredictor, StoreQueue};
 use crate::rat::Rat;
@@ -41,8 +44,39 @@ use std::collections::{HashMap, HashSet};
 const DEADLOCK_CYCLES: u64 = 500_000;
 
 /// Upper bound on hardware threads (enforced by `PipelineConfig::validate`),
-/// used to keep the per-cycle thread ordering allocation-free.
+/// used to keep the per-cycle thread bookkeeping allocation-free.
 const MAX_THREADS: usize = 4;
+
+/// How a run ends for each hardware thread (see [`Processor::drive`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Stop {
+    /// The run ends once the thread has committed this many instructions in
+    /// total, or has drained its stream.
+    At(u64),
+    /// At this many the thread stops fetching and renaming and drains; the
+    /// run ends once every thread has (SMT co-runs).
+    DrainAt(u64),
+}
+
+/// Where a run's measured window opens (see [`Processor::drive`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Window {
+    /// At the start: statistics cover the whole run (SMT co-runs).
+    Whole,
+    /// At [`PipelineConfig::warmup_insts`] committed (0: the whole run).
+    Warmup,
+    /// At this many committed in total (sampled detailed warm-up).
+    From(u64),
+}
+
+/// What one pass of [`Processor::drive`] leaves: a result per thread, the
+/// front ends as the run left them, and where the measured window opened.
+#[derive(Debug)]
+pub(crate) struct Run<S> {
+    pub(crate) threads: Vec<RunResult>,
+    fes: Vec<FrontEnd<S>>,
+    window: Option<(Cycle, u64)>,
+}
 
 /// A snapshot of one free list, exposed to per-cycle observers.
 #[derive(Debug, Clone, Copy)]
@@ -94,17 +128,9 @@ pub struct Processor {
     pub(crate) buses: Vec<StageBus>,
     /// One rename skid buffer per hardware thread.
     pub(crate) renames: Vec<RenameStage>,
-}
-
-/// Per-thread structure size under the configured sharing policy: static
-/// partitioning splits the total, dynamic sharing gives every thread the
-/// full size and bounds the combined occupancy in the capacity checks.
-fn per_thread_size(total: usize, cfg: &PipelineConfig) -> usize {
-    if cfg.smt.is_smt() && cfg.smt.policy == SharePolicy::StaticPartition && total != usize::MAX {
-        (total / cfg.smt.threads).max(1)
-    } else {
-        total
-    }
+    /// A restored snapshot's front end and measured-window start, which
+    /// [`crate::Snapshot::resume`] leaves for the next run to continue.
+    pub(crate) resumed: Option<(FrontEndState, Option<(Cycle, u64)>)>,
 }
 
 impl Processor {
@@ -122,25 +148,30 @@ impl Processor {
         // a DRAM access behind the full cache hierarchy plus slack for bank
         // queueing. Longer delays still deliver via the wheels' far level.
         let signal_horizon = monitor_timeout + 64;
+        // Room for one cycle's signals. The events due on one cycle were
+        // scheduled at issue, up to the issue width a cycle but over several
+        // issue cycles, and commit records up to the commit width; twice the
+        // wider of the two covers every cycle the allocation audits watch.
+        let per_cycle = 2 * cfg.issue_width.max(cfg.commit_width).min(64);
         let n = cfg.smt.threads;
+        // Static partitioning gives each thread its share of every sized
+        // structure and register file. Dynamic sharing gives every thread
+        // the full size and bounds the combined occupancy in the capacity
+        // checks.
         let static_split = cfg.smt.is_smt() && cfg.smt.policy == SharePolicy::StaticPartition;
-        let reg_quota = |total: usize| {
-            if static_split && total != usize::MAX {
-                (total / n).max(1)
-            } else {
-                usize::MAX
-            }
-        };
+        let share =
+            |total: usize| (static_split && total != usize::MAX).then(|| (total / n).max(1));
+        let size = |total: usize| share(total).unwrap_or(total);
         let mut threads: Vec<Box<ThreadState>> = (0..n)
             .map(|tid| {
                 Box::new(ThreadState {
                     tid: ThreadId(tid as u8),
                     ltp: LtpUnit::new(cfg.ltp, monitor_timeout),
-                    rob: Rob::new(per_thread_size(cfg.rob_size, &cfg)),
-                    iq: IssueQueue::new(per_thread_size(cfg.iq_size, &cfg)),
+                    rob: Rob::new(size(cfg.rob_size)),
+                    iq: IssueQueue::new(size(cfg.iq_size)),
                     rat: Rat::new(),
-                    lq: LoadQueue::new(per_thread_size(cfg.lq_size, &cfg)),
-                    sq: StoreQueue::new(per_thread_size(cfg.sq_size, &cfg)),
+                    lq: LoadQueue::new(size(cfg.lq_size)),
+                    sq: StoreQueue::new(size(cfg.sq_size)),
                     memdep: MemDepPredictor::new(),
                     inflight: HashMap::with_capacity(cfg.rob_size.min(1024) * 2),
                     completed_regs: HashSet::with_capacity(
@@ -156,8 +187,8 @@ impl Processor {
                     activity: ActivityCounters::default(),
                     int_regs_used: 0,
                     fp_regs_used: 0,
-                    int_quota: reg_quota(cfg.int_regs),
-                    fp_quota: reg_quota(cfg.fp_regs),
+                    int_quota: share(cfg.int_regs).unwrap_or(usize::MAX),
+                    fp_quota: share(cfg.fp_regs).unwrap_or(usize::MAX),
                 })
             })
             .collect();
@@ -176,9 +207,10 @@ impl Processor {
                 cfg,
             },
             buses: (0..n)
-                .map(|_| StageBus::with_horizon(signal_horizon))
+                .map(|_| StageBus::with_room(signal_horizon, per_cycle))
                 .collect(),
             renames: (0..n).map(|_| RenameStage::default()).collect(),
+            resumed: None,
         }
     }
 
@@ -298,7 +330,7 @@ impl Processor {
         &mut self,
         stream: S,
         max_insts: u64,
-        mut observer: F,
+        observer: F,
     ) -> Result<RunResult, RunError>
     where
         S: InstStream,
@@ -309,51 +341,8 @@ impl Processor {
             1,
             "run/run_observed drive a single-threaded machine; use run_smt for SMT co-runs"
         );
-        // An oracle-configured machine must have had its analysed oracle (or
-        // a deliberate classifier override) attached; running on the built-in
-        // fallback would silently produce wrongly-labelled results.
-        if self.state.cfg.needs_oracle() && !self.state.thread.ltp.classifier_attached() {
-            return Err(RunError::OracleNotAttached);
-        }
-        let workload = stream.name().to_string();
-        let mut fes = [FrontEnd::new(
-            stream,
-            self.state.cfg.frontend_delay,
-            self.state.cfg.mispredict_penalty,
-        )];
-        let warmup = self.state.cfg.warmup_insts;
-        let mut warmup_done_at: Option<(Cycle, u64)> = None;
-
-        // NOTE: this loop is the canonical single-thread run loop. Two
-        // mirrors exist with different stop/measure conditions —
-        // `Processor::run_to_snapshot` (below) and `ResumedRun::run_inner`
-        // (snapshot.rs) — and must track any semantic change here; the
-        // restore-equivalence tests (`tests/snapshot.rs`) fail on drift.
-        while self.state.thread.committed < max_insts
-            && !(fes[0].is_drained() && self.state.thread.rob.is_empty())
-        {
-            self.cycle(&mut fes, u64::MAX);
-            observer(&CycleView {
-                cycle: self.state.now - 1,
-                bus: &self.buses[0],
-                int_regs: RegFileSnapshot::of(&self.state.int_free),
-                fp_regs: RegFileSnapshot::of(&self.state.fp_free),
-                rob_len: self.state.thread.rob.len(),
-                committed: self.state.thread.committed,
-            });
-            if warmup > 0 && warmup_done_at.is_none() && self.state.thread.committed >= warmup {
-                warmup_done_at = Some((self.state.now, self.state.thread.committed));
-            }
-            if let Some(err) = self.deadlock_check(&workload) {
-                return Err(err);
-            }
-        }
-
-        Ok(self.assemble_result(
-            workload,
-            warmup_done_at.unwrap_or((0, 0)),
-            fes[0].branch_predictor().misprediction_rate(),
-        ))
+        let mut run = self.drive(vec![stream], Stop::At(max_insts), Window::Warmup, observer)?;
+        Ok(run.threads.remove(0))
     }
 
     /// Runs the machine in detail until `checkpoint_at` instructions have
@@ -379,75 +368,14 @@ impl Processor {
                 crate::SnapshotError::SmtUnsupported.to_string(),
             ));
         }
-        if self.state.cfg.needs_oracle() && !self.state.thread.ltp.classifier_attached() {
-            return Err(RunError::OracleNotAttached);
-        }
-        let workload = stream.name().to_string();
-        let mut fes = [FrontEnd::new(
-            stream,
-            self.state.cfg.frontend_delay,
-            self.state.cfg.mispredict_penalty,
-        )];
-        let warmup = self.state.cfg.warmup_insts;
-        let mut warmup_done_at: Option<(Cycle, u64)> = None;
-
-        while self.state.thread.committed < checkpoint_at
-            && !(fes[0].is_drained() && self.state.thread.rob.is_empty())
-        {
-            self.cycle(&mut fes, u64::MAX);
-            if warmup > 0 && warmup_done_at.is_none() && self.state.thread.committed >= warmup {
-                warmup_done_at = Some((self.state.now, self.state.thread.committed));
-            }
-            if let Some(err) = self.deadlock_check(&workload) {
-                return Err(err);
-            }
-        }
-
-        crate::Snapshot::capture(
-            self,
-            fes[0].export_state(),
-            self.renames[0].pending.clone(),
-            warmup_done_at,
-        )
-        .map_err(|e| RunError::SnapshotUnsupported(e.to_string()))
-    }
-
-    /// Single-thread deadlock watchdog shared by every run loop.
-    pub(crate) fn deadlock_check(&self, workload: &str) -> Option<RunError> {
-        if self.state.now - self.state.thread.last_commit_cycle >= DEADLOCK_CYCLES {
-            Some(RunError::Deadlock {
-                cycle: self.state.now,
-                snapshot: Box::new(self.deadlock_snapshot(workload.to_string())),
-            })
-        } else {
-            None
-        }
-    }
-
-    /// Builds the [`RunResult`] of the active single-thread run, measuring
-    /// from `start` (`(cycle, committed)` at the warmup boundary, or zeros).
-    pub(crate) fn assemble_result(
-        &self,
-        workload: String,
-        start: (Cycle, u64),
-        branch_mispredict_rate: f64,
-    ) -> RunResult {
-        let (start_cycle, start_insts) = start;
-        let t = &self.state.thread;
-        RunResult {
-            workload,
-            cycles: self.state.now.saturating_sub(start_cycle).max(1),
-            instructions: t.committed.saturating_sub(start_insts),
-            occupancy: t.occupancy.clone(),
-            activity: t.activity,
-            ltp: t.ltp.stats().clone(),
-            ltp_enabled_fraction: t.ltp.enabled_fraction(self.state.now.max(1)),
-            mem: self.state.mem.stats(),
-            branch_mispredict_rate,
-            loads: t.loads_committed,
-            stores: t.stores_committed,
-            llc_miss_loads: t.llc_miss_loads,
-        }
+        let run = self.drive(
+            vec![stream],
+            Stop::At(checkpoint_at),
+            Window::Warmup,
+            |_| {},
+        )?;
+        crate::Snapshot::capture(self, run.fes[0].export_state(), run.window)
+            .map_err(|e| RunError::SnapshotUnsupported(e.to_string()))
     }
 
     /// Runs an SMT co-run: one independent instruction stream per hardware
@@ -482,7 +410,47 @@ impl Processor {
             self.state.nthreads(),
             "one instruction stream per configured hardware thread"
         );
-        if self.state.cfg.needs_oracle()
+        let run = self.drive(
+            streams,
+            Stop::DrainAt(max_insts_per_thread),
+            Window::Whole,
+            |_| {},
+        )?;
+        Ok(SmtRunResult {
+            cycles: self.state.now.max(1),
+            threads: run.threads,
+        })
+    }
+
+    /// The cycle loop, the one caller of [`Processor::cycle`]: every run is
+    /// this loop with its own `stop` and `window` rules. It refuses to
+    /// start when the configuration selects the oracle classifier and a
+    /// thread has none attached, builds one front end per stream (thread 0
+    /// of a machine restored by [`crate::Snapshot::resume`] continues the
+    /// snapshot's front end, seeking its stream past what it consumed), then
+    /// runs cycles until every thread has finished under `stop`, calling
+    /// `observer` after each, noting the cycle each thread finished on and
+    /// aborting once no thread has committed for `DEADLOCK_CYCLES` cycles.
+    ///
+    /// The measured window opens at the end of the first cycle on which the
+    /// committed count reaches the window's threshold. A resumed run that
+    /// starts already past it keeps, under [`Window::Warmup`], the start its
+    /// snapshot recorded (where the uninterrupted run opened the window),
+    /// and opens it, under [`Window::From`], where the run starts. Each
+    /// thread's result covers the window up to the cycle it finished on.
+    pub(crate) fn drive<S, F>(
+        &mut self,
+        streams: Vec<S>,
+        stop: Stop,
+        window: Window,
+        mut observer: F,
+    ) -> Result<Run<S>, RunError>
+    where
+        S: InstStream,
+        F: FnMut(&CycleView<'_>),
+    {
+        let cfg = self.state.cfg;
+        if cfg.needs_oracle()
             && !self
                 .state
                 .all_threads()
@@ -490,73 +458,106 @@ impl Processor {
         {
             return Err(RunError::OracleNotAttached);
         }
-        let workloads: Vec<String> = streams.iter().map(|s| s.name().to_string()).collect();
+        let (mut restored, inherited) = self
+            .resumed
+            .take()
+            .map_or((None, None), |(fe, start)| (Some(fe), start));
         let mut fes: Vec<FrontEnd<S>> = streams
             .into_iter()
-            .map(|s| {
-                FrontEnd::new(
-                    s,
-                    self.state.cfg.frontend_delay,
-                    self.state.cfg.mispredict_penalty,
-                )
+            .map(|s| match restored.take() {
+                Some(fe) => FrontEnd::from_state(s, fe, cfg.frontend_delay, cfg.mispredict_penalty),
+                None => FrontEnd::new(s, cfg.frontend_delay, cfg.mispredict_penalty),
             })
             .collect();
 
-        let n = self.state.nthreads();
-        let thread_active = |t: &ThreadState, fe: &FrontEnd<S>| {
-            let starved = fe.is_drained() || t.committed >= max_insts_per_thread;
-            !(starved && t.rob.is_empty())
+        let committed = self.state.thread.committed;
+        let (mut start, open_at) = match window {
+            Window::Whole => (None, u64::MAX),
+            Window::Warmup if cfg.warmup_insts == 0 => (inherited, u64::MAX),
+            Window::Warmup => (inherited, cfg.warmup_insts),
+            Window::From(n) => ((committed >= n).then_some((self.state.now, committed)), n),
         };
-        // Cycle at which each thread drained, so per-thread IPC is measured
-        // over the thread's own active window rather than being diluted by a
-        // co-runner's tail (the usual co-run methodology).
-        let mut finish: Vec<Option<Cycle>> = vec![None; n];
-        while (0..n).any(|i| thread_active(self.state.thread_ref(i), &fes[i])) {
-            self.cycle(&mut fes, max_insts_per_thread);
-            for (i, done) in finish.iter_mut().enumerate() {
-                if done.is_none() && !thread_active(self.state.thread_ref(i), &fes[i]) {
-                    *done = Some(self.state.now);
+        // A thread finishes when it reaches `halt`, or when it has drained
+        // its stream or reached `cap` and emptied its ROB; `cycle` stops a
+        // thread at `cap` from fetching and renaming.
+        let (halt, cap) = match stop {
+            Stop::At(n) => (n, u64::MAX),
+            Stop::DrainAt(n) => (u64::MAX, n),
+        };
+        let finished = |state: &PipelineState, fe: &FrontEnd<S>, tid: usize| {
+            let t = state.thread_ref(tid);
+            t.committed >= halt || ((fe.is_drained() || t.committed >= cap) && t.rob.is_empty())
+        };
+        let mut finish: [Option<Cycle>; MAX_THREADS] = [None; MAX_THREADS];
+        let mut running = (0..fes.len()).any(|tid| !finished(&self.state, &fes[tid], tid));
+        while running {
+            self.cycle(&mut fes, cap);
+            let now = self.state.now;
+            let t = &self.state.thread;
+            observer(&CycleView {
+                cycle: now - 1,
+                bus: &self.buses[0],
+                int_regs: RegFileSnapshot::of(&self.state.int_free),
+                fp_regs: RegFileSnapshot::of(&self.state.fp_free),
+                rob_len: t.rob.len(),
+                committed: t.committed,
+            });
+            if start.is_none() && t.committed >= open_at {
+                start = Some((now, t.committed));
+            }
+            // A finished thread stays finished: it fetches nothing more.
+            for (tid, end) in finish.iter_mut().enumerate().take(fes.len()) {
+                if end.is_none() && finished(&self.state, &fes[tid], tid) {
+                    *end = Some(now);
                 }
             }
-            let last_commit = self
-                .state
-                .all_threads()
-                .map(|t| t.last_commit_cycle)
-                .max()
-                .unwrap_or(0);
-            if self.state.now - last_commit >= DEADLOCK_CYCLES {
+            running = finish[..fes.len()].contains(&None);
+            // The active thread's stall is checked first, so a running
+            // machine never looks at the other threads here.
+            if now - t.last_commit_cycle >= DEADLOCK_CYCLES
+                && self
+                    .state
+                    .all_threads()
+                    .all(|other| now - other.last_commit_cycle >= DEADLOCK_CYCLES)
+            {
+                let names: Vec<&str> = fes.iter().map(FrontEnd::workload).collect();
                 return Err(RunError::Deadlock {
-                    cycle: self.state.now,
-                    snapshot: Box::new(self.deadlock_snapshot(workloads.join("+"))),
+                    cycle: now,
+                    snapshot: Box::new(self.deadlock_snapshot(names.join("+"))),
                 });
             }
         }
 
-        let cycles = self.state.now.max(1);
-        let mem_stats = self.state.mem.stats();
-        let threads = workloads
-            .into_iter()
-            .zip(finish)
+        let now = self.state.now;
+        let (start_cycle, start_insts) = start.unwrap_or((0, 0));
+        let mem = self.state.mem.stats();
+        let threads = fes
+            .iter()
             .enumerate()
-            .map(|(i, (workload, done))| {
-                let t = self.state.thread_ref(i);
+            .map(|(tid, fe)| {
+                let t = self.state.thread_ref(tid);
+                let end = finish[tid].unwrap_or(now);
                 RunResult {
-                    workload,
-                    cycles: done.unwrap_or(cycles).max(1),
-                    instructions: t.committed,
+                    workload: fe.workload().to_string(),
+                    cycles: end.saturating_sub(start_cycle).max(1),
+                    instructions: t.committed.saturating_sub(start_insts),
                     occupancy: t.occupancy.clone(),
                     activity: t.activity,
                     ltp: t.ltp.stats().clone(),
-                    ltp_enabled_fraction: t.ltp.enabled_fraction(done.unwrap_or(cycles).max(1)),
-                    mem: mem_stats,
-                    branch_mispredict_rate: fes[i].branch_predictor().misprediction_rate(),
+                    ltp_enabled_fraction: t.ltp.enabled_fraction(end.max(1)),
+                    mem,
+                    branch_mispredict_rate: fe.branch_predictor().misprediction_rate(),
                     loads: t.loads_committed,
                     stores: t.stores_committed,
                     llc_miss_loads: t.llc_miss_loads,
                 }
             })
             .collect();
-        Ok(SmtRunResult { cycles, threads })
+        Ok(Run {
+            threads,
+            fes,
+            window: start,
+        })
     }
 
     /// The per-cycle thread order: the primary thread gets first claim on
@@ -598,15 +599,16 @@ impl Processor {
     ///
     /// A thread whose committed count has reached `insts_cap` no longer
     /// renames or fetches (it drains in flight). Single-thread runs pass
-    /// `u64::MAX`: their run loop stops the whole simulation at the cap
+    /// `u64::MAX`: [`Stop::At`] ends the whole simulation at its count
     /// instead, which keeps that path bit-identical to the pre-SMT machine.
-    pub(crate) fn cycle<S: InstStream>(&mut self, fes: &mut [FrontEnd<S>], insts_cap: u64) {
+    fn cycle<S: InstStream>(&mut self, fes: &mut [FrontEnd<S>], insts_cap: u64) {
         let (order, n) = self.thread_order(fes);
         let order = &order[..n];
         let Processor {
             state,
             buses,
             renames,
+            ..
         } = self;
         for &t in order {
             buses[t].begin_cycle();

@@ -15,89 +15,86 @@ use std::collections::VecDeque;
 #[derive(Debug)]
 pub struct FrontEnd<S> {
     stream: S,
-    predictor: BranchPredictor,
-    /// Instructions in flight through the front-end pipe, with the cycle at
-    /// which they become available to rename.
-    pipe: VecDeque<(Cycle, DynInst)>,
-    /// Fetch is stalled (redirecting) until this cycle.
-    redirect_until: Cycle,
+    state: FrontEndState,
     frontend_delay: u64,
     mispredict_penalty: u64,
-    exhausted: bool,
-    fetched: u64,
 }
 
 impl<S: InstStream> FrontEnd<S> {
     /// Creates a front end reading from `stream`.
     #[must_use]
     pub fn new(stream: S, frontend_delay: u64, mispredict_penalty: u64) -> FrontEnd<S> {
-        FrontEnd {
-            stream,
-            predictor: BranchPredictor::default_sized(),
+        let state = FrontEndState {
             pipe: VecDeque::new(),
             redirect_until: 0,
-            frontend_delay,
-            mispredict_penalty,
             exhausted: false,
             fetched: 0,
-        }
+            predictor: BranchPredictor::default_sized(),
+        };
+        FrontEnd::from_state(stream, state, frontend_delay, mispredict_penalty)
     }
 
     /// Whether the underlying stream has ended and the pipe has drained.
     #[must_use]
     pub fn is_drained(&self) -> bool {
-        self.exhausted && self.pipe.is_empty()
+        self.state.exhausted && self.state.pipe.is_empty()
+    }
+
+    /// The name of the workload the stream replays.
+    pub(crate) fn workload(&self) -> &str {
+        self.stream.name()
     }
 
     /// Total instructions fetched from the stream.
     #[must_use]
     pub fn fetched(&self) -> u64 {
-        self.fetched
+        self.state.fetched
     }
 
     /// Instructions currently buffered in the front-end pipe (fetched but not
     /// yet renamed), the front-end half of the ICOUNT fetch priority.
     #[must_use]
     pub fn backlog(&self) -> usize {
-        self.pipe.len()
+        self.state.pipe.len()
     }
 
     /// The branch predictor (for misprediction statistics).
     #[must_use]
     pub fn branch_predictor(&self) -> &BranchPredictor {
-        &self.predictor
+        &self.state.predictor
     }
 
     /// Fetches up to `width` instructions at cycle `now`, unless redirecting.
     /// Fetch also stops for the cycle after a predicted-taken or mispredicted
     /// branch (a simple one-taken-branch-per-cycle fetch model).
     pub fn fetch(&mut self, now: Cycle, width: usize) {
-        if self.exhausted || now < self.redirect_until {
+        let st = &mut self.state;
+        if st.exhausted || now < st.redirect_until {
             return;
         }
         // Keep the pipe from growing without bound when rename is stalled.
         let max_buffer = width * 4;
         for _ in 0..width {
-            if self.pipe.len() >= max_buffer {
+            if st.pipe.len() >= max_buffer {
                 break;
             }
             let Some(inst) = self.stream.next_inst() else {
-                self.exhausted = true;
+                st.exhausted = true;
                 break;
             };
-            self.fetched += 1;
+            st.fetched += 1;
             let mut stop_fetch = false;
             if let Some(branch) = inst.branch_info() {
-                let mispredicted = self.predictor.predict_and_update(inst.pc(), branch.taken);
+                let mispredicted = st.predictor.predict_and_update(inst.pc(), branch.taken);
                 if mispredicted {
-                    self.redirect_until = now + self.mispredict_penalty;
+                    st.redirect_until = now + self.mispredict_penalty;
                     stop_fetch = true;
                 } else if branch.taken {
                     // Taken branches end the fetch group.
                     stop_fetch = true;
                 }
             }
-            self.pipe.push_back((now + self.frontend_delay, inst));
+            st.pipe.push_back((now + self.frontend_delay, inst));
             if stop_fetch {
                 break;
             }
@@ -107,8 +104,8 @@ impl<S: InstStream> FrontEnd<S> {
     /// Pops the next instruction if it has traversed the front-end pipe by
     /// cycle `now`.
     pub fn pop_ready(&mut self, now: Cycle) -> Option<DynInst> {
-        match self.pipe.front() {
-            Some(&(ready, _)) if ready <= now => self.pipe.pop_front().map(|(_, i)| i),
+        match self.state.pipe.front() {
+            Some(&(ready, _)) if ready <= now => self.state.pipe.pop_front().map(|(_, i)| i),
             _ => None,
         }
     }
@@ -116,14 +113,14 @@ impl<S: InstStream> FrontEnd<S> {
     /// Whether an instruction is ready for rename at cycle `now`.
     #[must_use]
     pub fn has_ready(&self, now: Cycle) -> bool {
-        matches!(self.pipe.front(), Some(&(ready, _)) if ready <= now)
+        matches!(self.state.pipe.front(), Some(&(ready, _)) if ready <= now)
     }
 
     /// The next instruction ready for rename at cycle `now`, without
     /// consuming it.
     #[must_use]
     pub fn peek_ready(&self, now: Cycle) -> Option<&DynInst> {
-        match self.pipe.front() {
+        match self.state.pipe.front() {
             Some(&(ready, ref inst)) if ready <= now => Some(inst),
             _ => None,
         }
@@ -141,7 +138,10 @@ impl<S: InstStream> FrontEnd<S> {
 /// bit-for-bit identical.
 #[derive(Debug, Clone)]
 pub struct FrontEndState {
-    pub(crate) pipe: std::collections::VecDeque<(Cycle, DynInst)>,
+    /// Instructions in flight through the front-end pipe, with the cycle at
+    /// which they become available to rename.
+    pub(crate) pipe: VecDeque<(Cycle, DynInst)>,
+    /// Fetch is stalled (redirecting) until this cycle.
     pub(crate) redirect_until: Cycle,
     pub(crate) exhausted: bool,
     pub(crate) fetched: u64,
@@ -151,13 +151,7 @@ pub struct FrontEndState {
 impl<S: InstStream> FrontEnd<S> {
     /// Exports the front-end state for a snapshot (see [`FrontEndState`]).
     pub(crate) fn export_state(&self) -> FrontEndState {
-        FrontEndState {
-            pipe: self.pipe.clone(),
-            redirect_until: self.redirect_until,
-            exhausted: self.exhausted,
-            fetched: self.fetched,
-            predictor: self.predictor.clone(),
-        }
+        self.state.clone()
     }
 
     /// Rebuilds a front end from exported state over a fresh `stream` of the
@@ -174,13 +168,9 @@ impl<S: InstStream> FrontEnd<S> {
         stream.skip_insts(state.fetched);
         FrontEnd {
             stream,
-            predictor: state.predictor,
-            pipe: state.pipe,
-            redirect_until: state.redirect_until,
+            state,
             frontend_delay,
             mispredict_penalty,
-            exhausted: state.exhausted,
-            fetched: state.fetched,
         }
     }
 }

@@ -241,7 +241,7 @@ impl FunctionalFastForward {
         };
         // Statistics start at the checkpoint; the sampled runner narrows the
         // window further with `ResumedRun::run_measured_from`.
-        Snapshot::capture(&cpu, frontend, None, Some((now, self.consumed)))
+        Snapshot::capture(&cpu, frontend, Some((now, self.consumed)))
     }
 
     /// Captures the **detail-independent** warm state at the current trace

@@ -23,8 +23,9 @@
 //! of trace length.
 
 use crate::config::{FuCounts, PipelineConfig, SharePolicy, SmtConfig};
+use crate::core::{Stop, Window};
 use crate::free_list::FreeList;
-use crate::frontend::{FrontEnd, FrontEndState};
+use crate::frontend::FrontEndState;
 use crate::fu::{FuPool, UnitPool};
 use crate::iq::{IssueQueue, Slot};
 use crate::lsq::{LoadQueue, MemDepPredictor, StoreEntry, StoreQueue};
@@ -452,11 +453,11 @@ impl Codec for Snapshot {
 }
 
 impl Snapshot {
-    /// Captures the machine state of a mid-run processor (single-threaded).
+    /// Captures the machine state of a mid-run processor (single-threaded)
+    /// with its front end's state and measured-window start.
     pub(crate) fn capture(
         cpu: &Processor,
         frontend: FrontEndState,
-        pending: Option<PendingDispatch>,
         stats_from: Option<(Cycle, u64)>,
     ) -> Result<Snapshot, SnapshotError> {
         if cpu.state.nthreads() != 1 {
@@ -474,7 +475,7 @@ impl Snapshot {
             fp_free: cpu.state.fp_free.clone(),
             thread: (*cpu.state.thread).clone(),
             bus: cpu.buses[0].clone(),
-            pending,
+            pending: cpu.renames[0].pending.clone(),
             frontend,
             stats_from,
         })
@@ -521,11 +522,13 @@ impl Snapshot {
         Ok(ltp_snapshot::decode_envelope(bytes)?)
     }
 
-    /// Rebuilds a runnable machine from the snapshot. The caller provides
-    /// the instruction stream (the same trace the original run consumed) to
-    /// [`ResumedRun::run`]; a configuration that selects the oracle
-    /// classifier but was checkpointed before the oracle was attached (the
-    /// functional-warm-up path) needs [`ResumedRun::set_oracle`] first.
+    /// Rebuilds a runnable machine from the snapshot. Its next run
+    /// continues the snapshot's front end and measured window: the caller
+    /// provides the instruction stream (the same trace the original run
+    /// consumed, from position zero) to [`ResumedRun::run`]. A
+    /// configuration that selects the oracle classifier but was
+    /// checkpointed before the oracle was attached (the functional-warm-up
+    /// path) needs [`ResumedRun::set_oracle`] first.
     ///
     /// # Panics
     ///
@@ -543,20 +546,17 @@ impl Snapshot {
         *cpu.state.thread = self.thread.clone();
         cpu.buses[0].restore_from(&self.bus);
         cpu.renames[0].pending = self.pending.clone();
-        ResumedRun {
-            cpu,
-            frontend: self.frontend.clone(),
-            stats_from: self.stats_from,
-        }
+        cpu.resumed = Some((self.frontend.clone(), self.stats_from));
+        ResumedRun { cpu }
     }
 }
 
-/// A machine rebuilt from a [`Snapshot`], ready to continue its run.
+/// A machine rebuilt from a [`Snapshot`], ready to continue its run: a
+/// [`Processor`] whose next run picks up the snapshot's front end and
+/// measured window, through the same cycle loop as an uninterrupted run.
 #[derive(Debug)]
 pub struct ResumedRun {
-    pub(crate) cpu: Processor,
-    pub(crate) frontend: FrontEndState,
-    pub(crate) stats_from: Option<(Cycle, u64)>,
+    cpu: Processor,
 }
 
 impl ResumedRun {
@@ -567,7 +567,8 @@ impl ResumedRun {
         self.cpu.set_oracle(oracle);
     }
 
-    /// The restored processor (e.g. for attaching a custom classifier).
+    /// The restored processor (e.g. for attaching a custom classifier). Its
+    /// next run continues the snapshot's front end.
     pub fn processor_mut(&mut self) -> &mut Processor {
         &mut self.cpu
     }
@@ -586,81 +587,32 @@ impl ResumedRun {
     ///
     /// Returns [`RunError::Deadlock`] / [`RunError::OracleNotAttached`] under
     /// the same conditions as [`Processor::run`].
-    pub fn run<S: InstStream>(self, stream: S, max_insts: u64) -> Result<RunResult, RunError> {
-        self.run_inner(stream, max_insts, None)
+    pub fn run<S: InstStream>(mut self, stream: S, max_insts: u64) -> Result<RunResult, RunError> {
+        self.cpu.run(stream, max_insts)
     }
 
     /// Like [`ResumedRun::run`], but starts the measured window when the
     /// total committed count reaches `measure_from` instead of using the
-    /// configuration's warm-up budget. The sampled runner uses this for the
+    /// configuration's warm-up budget; a snapshot already at or past it
+    /// measures from the resume point. The sampled runner uses this for the
     /// detailed-warm-up portion of each interval.
     ///
     /// # Errors
     ///
     /// Same as [`ResumedRun::run`].
     pub fn run_measured_from<S: InstStream>(
-        self,
+        mut self,
         stream: S,
         max_insts: u64,
         measure_from: u64,
     ) -> Result<RunResult, RunError> {
-        self.run_inner(stream, max_insts, Some(measure_from))
-    }
-
-    fn run_inner<S: InstStream>(
-        mut self,
-        stream: S,
-        max_insts: u64,
-        measure_from: Option<u64>,
-    ) -> Result<RunResult, RunError> {
-        if self.cpu.state.cfg.needs_oracle() && !self.cpu.state.thread.ltp.classifier_attached() {
-            return Err(RunError::OracleNotAttached);
-        }
-        let workload = stream.name().to_string();
-        let cfg = self.cpu.state.cfg;
-        let mut fes = [FrontEnd::from_state(
-            stream,
-            self.frontend,
-            cfg.frontend_delay,
-            cfg.mispredict_penalty,
-        )];
-        let warmup = self.cpu.state.cfg.warmup_insts;
-        let mut warmup_done_at = match measure_from {
-            // Explicit measurement boundary: may already have been crossed.
-            Some(m) if self.cpu.state.thread.committed >= m => {
-                Some((self.cpu.state.now, self.cpu.state.thread.committed))
-            }
-            Some(_) => None,
-            None => self.stats_from,
-        };
-
-        // The loop below mirrors `Processor::run_observed` exactly (minus the
-        // observer); both drive `Processor::cycle`, so a resumed machine
-        // continues cycle-for-cycle where the captured one stopped.
-        while self.cpu.state.thread.committed < max_insts
-            && !(fes[0].is_drained() && self.cpu.state.thread.rob.is_empty())
-        {
-            self.cpu.cycle(&mut fes, u64::MAX);
-            let committed = self.cpu.state.thread.committed;
-            if warmup_done_at.is_none() {
-                let crossed = match measure_from {
-                    Some(m) => committed >= m,
-                    None => warmup > 0 && committed >= warmup,
-                };
-                if crossed {
-                    warmup_done_at = Some((self.cpu.state.now, committed));
-                }
-            }
-            if let Some(err) = self.cpu.deadlock_check(&workload) {
-                return Err(err);
-            }
-        }
-
-        Ok(self.cpu.assemble_result(
-            workload,
-            warmup_done_at.unwrap_or((0, 0)),
-            fes[0].branch_predictor().misprediction_rate(),
-        ))
+        let mut run = self.cpu.drive(
+            vec![stream],
+            Stop::At(max_insts),
+            Window::From(measure_from),
+            |_| {},
+        )?;
+        Ok(run.threads.remove(0))
     }
 }
 

@@ -69,12 +69,13 @@ pub struct StageBus {
 
 impl Default for StageBus {
     fn default() -> StageBus {
-        StageBus::with_horizon(DEFAULT_HORIZON)
+        StageBus::with_room(DEFAULT_HORIZON, 8)
     }
 }
 
 impl StageBus {
-    /// Creates an empty bus with the default delayed-signal horizon.
+    /// Creates an empty bus with the default delayed-signal horizon and room
+    /// for 8 signals of each kind a cycle.
     #[must_use]
     pub fn new() -> StageBus {
         StageBus::default()
@@ -82,19 +83,22 @@ impl StageBus {
 
     /// Creates an empty bus whose timing wheels are sized for delays up to
     /// `horizon` cycles (the worst functional-unit or DRAM latency of the
-    /// machine); longer delays remain correct through the wheels' far level.
+    /// machine; longer delays remain correct through the wheels' far level)
+    /// with room for `per_cycle` signals of each kind in one cycle, in every
+    /// wheel slot and per-cycle record, so the steady-state loop grows
+    /// neither.
     #[must_use]
-    pub fn with_horizon(horizon: u64) -> StageBus {
+    pub fn with_room(horizon: u64, per_cycle: usize) -> StageBus {
         StageBus {
-            completions: TimingWheel::new(horizon),
-            ll_signals: TimingWheel::new(horizon),
+            completions: TimingWheel::new(horizon, per_cycle),
+            ll_signals: TimingWheel::new(horizon, per_cycle),
             force_release: false,
-            reg_wakeups: Vec::new(),
-            seq_wakeups: Vec::new(),
-            ticket_clears: Vec::new(),
-            commits: Vec::new(),
-            reg_frees: Vec::new(),
-            releases: Vec::new(),
+            reg_wakeups: Vec::with_capacity(per_cycle),
+            seq_wakeups: Vec::with_capacity(per_cycle),
+            ticket_clears: Vec::with_capacity(per_cycle),
+            commits: Vec::with_capacity(per_cycle),
+            reg_frees: Vec::with_capacity(per_cycle),
+            releases: Vec::with_capacity(per_cycle),
         }
     }
 
@@ -201,7 +205,7 @@ mod horizon_tests {
     /// A delay far beyond the wheel horizon must still deliver, in order.
     #[test]
     fn beyond_horizon_completions_deliver() {
-        let mut bus = StageBus::with_horizon(8);
+        let mut bus = StageBus::with_room(8, 8);
         bus.schedule_completion(5_000, SeqNum(1));
         bus.schedule_completion(3, SeqNum(0));
         assert_eq!(bus.pop_due_completion(3), Some(SeqNum(0)));

@@ -41,21 +41,18 @@ impl TimingWheel {
     /// Creates a wheel able to hold events up to `horizon` cycles ahead
     /// without touching the far level. The horizon is rounded up to a power
     /// of two; events beyond it remain correct (they take the far path).
-    pub fn new(horizon: u64) -> TimingWheel {
+    /// Every slot holds the events due on one cycle and gets room for
+    /// `per_cycle` of them, so a steady-state loop that never sees more
+    /// in one cycle never grows one.
+    pub fn new(horizon: u64, per_cycle: usize) -> TimingWheel {
         let size = horizon.max(2).next_power_of_two();
-        // Pre-size every slot so the steady-state loop never grows one: a
-        // slot holds the events of one cycle, bounded in practice by the
-        // machine's issue width (events are scheduled at issue time).
-        let slot_capacity = 8;
         TimingWheel {
             // (`vec![..; n]` would clone the prototype and lose its
             // capacity, so build each pre-sized slot explicitly.)
-            slots: (0..size)
-                .map(|_| Vec::with_capacity(slot_capacity))
-                .collect(),
+            slots: (0..size).map(|_| Vec::with_capacity(per_cycle)).collect(),
             mask: size - 1,
             drained_through: 0,
-            staging: Vec::with_capacity(slot_capacity * 4),
+            staging: Vec::with_capacity(per_cycle * 4),
             staging_sorted: true,
             far: Vec::with_capacity(32),
             far_min: Cycle::MAX,
@@ -203,7 +200,7 @@ impl ltp_snapshot::Codec for TimingWheel {
         }
         let drained_through = Cycle::read(r)?;
         let events = Vec::<(Cycle, u64)>::read(r)?;
-        let mut wheel = TimingWheel::new(size);
+        let mut wheel = TimingWheel::new(size, 8);
         wheel.drained_through = drained_through;
         for (cycle, payload) in events {
             wheel.schedule(cycle, payload);
@@ -218,7 +215,7 @@ mod tests {
 
     #[test]
     fn pops_in_cycle_then_payload_order() {
-        let mut w = TimingWheel::new(16);
+        let mut w = TimingWheel::new(16, 8);
         w.schedule(10, 2);
         w.schedule(5, 1);
         w.schedule(5, 0);
@@ -233,7 +230,7 @@ mod tests {
 
     #[test]
     fn far_events_survive_the_horizon() {
-        let mut w = TimingWheel::new(4);
+        let mut w = TimingWheel::new(4, 8);
         w.schedule(3, 1);
         w.schedule(1000, 2);
         w.schedule(40, 3);
@@ -251,7 +248,7 @@ mod tests {
 
     #[test]
     fn scheduling_in_the_past_pops_before_current_events() {
-        let mut w = TimingWheel::new(8);
+        let mut w = TimingWheel::new(8, 8);
         w.schedule(6, 9);
         assert_eq!(w.pop_due(5), None);
         // Issued "last cycle" with zero latency: due immediately, and older
@@ -263,7 +260,7 @@ mod tests {
 
     #[test]
     fn wrap_around_does_not_mix_cycles() {
-        let mut w = TimingWheel::new(4);
+        let mut w = TimingWheel::new(4, 8);
         // Two events in the same slot (cycles 2 and 6 with a 4-slot wheel).
         w.schedule(2, 20);
         w.schedule(6, 60);
@@ -278,7 +275,7 @@ mod tests {
     /// the jump.
     #[test]
     fn million_cycle_jump_preserves_order_and_len() {
-        let mut w = TimingWheel::new(8);
+        let mut w = TimingWheel::new(8, 8);
         // In-wheel events, a far event beyond the horizon, and duplicates.
         for (c, p) in [(3u64, 30u64), (7, 70), (7, 71), (500, 5000), (9, 90)] {
             w.schedule(c, p);
@@ -305,7 +302,7 @@ mod tests {
 
     #[test]
     fn large_jumps_drain_everything_in_order() {
-        let mut w = TimingWheel::new(8);
+        let mut w = TimingWheel::new(8, 8);
         for c in [12u64, 3, 40, 3, 7] {
             w.schedule(c, c * 10 + 1);
         }

@@ -20,7 +20,7 @@ use ltp_experiments::sampled::{
     digest_line, result_digest, IntervalError, IntervalMeasurement, SampleControl, SampleSpec,
     SampledRequest,
 };
-use ltp_experiments::{CheckpointCache, Experiment, ExperimentCtx, RunOptions};
+use ltp_experiments::{Block, CheckpointCache, Experiment, ExperimentCtx, Report, RunOptions};
 use ltp_isa::DynInst;
 use ltp_stats::{ConfidenceInterval, Histogram};
 use ltp_workloads::WorkloadKind;
@@ -958,9 +958,44 @@ fn run_experiment_job(
         s.summary = Some(JobSummary {
             digest,
             ipc: ConfidenceInterval::from_samples(&ipcs),
-            report_json: Some(report.to_json()),
+            report_json: Some(report_json(&report).render()),
         });
     });
+}
+
+/// An experiment report as the JSON object a finished experiment job
+/// carries: `{"experiment", "meta": {…}, "blocks": […]}`, where a block is
+/// `{"type": "text", "text"}` or `{"type": "table", "columns", "rows"}`.
+fn report_json(report: &Report) -> Json {
+    let strs = |items: &[String]| Json::Arr(items.iter().cloned().map(Json::Str).collect());
+    let blocks = report
+        .blocks()
+        .iter()
+        .map(|block| match block {
+            Block::Text(text) => Json::Obj(vec![
+                ("type".into(), Json::Str("text".into())),
+                ("text".into(), Json::Str(text.clone())),
+            ]),
+            Block::Table { columns, rows } => Json::Obj(vec![
+                ("type".into(), Json::Str("table".into())),
+                ("columns".into(), strs(columns)),
+                (
+                    "rows".into(),
+                    Json::Arr(rows.iter().map(|r| strs(r)).collect()),
+                ),
+            ]),
+        })
+        .collect();
+    let meta = report
+        .meta_entries()
+        .iter()
+        .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
+        .collect();
+    Json::Obj(vec![
+        ("experiment".into(), Json::Str(report.name().into())),
+        ("meta".into(), Json::Obj(meta)),
+        ("blocks".into(), Json::Arr(blocks)),
+    ])
 }
 
 /// Renders one interval measurement as the wire JSON object used by status
@@ -1037,6 +1072,27 @@ fn hex_digit(b: u8) -> Result<u8, String> {
 mod tests {
     use super::*;
     use ltp_workloads::trace;
+
+    /// A report's JSON, byte for byte: key order, escapes and both block
+    /// kinds. Experiment jobs ship exactly this rendering.
+    #[test]
+    fn report_json_escapes_and_structures() {
+        let mut r = Report::new("demo");
+        r.push_text("a \"quoted\"\nline\t!\u{1}");
+        r.push_meta("digest", "0xabc");
+        r.push_table(
+            vec!["k".into(), "v".into()],
+            vec![vec!["a".into(), "1".into()], vec!["b\\".into(), "2".into()]],
+        );
+        assert_eq!(
+            report_json(&r).render(),
+            r#"{"experiment":"demo","meta":{"digest":"0xabc"},"blocks":[{"type":"text","text":"a \"quoted\"\nline\t!\u0001"},{"type":"table","columns":["k","v"],"rows":[["a","1"],["b\\","2"]]}]}"#
+        );
+        let table1 = Experiment::Table1.run(&ExperimentCtx::new(&RunOptions::quick()));
+        assert!(report_json(&table1).render().starts_with(
+            r#"{"experiment":"table1","meta":{},"blocks":[{"type":"text","text":"Table 1"#
+        ));
+    }
 
     #[test]
     fn parses_point_job_with_spec_overrides() {

@@ -585,18 +585,30 @@ pub fn decode_envelope<T: Codec>(bytes: &[u8]) -> Result<T, SnapError> {
             expected: FORMAT_VERSION,
         });
     }
+    decode_value(r.bytes(r.remaining())?)
+}
+
+/// Encodes a value into raw payload bytes (no envelope).
+pub fn encode_value<T: Codec>(value: &T) -> Vec<u8> {
+    let mut w = Writer::new();
+    value.write(&mut w);
+    w.into_bytes()
+}
+
+/// Decodes a value from raw payload bytes (the inverse of
+/// [`encode_value`]), rejecting trailing bytes.
+///
+/// # Errors
+///
+/// Returns the codec's error for truncated or corrupted bytes, and
+/// [`SnapError::TrailingBytes`] when the value ends before the payload does.
+pub fn decode_value<T: Codec>(payload: &[u8]) -> Result<T, SnapError> {
+    let mut r = Reader::new(payload);
     let value = T::read(&mut r)?;
     if r.remaining() != 0 {
         return Err(SnapError::TrailingBytes(r.remaining()));
     }
     Ok(value)
-}
-
-/// Encodes a value into raw payload bytes (no envelope); test helper.
-pub fn encode_value<T: Codec>(value: &T) -> Vec<u8> {
-    let mut w = Writer::new();
-    value.write(&mut w);
-    w.into_bytes()
 }
 
 // --- checksummed record framing ---------------------------------------------
@@ -852,6 +864,14 @@ mod tests {
             decode_envelope::<(u64, u64)>(&bytes[..bytes.len() - 1]),
             Err(SnapError::Truncated)
         ));
+        // A bare payload decodes to its value and rejects trailing bytes.
+        let mut bytes = encode_value(&42u64);
+        assert_eq!(decode_value::<u64>(&bytes), Ok(42));
+        bytes.push(0);
+        assert_eq!(
+            decode_value::<u64>(&bytes),
+            Err(SnapError::TrailingBytes(1))
+        );
     }
 
     #[test]

@@ -239,7 +239,7 @@ proptest! {
     fn timing_wheel_matches_heap_reference(
         raw_ops in prop::collection::vec((any::<u8>(), any::<u16>(), any::<u8>()), 1..200),
     ) {
-        let mut wheel = TimingWheel::new(16);
+        let mut wheel = TimingWheel::new(16, 8);
         let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
         let mut now = 0u64;
         let mut next_payload = 0u64;

@@ -152,6 +152,52 @@ fn ltp_frees_shared_resources_for_the_co_runner() {
     );
 }
 
+/// Two active threads, pinned by value: the memory-bound pair on the
+/// proposed LTP machine under both dynamic policies. The co-run tests
+/// around this one assert orderings; these values pin the shared timeline
+/// itself (every thread's fingerprint and the co-run's cycle count), so a
+/// change to how the cycle loop drives a co-run cannot hide behind them.
+#[test]
+fn two_active_threads_reproduce_pinned_values() {
+    let o = opts();
+    let pinned = [
+        (
+            SharePolicy::Shared,
+            22_611,
+            [
+                "cycles=19188 insts=6000 parked=2584 rel_io=0 rel_ooo=0 forced=2584 iqw=6000 \
+                 rfw=4910 llc=548 ltp_occ=0.277078 ltp_peak=6 iq_occ=10.318031 regs_occ=51.566362",
+                "cycles=22611 insts=6000 parked=2597 rel_io=2 rel_ooo=0 forced=2595 iqw=6000 \
+                 rfw=5480 llc=1045 ltp_occ=0.244129 ltp_peak=16 iq_occ=21.878687 regs_occ=68.863474",
+            ],
+        ),
+        (
+            SharePolicy::Icount,
+            23_105,
+            [
+                "cycles=15390 insts=6000 parked=2571 rel_io=0 rel_ooo=0 forced=2571 iqw=6000 \
+                 rfw=4910 llc=548 ltp_occ=0.318200 ltp_peak=17 iq_occ=10.334992 regs_occ=51.919498",
+                "cycles=23105 insts=6000 parked=2553 rel_io=2 rel_ooo=0 forced=2551 iqw=6000 \
+                 rfw=5480 llc=1044 ltp_occ=0.244363 ltp_peak=9 iq_occ=21.982039 regs_occ=68.593075",
+            ],
+        ),
+    ];
+    for (policy, cycles, threads) in pinned {
+        let r = SimBuilder::co_run(
+            PipelineConfig::ltp_proposed().smt(policy),
+            WorkloadKind::IndirectStream,
+            WorkloadKind::GatherFp,
+        )
+        .options(&o)
+        .run()
+        .expect("no deadlock");
+        assert_eq!(r.cycles, cycles, "{policy:?}: shared cycles");
+        for (tid, (t, expected)) in r.threads.iter().zip(threads).enumerate() {
+            assert_eq!(fingerprint(t), expected, "{policy:?}: thread {tid}");
+        }
+    }
+}
+
 /// Dynamic sharing must beat the static partition on an asymmetric pair:
 /// entries a stalled thread is not using are available to its co-runner.
 #[test]

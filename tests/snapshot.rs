@@ -188,6 +188,22 @@ fn checkpoint_near_the_end_still_matches() {
     );
 }
 
+/// The measured window survives a checkpoint. With a pipeline warm-up of
+/// 2,000 instructions, a snapshot taken before the boundary carries no
+/// window start and the resumed run opens it on crossing; one taken on or
+/// after it carries the `(cycle, committed)` where the uninterrupted run
+/// opened it. Checkpoints well before, one short of, at, one past and well
+/// past the boundary all resume to the uninterrupted fingerprint.
+#[test]
+fn restore_keeps_the_warmup_window() {
+    let cfg = realistic(LtpMode::Both).with_warmup(2_000);
+    for kind in [WorkloadKind::IndirectStream, WorkloadKind::MixedPhases] {
+        for checkpoint_at in [1_000, 1_999, 2_000, 2_001, 3_500] {
+            assert_restore_equivalent(kind, cfg, checkpoint_at);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
