@@ -27,23 +27,25 @@
 //!   including the trace *content* fingerprint and the snapshot format
 //!   version. There is no invalidation protocol — a changed input is a
 //!   different key.
-//! * **Corruption is a miss.** Entries are wrapped in the journal's
-//!   checksummed framing ([`ltp_snapshot::frame_record`]); a bit flip, a
-//!   short read, or a length-lying header all fail the frame or codec
-//!   check, and the entry is deleted and regenerated. The cache never
-//!   returns bytes it could not fully validate.
+//! * **Corruption is a miss.** An entry is an [`ltp_snapshot::framed`]
+//!   file (magic `LTPCKPT`, version [`CACHE_VERSION`]) holding two
+//!   checksummed frames: its key, then its payload. An entry of another
+//!   layout, a bit flip, a short read, a length running past the end or a
+//!   key of another slot all fail the header, frame or codec check, and the
+//!   entry is deleted and regenerated. The cache never returns bytes it
+//!   could not fully validate.
 //! * **LRU byte budget.** Each store evicts least-recently-*used* entries
 //!   (file mtime, refreshed on hit) until the directory fits the budget.
 //!   Whole entries are evicted — a partial entry is not a thing.
-//! * **Atomic publish.** Entries are written to a temp file and renamed
-//!   into place, so concurrent writers of the same key race benignly and a
-//!   torn write is never visible under the final name.
+//! * **Atomic publish.** Entries are published whole
+//!   ([`ltp_snapshot::framed::publish`]), so concurrent writers of the same
+//!   key race benignly and a torn write is never visible under the final
+//!   name.
 
 use ltp_mem::MemoryHierarchy;
 use ltp_pipeline::{FunctionalWarmState, WarmupConfig};
-use ltp_snapshot::{
-    decode_value, encode_value, fnv1a64, frame_record, Codec, Reader, RecordIter, SnapError, Writer,
-};
+use ltp_snapshot::framed::{publish, read_framed, FileKind};
+use ltp_snapshot::{decode_value, fnv1a64, impl_codec, Codec, Writer};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -60,6 +62,12 @@ pub const CACHE_VERSION: u64 = 2;
 pub const DEFAULT_BUDGET_BYTES: u64 = 512 * 1024 * 1024;
 
 const ENTRY_SUFFIX: &str = ".ckpt";
+
+/// Header of an entry file: an entry of another layout fails its check.
+const ENTRY_FILE: FileKind = FileKind {
+    magic: *b"LTPCKPT\0",
+    version: CACHE_VERSION,
+};
 
 /// Key-domain tags keeping the entry families' key spaces disjoint.
 #[derive(Debug, Clone, Copy)]
@@ -180,58 +188,48 @@ impl CheckpointCache {
         self.dir.join(format!("{key:016x}{ENTRY_SUFFIX}"))
     }
 
-    /// Looks up `key`, returning the validated payload or `None`. A
-    /// present-but-invalid entry (torn write, bit rot, truncation, a header
-    /// lying about its length) is deleted and reported as a miss.
-    fn load_raw(&self, key: u64) -> Option<Vec<u8>> {
+    /// Looks up `key` and decodes its entry. A present-but-invalid entry
+    /// (see [`decode_entry`]) is deleted and counted as a corrupt miss.
+    fn load<T: Codec>(&self, key: u64) -> Option<T> {
         let path = self.entry_path(key);
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(_) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
+        let Ok(bytes) = fs::read(&path) else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return None;
         };
-        let payload = validate_entry(&bytes, key);
-        match payload {
-            Some(p) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.bytes_read.fetch_add(p.len() as u64, Ordering::Relaxed);
-                // Refresh recency for the LRU evictor; failure to touch only
-                // degrades eviction order, never correctness.
-                if let Ok(f) = fs::File::open(&path) {
-                    let _ = f.set_modified(std::time::SystemTime::now());
-                }
-                Some(p)
-            }
-            None => {
-                // Corrupt-entry-is-a-miss: drop it so the regenerated entry
-                // takes its place.
-                self.corrupt.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                let _ = fs::remove_file(&path);
-                None
-            }
+        let Some((value, len)) = decode_entry(&bytes, key) else {
+            // Corrupt-entry-is-a-miss: drop it so the regenerated entry
+            // takes its place.
+            self.corrupt.fetch_add(1, Ordering::Relaxed);
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            let _ = fs::remove_file(&path);
+            return None;
+        };
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.bytes_read.fetch_add(len as u64, Ordering::Relaxed);
+        // Refresh recency for the LRU evictor; failure to touch only
+        // degrades eviction order, never correctness.
+        if let Ok(f) = fs::File::open(&path) {
+            let _ = f.set_modified(std::time::SystemTime::now());
         }
+        Some(value)
     }
 
-    /// Stores `payload` under `key` (atomic publish), then enforces the
-    /// byte budget. Best-effort: storage failures are swallowed — a cache
-    /// that cannot write behaves like a cache that always misses.
-    fn store_raw(&self, key: u64, payload: &[u8]) {
-        let entry = encode_entry(payload, key);
+    /// Publishes `value` under `key`, then enforces the byte budget.
+    /// Best-effort: storage failures are swallowed — a cache that cannot
+    /// write behaves like a cache that always misses.
+    fn store<T: Codec>(&self, key: u64, value: &T) {
         let path = self.entry_path(key);
-        let tmp = self
-            .dir
-            .join(format!(".{key:016x}.{}.tmp", std::process::id()));
-        let published = fs::write(&tmp, &entry).is_ok() && fs::rename(&tmp, &path).is_ok();
-        if !published {
-            let _ = fs::remove_file(&tmp);
+        let mut len = 0;
+        let published = publish(&path, ENTRY_FILE, |w| {
+            w.append_value(&key)?;
+            len = w.append_value(value)?;
+            Ok(())
+        });
+        if published.is_err() {
             return;
         }
         self.stores.fetch_add(1, Ordering::Relaxed);
-        self.bytes_written
-            .fetch_add(payload.len() as u64, Ordering::Relaxed);
+        self.bytes_written.fetch_add(len as u64, Ordering::Relaxed);
         self.evict_over_budget(&path);
     }
 
@@ -277,89 +275,41 @@ impl CheckpointCache {
     // --- typed entry families -----------------------------------------------
 
     /// Looks up the sampled warm entry for `key` (from
-    /// [`sampled_warm_key`]). Decode failures of a frame-valid payload are
-    /// also treated as corrupt misses.
+    /// [`sampled_warm_key`]).
     #[must_use]
     pub fn load_sampled_warm(&self, key: u64) -> Option<SampledWarmEntry> {
-        let payload = self.load_raw(key)?;
-        match decode_value::<SampledWarmEntry>(&payload) {
-            Ok(entry) => Some(entry),
-            Err(_) => {
-                self.note_decode_corruption(key);
-                None
-            }
-        }
+        self.load(key)
     }
 
     /// Stores a sampled warm entry.
     pub fn store_sampled_warm(&self, key: u64, entry: &SampledWarmEntry) {
-        self.store_raw(key, &encode_value(entry));
+        self.store(key, entry);
     }
 
     /// Looks up a warmed memory hierarchy (from [`warm_mem_key`]).
     #[must_use]
     pub fn load_warm_mem(&self, key: u64) -> Option<MemoryHierarchy> {
-        let payload = self.load_raw(key)?;
-        match decode_value::<MemoryHierarchy>(&payload) {
-            Ok(mem) => Some(mem),
-            Err(_) => {
-                self.note_decode_corruption(key);
-                None
-            }
-        }
+        self.load(key)
     }
 
     /// Stores a warmed memory hierarchy.
     pub fn store_warm_mem(&self, key: u64, mem: &MemoryHierarchy) {
-        self.store_raw(key, &encode_value(mem));
-    }
-
-    /// Reclassifies an already-counted hit as a corrupt miss after a typed
-    /// decode failed, and deletes the offending entry.
-    fn note_decode_corruption(&self, key: u64) {
-        self.hits.fetch_sub(1, Ordering::Relaxed);
-        self.corrupt.fetch_add(1, Ordering::Relaxed);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let _ = fs::remove_file(self.entry_path(key));
+        self.store(key, mem);
     }
 }
 
-/// Wraps a payload in the on-disk entry envelope: one checksummed frame
-/// whose payload is `(CACHE_VERSION, key, payload bytes)`. The embedded key
-/// rejects a validly framed entry that was renamed (or hash-collided) into
-/// the wrong slot.
-fn encode_entry(payload: &[u8], key: u64) -> Vec<u8> {
-    let mut w = Writer::with_capacity(payload.len() + 32);
-    CACHE_VERSION.write(&mut w);
-    key.write(&mut w);
-    (payload.len() as u64).write(&mut w);
-    w.bytes(payload);
-    frame_record(&w.into_bytes())
-}
-
-/// Validates the frame + envelope, returning the inner payload.
-fn validate_entry(bytes: &[u8], key: u64) -> Option<Vec<u8>> {
-    let mut records = RecordIter::new(bytes);
-    let payload = match records.next() {
-        Some(Ok(p)) => p,
-        Some(Err(_)) | None => return None,
-    };
-    // Exactly one frame; trailing bytes mean the file is not what we wrote.
-    if records.next().is_some() {
+/// Decodes an entry file: its key, then its payload, one frame each and
+/// nothing after. The embedded key rejects a valid entry renamed (or
+/// hash-collided) into another slot. Returns the value and the payload's
+/// length, or `None` for anything else.
+fn decode_entry<T: Codec>(bytes: &[u8], key: u64) -> Option<(T, usize)> {
+    let mut frames = read_framed(bytes, ENTRY_FILE).ok()?;
+    let stored_key: u64 = decode_value(frames.next()?.ok()?.payload).ok()?;
+    let payload = frames.next()?.ok()?.payload;
+    if stored_key != key || frames.next().is_some() {
         return None;
     }
-    let mut r = Reader::new(payload);
-    let version = u64::read(&mut r).ok()?;
-    let stored_key = u64::read(&mut r).ok()?;
-    let len = u64::read(&mut r).ok()?;
-    if version != CACHE_VERSION || stored_key != key {
-        return None;
-    }
-    let len = usize::try_from(len).ok()?;
-    if len != r.remaining() {
-        return None;
-    }
-    r.bytes(len).ok().map(<[u8]>::to_vec)
+    Some((decode_value(payload).ok()?, payload.len()))
 }
 
 // --- keys --------------------------------------------------------------------
@@ -457,38 +407,18 @@ pub struct SampledWarmEntry {
     pub intervals: Vec<CachedInterval>,
 }
 
-impl Codec for CachedInterval {
-    fn write(&self, w: &mut Writer) {
-        self.start.write(w);
-        self.weight.write(w);
-        self.state.write(w);
-    }
-
-    fn read(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(CachedInterval {
-            start: u64::read(r)?,
-            weight: u64::read(r)?,
-            state: FunctionalWarmState::read(r)?,
-        })
-    }
-}
-
-impl Codec for SampledWarmEntry {
-    fn write(&self, w: &mut Writer) {
-        self.intervals.write(w);
-    }
-
-    fn read(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(SampledWarmEntry {
-            intervals: Vec::read(r)?,
-        })
-    }
-}
+impl_codec!(CachedInterval {
+    start,
+    weight,
+    state
+});
+impl_codec!(SampledWarmEntry { intervals });
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ltp_pipeline::PipelineConfig;
+    use ltp_snapshot::encode_value;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ltp-cache-test-{tag}-{}", std::process::id()));
@@ -556,10 +486,11 @@ mod tests {
         // Length-lying header: the frame's varint length points past EOF.
         cache.store_warm_mem(key, &mem);
         let mut lying = pristine.clone();
-        // frame_record layout: varint(len) first; force a huge length.
-        lying[0] = 0xff;
-        lying[1] = 0xff;
-        lying[2] = 0x7f;
+        // Framed-file layout: 8 magic bytes and a 1-byte version, then the
+        // key frame's varint length; force a huge length.
+        lying[9] = 0xff;
+        lying[10] = 0xff;
+        lying[11] = 0x7f;
         fs::write(&path, &lying).expect("write lying header");
         assert!(cache.load_warm_mem(key).is_none(), "lying length must miss");
 
@@ -577,6 +508,35 @@ mod tests {
         assert!(cache.load_warm_mem(key).is_some());
         let s = cache.stats();
         assert_eq!(s.corrupt, 4, "each corruption class counted");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn old_layout_entries_are_corrupt_misses() {
+        // The layout before framed files: one bare frame around
+        // `(CACHE_VERSION, key, payload)`, which is a framed file's frame
+        // without the file header. Intact as it is, it fails the header
+        // check and is replaced, never misread.
+        let dir = tmp_dir("old-layout");
+        let cache = CheckpointCache::open(&dir).expect("open");
+        let warm = PipelineConfig::micro2015_baseline().warmup_config();
+        let mem = sample_mem();
+        let key = warm_mem_key("w", 3, 1000, &warm);
+        let path = cache.entry_path(key);
+        publish(&path, ENTRY_FILE, |w| {
+            w.append_value(&(CACHE_VERSION, key, encode_value(&mem)))
+                .map(drop)
+        })
+        .expect("write");
+        let framed = fs::read(&path).expect("entry");
+        let header_len = ENTRY_FILE.magic.len() + 1;
+        fs::write(&path, &framed[header_len..]).expect("strip the header");
+        assert!(cache.load_warm_mem(key).is_none(), "old layout must miss");
+        assert!(!path.exists(), "old entry deleted");
+        assert_eq!(cache.stats().corrupt, 1);
+        cache.store_warm_mem(key, &mem);
+        let back = cache.load_warm_mem(key).expect("replaced entry hits");
+        assert_eq!(encode_value(&back), encode_value(&mem));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -9,27 +9,32 @@
 //!
 //! ## Format
 //!
-//! A journal is a sequence of [`ltp_snapshot::frame_record`] frames (varint
-//! payload length + payload + FNV-1a-64 checksum). The first frame is a
-//! [`JournalHeader`] — version, run shape, and a checksum of the pipeline
+//! A journal is an [`ltp_snapshot::framed`] file: a header (magic `LTPJRNL`,
+//! [`JOURNAL_VERSION`]), then checksummed frames. The first frame is a
+//! [`JournalHeader`] — the run shape and a checksum of the pipeline
 //! configuration — and every later frame is one [`JournalRecord`] in
-//! *completion* order (workers finish out of trace order). The loader
-//! verifies the header against the run being resumed and stops at the first
-//! damaged frame: a crash mid-append or a corrupted record costs only the
-//! records from that point on, which the resumed run simply re-simulates.
+//! *completion* order (workers finish out of trace order), appended by
+//! [`JournalWriter::append`] as each interval completes. The loader verifies
+//! the header against the run being resumed and stops at the first damaged
+//! frame: a crash mid-append or a corrupted record costs only the records
+//! from that point on, which the resumed run simply re-simulates.
 
 use crate::sampled::SampleSpec;
 use ltp_pipeline::PipelineConfig;
-use ltp_snapshot::{
-    decode_value, encode_value, finish_frame, fnv1a64, frame_record, impl_codec, Codec, Reader,
-    RecordIter, SnapError, Writer,
-};
-use std::io::Write as _;
+use ltp_snapshot::framed::{read_framed, FileKind, FramedWriter};
+use ltp_snapshot::{decode_value, encode_value, fnv1a64, impl_codec};
 use std::path::{Path, PathBuf};
 
-/// Version tag of the journal format; bumped on any layout change so stale
-/// journals are ignored rather than misread.
-pub const JOURNAL_VERSION: u64 = 1;
+/// Version of the journal format; bumped on any layout change so stale
+/// journals are ignored rather than misread. Version 2: the framed-file
+/// header carries the version, which left the header record.
+pub const JOURNAL_VERSION: u64 = 2;
+
+/// Header of a journal file.
+const JOURNAL_FILE: FileKind = FileKind {
+    magic: *b"LTPJRNL\0",
+    version: JOURNAL_VERSION,
+};
 
 /// The journal's first record: identifies the run a journal belongs to. A
 /// resume only trusts a journal whose header matches the resumed run field
@@ -37,8 +42,6 @@ pub const JOURNAL_VERSION: u64 = 1;
 /// configuration, so two configurations sharing a label cannot cross-feed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalHeader {
-    /// Format version ([`JOURNAL_VERSION`]).
-    pub version: u64,
     /// Workload name.
     pub workload: String,
     /// Configuration label (e.g. `IQ:32+LTP`).
@@ -60,7 +63,6 @@ pub struct JournalHeader {
 }
 
 impl_codec!(JournalHeader {
-    version,
     workload,
     config_label,
     config_fnv,
@@ -82,7 +84,6 @@ impl JournalHeader {
         cfg: &PipelineConfig,
     ) -> JournalHeader {
         JournalHeader {
-            version: JOURNAL_VERSION,
             workload: workload.to_string(),
             config_label: config_label.to_string(),
             config_fnv: fnv1a64(&encode_value(cfg)),
@@ -115,35 +116,14 @@ pub struct JournalRecord {
     pub snapshot: Vec<u8>,
 }
 
-// Hand-written (not `impl_codec!`): the snapshot bytes go through
-// `Writer::bytes`/`Reader::bytes` as one bulk copy. The generic `Vec<u8>`
-// codec has the same byte layout (varint length + raw bytes) but moves one
-// byte per call, which dominated the journal drain at ~40 kB per record.
-impl Codec for JournalRecord {
-    fn write(&self, w: &mut Writer) {
-        self.index.write(w);
-        self.start.write(w);
-        self.weight.write(w);
-        self.instructions.write(w);
-        self.cycles.write(w);
-        w.varint(self.snapshot.len() as u64);
-        w.bytes(&self.snapshot);
-    }
-
-    fn read(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(JournalRecord {
-            index: u64::read(r)?,
-            start: u64::read(r)?,
-            weight: u64::read(r)?,
-            instructions: u64::read(r)?,
-            cycles: u64::read(r)?,
-            snapshot: {
-                let n = usize::try_from(r.varint()?).map_err(|_| SnapError::VarintOverflow)?;
-                r.bytes(n)?.to_vec()
-            },
-        })
-    }
-}
+impl_codec!(JournalRecord {
+    index,
+    start,
+    weight,
+    instructions,
+    cycles,
+    snapshot
+});
 
 /// Journal file path for one sampled point inside `dir`; non-path characters
 /// in the configuration label are flattened to `_`.
@@ -159,7 +139,7 @@ pub fn journal_path(dir: &Path, workload: &str, config_label: &str) -> PathBuf {
 /// Appends framed records to a journal file as intervals complete.
 #[derive(Debug)]
 pub struct JournalWriter {
-    file: std::fs::File,
+    file: FramedWriter,
 }
 
 impl JournalWriter {
@@ -169,43 +149,20 @@ impl JournalWriter {
     ///
     /// Any I/O error creating or writing the file.
     pub fn create(path: &Path, header: &JournalHeader) -> std::io::Result<JournalWriter> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let mut file = std::fs::File::create(path)?;
-        file.write_all(&frame_record(&encode_value(header)))?;
+        let mut file = FramedWriter::create(path, JOURNAL_FILE)?;
+        file.append_value(header)?;
         Ok(JournalWriter { file })
     }
 
-    /// Appends one completed interval. Each record is a single `write_all`
-    /// of a fully framed buffer, so a crash between appends never leaves a
-    /// half-framed prefix (a crash *during* one can, which the loader drops).
+    /// Appends one completed interval as one whole frame (see
+    /// [`FramedWriter::append_value`]).
     ///
     /// # Errors
     ///
     /// Any I/O error writing the record.
     pub fn append(&mut self, record: &JournalRecord) -> std::io::Result<()> {
-        // A record's payload length is computable up front (varint widths
-        // are value-determined), so the record encodes straight into its
-        // frame — one buffer, no copy of the multi-kilobyte snapshot after
-        // the encode. This runs on the drain, the run's serial tail.
-        let len = varint_len(record.index)
-            + varint_len(record.start)
-            + varint_len(record.weight)
-            + varint_len(record.instructions)
-            + varint_len(record.cycles)
-            + varint_len(record.snapshot.len() as u64)
-            + record.snapshot.len();
-        let mut w = Writer::with_capacity(10 + len + 8);
-        w.varint(len as u64);
-        record.write(&mut w);
-        self.file.write_all(&finish_frame(w, len))
+        self.file.append_value(record).map(drop)
     }
-}
-
-/// Encoded width of one LEB128 varint: 7 value bits per byte, minimum one.
-fn varint_len(v: u64) -> usize {
-    ((u64::BITS - v.leading_zeros()).max(1) as usize).div_ceil(7)
 }
 
 /// Why a journal could not be loaded at all (damaged *tails* are not errors
@@ -214,7 +171,8 @@ fn varint_len(v: u64) -> usize {
 pub enum JournalError {
     /// The file could not be read.
     Io(std::io::Error),
-    /// The header frame is missing, damaged or from another format version.
+    /// The file header or header record is missing, damaged or from
+    /// another format version.
     Malformed(&'static str),
 }
 
@@ -257,32 +215,23 @@ pub struct LoadedJournal {
 /// [`LoadedJournal::lost_tail`] set.
 pub fn load_journal(path: &Path) -> Result<LoadedJournal, JournalError> {
     let bytes = std::fs::read(path)?;
-    let mut frames = RecordIter::new(&bytes);
-    let header_payload = frames
+    let mut frames = read_framed(&bytes, JOURNAL_FILE)
+        .map_err(|_| JournalError::Malformed("not a journal of this format version"))?;
+    let header: JournalHeader = frames
         .next()
-        .ok_or(JournalError::Malformed("empty file"))?
-        .map_err(|_| JournalError::Malformed("damaged header frame"))?;
-    let header: JournalHeader =
-        decode_value(header_payload).map_err(|_| JournalError::Malformed("undecodable header"))?;
-    if header.version != JOURNAL_VERSION {
-        return Err(JournalError::Malformed("unsupported journal version"));
-    }
-
+        .and_then(|frame| decode_value(frame.ok()?.payload).ok())
+        .ok_or(JournalError::Malformed("missing or damaged header record"))?;
     let mut records: Vec<JournalRecord> = Vec::new();
     let mut lost_tail = false;
     for frame in frames {
-        let Ok(payload) = frame else {
+        let rec = frame
+            .ok()
+            .and_then(|frame| decode_value::<JournalRecord>(frame.payload).ok())
+            .filter(|rec| rec.index < header.intervals);
+        let Some(rec) = rec else {
             lost_tail = true;
             break;
         };
-        let Ok(rec) = decode_value::<JournalRecord>(payload) else {
-            lost_tail = true;
-            break;
-        };
-        if rec.index >= header.intervals {
-            lost_tail = true;
-            break;
-        }
         if !records.iter().any(|r| r.index == rec.index) {
             records.push(rec);
         }
@@ -294,40 +243,29 @@ pub fn load_journal(path: &Path) -> Result<LoadedJournal, JournalError> {
     })
 }
 
-/// Flips one payload byte in each journal frame at the given *record*
-/// positions (0 = first record after the header), returning how many frames
-/// were hit. Used by the fault-injection harness to manufacture checksum
-/// failures deterministically.
+/// Flips the first payload byte of each journal record at the given
+/// positions (0 = first record after the header), returning how many
+/// records were hit. Used by the fault-injection harness to manufacture
+/// checksum failures deterministically.
 ///
 /// # Errors
 ///
 /// Any I/O error reading or rewriting the file.
 pub fn corrupt_journal_records(path: &Path, positions: &[usize]) -> std::io::Result<usize> {
     let mut bytes = std::fs::read(path)?;
-    // Walk the framing to find each payload's byte range. The walk mirrors
-    // `RecordIter` but keeps offsets instead of payloads.
-    let mut payload_spans: Vec<(usize, usize)> = Vec::new();
-    {
-        let mut r = Reader::new(&bytes);
-        while r.remaining() > 0 {
-            let Ok(len) = r.varint() else { break };
-            let len = usize::try_from(len).unwrap_or(usize::MAX);
-            if len.checked_add(8).is_none_or(|n| n > r.remaining()) {
-                break;
-            }
-            payload_spans.push((bytes.len() - r.remaining(), len));
-            let _ = r.bytes(len + 8);
-        }
-    }
+    // Frame 0 is the header record.
+    let offsets: Vec<usize> = match read_framed(&bytes, JOURNAL_FILE) {
+        Ok(frames) => frames
+            .map_while(Result::ok)
+            .skip(1)
+            .map(|f| f.offset)
+            .collect(),
+        Err(_) => Vec::new(),
+    };
     let mut hit = 0;
-    for &pos in positions {
-        // +1 skips the header frame.
-        if let Some(&(start, len)) = payload_spans.get(pos + 1) {
-            if len > 0 {
-                bytes[start] ^= 0x40;
-                hit += 1;
-            }
-        }
+    for &offset in positions.iter().filter_map(|&pos| offsets.get(pos)) {
+        bytes[offset] ^= 0x40;
+        hit += 1;
     }
     std::fs::write(path, &bytes)?;
     Ok(hit)
@@ -448,12 +386,22 @@ mod tests {
         std::fs::write(&path, [0xFFu8; 3]).expect("write");
         assert!(matches!(
             load_journal(&path),
-            Err(JournalError::Malformed(_))
+            Err(JournalError::Malformed(
+                "not a journal of this format version"
+            ))
         ));
         std::fs::write(&path, []).expect("write");
         assert!(matches!(
             load_journal(&path),
-            Err(JournalError::Malformed("empty file"))
+            Err(JournalError::Malformed(
+                "not a journal of this format version"
+            ))
+        ));
+        // A file header without the header record.
+        drop(FramedWriter::create(&path, JOURNAL_FILE).expect("create"));
+        assert!(matches!(
+            load_journal(&path),
+            Err(JournalError::Malformed("missing or damaged header record"))
         ));
         assert!(load_journal(Path::new("/nonexistent/nope.journal")).is_err());
     }

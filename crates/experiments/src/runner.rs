@@ -156,12 +156,6 @@ impl MlpGrouping {
             insensitive,
         }
     }
-
-    /// Membership test.
-    #[must_use]
-    pub fn is_sensitive(&self, kind: WorkloadKind) -> bool {
-        self.sensitive.contains(&kind)
-    }
 }
 
 /// Average of a per-workload metric over a group of workloads.

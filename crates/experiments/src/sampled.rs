@@ -181,12 +181,10 @@ pub struct SampledTiming {
     pub detail_cpu_secs: f64,
     /// Per-interval IPC aggregation into the confidence interval.
     pub aggregate_secs: f64,
-    /// Total journaling cost: loading/replaying resumed records at setup,
-    /// encoding each checkpoint as the producer captures it (cache-hot),
-    /// buffering each completed interval's pre-encoded bytes on the worker
-    /// that measured it, and the single-threaded end-of-run drain that
-    /// frames and writes the journal file (zero when the run is not
-    /// journaled).
+    /// Total journaling cost: loading, rewriting and replaying the journal
+    /// at setup, encoding each checkpoint as the producer captures it
+    /// (cache-hot), and appending each completed interval's record on the
+    /// worker that measured it (zero when the run is not journaled).
     pub journal_secs: f64,
     /// End-to-end wall clock of the sampled run.
     pub total_secs: f64,
@@ -668,8 +666,9 @@ impl TraceSource<'_> {
 /// ([`SampledResult::is_partial`]) with a widened confidence interval rather
 /// than failing the run.
 ///
-/// With `control.journal` set, every completed interval is written to an
-/// on-disk, checksummed journal; with `control.resume` also set, intervals
+/// With `control.journal` set, every completed interval is appended to an
+/// on-disk, checksummed journal before its progress callback fires; with
+/// `control.resume` also set, intervals
 /// already in a matching journal are replayed instead of re-simulated (if
 /// *all* intervals replay, the functional pass is skipped entirely).
 /// Per-interval measurements are deterministic, so a resumed or
@@ -703,40 +702,61 @@ fn run_controlled(
     // this run exactly. A missing, damaged or mismatched journal is not an
     // error — the run simply starts fresh.
     let journal_t0 = Instant::now();
-    let header = (control.journal.is_some() || control.resume)
-        .then(|| JournalHeader::for_run(spec, name, &control.config_label, &cfg));
-    let mut replayed: Vec<(IntervalMeasurement, Vec<u8>)> = Vec::new();
-    if control.resume {
-        if let Some(path) = control.journal.as_deref() {
-            if let Ok(loaded) = journal::load_journal(path) {
-                if Some(&loaded.header) == header.as_ref() {
-                    for rec in loaded.records {
-                        let idx = usize::try_from(rec.index).unwrap_or(usize::MAX);
-                        if idx < intervals && starts.get(idx) == Some(&rec.start) {
-                            replayed.push((
-                                IntervalMeasurement {
-                                    index: idx,
-                                    start: rec.start,
-                                    instructions: rec.instructions,
-                                    cycles: rec.cycles,
-                                    ipc: rec.instructions as f64 / rec.cycles.max(1) as f64,
-                                    weight: rec.weight,
-                                },
-                                rec.snapshot,
-                            ));
-                        }
-                    }
-                }
-            }
+    let journal_file = control.journal.as_deref().map(|path| {
+        let header = JournalHeader::for_run(spec, name, &control.config_label, &cfg);
+        (path, header)
+    });
+    let replayed_records: Vec<JournalRecord> = match &journal_file {
+        Some((path, header)) if control.resume => journal::load_journal(path)
+            .ok()
+            .filter(|loaded| &loaded.header == header)
+            .map(|loaded| loaded.records)
+            .unwrap_or_default()
+            .into_iter()
+            .filter(|rec| {
+                usize::try_from(rec.index)
+                    .is_ok_and(|i| i < intervals && starts.get(i) == Some(&rec.start))
+            })
+            .collect(),
+        _ => Vec::new(),
+    };
+    // The journal is rewritten when the run starts. The replayed records go
+    // back first, so a resumed journal sheds any damaged tail; then the
+    // worker that measures an interval appends its record before the
+    // interval's progress callback fires, so a killed run keeps every
+    // interval it finished. Journaling is best-effort: the first I/O error
+    // closes the journal (reported on the result) without failing the run.
+    let journal: Option<Result<JournalWriter, String>> = journal_file.map(|(path, header)| {
+        let mut w = JournalWriter::create(path, &header).map_err(|e| e.to_string())?;
+        for rec in &replayed_records {
+            w.append(rec).map_err(|e| e.to_string())?;
         }
-    }
-    let done: std::collections::HashSet<usize> = replayed.iter().map(|(m, _)| m.index).collect();
+        Ok(w)
+    });
+    let journal_on = matches!(journal, Some(Ok(_)));
+    let journal = journal.map(Mutex::new);
+    let mut checkpoint_bytes = replayed_records
+        .iter()
+        .find(|rec| rec.index == 0)
+        .map_or(0, |rec| rec.snapshot.len());
+    let replayed: Vec<IntervalMeasurement> = replayed_records
+        .into_iter()
+        .map(|rec| IntervalMeasurement {
+            index: rec.index as usize,
+            start: rec.start,
+            instructions: rec.instructions,
+            cycles: rec.cycles,
+            ipc: rec.instructions as f64 / rec.cycles.max(1) as f64,
+            weight: rec.weight,
+        })
+        .collect();
+    let done: std::collections::HashSet<usize> = replayed.iter().map(|m| m.index).collect();
     let resumed_intervals = done.len();
     let all_done = resumed_intervals == intervals;
     // Replayed intervals stream to the progress sink too: a resumed job's
     // observers see every measurement exactly as a fresh run's would.
     if let Some(sink) = &control.progress {
-        for (m, _) in &replayed {
+        for m in &replayed {
             sink(m);
         }
     }
@@ -746,24 +766,11 @@ fn run_controlled(
             .as_deref()
             .is_some_and(|c| c.load(Ordering::Relaxed))
     };
-
     let journal_setup_secs = journal_t0.elapsed().as_secs_f64();
-    let journal_nanos = AtomicU64::new(0);
+    // Per-event times of the checkpoint encodes and record appends, which
+    // run concurrently with the simulation (see `capped_secs`).
     let journal_encode_ns: Mutex<Vec<u64>> = Mutex::new(Vec::new());
-
-    // Journaling is best-effort: an I/O failure is reported on the result
-    // but never fails (or retries) the simulation. The producer encodes
-    // each checkpoint the moment it captures it (cache-hot — see
-    // `IntervalJob::snap_bytes`); a worker only buffers the completed
-    // interval's pre-encoded bytes (a refcount bump); the journal file
-    // itself is created and written in one single-threaded drain after the
-    // parallel stream ends, so I/O stays off the simulation's critical
-    // path and the drain's elapsed time is an exact (not
-    // preemption-inflated) measurement on single-core hosts. One point's
-    // run is tens of milliseconds, so a crash loses at most the in-flight
-    // point's journal — earlier points' journals are already on disk.
-    let journal_on = control.journal.is_some() && header.is_some();
-    let journal_pending: Mutex<Vec<PendingRecord>> = Mutex::new(Vec::new());
+    let journal_append_ns: Mutex<Vec<u64>> = Mutex::new(Vec::new());
 
     // An oracle-classified configuration gets one whole-trace analysis shared
     // by every interval — the same analysis a full-detail run would use (and
@@ -789,10 +796,6 @@ fn run_controlled(
     // outcome mapping below must know exactly what was emitted.
     let mut pushed_log: Vec<usize> = Vec::new();
     let mut functional_secs = 0.0f64;
-    let mut checkpoint_bytes = replayed
-        .iter()
-        .find(|(m, _)| m.index == 0)
-        .map_or(0, |(_, bytes)| bytes.len());
     let detail_nanos = AtomicU64::new(0);
     let outcomes: Vec<TaskOutcome<Result<IntervalMeasurement, WorkerErr>>> = if all_done {
         Vec::new()
@@ -820,26 +823,34 @@ fn run_controlled(
                 Some(gov) => gov.run(job.weight + 1, simulate),
                 None => simulate(),
             };
-            if let (Ok(m), Some(bytes)) = (&m, &job.snap_bytes) {
-                let j0 = Instant::now();
-                let pending = PendingRecord {
-                    index: job.index,
-                    start: job.start,
-                    weight: job.weight,
-                    instructions: m.instructions,
-                    cycles: m.cycles,
-                    snap_bytes: bytes.clone(),
-                };
-                journal_pending
+            if let Ok(m) = &m {
+                // The first attempt that measures the interval moves the
+                // encoded checkpoint into its record; a retry of an interval
+                // already journaled finds nothing left to append.
+                let snapshot = job
+                    .snap_bytes
                     .lock()
                     .unwrap_or_else(|p| p.into_inner())
-                    .push(pending);
-                journal_nanos.fetch_add(
-                    u64::try_from(j0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                    Ordering::Relaxed,
-                );
-            }
-            if let Ok(m) = &m {
+                    .take();
+                if let (Some(journal), Some(snapshot)) = (&journal, snapshot) {
+                    let j0 = Instant::now();
+                    let record = JournalRecord {
+                        index: job.index as u64,
+                        start: job.start,
+                        weight: job.weight,
+                        instructions: m.instructions,
+                        cycles: m.cycles,
+                        snapshot,
+                    };
+                    let mut journal = journal.lock().unwrap_or_else(|p| p.into_inner());
+                    if let Ok(w) = &mut *journal {
+                        if let Err(e) = w.append(&record) {
+                            *journal = Err(e.to_string());
+                        }
+                    }
+                    drop(journal);
+                    push_ns(&journal_append_ns, j0);
+                }
                 if let Some(sink) = &control.progress {
                     sink(m);
                 }
@@ -847,18 +858,15 @@ fn run_controlled(
             m.map_err(WorkerErr::Run)
         };
         // Encodes a captured checkpoint for the journal right away, while
-        // its machine state is still hot in cache — deferring the encode to
-        // the drain costs 2-4x more once the state has been evicted.
+        // its machine state is still hot in cache — encoding it later costs
+        // 2-4x more once the state has been evicted.
         let encode_for_journal = |snap: &Snapshot| {
             if !journal_on {
                 return None;
             }
             let j0 = Instant::now();
-            let bytes = Arc::new(snap.to_bytes());
-            journal_encode_ns
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .push(u64::try_from(j0.elapsed().as_nanos()).unwrap_or(u64::MAX));
+            let bytes = snap.to_bytes();
+            push_ns(&journal_encode_ns, j0);
             Some(bytes)
         };
 
@@ -972,7 +980,7 @@ fn run_controlled(
                                 index: i,
                                 start,
                                 snap: Arc::new(snap),
-                                snap_bytes,
+                                snap_bytes: Mutex::new(snap_bytes),
                                 weight,
                             },
                         );
@@ -994,71 +1002,8 @@ fn run_controlled(
             worker,
         )
     };
-    // Single-threaded journal drain: the parallel stream is over, so this
-    // runs with the machine to itself and its elapsed time is the true
-    // wall-clock journaling adds. The journal is rewritten from scratch on
-    // every run — replayed records are re-appended first, so a resumed
-    // journal sheds any damaged tail; the first I/O error kills the journal
-    // (best-effort) without failing the run.
-    let journal_tail_t0 = Instant::now();
-    let mut journal_error: Option<String> = None;
-    if let (true, Some(path), Some(h)) = (journal_on, control.journal.as_deref(), header.as_ref()) {
-        let mut pending = journal_pending
-            .into_inner()
-            .unwrap_or_else(|p| p.into_inner());
-        pending.sort_by_key(|p| p.index);
-        match JournalWriter::create(path, h) {
-            Ok(mut w) => {
-                let records = replayed
-                    .iter()
-                    .map(|(m, snap_bytes)| JournalRecord {
-                        index: m.index as u64,
-                        start: m.start,
-                        weight: m.weight,
-                        instructions: m.instructions,
-                        cycles: m.cycles,
-                        snapshot: snap_bytes.clone(),
-                    })
-                    .chain(pending.drain(..).map(|p| JournalRecord {
-                        index: p.index as u64,
-                        start: p.start,
-                        weight: p.weight,
-                        instructions: p.instructions,
-                        cycles: p.cycles,
-                        // The job holding the other handle is long dropped,
-                        // so this moves the bytes rather than copying them.
-                        snapshot:
-                            Arc::try_unwrap(p.snap_bytes).unwrap_or_else(|a| a.as_ref().clone()),
-                    }));
-                for rec in records {
-                    if let Err(e) = w.append(&rec) {
-                        journal_error = Some(e.to_string());
-                        break;
-                    }
-                }
-            }
-            Err(e) => journal_error = Some(e.to_string()),
-        }
-    }
-    let journal_tail_secs = journal_tail_t0.elapsed().as_secs_f64();
-    // Capture-time encodes run inside the concurrent region, where a
-    // scheduler preemption mid-timer bills another thread's entire slice to
-    // one ~200us encode. Capping every sample at 8x the median keeps real
-    // per-checkpoint variation (snapshots grow as caches fill) while
-    // rejecting those spikes, so the reported journal cost tracks the work
-    // journaling actually does.
-    let journal_encode_secs = {
-        let mut ns = journal_encode_ns
-            .into_inner()
-            .unwrap_or_else(|p| p.into_inner());
-        if ns.is_empty() {
-            0.0
-        } else {
-            ns.sort_unstable();
-            let cap = ns[ns.len() / 2].saturating_mul(8);
-            ns.iter().map(|&d| d.min(cap) as f64).sum::<f64>() / 1e9
-        }
-    };
+    let journal_error =
+        journal.and_then(|j| j.into_inner().unwrap_or_else(|p| p.into_inner()).err());
     if let Some(e) = producer_err {
         return Err(e);
     }
@@ -1070,8 +1015,7 @@ fn run_controlled(
     // surface as `Cancelled` failures so the partial result accounts for
     // every planned interval.
     debug_assert_eq!(outcomes.len(), pushed_log.len());
-    let mut intervals_out: Vec<IntervalMeasurement> =
-        replayed.into_iter().map(|(m, _)| m).collect();
+    let mut intervals_out = replayed;
     let mut failures: Vec<IntervalFailure> = Vec::new();
     for (k, outcome) in outcomes.into_iter().enumerate() {
         let index = pushed_log[k];
@@ -1127,9 +1071,8 @@ fn run_controlled(
         detail_cpu_secs: detail_nanos.load(Ordering::Relaxed) as f64 / 1e9,
         aggregate_secs: agg_t0.elapsed().as_secs_f64(),
         journal_secs: journal_setup_secs
-            + journal_tail_secs
-            + journal_encode_secs
-            + journal_nanos.load(Ordering::Relaxed) as f64 / 1e9,
+            + capped_secs(journal_encode_ns)
+            + capped_secs(journal_append_ns),
         total_secs: run_t0.elapsed().as_secs_f64(),
     };
     Ok(SampledResult {
@@ -1238,16 +1181,25 @@ enum WorkerErr {
     Cancelled,
 }
 
-/// A completed interval buffered for the end-of-run journal drain. The
-/// checkpoint's encoded bytes ride along as a shared handle — cloning them
-/// out of the job is a refcount bump, not a machine-state copy.
-struct PendingRecord {
-    index: usize,
-    start: u64,
-    weight: u64,
-    instructions: u64,
-    cycles: u64,
-    snap_bytes: Arc<Vec<u8>>,
+/// Records the time since `t0` in `samples`.
+fn push_ns(samples: &Mutex<Vec<u64>>, t0: Instant) {
+    let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    samples.lock().unwrap_or_else(|p| p.into_inner()).push(ns);
+}
+
+/// Sums per-event times taken inside the concurrent region, where a
+/// scheduler preemption mid-timer bills another thread's entire slice to
+/// one short event. Capping every sample at 8x the median keeps real
+/// variation (checkpoints grow as caches fill) while rejecting those
+/// spikes, so the reported journal cost tracks the work journaling does.
+fn capped_secs(samples: Mutex<Vec<u64>>) -> f64 {
+    let mut ns = samples.into_inner().unwrap_or_else(|p| p.into_inner());
+    ns.sort_unstable();
+    let Some(&median) = ns.get(ns.len() / 2) else {
+        return 0.0;
+    };
+    let cap = median.saturating_mul(8);
+    ns.iter().map(|&d| d.min(cap) as f64).sum::<f64>() / 1e9
 }
 
 /// One interval's unit of work flowing through the streaming queue: the
@@ -1255,14 +1207,15 @@ struct PendingRecord {
 /// cost. When the run is journaled, `snap_bytes` carries the checkpoint
 /// already encoded — the producer encodes it the moment it is captured,
 /// while its machine state is still hot in cache; encoding the same
-/// snapshot at drain time costs 2-4x more because by then every line of it
-/// has been evicted.
+/// snapshot after the interval ran costs 2-4x more because by then every
+/// line of it has been evicted. The worker that measures the interval
+/// moves the bytes into its journal record.
 #[derive(Debug)]
 struct IntervalJob {
     index: usize,
     start: u64,
     snap: Arc<Snapshot>,
-    snap_bytes: Option<Arc<Vec<u8>>>,
+    snap_bytes: Mutex<Option<Vec<u8>>>,
     weight: u64,
 }
 
@@ -1360,7 +1313,7 @@ fn run_two_phase(
             index: i,
             start,
             snap: Arc::new(snap),
-            snap_bytes: None,
+            snap_bytes: Mutex::new(None),
             weight,
         });
     }

@@ -97,13 +97,6 @@ impl DramModel {
         bank.busy_until = start + self.cfg.bank_busy;
         start + latency
     }
-
-    /// Cycle at which the earliest bank becomes free (used by tests and by
-    /// bandwidth-oriented statistics).
-    #[must_use]
-    pub fn earliest_free(&self) -> Cycle {
-        self.banks.iter().map(|b| b.busy_until).min().unwrap_or(0)
-    }
 }
 
 impl DramModel {

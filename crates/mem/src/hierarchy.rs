@@ -82,14 +82,6 @@ impl HitLevel {
     pub fn is_llc_miss(self) -> bool {
         matches!(self, HitLevel::Dram)
     }
-
-    /// Whether the access latency exceeds the L2 latency (the criterion the
-    /// paper uses when grouping simulation points into MLP-sensitive and
-    /// MLP-insensitive: "average cache latency greater than the L2 latency").
-    #[must_use]
-    pub fn is_beyond_l2(self) -> bool {
-        matches!(self, HitLevel::L3 | HitLevel::Dram)
-    }
 }
 
 impl std::fmt::Display for HitLevel {
@@ -165,16 +157,6 @@ impl MemoryStats {
     pub fn llc_misses(&self) -> u64 {
         self.served_by[3]
     }
-
-    /// Fraction of demand accesses that went past the L2.
-    #[must_use]
-    pub fn beyond_l2_fraction(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            (self.served_by[2] + self.served_by[3]) as f64 / self.accesses as f64
-        }
-    }
 }
 
 /// The composed three-level cache hierarchy with MSHRs, an L2 stride
@@ -227,12 +209,6 @@ impl MemoryHierarchy {
     #[must_use]
     pub fn cache_stats(&self) -> [CacheStats; 3] {
         [self.l1d.stats(), self.l2.stats(), self.l3.stats()]
-    }
-
-    /// Statistics of the DRAM model.
-    #[must_use]
-    pub fn dram_stats(&self) -> crate::dram::DramStats {
-        self.dram.stats()
     }
 
     /// Number of misses outstanding beyond the L1 at cycle `now` — the

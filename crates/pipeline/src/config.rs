@@ -3,21 +3,20 @@
 //! The configuration splits into two halves along what functional warm-up
 //! can observe:
 //!
-//! * [`WarmupConfig`] — memory-hierarchy geometry (caches, prefetcher,
-//!   DRAM, MSHRs), branch-predictor geometry, and the classifier *training*
-//!   projection. This is everything
+//! * the warm half, [`WarmupConfig`] — memory-hierarchy geometry (caches,
+//!   prefetcher, DRAM, MSHRs), branch-predictor geometry, and the classifier
+//!   *training* projection. This is everything
 //!   [`FunctionalFastForward::advance_on`](crate::FunctionalFastForward)
 //!   reads or trains, so warm state captured under one configuration is
-//!   bit-exactly reusable under any other with the same `WarmupConfig`.
-//! * [`DetailConfig`] — widths, ROB/IQ/LQ/SQ/PRF sizes, latency penalties,
+//!   bit-exactly reusable under any other with the same `WarmupConfig`;
+//! * the detail half — widths, ROB/IQ/LQ/SQ/PRF sizes, latency penalties,
 //!   the full LTP configuration, SMT policy, and detailed-warm-up length.
 //!   None of these are visible to the functional pass.
 //!
 //! [`PipelineConfig`] stays the flat struct every call site (and the
-//! snapshot wire format) uses; [`PipelineConfig::split`] and
-//! [`PipelineConfig::compose`] convert between the flat form and the two
-//! halves. Both are written with exhaustive destructuring so adding a field
-//! to `PipelineConfig` refuses to compile until it is assigned to a half —
+//! snapshot wire format) uses; [`PipelineConfig::warmup_config`] projects
+//! the warm half with exhaustive destructuring, so adding a field to
+//! `PipelineConfig` refuses to compile until it is assigned to a half —
 //! the checkpoint-cache key stays principled by construction.
 
 use crate::branch::PredictorGeometry;
@@ -170,47 +169,6 @@ pub struct WarmupConfig {
     pub predictor: PredictorGeometry,
     /// How warm-up trains the criticality classifier.
     pub training: ClassifierTraining,
-}
-
-/// The detail half of a [`PipelineConfig`]: everything the detailed
-/// pipeline needs that the functional fast-forward cannot observe.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DetailConfig {
-    /// Front-end width.
-    pub front_width: usize,
-    /// Issue width.
-    pub issue_width: usize,
-    /// Commit width.
-    pub commit_width: usize,
-    /// Reorder buffer entries.
-    pub rob_size: usize,
-    /// Instruction queue entries.
-    pub iq_size: usize,
-    /// Load queue entries.
-    pub lq_size: usize,
-    /// Store queue entries.
-    pub sq_size: usize,
-    /// Available integer physical registers.
-    pub int_regs: usize,
-    /// Available floating point registers.
-    pub fp_regs: usize,
-    /// Registers/LQ/SQ entries reserved for LTP release.
-    pub ltp_reserve: usize,
-    /// Front-end depth in cycles.
-    pub frontend_delay: u64,
-    /// Branch misprediction redirect penalty.
-    pub mispredict_penalty: u64,
-    /// Functional unit mix.
-    pub fu: FuCounts,
-    /// Whether LQ/SQ allocation is delayed for parked instructions.
-    pub delay_lsq_alloc: bool,
-    /// Full LTP configuration (mode, sizes, classifier choice). Only its
-    /// [`ClassifierTraining`] projection leaks into the warm-up half.
-    pub ltp: LtpConfig,
-    /// Detailed pipeline-warming instructions before statistics.
-    pub warmup_insts: u64,
-    /// SMT configuration.
-    pub smt: SmtConfig,
 }
 
 /// Full configuration of the out-of-order core.
@@ -423,136 +381,40 @@ impl PipelineConfig {
         self
     }
 
-    /// Splits the configuration into its warm-up and detail halves.
+    /// The warm-up half (what checkpoint-cache keys are derived from).
     ///
     /// The destructuring is exhaustive on purpose: a field added to
-    /// `PipelineConfig` fails to compile here until it is assigned to one
-    /// half, keeping the checkpoint-cache key honest.
-    #[must_use]
-    pub fn split(&self) -> (WarmupConfig, DetailConfig) {
-        let PipelineConfig {
-            front_width,
-            issue_width,
-            commit_width,
-            rob_size,
-            iq_size,
-            lq_size,
-            sq_size,
-            int_regs,
-            fp_regs,
-            ltp_reserve,
-            frontend_delay,
-            mispredict_penalty,
-            fu,
-            delay_lsq_alloc,
-            mem,
-            ltp,
-            warmup_insts,
-            smt,
-        } = *self;
-        (
-            WarmupConfig {
-                mem,
-                // The pipeline builds the default-sized predictor for every
-                // configuration today; the geometry still travels in the
-                // warm half so the cache key changes if that ever changes.
-                predictor: PredictorGeometry::default_sized(),
-                training: ClassifierTraining::of(&ltp),
-            },
-            DetailConfig {
-                front_width,
-                issue_width,
-                commit_width,
-                rob_size,
-                iq_size,
-                lq_size,
-                sq_size,
-                int_regs,
-                fp_regs,
-                ltp_reserve,
-                frontend_delay,
-                mispredict_penalty,
-                fu,
-                delay_lsq_alloc,
-                ltp,
-                warmup_insts,
-                smt,
-            },
-        )
-    }
-
-    /// The warm-up half alone (what checkpoint-cache keys are derived from).
+    /// `PipelineConfig` fails to compile here until it is named as warm
+    /// (read below) or detail (`_`), keeping the checkpoint-cache key honest.
     #[must_use]
     pub fn warmup_config(&self) -> WarmupConfig {
-        self.split().0
-    }
-
-    /// Recomposes a configuration from its two halves — the inverse of
-    /// [`PipelineConfig::split`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the halves are inconsistent: the warm half's classifier
-    /// training projection must match the detail half's LTP configuration,
-    /// and the predictor geometry must be the (only supported) default.
-    /// Composing mismatched halves would silently produce a configuration
-    /// whose warm state is *not* interchangeable with either input, which is
-    /// exactly the bug the split exists to prevent.
-    #[must_use]
-    pub fn compose(warm: WarmupConfig, detail: DetailConfig) -> PipelineConfig {
-        let WarmupConfig {
-            mem,
-            predictor,
-            training,
-        } = warm;
-        assert_eq!(
-            predictor,
-            PredictorGeometry::default_sized(),
-            "the pipeline only builds the default-sized branch predictor"
-        );
-        assert_eq!(
-            training,
-            ClassifierTraining::of(&detail.ltp),
-            "warm half trains the classifier differently than the detail half's LTP config"
-        );
-        let DetailConfig {
-            front_width,
-            issue_width,
-            commit_width,
-            rob_size,
-            iq_size,
-            lq_size,
-            sq_size,
-            int_regs,
-            fp_regs,
-            ltp_reserve,
-            frontend_delay,
-            mispredict_penalty,
-            fu,
-            delay_lsq_alloc,
-            ltp,
-            warmup_insts,
-            smt,
-        } = detail;
-        PipelineConfig {
-            front_width,
-            issue_width,
-            commit_width,
-            rob_size,
-            iq_size,
-            lq_size,
-            sq_size,
-            int_regs,
-            fp_regs,
-            ltp_reserve,
-            frontend_delay,
-            mispredict_penalty,
-            fu,
-            delay_lsq_alloc,
+        let PipelineConfig {
+            front_width: _,
+            issue_width: _,
+            commit_width: _,
+            rob_size: _,
+            iq_size: _,
+            lq_size: _,
+            sq_size: _,
+            int_regs: _,
+            fp_regs: _,
+            ltp_reserve: _,
+            frontend_delay: _,
+            mispredict_penalty: _,
+            fu: _,
+            delay_lsq_alloc: _,
             mem,
             ltp,
-            warmup_insts,
-            smt,
+            warmup_insts: _,
+            smt: _,
+        } = *self;
+        WarmupConfig {
+            mem,
+            // The pipeline builds the default-sized predictor for every
+            // configuration today; the geometry still travels in the warm
+            // half so the cache key changes if that ever changes.
+            predictor: PredictorGeometry::default_sized(),
+            training: ClassifierTraining::of(&ltp),
         }
     }
 
@@ -699,22 +561,6 @@ mod tests {
     }
 
     #[test]
-    fn split_compose_round_trips_named_configs() {
-        for cfg in [
-            PipelineConfig::micro2015_baseline(),
-            PipelineConfig::ltp_proposed(),
-            PipelineConfig::small_no_ltp(),
-            PipelineConfig::limit_study_unlimited(),
-            PipelineConfig::micro2015_baseline().smt(SharePolicy::Icount),
-            PipelineConfig::ltp_proposed().with_classifier(ClassifierKind::AlwaysReady),
-        ] {
-            let (warm, detail) = cfg.split();
-            assert_eq!(PipelineConfig::compose(warm, detail), cfg);
-            assert_eq!(cfg.warmup_config(), warm);
-        }
-    }
-
-    #[test]
     fn training_projection_follows_classifier_kind() {
         let trained = PipelineConfig::ltp_proposed();
         assert_eq!(
@@ -728,27 +574,6 @@ mod tests {
             ClassifierTraining::of(&inert.ltp),
             ClassifierTraining::Inert
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "trains the classifier differently")]
-    fn compose_rejects_training_mismatch() {
-        let (warm, _) = PipelineConfig::ltp_proposed().split();
-        let (_, detail) = PipelineConfig::ltp_proposed()
-            .with_classifier(ClassifierKind::AlwaysReady)
-            .split();
-        let _ = PipelineConfig::compose(warm, detail);
-    }
-
-    #[test]
-    #[should_panic(expected = "default-sized branch predictor")]
-    fn compose_rejects_predictor_mismatch() {
-        let (mut warm, detail) = PipelineConfig::ltp_proposed().split();
-        warm.predictor = crate::branch::PredictorGeometry {
-            table_entries: 8192,
-            history_bits: 14,
-        };
-        let _ = PipelineConfig::compose(warm, detail);
     }
 
     mod warm_key {

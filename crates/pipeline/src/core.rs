@@ -345,6 +345,30 @@ impl Processor {
         Ok(run.threads.remove(0))
     }
 
+    /// Like [`Processor::run`], but opens the measured window when the
+    /// committed count reaches `measure_from` instead of after the
+    /// configuration's warm-up budget; a machine restored at or past it
+    /// ([`crate::Snapshot::resume`]) measures from where it resumes. The
+    /// sampled runner uses this for each interval's detailed warm-up.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Processor::run`].
+    pub fn run_measured_from<S: InstStream>(
+        &mut self,
+        stream: S,
+        max_insts: u64,
+        measure_from: u64,
+    ) -> Result<RunResult, RunError> {
+        let mut run = self.drive(
+            vec![stream],
+            Stop::At(max_insts),
+            Window::From(measure_from),
+            |_| {},
+        )?;
+        Ok(run.threads.remove(0))
+    }
+
     /// Runs the machine in detail until `checkpoint_at` instructions have
     /// committed (or the stream drains first) and captures a [`crate::Snapshot`] of
     /// the complete machine state at that cycle boundary. Restoring the

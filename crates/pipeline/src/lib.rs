@@ -62,8 +62,7 @@ mod tests;
 
 pub use branch::{BranchPredictor, PredictorGeometry};
 pub use config::{
-    ClassifierTraining, DetailConfig, FuCounts, PipelineConfig, SharePolicy, SmtConfig,
-    WarmupConfig,
+    ClassifierTraining, FuCounts, PipelineConfig, SharePolicy, SmtConfig, WarmupConfig,
 };
 pub use core::{CycleView, Processor, RegFileSnapshot};
 pub use free_list::FreeList;
@@ -77,5 +76,5 @@ pub use result::{
 };
 pub use rob::{Rob, RobEntry, RobState};
 pub use sampling::{FunctionalFastForward, FunctionalWarmState};
-pub use snapshot::{ResumedRun, Snapshot, SnapshotError};
+pub use snapshot::{Snapshot, SnapshotError};
 pub use stages::{CommitSlot, StageBus, TimingWheel};

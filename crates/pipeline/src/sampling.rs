@@ -240,7 +240,7 @@ impl FunctionalFastForward {
             predictor: self.predictor.clone(),
         };
         // Statistics start at the checkpoint; the sampled runner narrows the
-        // window further with `ResumedRun::run_measured_from`.
+        // window further with `Processor::run_measured_from`.
         Snapshot::capture(&cpu, frontend, Some((now, self.consumed)))
     }
 

@@ -17,27 +17,25 @@
 //! ships between the fast-forward pass and its worker threads.
 //!
 //! The stream itself is *not* stored: a snapshot records how many
-//! instructions were consumed, and [`ResumedRun::run`] skips that many
-//! instructions of the caller-provided trace. Checkpoints therefore stay
+//! instructions were consumed, and the restored [`Processor`]'s next run
+//! skips that many instructions of the caller-provided trace. Checkpoints therefore stay
 //! small — ~200 kB for a warm machine, dominated by cache tags — regardless
 //! of trace length.
 
 use crate::config::{FuCounts, PipelineConfig, SharePolicy, SmtConfig};
-use crate::core::{Stop, Window};
 use crate::free_list::FreeList;
 use crate::frontend::FrontEndState;
 use crate::fu::{FuPool, UnitPool};
 use crate::iq::{IssueQueue, Slot};
 use crate::lsq::{LoadQueue, MemDepPredictor, StoreEntry, StoreQueue};
 use crate::rat::{Rat, RegSource};
-use crate::result::{ActivityCounters, OccupancyReport, RunError, RunResult};
+use crate::result::{ActivityCounters, OccupancyReport};
 use crate::rob::{Rob, RobEntry, RobState};
 use crate::stages::rename::PendingDispatch;
 use crate::stages::StageBus;
 use crate::state::{InFlight, ThreadState};
 use crate::Processor;
-use ltp_core::OracleClassifier;
-use ltp_isa::{InstStream, PhysReg, SeqNum};
+use ltp_isa::{PhysReg, SeqNum};
 use ltp_mem::{Cycle, MemoryHierarchy};
 use ltp_snapshot::{impl_codec, Codec, Reader, SnapError, Writer};
 use std::cmp::Reverse;
@@ -523,12 +521,14 @@ impl Snapshot {
     }
 
     /// Rebuilds a runnable machine from the snapshot. Its next run
-    /// continues the snapshot's front end and measured window: the caller
-    /// provides the instruction stream (the same trace the original run
-    /// consumed, from position zero) to [`ResumedRun::run`]. A
-    /// configuration that selects the oracle classifier but was
+    /// ([`Processor::run`], [`Processor::run_observed`] or
+    /// [`Processor::run_measured_from`]) continues the snapshot's front end
+    /// and measured window through the same cycle loop as an uninterrupted
+    /// run; the caller provides the instruction stream (the same trace the
+    /// original run consumed, from position zero), whose consumed prefix is
+    /// skipped. A configuration that selects the oracle classifier but was
     /// checkpointed before the oracle was attached (the functional-warm-up
-    /// path) needs [`ResumedRun::set_oracle`] first.
+    /// path) needs [`Processor::set_oracle`] first.
     ///
     /// # Panics
     ///
@@ -536,7 +536,7 @@ impl Snapshot {
     /// capture time, so this indicates snapshot corruption that slipped past
     /// the codec's checks).
     #[must_use]
-    pub fn resume(&self) -> ResumedRun {
+    pub fn resume(&self) -> Processor {
         let mut cpu = Processor::new(self.cfg);
         cpu.state.now = self.now;
         cpu.state.mem = self.mem.clone();
@@ -547,72 +547,7 @@ impl Snapshot {
         cpu.buses[0].restore_from(&self.bus);
         cpu.renames[0].pending = self.pending.clone();
         cpu.resumed = Some((self.frontend.clone(), self.stats_from));
-        ResumedRun { cpu }
-    }
-}
-
-/// A machine rebuilt from a [`Snapshot`], ready to continue its run: a
-/// [`Processor`] whose next run picks up the snapshot's front end and
-/// measured window, through the same cycle loop as an uninterrupted run.
-#[derive(Debug)]
-pub struct ResumedRun {
-    cpu: Processor,
-}
-
-impl ResumedRun {
-    /// Attaches an analysed oracle classifier (required before [`ResumedRun::run`]
-    /// when the configuration selects [`ltp_core::ClassifierKind::Oracle`]
-    /// and the snapshot predates the attachment).
-    pub fn set_oracle(&mut self, oracle: OracleClassifier) {
-        self.cpu.set_oracle(oracle);
-    }
-
-    /// The restored processor (e.g. for attaching a custom classifier). Its
-    /// next run continues the snapshot's front end.
-    pub fn processor_mut(&mut self) -> &mut Processor {
-        &mut self.cpu
-    }
-
-    /// Continues the run until `max_insts` total instructions have committed
-    /// (counted from the start of the trace, like [`Processor::run`]) or the
-    /// stream drains. The stream must be the same trace the snapshot's
-    /// original run consumed, from position zero — the consumed prefix is
-    /// skipped internally.
-    ///
-    /// Statistics semantics match an uninterrupted run: the pipeline-warmup
-    /// boundary recorded in the snapshot (or crossed after resume) starts
-    /// the measured window.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunError::Deadlock`] / [`RunError::OracleNotAttached`] under
-    /// the same conditions as [`Processor::run`].
-    pub fn run<S: InstStream>(mut self, stream: S, max_insts: u64) -> Result<RunResult, RunError> {
-        self.cpu.run(stream, max_insts)
-    }
-
-    /// Like [`ResumedRun::run`], but starts the measured window when the
-    /// total committed count reaches `measure_from` instead of using the
-    /// configuration's warm-up budget; a snapshot already at or past it
-    /// measures from the resume point. The sampled runner uses this for the
-    /// detailed-warm-up portion of each interval.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ResumedRun::run`].
-    pub fn run_measured_from<S: InstStream>(
-        mut self,
-        stream: S,
-        max_insts: u64,
-        measure_from: u64,
-    ) -> Result<RunResult, RunError> {
-        let mut run = self.cpu.drive(
-            vec![stream],
-            Stop::At(max_insts),
-            Window::From(measure_from),
-            |_| {},
-        )?;
-        Ok(run.threads.remove(0))
+        cpu
     }
 }
 

@@ -22,6 +22,8 @@ use ltp_experiments::sampled::{
 };
 use ltp_experiments::{Block, CheckpointCache, Experiment, ExperimentCtx, Report, RunOptions};
 use ltp_isa::DynInst;
+use ltp_snapshot::framed::{publish, read_framed, FileKind};
+use ltp_snapshot::{decode_value, SnapError};
 use ltp_stats::{ConfidenceInterval, Histogram};
 use ltp_workloads::WorkloadKind;
 
@@ -587,13 +589,15 @@ impl Registry {
         Ok(self.spawn(id, request))
     }
 
-    /// Writes the `.job` sidecar that makes the submission survive a crash.
+    /// Publishes the `.job` sidecar that makes the submission survive a
+    /// crash: the raw request in one checksummed frame.
     fn persist_job(&self, id: u64, request: &JobRequest) -> std::io::Result<()> {
-        if let Some(dir) = &self.journal_dir {
-            std::fs::create_dir_all(dir)?;
-            std::fs::write(dir.join(format!("{id}.job")), request.raw.as_bytes())?;
+        match &self.journal_dir {
+            Some(dir) => publish(&dir.join(format!("{id}.job")), JOB_FILE, |w| {
+                w.append_value(&request.raw).map(drop)
+            }),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     fn spawn(self: &Arc<Registry>, id: u64, request: JobRequest) -> Arc<Job> {
@@ -612,7 +616,9 @@ impl Registry {
     /// Re-submits every persisted job that never completed (`.job` sidecar
     /// without a `.done` marker) — the kill-9-and-restart path. The journal
     /// files written by the dead server's partial run replay under the same
-    /// job id, so the resumed job completes bit-identically.
+    /// job id, so the resumed job completes bit-identically. A sidecar that
+    /// fails its header or checksum, or does not parse, is marked done as
+    /// unresumable rather than resumed as some other job.
     ///
     /// Returns the resumed job ids.
     pub fn resume_pending(self: &Arc<Registry>) -> Vec<u64> {
@@ -622,7 +628,7 @@ impl Registry {
         let Ok(entries) = std::fs::read_dir(&dir) else {
             return Vec::new();
         };
-        let mut pending: Vec<(u64, String)> = Vec::new();
+        let mut pending: Vec<(u64, Result<JobRequest, String>)> = Vec::new();
         let mut max_id = 0u64;
         for entry in entries.flatten() {
             let name = entry.file_name();
@@ -637,8 +643,8 @@ impl Registry {
             if dir.join(format!("{id}.done")).exists() {
                 continue;
             }
-            if let Ok(raw) = std::fs::read_to_string(entry.path()) {
-                pending.push((id, raw));
+            if let Ok(bytes) = std::fs::read(entry.path()) {
+                pending.push((id, read_job_sidecar(&bytes)));
             }
         }
         {
@@ -647,20 +653,14 @@ impl Registry {
         }
         pending.sort_by_key(|(id, _)| *id);
         let mut resumed = Vec::new();
-        for (id, raw) in pending {
-            match JobRequest::parse(&raw) {
+        for (id, request) in pending {
+            match request {
                 Ok(request) => {
                     self.spawn(id, request);
                     resumed.push(id);
                 }
-                Err(e) => {
-                    // An unparseable sidecar is marked done so it is not
-                    // retried forever.
-                    let _ = std::fs::write(
-                        dir.join(format!("{id}.done")),
-                        format!("unresumable: {e}\n"),
-                    );
-                }
+                // Marked done so it is not retried forever.
+                Err(e) => mark_done(self, id, &format!("unresumable: {e}")),
             }
         }
         resumed
@@ -696,12 +696,36 @@ impl Registry {
     }
 }
 
-/// Marks the job complete on disk (`.done` sidecar) so a restart does not
-/// re-run it. Called before the terminal-state update, so a job that any
-/// client has seen finish is already marked when the server restarts.
+/// Header of a `.job` sidecar.
+const JOB_FILE: FileKind = FileKind {
+    magic: *b"LTPJOB\0\0",
+    version: 1,
+};
+
+/// Header of a `.done` marker.
+const DONE_FILE: FileKind = FileKind {
+    magic: *b"LTPDONE\0",
+    version: 1,
+};
+
+/// The request a `.job` sidecar holds, or why it cannot be resumed.
+fn read_job_sidecar(bytes: &[u8]) -> Result<JobRequest, String> {
+    let raw: String = read_framed(bytes, JOB_FILE)
+        .and_then(|mut frames| frames.next().unwrap_or(Err(SnapError::Truncated)))
+        .and_then(|frame| decode_value(frame.payload))
+        .map_err(|e| e.to_string())?;
+    JobRequest::parse(&raw)
+}
+
+/// Marks the job complete on disk (`.done` sidecar, whose existence is
+/// what counts) so a restart does not re-run it. Called before the
+/// terminal-state update, so a job that any client has seen finish is
+/// already marked when the server restarts.
 fn mark_done(registry: &Registry, id: u64, detail: &str) {
     if let Some(dir) = &registry.journal_dir {
-        let _ = std::fs::write(dir.join(format!("{id}.done")), format!("{detail}\n"));
+        let _ = publish(&dir.join(format!("{id}.done")), DONE_FILE, |w| {
+            w.append_value(&detail.to_string()).map(drop)
+        });
     }
 }
 

@@ -24,12 +24,17 @@
 //! the `Codec` implementations, and the envelope carries a format version
 //! that is bumped whenever any implementation changes shape. A version
 //! mismatch is a clean [`SnapError::Version`] instead of garbage state.
+//!
+//! Files the simulator persists (run journals, checkpoint-cache entries,
+//! job sidecars) share one checksummed, versioned layout: see [`framed`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+
+pub mod framed;
 
 /// Magic bytes opening every snapshot envelope.
 pub const MAGIC: [u8; 8] = *b"LTPSNAP\0";
@@ -53,15 +58,18 @@ pub enum SnapError {
     BadTag(u32),
     /// The envelope does not start with [`MAGIC`].
     BadMagic,
-    /// The envelope was written by an incompatible format version.
+    /// The envelope or file header was written by an incompatible format
+    /// version.
     Version {
-        /// Version found in the envelope.
-        found: u32,
+        /// Version found in the header.
+        found: u64,
         /// Version this build understands.
-        expected: u32,
+        expected: u64,
     },
     /// Trailing bytes after the payload (shape drift between encode/decode).
     TrailingBytes(usize),
+    /// A frame's checksum does not match its payload ([`framed`]).
+    Checksum,
     /// A domain-level invariant failed while rebuilding state (message is
     /// static so decoding never allocates error strings in the happy path).
     Invalid(&'static str),
@@ -78,6 +86,7 @@ impl std::fmt::Display for SnapError {
                 write!(f, "snapshot format v{found}, this build reads v{expected}")
             }
             SnapError::TrailingBytes(n) => write!(f, "{n} trailing bytes after payload"),
+            SnapError::Checksum => write!(f, "frame checksum mismatch"),
             SnapError::Invalid(msg) => write!(f, "invalid snapshot state: {msg}"),
         }
     }
@@ -98,28 +107,6 @@ impl Writer {
         Writer {
             buf: Vec::with_capacity(4096),
         }
-    }
-
-    /// Creates an empty writer with `capacity` bytes pre-reserved. Use when
-    /// the encoded size is known up front (e.g. re-framing an already
-    /// encoded payload) to skip the doubling-growth copies.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Writer {
-        Writer {
-            buf: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Bytes written so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Consumes the writer and returns the raw payload bytes.
@@ -144,26 +131,32 @@ impl Writer {
     /// dominate), so the two layouts are split: the single-byte case — the
     /// majority — is one `push`, and multi-byte values encode into a stack
     /// buffer first so the vector grows once instead of byte-by-byte.
-    pub fn varint(&mut self, mut v: u64) {
+    pub fn varint(&mut self, v: u64) {
         if v < 0x80 {
             self.buf.push(v as u8);
             return;
         }
-        let mut tmp = [0u8; 10];
-        let mut n = 0;
-        loop {
-            let mut b = (v & 0x7f) as u8;
-            v >>= 7;
-            if v != 0 {
-                b |= 0x80;
-            }
-            tmp[n] = b;
-            n += 1;
-            if v == 0 {
-                break;
-            }
-        }
+        let (tmp, n) = varint_bytes(v);
         self.buf.extend_from_slice(&tmp[..n]);
+    }
+}
+
+/// The LEB128 encoding of `v` in a stack buffer, and how many of its bytes
+/// it uses.
+fn varint_bytes(mut v: u64) -> ([u8; 10], usize) {
+    let mut tmp = [0u8; 10];
+    let mut n = 0;
+    loop {
+        let mut b = (v & 0x7f) as u8;
+        v >>= 7;
+        if v != 0 {
+            b |= 0x80;
+        }
+        tmp[n] = b;
+        n += 1;
+        if v == 0 {
+            return (tmp, n);
+        }
     }
 }
 
@@ -230,6 +223,28 @@ pub trait Codec: Sized {
     fn write(&self, w: &mut Writer);
     /// Reads a value from the stream.
     fn read(r: &mut Reader<'_>) -> Result<Self, SnapError>;
+
+    /// Writes the elements of a `Vec`; bytes override it with one bulk copy.
+    fn write_run(values: &[Self], w: &mut Writer) {
+        for v in values {
+            v.write(w);
+        }
+    }
+
+    /// Reads the `n` elements of a `Vec`; bytes override it with one bulk
+    /// copy.
+    fn read_run(r: &mut Reader<'_>, n: usize) -> Result<Vec<Self>, SnapError> {
+        // Guard against pathological lengths in corrupted streams: each
+        // element consumes at least one byte.
+        if n > r.remaining() {
+            return Err(SnapError::Truncated);
+        }
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(Self::read(r)?);
+        }
+        Ok(out)
+    }
 }
 
 // --- primitives -------------------------------------------------------------
@@ -253,6 +268,12 @@ impl Codec for u8 {
     }
     fn read(r: &mut Reader<'_>) -> Result<Self, SnapError> {
         r.byte()
+    }
+    fn write_run(values: &[u8], w: &mut Writer) {
+        w.bytes(values);
+    }
+    fn read_run(r: &mut Reader<'_>, n: usize) -> Result<Vec<u8>, SnapError> {
+        Ok(r.bytes(n)?.to_vec())
     }
 }
 
@@ -372,22 +393,11 @@ impl<A: Codec, B: Codec, C: Codec> Codec for (A, B, C) {
 impl<T: Codec> Codec for Vec<T> {
     fn write(&self, w: &mut Writer) {
         w.varint(self.len() as u64);
-        for v in self {
-            v.write(w);
-        }
+        T::write_run(self, w);
     }
     fn read(r: &mut Reader<'_>) -> Result<Self, SnapError> {
         let n = usize::try_from(r.varint()?).map_err(|_| SnapError::VarintOverflow)?;
-        // Guard against pathological lengths in corrupted streams: each
-        // element consumes at least one byte.
-        if n > r.remaining() {
-            return Err(SnapError::Truncated);
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(T::read(r)?);
-        }
-        Ok(out)
+        T::read_run(r, n)
     }
 }
 
@@ -578,11 +588,11 @@ pub fn decode_envelope<T: Codec>(bytes: &[u8]) -> Result<T, SnapError> {
     if r.bytes(MAGIC.len())? != MAGIC {
         return Err(SnapError::BadMagic);
     }
-    let version = u32::try_from(r.varint()?).map_err(|_| SnapError::VarintOverflow)?;
-    if version != FORMAT_VERSION {
+    let version = r.varint()?;
+    if version != u64::from(FORMAT_VERSION) {
         return Err(SnapError::Version {
             found: version,
-            expected: FORMAT_VERSION,
+            expected: u64::from(FORMAT_VERSION),
         });
     }
     decode_value(r.bytes(r.remaining())?)
@@ -611,18 +621,10 @@ pub fn decode_value<T: Codec>(payload: &[u8]) -> Result<T, SnapError> {
     Ok(value)
 }
 
-// --- checksummed record framing ---------------------------------------------
-//
-// An append-only log of independently-checksummed records: the persistence
-// shape the fault-tolerant sampled runner journals completed intervals into.
-// Each record stands alone (length prefix, payload, FNV-1a 64 checksum), so a
-// reader can recover every record written before a crash or a corruption and
-// cleanly stop at the first bad one — the log degrades record-by-record
-// instead of all-or-nothing.
+// --- digests ----------------------------------------------------------------
 
-/// FNV-1a 64-bit hash of `bytes` — the checksum used by [`frame_record`] and
-/// a convenient stable digest for result fingerprinting. Not cryptographic;
-/// it detects truncation and bit flips, not adversaries.
+/// FNV-1a 64-bit hash of `bytes`: a stable digest for configuration and
+/// result fingerprints. Not cryptographic.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -631,132 +633,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// FNV-1a 64-bit over 8-byte little-endian lanes (remainder bytes feed in
-/// one at a time) — the frame checksum of [`frame_record`]. Same detection
-/// class as [`fnv1a64`] (truncation, bit flips) at ~8× the throughput, which
-/// matters because journal frames carry ~100 kB encoded checkpoints and are
-/// checksummed on the simulation's critical path.
-#[must_use]
-pub fn fnv1a64_lanes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut chunks = bytes.chunks_exact(8);
-    for lane in &mut chunks {
-        let mut arr = [0u8; 8];
-        arr.copy_from_slice(lane);
-        h ^= u64::from_le_bytes(arr);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    for &b in chunks.remainder() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Frames one record for an append-only log: varint payload length, the
-/// payload, and the payload's [`fnv1a64_lanes`] checksum as 8 little-endian
-/// bytes.
-#[must_use]
-pub fn frame_record(payload: &[u8]) -> Vec<u8> {
-    let mut w = Writer::with_capacity(payload.len() + 18);
-    w.varint(payload.len() as u64);
-    w.bytes(payload);
-    w.bytes(&fnv1a64_lanes(payload).to_le_bytes());
-    w.into_bytes()
-}
-
-/// Finishes a frame whose length prefix and payload were written directly
-/// into `w`: given a writer holding exactly `varint(payload_len)` followed
-/// by `payload_len` payload bytes, appends the payload's checksum and
-/// returns the finished frame. Byte-identical to `frame_record(&payload)`,
-/// but the payload is encoded in place instead of being copied into the
-/// frame afterwards — the journal drain frames multi-kilobyte checkpoint
-/// records on the run's critical tail.
-#[must_use]
-pub fn finish_frame(w: Writer, payload_len: usize) -> Vec<u8> {
-    let mut buf = w.into_bytes();
-    debug_assert!(buf.len() >= payload_len, "writer holds prefix + payload");
-    let start = buf.len() - payload_len;
-    let sum = fnv1a64_lanes(&buf[start..]);
-    buf.extend_from_slice(&sum.to_le_bytes());
-    buf
-}
-
-/// Why a framed record could not be read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecordError {
-    /// The log ended mid-record (e.g. a crash during an append). Everything
-    /// before this point was read successfully.
-    Truncated,
-    /// The record's checksum did not match its payload (bit rot, a torn
-    /// write, or injected corruption).
-    Corrupt,
-}
-
-impl std::fmt::Display for RecordError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RecordError::Truncated => write!(f, "record log truncated mid-record"),
-            RecordError::Corrupt => write!(f, "record checksum mismatch"),
-        }
-    }
-}
-
-impl std::error::Error for RecordError {}
-
-/// Iterates the records of a [`frame_record`] log, yielding each payload.
-/// Stops permanently at the first truncated or corrupt record (returning it
-/// as an `Err`): bytes after a bad frame cannot be trusted to be aligned.
-#[derive(Debug)]
-pub struct RecordIter<'a> {
-    r: Reader<'a>,
-    dead: bool,
-}
-
-impl<'a> RecordIter<'a> {
-    /// Creates an iterator over a record log.
-    #[must_use]
-    pub fn new(bytes: &'a [u8]) -> RecordIter<'a> {
-        RecordIter {
-            r: Reader::new(bytes),
-            dead: false,
-        }
-    }
-}
-
-impl<'a> Iterator for RecordIter<'a> {
-    type Item = Result<&'a [u8], RecordError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.dead || self.r.remaining() == 0 {
-            return None;
-        }
-        let fail = |me: &mut Self, e| {
-            me.dead = true;
-            Some(Err(e))
-        };
-        let Ok(len) = self.r.varint() else {
-            return fail(self, RecordError::Truncated);
-        };
-        let Ok(len) = usize::try_from(len) else {
-            return fail(self, RecordError::Truncated);
-        };
-        // The checksum trailer must also fit — a length that "lies" past the
-        // end of the buffer is indistinguishable from truncation.
-        if len.checked_add(8).is_none_or(|n| n > self.r.remaining()) {
-            return fail(self, RecordError::Truncated);
-        }
-        let payload = self.r.bytes(len).expect("length checked above");
-        let sum_bytes = self.r.bytes(8).expect("length checked above");
-        let mut arr = [0u8; 8];
-        arr.copy_from_slice(sum_bytes);
-        if fnv1a64_lanes(payload) != u64::from_le_bytes(arr) {
-            return fail(self, RecordError::Corrupt);
-        }
-        Some(Ok(payload))
-    }
 }
 
 #[cfg(test)]
@@ -874,51 +750,143 @@ mod tests {
         );
     }
 
+    /// Header of the framed files these tests write.
+    const TEST_FILE: framed::FileKind = framed::FileKind {
+        magic: *b"LTPTEST\0",
+        version: 3,
+    };
+
+    fn temp_path(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir()
+            .join(format!("ltp-snapshot-test-{}", std::process::id()))
+            .join(name)
+    }
+
+    /// Appends `payloads` to a new framed file and returns its bytes.
+    fn framed_bytes(name: &str, payloads: &[&str]) -> Vec<u8> {
+        let path = temp_path(name);
+        let mut w = framed::FramedWriter::create(&path, TEST_FILE).expect("create");
+        for p in payloads {
+            w.append_value(&p.to_string()).expect("append");
+        }
+        drop(w);
+        let bytes = std::fs::read(&path).expect("read back");
+        let _ = std::fs::remove_file(&path);
+        bytes
+    }
+
+    fn read_strings(bytes: &[u8]) -> Vec<Result<String, SnapError>> {
+        framed::read_framed(bytes, TEST_FILE)
+            .expect("header")
+            .map(|f| f.map(|f| decode_value(f.payload).expect("payload")))
+            .collect()
+    }
+
     #[test]
     fn record_log_roundtrip_and_degradation() {
-        let payloads: [&[u8]; 3] = [b"alpha", b"", b"gamma-record"];
-        let mut log = Vec::new();
-        for p in payloads {
-            log.extend_from_slice(&frame_record(p));
-        }
-        let got: Vec<_> = RecordIter::new(&log).collect();
+        let payloads = ["alpha", "", "gamma-record"];
+        let log = framed_bytes("log", &payloads);
+        let got = read_strings(&log);
         assert_eq!(got.len(), 3);
         for (g, p) in got.iter().zip(payloads) {
-            assert_eq!(*g, Ok(p));
+            assert_eq!(g.as_deref(), Ok(p));
         }
 
-        // Truncation mid-record: earlier records survive, the torn one reads
+        // Truncation mid-frame: earlier frames survive, the torn one reads
         // as Truncated, iteration stops.
-        let cut = &log[..log.len() - 3];
-        let got: Vec<_> = RecordIter::new(cut).collect();
+        let got = read_strings(&log[..log.len() - 3]);
         assert_eq!(got.len(), 3);
-        assert_eq!(got[0], Ok(&b"alpha"[..]));
-        assert_eq!(got[2], Err(RecordError::Truncated));
+        assert_eq!(got[0].as_deref(), Ok("alpha"));
+        assert_eq!(got[2], Err(SnapError::Truncated));
 
-        // A bit flip in a payload reads as Corrupt and stops iteration (the
-        // following record is unreachable: framing cannot be trusted).
+        // A flipped byte at a frame's offset corrupts exactly that frame and
+        // stops iteration (the framing after it cannot be trusted).
+        let offsets: Vec<usize> = framed::read_framed(&log, TEST_FILE)
+            .expect("header")
+            .map(|f| f.expect("intact").offset)
+            .collect();
         let mut flipped = log.clone();
-        flipped[2] ^= 0x40;
-        let got: Vec<_> = RecordIter::new(&flipped).collect();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0], Err(RecordError::Corrupt));
+        flipped[offsets[1]] ^= 0x40;
+        let got = read_strings(&flipped);
+        assert_eq!(got.len(), 2);
+        assert_eq!(got[1], Err(SnapError::Checksum));
 
-        // A length prefix lying beyond the buffer is truncation, not a huge
-        // allocation.
-        let mut lying = Writer::new();
-        lying.varint(u64::MAX);
-        lying.bytes(b"tiny");
-        let lying = lying.into_bytes();
-        let got: Vec<_> = RecordIter::new(&lying).collect();
-        assert_eq!(got, vec![Err(RecordError::Truncated)]);
+        // A length running past the end of the file is truncation, not a
+        // huge allocation.
+        let mut lying = framed_bytes("lying", &[]);
+        let mut w = Writer::new();
+        w.varint(u64::MAX);
+        w.bytes(b"tiny");
+        lying.extend_from_slice(&w.into_bytes());
+        assert_eq!(read_strings(&lying), vec![Err(SnapError::Truncated)]);
 
-        assert_eq!(RecordIter::new(&[]).count(), 0);
+        assert!(read_strings(&framed_bytes("empty", &[])).is_empty());
+    }
+
+    #[test]
+    fn framed_header_and_checksums_are_pinned() {
+        // The on-disk layout can never silently change: magic, version,
+        // then per frame the length, the payload and its lane checksum
+        // (byte-wise FNV-1a below 8 bytes).
+        let short = framed_bytes("short", &["a"]);
+        let mut expected = b"LTPTEST\0".to_vec();
+        expected.extend_from_slice(&[3, 2, 1, b'a']);
+        expected.extend_from_slice(&fnv1a64(&[1, b'a']).to_le_bytes());
+        assert_eq!(short, expected);
+        let long = framed_bytes("long", &["lane-checked payload"]);
+        assert_eq!(
+            long[long.len() - 8..],
+            0xf0cf_2cfc_9796_eb0d_u64.to_le_bytes()
+        );
+
+        let header_error = |bytes: &[u8]| framed::read_framed(bytes, TEST_FILE).err();
+        assert_eq!(header_error(&short), None);
+        assert_eq!(header_error(b"LTPTEST"), Some(SnapError::Truncated));
+        assert_eq!(header_error(b"NOTLTP\0\0\x03"), Some(SnapError::BadMagic));
+        let mut newer = short.clone();
+        newer[8] = 4;
+        assert_eq!(
+            header_error(&newer),
+            Some(SnapError::Version {
+                found: 4,
+                expected: 3
+            })
+        );
+    }
+
+    #[test]
+    fn publish_replaces_a_file_whole() {
+        let path = temp_path("published");
+        let publish = |payload: &str| {
+            framed::publish(&path, TEST_FILE, |w| {
+                w.append_value(&payload.to_string()).map(drop)
+            })
+        };
+        publish("first").expect("publish");
+        publish("second").expect("republish");
+        let read = || read_strings(&std::fs::read(&path).expect("published file"));
+        assert_eq!(read(), vec![Ok("second".to_string())]);
+
+        // A failed write leaves the published file as it was, and no temp.
+        let failed = framed::publish(&path, TEST_FILE, |w| {
+            w.append_value(&"third".to_string())?;
+            Err(std::io::Error::other("interrupted"))
+        });
+        assert!(failed.is_err());
+        assert_eq!(read(), vec![Ok("second".to_string())]);
+        let leftovers = std::fs::read_dir(path.parent().expect("dir"))
+            .expect("list")
+            .flatten()
+            .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
+            .count();
+        assert_eq!(leftovers, 0, "temp files left behind");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn fnv_is_stable() {
         // Pinned reference values (offset basis and the standard test vector)
-        // so the on-disk journal checksum can never silently change.
+        // so configuration and result digests can never silently change.
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
     }

@@ -197,13 +197,6 @@ pub fn replay_slice<'a>(name: &'a str, trace: &'a [DynInst]) -> ltp_isa::SliceSt
     ltp_isa::SliceStream::new(name, trace)
 }
 
-/// A stream replaying a reference-counted trace (for fan-out across threads
-/// with independent lifetimes).
-#[must_use]
-pub fn replay_shared(name: &str, trace: std::sync::Arc<[DynInst]>) -> ltp_isa::ArcStream {
-    ltp_isa::ArcStream::new(name, trace)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -23,13 +23,14 @@
 use ltp_experiments::fault::FaultPlan;
 use ltp_experiments::parallel::{FailureKind, RetryPolicy};
 use ltp_experiments::sampled::{
-    IntervalError, SampleControl, SampleSpec, SampledRequest, SampledResult,
+    IntervalError, IntervalMeasurement, SampleControl, SampleSpec, SampledRequest, SampledResult,
 };
 use ltp_experiments::{journal, Experiment, ExperimentCtx};
 use ltp_isa::{DecodedTrace, DynInst};
 use ltp_pipeline::{PipelineConfig, RunError};
 use ltp_workloads::{trace, WorkloadKind};
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// A cheap but multi-interval spec (the suite runs a dozen sampled runs).
@@ -280,6 +281,46 @@ fn journaled_fault_free_run_is_unchanged_and_replayable() {
     });
     assert_eq!(resumed.resumed_intervals, spec().intervals);
     assert_bit_identical(&resumed, &reference(), "fully replayed run");
+    let _ = std::fs::remove_file(path);
+}
+
+#[test]
+fn each_interval_is_journaled_before_its_progress_callback() {
+    // A killed run keeps what it finished: the worker that measured an
+    // interval appends its record before the interval's progress callback
+    // fires, so a sink reading the journal finds the reported record there.
+    let path = scratch_journal("progress");
+    let spec = SampleSpec {
+        total_insts: 60_000,
+        intervals: 6,
+        ..spec()
+    };
+    let seen: Arc<Mutex<Vec<(usize, bool)>>> = Arc::default();
+    let sink = {
+        let (path, seen) = (path.clone(), Arc::clone(&seen));
+        Arc::new(move |m: &IntervalMeasurement| {
+            let on_disk = journal::load_journal(&path)
+                .is_ok_and(|j| j.records.iter().any(|r| r.index == m.index as u64));
+            seen.lock().expect("sink lock").push((m.index, on_disk));
+        })
+    };
+    let result = SampledRequest::new(
+        PipelineConfig::ltp_proposed(),
+        WorkloadKind::IndirectStream,
+        spec,
+    )
+    .journal(path.clone())
+    .progress(sink)
+    .run()
+    .expect("journaled run");
+    assert!(result.journal_error.is_none());
+    let mut seen = seen.lock().expect("sink lock").clone();
+    seen.sort_unstable();
+    assert_eq!(
+        seen,
+        (0..6).map(|i| (i, true)).collect::<Vec<_>>(),
+        "(interval, record on disk at its progress callback)"
+    );
     let _ = std::fs::remove_file(path);
 }
 

@@ -192,12 +192,8 @@ fn audit_resumed_against_fresh(cfg: PipelineConfig) {
     ff.warm_caches(&warm);
     ff.feed_all(&trace(kind, 8, start as usize));
     let mut resumed = ff.checkpoint().expect("checkpoint").resume();
-    let (steady, resumed_allocating) = count_steady(
-        resumed.processor_mut(),
-        stream(),
-        start + 20_000,
-        start + 10_000,
-    );
+    let (steady, resumed_allocating) =
+        count_steady(&mut resumed, stream(), start + 20_000, start + 10_000);
     assert!(steady > 500, "audit window too small: {steady} cycles");
 
     let mut seeked = stream();

@@ -407,3 +407,52 @@ fn killed_server_resumes_journaled_jobs_bit_identically() {
     assert!(done_marker.exists(), "completion marker rewritten");
     second.shutdown();
 }
+
+#[test]
+fn damaged_job_sidecar_is_not_resumed_as_another_job() {
+    // One flipped payload bit that leaves the request valid JSON (seed 7
+    // becomes seed 3) must not resume a different job under the original
+    // id: the sidecar fails its checksum and is marked unresumable.
+    let scratch = ScratchDir::new("sidecar");
+    let journal_dir = scratch.0.join("journal");
+    let mut first = Server::start(&ServiceConfig {
+        workers: 2,
+        journal_dir: Some(journal_dir.clone()),
+        ..ServiceConfig::default()
+    })
+    .expect("first server");
+    let body = tiny_job_body().replace(r#""seed":11"#, r#""seed":7"#);
+    let id = submit(first.addr(), &body);
+    let _ = stream_results(first.addr(), id);
+    first.shutdown();
+
+    let sidecar = journal_dir.join(format!("{id}.job"));
+    let mut bytes = std::fs::read(&sidecar).expect("job sidecar");
+    let at = bytes
+        .windows(8)
+        .position(|w| w == br#""seed":7"#)
+        .expect("seed in the sidecar")
+        + 7;
+    bytes[at] ^= b'7' ^ b'3';
+    std::fs::write(&sidecar, &bytes).expect("flip the seed digit");
+    let done_marker = journal_dir.join(format!("{id}.done"));
+    std::fs::remove_file(&done_marker).expect("fake a crash");
+
+    let mut second = Server::start(&ServiceConfig {
+        workers: 2,
+        journal_dir: Some(journal_dir.clone()),
+        resume: true,
+        ..ServiceConfig::default()
+    })
+    .expect("second server");
+    assert!(
+        second.registry().get(id).is_none(),
+        "a damaged sidecar was resumed as a job"
+    );
+    let marker = std::fs::read(&done_marker).expect("marked done");
+    assert!(
+        String::from_utf8_lossy(&marker).contains("unresumable"),
+        "marked unresumable"
+    );
+    second.shutdown();
+}

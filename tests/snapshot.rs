@@ -8,28 +8,52 @@
 //! transitively pin checkpoint/restore to the seed simulator's behaviour.
 
 use ltp_core::{ClassifierKind, LtpConfig, LtpMode};
+use ltp_experiments::cache::warm_mem_key;
+use ltp_experiments::journal::{load_journal, JournalHeader, JournalRecord, JournalWriter};
 use ltp_experiments::runner::{limit_study_config, RunOptions};
-use ltp_experiments::SimBuilder;
+use ltp_experiments::sampled::SampleSpec;
+use ltp_experiments::{CheckpointCache, SimBuilder};
+use ltp_mem::{AccessKind, MemoryConfig, MemoryHierarchy, MemoryRequest};
 use ltp_pipeline::{PipelineConfig, RunResult, Snapshot};
+use ltp_snapshot::encode_value;
+use ltp_snapshot::framed::{read_framed, FileKind, FramedWriter};
 use ltp_workloads::{replay_slice, WorkloadKind};
 use proptest::prelude::*;
 
-// A guard against OOM-scale allocations while decoding hostile snapshot
-// bytes: the tracking allocator records the largest single allocation
-// request ever made by this test binary. The counting shim needs `unsafe
-// impl GlobalAlloc`; the workspace otherwise denies unsafe code, so the
-// exemption is scoped to this module (same pattern as
-// `tests/hot_loop_alloc.rs`).
+// A guard against OOM-scale allocations while decoding hostile bytes: the
+// tracking allocator records the largest single allocation request ever
+// made by this test binary, and by each thread since it last asked. The
+// counting shim needs `unsafe impl GlobalAlloc`; the workspace otherwise
+// denies unsafe code, so the exemption is scoped to this module (same
+// pattern as `tests/hot_loop_alloc.rs`).
 #[allow(unsafe_code)]
 mod peak_alloc {
     use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Largest single allocation request seen so far, in bytes.
     pub static PEAK_REQUEST: AtomicUsize = AtomicUsize::new(0);
 
+    thread_local! {
+        /// Largest single request of this thread since `peak_during` last
+        /// reset it. Const initialised and without a destructor, so
+        /// recording never allocates or touches a torn-down slot.
+        static THREAD_PEAK: Cell<usize> = const { Cell::new(0) };
+    }
+
     fn record(size: usize) {
         PEAK_REQUEST.fetch_max(size, Ordering::Relaxed);
+        let _ = THREAD_PEAK.try_with(|p| p.set(p.get().max(size)));
+    }
+
+    /// Runs `f` and returns its result with the largest single allocation
+    /// request it made on this thread (libtest runs tests in parallel, so
+    /// the process-wide peak would charge one test with another's).
+    pub fn peak_during<R>(f: impl FnOnce() -> R) -> (R, usize) {
+        THREAD_PEAK.with(|p| p.set(0));
+        let result = f();
+        (result, THREAD_PEAK.with(Cell::get))
     }
 
     pub struct PeakAlloc;
@@ -326,5 +350,280 @@ proptest! {
             peak_alloc::PEAK_REQUEST.load(std::sync::atomic::Ordering::Relaxed) < ALLOC_CEILING,
             "an allocation crossed the {ALLOC_CEILING}-byte ceiling"
         );
+    }
+}
+
+// --- persisted files: framed reader, journals, cache entries ---------------
+
+/// A decoder of a persisted file may allocate at most this multiple of the
+/// file in one request (reading the file is one times), plus
+/// `ALLOC_SLACK` for paths, errors and small bookkeeping.
+const INPUT_ALLOC_FACTOR: usize = 2;
+const ALLOC_SLACK: usize = 4096;
+
+fn assert_alloc_bounded(peak: usize, input: usize, what: &str) {
+    assert!(
+        peak <= INPUT_ALLOC_FACTOR * input + ALLOC_SLACK,
+        "{what}: one allocation of {peak} bytes for a {input}-byte file"
+    );
+}
+
+/// Scratch files of these tests (removed best-effort at exit of each use).
+fn scratch(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("ltp-persisted-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    dir.join(name)
+}
+
+/// The header every framed file written here opens with: its own first
+/// nine bytes (8 magic bytes and a one-byte version).
+fn own_header(bytes: &[u8]) -> FileKind {
+    FileKind {
+        magic: bytes[..8].try_into().expect("magic"),
+        version: u64::from(bytes[8]),
+    }
+}
+
+/// `(offset, payload)` of every frame of a valid framed file.
+fn frames_of(bytes: &[u8]) -> Vec<(usize, Vec<u8>)> {
+    read_framed(bytes, own_header(bytes))
+        .expect("header")
+        .map(|f| {
+            let f = f.expect("intact frame");
+            (f.offset, f.payload.to_vec())
+        })
+        .collect()
+}
+
+/// A valid framed file damaged one of three ways: a flipped bit, a cut
+/// tail, or a frame whose length claims more bytes than follow it.
+fn damaged(valid: &[u8], class: u8, at: usize, extra: u64) -> Vec<u8> {
+    let mut bytes = valid.to_vec();
+    match class % 3 {
+        0 => bytes[at % valid.len()] ^= 1 << (extra % 8),
+        1 => bytes.truncate(at % valid.len()),
+        _ => {
+            let frames = frames_of(valid);
+            let (offset, payload) = &frames[at % frames.len()];
+            let width = encode_value(&(payload.len() as u64)).len();
+            let claim = (valid.len() - offset) as u64 + 1 + (extra >> 1);
+            bytes.truncate(offset - width);
+            bytes.extend_from_slice(&encode_value(&claim));
+            bytes.extend_from_slice(&valid[*offset..]);
+        }
+    }
+    bytes
+}
+
+/// A framed file of a few payloads of assorted sizes.
+fn valid_framed_file() -> &'static [u8] {
+    use std::sync::OnceLock;
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let path = scratch("valid.framed");
+        let kind = FileKind {
+            magic: *b"LTPPROP\0",
+            version: 1,
+        };
+        let mut w = FramedWriter::create(&path, kind).expect("create");
+        for n in [0usize, 5, 300, 2_000] {
+            w.append_value(&vec![n as u64; n]).expect("append");
+        }
+        drop(w);
+        let bytes = std::fs::read(&path).expect("read back");
+        let _ = std::fs::remove_file(&path);
+        bytes
+    })
+}
+
+fn journal_spec() -> SampleSpec {
+    SampleSpec {
+        total_insts: 60_000,
+        intervals: 6,
+        detail_warm: 500,
+        detail_measure: 1_000,
+        seed: 7,
+        warm_insts: 2_000,
+    }
+}
+
+fn journal_header() -> JournalHeader {
+    JournalHeader::for_run(
+        &journal_spec(),
+        "indirect_stream",
+        "IQ:32",
+        &PipelineConfig::ltp_proposed(),
+    )
+}
+
+fn journal_record(index: u64) -> JournalRecord {
+    JournalRecord {
+        index,
+        start: index * 10_000,
+        weight: 3 + index,
+        instructions: 1_000,
+        cycles: 2_500 + index,
+        snapshot: vec![0xA5 ^ index as u8; 1_500],
+    }
+}
+
+/// A journal of a header and four records.
+fn valid_journal() -> &'static [u8] {
+    use std::sync::OnceLock;
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let path = scratch("valid.journal");
+        let mut w = JournalWriter::create(&path, &journal_header()).expect("create");
+        for i in [2, 0, 3, 1] {
+            w.append(&journal_record(i)).expect("append");
+        }
+        drop(w);
+        let bytes = std::fs::read(&path).expect("read back");
+        let _ = std::fs::remove_file(&path);
+        bytes
+    })
+}
+
+/// Loads `bytes` as a journal: the records it returns must be a prefix of
+/// the valid journal's, and no allocation may outgrow the input.
+fn check_journal_load(bytes: &[u8], name: &str) {
+    let path = scratch(name);
+    std::fs::write(&path, bytes).expect("write journal");
+    let (loaded, peak) = peak_alloc::peak_during(|| load_journal(&path));
+    let _ = std::fs::remove_file(&path);
+    assert_alloc_bounded(peak, bytes.len(), "load_journal");
+    if let Ok(loaded) = loaded {
+        assert_eq!(loaded.header, journal_header(), "a header was misread");
+        let valid: Vec<JournalRecord> = [2, 0, 3, 1].map(journal_record).into();
+        assert_eq!(
+            loaded.records[..],
+            valid[..loaded.records.len()],
+            "a record was misread"
+        );
+    }
+}
+
+/// A cache directory holding one warmed-memory entry, its key and its
+/// path.
+fn cache_with_entry(tag: &str) -> (CheckpointCache, u64, std::path::PathBuf) {
+    let dir = scratch(&format!("cache-{tag}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = CheckpointCache::open(&dir).expect("open cache");
+    let warm = PipelineConfig::micro2015_baseline().warmup_config();
+    let key = warm_mem_key("indirect_stream", 1, 1_000, &warm);
+    let mut mem = MemoryHierarchy::new(MemoryConfig::micro2015_baseline());
+    for i in 0..64u64 {
+        mem.warm(&MemoryRequest::new(
+            ltp_isa::Pc(0x1000 + i * 4),
+            i * 4_160,
+            AccessKind::Load,
+        ));
+    }
+    cache.store_warm_mem(key, &mem);
+    let path = std::fs::read_dir(&dir)
+        .expect("cache dir")
+        .flatten()
+        .map(|e| e.path())
+        .find(|p| p.extension().is_some_and(|e| e == "ckpt"))
+        .expect("the stored entry");
+    (cache, key, path)
+}
+
+/// The bytes of a valid warmed-memory cache entry.
+fn valid_cache_entry() -> &'static [u8] {
+    use std::sync::OnceLock;
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let (cache, _, path) = cache_with_entry("valid");
+        let bytes = std::fs::read(path).expect("entry");
+        let _ = std::fs::remove_dir_all(cache.dir());
+        bytes
+    })
+}
+
+/// Looks `bytes` up as the cache entry of `key`: every damaged or foreign
+/// entry is a miss, and no allocation may outgrow the input.
+fn check_cache_lookup(bytes: &[u8], tag: &str) {
+    let (cache, key, path) = cache_with_entry(tag);
+    std::fs::write(&path, bytes).expect("write entry");
+    let (hit, peak) = peak_alloc::peak_during(|| cache.load_warm_mem(key).is_some());
+    let _ = std::fs::remove_dir_all(cache.dir());
+    assert!(!hit, "a damaged entry was returned");
+    assert_alloc_bounded(peak, bytes.len(), "cache lookup");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The framed reader yields a prefix of the valid frames and stops, on
+    /// any damage, without allocating.
+    #[test]
+    fn damaged_framed_files_yield_a_prefix_of_their_frames(
+        class in 0u8..3,
+        at in 0usize..1 << 30,
+        extra in any::<u64>(),
+    ) {
+        let valid = valid_framed_file();
+        let bytes = damaged(valid, class, at, extra);
+        let (read, peak) = peak_alloc::peak_during(|| {
+            read_framed(&bytes, own_header(valid)).map(|frames| {
+                frames
+                    .map_while(Result::ok)
+                    .map(|f| (f.offset, f.payload.to_vec()))
+                    .collect::<Vec<_>>()
+            })
+        });
+        assert_alloc_bounded(peak, bytes.len(), "framed reader");
+        if let Ok(read) = read {
+            let frames = frames_of(valid);
+            prop_assert!(read.len() <= frames.len());
+            prop_assert_eq!(&read[..], &frames[..read.len()]);
+        }
+    }
+
+    /// Arbitrary bytes, bare or behind a valid header, never panic a
+    /// decoder, never read as data and never allocate beyond the input.
+    #[test]
+    fn arbitrary_bytes_are_rejected_by_every_decoder(
+        body in proptest::collection::vec(any::<u8>(), 0..512),
+        behind_header in any::<bool>(),
+    ) {
+        let with_header = |valid: &[u8]| -> Vec<u8> {
+            let mut bytes = if behind_header { valid[..9].to_vec() } else { Vec::new() };
+            bytes.extend_from_slice(&body);
+            bytes
+        };
+        let framed = with_header(valid_framed_file());
+        let (count, peak) = peak_alloc::peak_during(|| {
+            read_framed(&framed, own_header(valid_framed_file()))
+                .map_or(0, |frames| frames.filter(Result::is_ok).count())
+        });
+        assert_alloc_bounded(peak, framed.len(), "framed reader");
+        // A random frame passes its 64-bit checksum with negligible odds.
+        prop_assert_eq!(count, 0);
+        check_journal_load(&with_header(valid_journal()), "arbitrary.journal");
+        check_cache_lookup(&with_header(valid_cache_entry()), "arbitrary");
+    }
+
+    /// Flipped, truncated and length-lying journals load a prefix of their
+    /// records (or fail the header check) within the allocation bound.
+    #[test]
+    fn damaged_journals_load_a_prefix_of_their_records(
+        class in 0u8..3,
+        at in 0usize..1 << 30,
+        extra in any::<u64>(),
+    ) {
+        check_journal_load(&damaged(valid_journal(), class, at, extra), "damaged.journal");
+    }
+
+    /// Flipped, truncated and length-lying cache entries are misses within
+    /// the allocation bound.
+    #[test]
+    fn damaged_cache_entries_are_misses(
+        class in 0u8..3,
+        at in 0usize..1 << 30,
+        extra in any::<u64>(),
+    ) {
+        check_cache_lookup(&damaged(valid_cache_entry(), class, at, extra), "damaged");
     }
 }
