@@ -18,14 +18,12 @@
 //!    park-everything upper bound. Separates "parking the right
 //!    instructions" from "parking at all".
 
-use crate::parallel::par_map;
 use crate::report::Report;
-use crate::runner::run_point_cached;
+use crate::runner::{sweep, MlpGrouping};
 use crate::ExperimentCtx;
 use ltp_core::{ClassifierKind, LtpConfig};
 use ltp_pipeline::PipelineConfig;
 use ltp_workloads::WorkloadKind;
-use std::collections::HashMap;
 
 /// Runs all four ablations. The context's checkpoint cache (when set) is
 /// shared with the other sweeps: ablations 2-4 vary only detail-half
@@ -42,9 +40,7 @@ pub fn run(ctx: &ExperimentCtx<'_>) -> Report {
     reserve_ablation(ctx, &mut report);
     report.push_text("\n");
     classifier_ablation(ctx, &mut report);
-    if let Some(cache) = ctx.cache {
-        report.push_text(format!("\n{}\n", cache.stats().summary_line()));
-    }
+    ctx.push_cache_summary(&mut report);
     report
 }
 
@@ -58,38 +54,28 @@ pub fn classifier_dimension() -> Vec<ClassifierKind> {
 }
 
 fn classifier_ablation(ctx: &ExperimentCtx<'_>, report: &mut Report) {
-    let (opts, cache) = (ctx.opts, ctx.cache);
-    let kinds = [
-        WorkloadKind::IndirectStream,
-        WorkloadKind::GatherFp,
-        WorkloadKind::ComputeBound,
-    ];
     let classifiers = classifier_dimension();
-    let jobs: Vec<(ClassifierKind, WorkloadKind)> = classifiers
-        .iter()
-        .flat_map(|&c| kinds.iter().map(move |&k| (c, k)))
-        .collect();
-    let results = par_map(jobs.clone(), |&(classifier, kind)| {
-        run_point_cached(
-            kind,
-            PipelineConfig::ltp_proposed().with_classifier(classifier),
-            opts,
-            cache,
-        )
-    });
-    let by_job: HashMap<(ClassifierKind, WorkloadKind), ltp_pipeline::RunResult> =
-        jobs.into_iter().zip(results).collect();
+    let runs = sweep(
+        ctx,
+        &classifiers,
+        &[
+            WorkloadKind::IndirectStream,
+            WorkloadKind::GatherFp,
+            WorkloadKind::ComputeBound,
+        ],
+        |classifier| PipelineConfig::ltp_proposed().with_classifier(classifier),
+    );
 
     let mut rows = Vec::new();
     for classifier in classifiers {
-        let i = &by_job[&(classifier, WorkloadKind::IndirectStream)];
+        let i = &runs[(classifier, WorkloadKind::IndirectStream)];
         rows.push(vec![
             classifier.label().to_string(),
             format!("{:.3}", i.cpi()),
-            format!("{:.3}", by_job[&(classifier, WorkloadKind::GatherFp)].cpi()),
+            format!("{:.3}", runs[(classifier, WorkloadKind::GatherFp)].cpi()),
             format!(
                 "{:.3}",
-                by_job[&(classifier, WorkloadKind::ComputeBound)].cpi()
+                runs[(classifier, WorkloadKind::ComputeBound)].cpi()
             ),
             format!("{:.0}", i.ltp.park_fraction() * 100.0),
             i.ltp.force_released.to_string(),
@@ -97,16 +83,14 @@ fn classifier_ablation(ctx: &ExperimentCtx<'_>, report: &mut Report) {
     }
     report.push_text("Ablation 4: criticality classifier (proposed design, classifier swept)\n");
     report.push_table(
-        [
+        &[
             "classifier",
             "indirect CPI",
             "gather CPI",
             "compute CPI",
             "indirect parked %",
             "indirect forced rel",
-        ]
-        .map(String::from)
-        .to_vec(),
+        ],
         rows,
     );
     report.push_text(
@@ -118,66 +102,45 @@ fn classifier_ablation(ctx: &ExperimentCtx<'_>, report: &mut Report) {
 }
 
 fn prefetcher_ablation(ctx: &ExperimentCtx<'_>, report: &mut Report) {
-    let (opts, cache) = (ctx.opts, ctx.cache);
-    let l2_latency = PipelineConfig::micro2015_baseline().mem.l2.latency;
-    let mut configs = Vec::new();
-    for with_pf in [true, false] {
-        for iq in [32usize, 256] {
-            let mut cfg = PipelineConfig::limit_study_unlimited().with_iq(iq);
-            if !with_pf {
-                cfg = cfg.with_mem(cfg.mem.without_prefetcher());
-            }
-            configs.push((with_pf, iq, cfg));
+    // Keyed by (prefetcher on, IQ entries).
+    let configs = [(true, 32), (true, 256), (false, 32), (false, 256)];
+    let runs = sweep(ctx, &configs, &WorkloadKind::ALL, |(with_pf, iq)| {
+        let cfg = PipelineConfig::limit_study_unlimited().with_iq(iq);
+        if with_pf {
+            cfg
+        } else {
+            cfg.with_mem(cfg.mem.without_prefetcher())
         }
-    }
-
-    let jobs: Vec<(bool, usize, PipelineConfig, WorkloadKind)> = configs
-        .iter()
-        .flat_map(|&(pf, iq, cfg)| WorkloadKind::ALL.iter().map(move |&k| (pf, iq, cfg, k)))
-        .collect();
-    let results = par_map(jobs.clone(), |&(_, _, cfg, kind)| {
-        run_point_cached(kind, cfg, opts, cache)
     });
-    let by_job: HashMap<(bool, usize, WorkloadKind), ltp_pipeline::RunResult> = jobs
-        .into_iter()
-        .map(|(pf, iq, _, k)| (pf, iq, k))
-        .zip(results)
-        .collect();
+    let with_pf = MlpGrouping::from_runs(&runs, (true, 32), (true, 256));
+    let without_pf = MlpGrouping::from_runs(&runs, (false, 32), (false, 256));
 
     let mut rows = Vec::new();
     for kind in WorkloadKind::ALL {
-        let sens = |pf: bool| {
-            let small = &by_job[&(pf, 32, kind)];
-            let large = &by_job[&(pf, 256, kind)];
-            large.is_mlp_sensitive_vs(small, l2_latency)
+        let sensitive = |grouping: &MlpGrouping| {
+            if grouping.sensitive.contains(&kind) {
+                "yes".to_string()
+            } else {
+                "no".to_string()
+            }
         };
         rows.push(vec![
             kind.name().to_string(),
-            format!("{:.3}", by_job[&(true, 32, kind)].cpi()),
-            format!("{:.3}", by_job[&(false, 32, kind)].cpi()),
-            if sens(true) {
-                "yes".into()
-            } else {
-                "no".into()
-            },
-            if sens(false) {
-                "yes".into()
-            } else {
-                "no".into()
-            },
+            format!("{:.3}", runs[((true, 32), kind)].cpi()),
+            format!("{:.3}", runs[((false, 32), kind)].cpi()),
+            sensitive(&with_pf),
+            sensitive(&without_pf),
         ]);
     }
     report.push_text("Ablation 1: L2 stride prefetcher on/off (limit-study machine)\n");
     report.push_table(
-        [
+        &[
             "workload",
             "CPI pf-on IQ32",
             "CPI pf-off IQ32",
             "MLP-sensitive (pf on)",
             "MLP-sensitive (pf off)",
-        ]
-        .map(String::from)
-        .to_vec(),
+        ],
         rows,
     );
     report.push_text(
@@ -188,36 +151,24 @@ fn prefetcher_ablation(ctx: &ExperimentCtx<'_>, report: &mut Report) {
 }
 
 fn monitor_ablation(ctx: &ExperimentCtx<'_>, report: &mut Report) {
-    let (opts, cache) = (ctx.opts, ctx.cache);
-    let with_monitor = PipelineConfig::ltp_proposed();
-    let without_monitor =
-        PipelineConfig::ltp_proposed().with_ltp(LtpConfig::nu_only_128x4().with_monitor(false));
-
     let kinds = [
         WorkloadKind::ComputeBound,
         WorkloadKind::StencilStream,
         WorkloadKind::IndirectStream,
         WorkloadKind::MixedPhases,
     ];
-    let jobs: Vec<(bool, WorkloadKind)> = [true, false]
-        .iter()
-        .flat_map(|&m| kinds.iter().map(move |&k| (m, k)))
-        .collect();
-    let results = par_map(jobs.clone(), |&(monitored, kind)| {
-        let cfg = if monitored {
-            with_monitor
+    let runs = sweep(ctx, &[true, false], &kinds, |monitored| {
+        if monitored {
+            PipelineConfig::ltp_proposed()
         } else {
-            without_monitor
-        };
-        run_point_cached(kind, cfg, opts, cache)
+            PipelineConfig::ltp_proposed().with_ltp(LtpConfig::nu_only_128x4().with_monitor(false))
+        }
     });
-    let by_job: HashMap<(bool, WorkloadKind), ltp_pipeline::RunResult> =
-        jobs.into_iter().zip(results).collect();
 
     let mut rows = Vec::new();
     for kind in kinds {
-        let m = &by_job[&(true, kind)];
-        let a = &by_job[&(false, kind)];
+        let m = &runs[(true, kind)];
+        let a = &runs[(false, kind)];
         rows.push(vec![
             kind.name().to_string(),
             format!("{:.3}", m.cpi()),
@@ -229,16 +180,14 @@ fn monitor_ablation(ctx: &ExperimentCtx<'_>, report: &mut Report) {
     }
     report.push_text("Ablation 2: DRAM-timer monitor (§5.2) vs. always-on LTP (proposed design)\n");
     report.push_table(
-        [
+        &[
             "workload",
             "CPI monitor",
             "CPI always-on",
             "parked % monitor",
             "parked % always-on",
             "enabled % monitor",
-        ]
-        .map(String::from)
-        .to_vec(),
+        ],
         rows,
     );
     report.push_text(
@@ -249,38 +198,30 @@ fn monitor_ablation(ctx: &ExperimentCtx<'_>, report: &mut Report) {
 }
 
 fn reserve_ablation(ctx: &ExperimentCtx<'_>, report: &mut Report) {
-    let (opts, cache) = (ctx.opts, ctx.cache);
     let reserves = [2usize, 8, 16, 32];
-    let jobs: Vec<(usize, WorkloadKind)> = reserves
+    let runs = sweep(
+        ctx,
+        &reserves,
+        &[WorkloadKind::IndirectStream, WorkloadKind::GatherFp],
+        |reserve| {
+            let mut cfg = PipelineConfig::ltp_proposed();
+            cfg.ltp_reserve = reserve;
+            cfg
+        },
+    );
+
+    let rows = reserves
         .iter()
-        .flat_map(|&r| {
-            [WorkloadKind::IndirectStream, WorkloadKind::GatherFp]
-                .into_iter()
-                .map(move |k| (r, k))
+        .map(|&r| {
+            vec![
+                r.to_string(),
+                format!("{:.3}", runs[(r, WorkloadKind::IndirectStream)].cpi()),
+                format!("{:.3}", runs[(r, WorkloadKind::GatherFp)].cpi()),
+            ]
         })
         .collect();
-    let results = par_map(jobs.clone(), |&(reserve, kind)| {
-        let mut cfg = PipelineConfig::ltp_proposed();
-        cfg.ltp_reserve = reserve;
-        run_point_cached(kind, cfg, opts, cache).cpi()
-    });
-    let by_job: HashMap<(usize, WorkloadKind), f64> = jobs.into_iter().zip(results).collect();
-
-    let mut rows = Vec::new();
-    for r in reserves {
-        rows.push(vec![
-            r.to_string(),
-            format!("{:.3}", by_job[&(r, WorkloadKind::IndirectStream)]),
-            format!("{:.3}", by_job[&(r, WorkloadKind::GatherFp)]),
-        ]);
-    }
     report.push_text("Ablation 3: size of the §5.4 release reserve (proposed design)\n");
-    report.push_table(
-        ["reserve", "indirect_stream CPI", "gather_fp CPI"]
-            .map(String::from)
-            .to_vec(),
-        rows,
-    );
+    report.push_table(&["reserve", "indirect_stream CPI", "gather_fp CPI"], rows);
     report.push_text(
         "Expectation: a small reserve is enough; very large reserves start to steal dispatch\n\
          capacity from the front end.\n",

@@ -12,14 +12,13 @@
 //!   instructions: this module reports the measured mean residency of parked
 //!   instructions and the IQ occupancy reduction.
 
-use crate::runner::{run_point, RunOptions};
-use ltp_core::{InstClass, LtpMode, OracleAnalysis};
+use crate::report::Report;
+use crate::runner::{limit_study_config, sweep};
+use crate::ExperimentCtx;
+use ltp_core::{LtpMode, OracleAnalysis};
 use ltp_mem::MemoryConfig;
 use ltp_pipeline::PipelineConfig;
-use ltp_stats::TextTable;
 use ltp_workloads::{trace, WorkloadKind};
-
-use crate::runner::limit_study_config;
 
 /// The paper's labels for the 11 instructions of the Figure 2 loop.
 const FIG2_LABELS: [&str; 11] = ["A", "B", "C", "D", "E", "F", "G", "H", "I", "J", "K"];
@@ -28,102 +27,111 @@ const FIG2_EXPECTED: [&str; 11] = [
     "U+R", "U+R", "U+R", "U+R", "U+R", "NU+NR", "NU+R", "NU+NR", "NU+R", "NU+R", "NU+R",
 ];
 
-/// Runs the classification experiments and renders the report.
+/// Runs the classification experiments and returns the report.
 #[must_use]
-pub fn run(opts: &RunOptions) -> String {
-    let mut out = String::new();
+pub fn run(ctx: &ExperimentCtx<'_>) -> Report {
+    let seed = ctx.opts.seed;
+    let mut report = Report::new("fig2");
 
     // --- Figure 2: oracle classification of the loop ------------------------
-    let t = trace(WorkloadKind::IndirectStream, opts.seed, 11 * 60);
+    let t = trace(WorkloadKind::IndirectStream, seed, 11 * 60);
     let oracle = OracleAnalysis::default().analyze(&t, &MemoryConfig::limit_study());
     let steady_iteration = 40; // deep enough for backward propagation
     let base = steady_iteration * 11;
 
-    let mut table =
-        TextTable::with_columns(&["inst", "operation", "paper class", "oracle class", "match"]);
+    let mut rows = Vec::new();
     let mut matches = 0;
     for (offset, (label, expected)) in FIG2_LABELS.iter().zip(FIG2_EXPECTED).enumerate() {
         let inst = &t[base + offset];
-        let class = oracle.classify(inst.seq());
-        let got = class.class().notation();
+        let got = oracle.classify(inst.seq()).class().notation();
         if got == expected {
             matches += 1;
         }
-        table.add_row(vec![
+        rows.push(vec![
             (*label).to_string(),
             inst.static_inst().to_string(),
             expected.to_string(),
             got.to_string(),
-            if got == expected {
-                "yes".into()
-            } else {
-                "NO".into()
-            },
+            if got == expected { "yes" } else { "NO" }.to_string(),
         ]);
     }
-    out.push_str("Figure 2: classification of the example loop (steady-state iteration)\n");
-    out.push_str(&table.render());
-    out.push_str(&format!("matching classes: {matches}/11\n\n"));
+    report.push_text("Figure 2: classification of the example loop (steady-state iteration)\n");
+    report.push_table(
+        &["inst", "operation", "paper class", "oracle class", "match"],
+        rows,
+    );
+    report.push_text(format!(
+        "matching classes: {matches}/11\n\n\
+         Class mix per workload (oracle classification):\n"
+    ));
 
     // Class mix per workload (oracle classification of a steady-state trace).
-    let mut mix = TextTable::with_columns(&["workload", "U+R %", "U+NR %", "NU+R %", "NU+NR %"]);
-    for kind in WorkloadKind::ALL {
-        let wl_trace = trace(kind, opts.seed, 8_000);
-        let wl_oracle = OracleAnalysis::default().analyze(&wl_trace, &MemoryConfig::limit_study());
-        let hist = wl_oracle.class_histogram();
-        let total: u64 = hist.iter().sum::<u64>().max(1);
-        let mut row = vec![kind.name().to_string()];
-        for (class, count) in InstClass::ALL.iter().zip(hist) {
-            let _ = class;
-            row.push(format!("{:.1}", count as f64 / total as f64 * 100.0));
-        }
-        mix.add_row(row);
-    }
-    out.push_str("Class mix per workload (oracle classification):\n");
-    out.push_str(&mix.render());
-    out.push('\n');
+    let rows = WorkloadKind::ALL
+        .iter()
+        .map(|&kind| {
+            let wl_trace = trace(kind, seed, 8_000);
+            let hist = OracleAnalysis::default()
+                .analyze(&wl_trace, &MemoryConfig::limit_study())
+                .class_histogram();
+            let total: u64 = hist.iter().sum::<u64>().max(1);
+            let mut row = vec![kind.name().to_string()];
+            row.extend(
+                hist.iter()
+                    .map(|&count| format!("{:.1}", count as f64 / total as f64 * 100.0)),
+            );
+            row
+        })
+        .collect();
+    report.push_table(&["workload", "U+R %", "U+NR %", "NU+R %", "NU+NR %"], rows);
 
     // --- Figure 3 / 5: IQ occupancy and parked residency ---------------------
-    let small_iq = PipelineConfig::limit_study_unlimited().with_iq(32);
-    let with_ltp = limit_study_config(LtpMode::Both).with_iq(32);
-    let base_run = run_point(WorkloadKind::IndirectStream, small_iq, opts);
-    let ltp_run = run_point(WorkloadKind::IndirectStream, with_ltp, opts);
+    // Keyed by whether the IQ:32 machine has an ideal LTP.
+    let runs = sweep(
+        ctx,
+        &[false, true],
+        &[WorkloadKind::IndirectStream],
+        |ltp| {
+            if ltp {
+                limit_study_config(LtpMode::Both).with_iq(32)
+            } else {
+                PipelineConfig::limit_study_unlimited().with_iq(32)
+            }
+        },
+    );
+    let base_run = &runs[(false, WorkloadKind::IndirectStream)];
+    let ltp_run = &runs[(true, WorkloadKind::IndirectStream)];
 
-    let mut occ =
-        TextTable::with_columns(&["design", "avg IQ occupancy", "avg LTP occupancy", "CPI"]);
-    occ.add_row(vec![
-        "traditional IQ:32".into(),
-        format!("{:.1}", base_run.occupancy.iq.mean()),
-        "0.0".into(),
-        format!("{:.3}", base_run.cpi()),
-    ]);
-    occ.add_row(vec![
-        "IQ:32 + LTP".into(),
-        format!("{:.1}", ltp_run.occupancy.iq.mean()),
-        format!("{:.1}", ltp_run.occupancy.ltp.mean()),
-        format!("{:.3}", ltp_run.cpi()),
-    ]);
-    out.push_str("Figure 3: IQ usage with and without LTP on the indirect-access loop\n");
-    out.push_str(&occ.render());
-    out.push('\n');
-
-    out.push_str("Figure 5: residency statistics with LTP\n");
-    out.push_str(&format!(
-        "  mean cycles an instruction stays parked in LTP: {:.1}\n",
-        ltp_run.ltp.mean_residency()
-    ));
-    out.push_str(&format!(
-        "  instructions parked: {} of {} classified ({:.0}%)\n",
+    report.push_text("\nFigure 3: IQ usage with and without LTP on the indirect-access loop\n");
+    report.push_table(
+        &["design", "avg IQ occupancy", "avg LTP occupancy", "CPI"],
+        vec![
+            vec![
+                "traditional IQ:32".into(),
+                format!("{:.1}", base_run.occupancy.iq.mean()),
+                "0.0".into(),
+                format!("{:.3}", base_run.cpi()),
+            ],
+            vec![
+                "IQ:32 + LTP".into(),
+                format!("{:.1}", ltp_run.occupancy.iq.mean()),
+                format!("{:.1}", ltp_run.occupancy.ltp.mean()),
+                format!("{:.3}", ltp_run.cpi()),
+            ],
+        ],
+    );
+    report.push_text(format!(
+        "\nFigure 5: residency statistics with LTP\n\
+         \x20 mean cycles an instruction stays parked in LTP: {:.1}\n\
+         \x20 instructions parked: {} of {} classified ({:.0}%)\n\
+         \x20 IQ occupancy drops from {:.1} to {:.1} entries; MLP rises from {:.2} to {:.2} outstanding requests\n",
+        ltp_run.ltp.mean_residency(),
         ltp_run.ltp.total_parked(),
         ltp_run.ltp.total_classified(),
-        ltp_run.ltp.park_fraction() * 100.0
-    ));
-    out.push_str(&format!(
-        "  IQ occupancy drops from {:.1} to {:.1} entries; MLP rises from {:.2} to {:.2} outstanding requests\n",
+        ltp_run.ltp.park_fraction() * 100.0,
         base_run.occupancy.iq.mean(),
         ltp_run.occupancy.iq.mean(),
         base_run.avg_outstanding_misses(),
         ltp_run.avg_outstanding_misses(),
     ));
-    out
+    report
 }

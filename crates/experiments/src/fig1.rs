@@ -11,14 +11,12 @@
 //! * (c) the average resources in use per cycle for the IQ:256 configuration
 //!   (RF, IQ, LQ, SQ).
 
-use crate::parallel::par_map;
 use crate::report::Report;
-use crate::runner::{group_mean, limit_study_config, run_point_cached};
+use crate::runner::{limit_study_config, names, sweep, MlpGrouping};
 use crate::ExperimentCtx;
 use ltp_core::LtpMode;
 use ltp_pipeline::{PipelineConfig, RunResult};
 use ltp_workloads::WorkloadKind;
-use std::collections::HashMap;
 
 /// The three configurations of Figure 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -54,156 +52,76 @@ impl Fig1Config {
 /// instead of once per point.
 #[must_use]
 pub fn run(ctx: &ExperimentCtx<'_>) -> Report {
-    let (opts, cache) = (ctx.opts, ctx.cache);
-    // All (workload, config) points are independent: run them in parallel.
-    let points: Vec<(WorkloadKind, Fig1Config)> = WorkloadKind::ALL
-        .iter()
-        .flat_map(|&k| Fig1Config::ALL.iter().map(move |&c| (k, c)))
-        .collect();
-    let results = par_map(points.clone(), |&(kind, cfg)| {
-        run_point_cached(kind, cfg.pipeline(), opts, cache)
-    });
-    let by_point: HashMap<(WorkloadKind, Fig1Config), RunResult> =
-        points.into_iter().zip(results).collect();
-
-    // Derive the MLP grouping from the IQ:32 vs IQ:256 runs (the paper's
-    // criterion, §4.1), reusing the runs already made.
-    let l2_latency = PipelineConfig::micro2015_baseline().mem.l2.latency;
-    let mut sensitive = Vec::new();
-    let mut insensitive = Vec::new();
-    for kind in WorkloadKind::ALL {
-        let small = &by_point[&(kind, Fig1Config::Iq32)];
-        let large = &by_point[&(kind, Fig1Config::Iq256)];
-        if large.is_mlp_sensitive_vs(small, l2_latency) {
-            sensitive.push(kind);
-        } else {
-            insensitive.push(kind);
-        }
-    }
+    let runs = sweep(
+        ctx,
+        &Fig1Config::ALL,
+        &WorkloadKind::ALL,
+        Fig1Config::pipeline,
+    );
+    // The MLP grouping (the paper's criterion, §4.1) reuses the IQ:32 and
+    // IQ:256 runs already made.
+    let grouping = MlpGrouping::from_runs(&runs, Fig1Config::Iq32, Fig1Config::Iq256);
 
     let mut report = Report::new("fig1");
-    let mut out = String::new();
-    out.push_str("Figure 1: impact of IQ size on MLP-sensitive and MLP-insensitive execution\n");
-    out.push_str(&format!(
-        "MLP-sensitive workloads:   {}\n",
-        sensitive
-            .iter()
-            .map(|k| k.name())
-            .collect::<Vec<_>>()
-            .join(", ")
+    report.push_text(format!(
+        "Figure 1: impact of IQ size on MLP-sensitive and MLP-insensitive execution\n\
+         MLP-sensitive workloads:   {}\n\
+         MLP-insensitive workloads: {}\n\n\
+         (a) CPI and (b) average outstanding memory requests\n",
+        names(&grouping.sensitive),
+        names(&grouping.insensitive)
     ));
-    out.push_str(&format!(
-        "MLP-insensitive workloads: {}\n\n",
-        insensitive
-            .iter()
-            .map(|k| k.name())
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    out.push_str("(a) CPI and (b) average outstanding memory requests\n");
-    report.push_text(out);
 
     // (a) CPI and (b) outstanding requests per group and configuration.
     let mut rows = Vec::new();
-    for (group_name, group) in [
-        ("mlp_sensitive", &sensitive),
-        ("mlp_insensitive", &insensitive),
-    ] {
+    for (group_name, group) in grouping.groups() {
         for cfg in Fig1Config::ALL {
-            // An empty group (possible under quick options) has no mean.
-            let Some(cpi) = group_mean(group, |k| by_point[&(k, cfg)].cpi()) else {
-                continue;
-            };
-            let mlp = group_mean(group, |k| by_point[&(k, cfg)].avg_outstanding_misses())
-                .expect("group is non-empty");
             rows.push(vec![
                 group_name.to_string(),
                 cfg.label().to_string(),
-                format!("{cpi:.3}"),
-                format!("{mlp:.2}"),
+                format!("{:.3}", runs.mean(cfg, group, RunResult::cpi)),
+                format!(
+                    "{:.2}",
+                    runs.mean(cfg, group, RunResult::avg_outstanding_misses)
+                ),
             ]);
         }
     }
-    report.push_table(
-        ["group", "config", "CPI", "avg outstanding reqs"]
-            .map(String::from)
-            .to_vec(),
-        rows,
-    );
+    report.push_table(&["group", "config", "CPI", "avg outstanding reqs"], rows);
     report.push_text("\n(c) average resources in use per cycle (IQ:256 configuration)\n");
 
     // (c) average resources in use per cycle at IQ:256.
     let mut res_rows = Vec::new();
-    for (group_name, group) in [
-        ("mlp_sensitive", &sensitive),
-        ("mlp_insensitive", &insensitive),
-    ] {
-        let Some(rf) = group_mean(group, |k| {
-            by_point[&(k, Fig1Config::Iq256)].occupancy.regs.mean()
-        }) else {
-            continue;
-        };
-        let iq = group_mean(group, |k| {
-            by_point[&(k, Fig1Config::Iq256)].occupancy.iq.mean()
-        })
-        .expect("group is non-empty");
-        let lq = group_mean(group, |k| {
-            by_point[&(k, Fig1Config::Iq256)].occupancy.lq.mean()
-        })
-        .expect("group is non-empty");
-        let sq = group_mean(group, |k| {
-            by_point[&(k, Fig1Config::Iq256)].occupancy.sq.mean()
-        })
-        .expect("group is non-empty");
+    for (group_name, group) in grouping.groups() {
+        let mean =
+            |f: fn(&RunResult) -> f64| format!("{:.1}", runs.mean(Fig1Config::Iq256, group, f));
         res_rows.push(vec![
             group_name.to_string(),
-            format!("{rf:.1}"),
-            format!("{iq:.1}"),
-            format!("{lq:.1}"),
-            format!("{sq:.1}"),
+            mean(|r| r.occupancy.regs.mean()),
+            mean(|r| r.occupancy.iq.mean()),
+            mean(|r| r.occupancy.lq.mean()),
+            mean(|r| r.occupancy.sq.mean()),
         ]);
     }
-    report.push_table(
-        ["group", "RF", "IQ", "LQ", "SQ"].map(String::from).to_vec(),
-        res_rows,
-    );
+    report.push_table(&["group", "RF", "IQ", "LQ", "SQ"], res_rows);
 
     // Headline deltas corresponding to the paper's prose ("the MLP-sensitive
     // applications speed up by 18%", "Adding LTP to a 32-entry IQ increases
     // MLP by 19%").
-    let mut out = String::new();
+    let sensitive = &grouping.sensitive;
     if !sensitive.is_empty() {
-        let cpi32 =
-            group_mean(&sensitive, |k| by_point[&(k, Fig1Config::Iq32)].cpi()).expect("non-empty");
-        let cpi256 =
-            group_mean(&sensitive, |k| by_point[&(k, Fig1Config::Iq256)].cpi()).expect("non-empty");
-        let mlp32 = group_mean(&sensitive, |k| {
-            by_point[&(k, Fig1Config::Iq32)].avg_outstanding_misses()
-        })
-        .expect("non-empty");
-        let mlp_ltp = group_mean(&sensitive, |k| {
-            by_point[&(k, Fig1Config::Iq32Ltp)].avg_outstanding_misses()
-        })
-        .expect("non-empty");
-        let mlp256 = group_mean(&sensitive, |k| {
-            by_point[&(k, Fig1Config::Iq256)].avg_outstanding_misses()
-        })
-        .expect("non-empty");
-        out.push_str(&format!(
-            "\nMLP-sensitive: IQ 32 -> 256 speedup: {:+.1}%  (paper: ~+18%)\n",
-            (cpi32 / cpi256 - 1.0) * 100.0
-        ));
-        out.push_str(&format!(
-            "MLP-sensitive: outstanding requests IQ32 {:.2} -> IQ32+LTP {:.2} -> IQ256 {:.2} \
+        let cpi = |cfg| runs.mean(cfg, sensitive, RunResult::cpi);
+        let mlp = |cfg| runs.mean(cfg, sensitive, RunResult::avg_outstanding_misses);
+        report.push_text(format!(
+            "\nMLP-sensitive: IQ 32 -> 256 speedup: {:+.1}%  (paper: ~+18%)\n\
+             MLP-sensitive: outstanding requests IQ32 {:.2} -> IQ32+LTP {:.2} -> IQ256 {:.2} \
              (paper: LTP recovers about half of the IQ256 gain)\n",
-            mlp32, mlp_ltp, mlp256
+            (cpi(Fig1Config::Iq32) / cpi(Fig1Config::Iq256) - 1.0) * 100.0,
+            mlp(Fig1Config::Iq32),
+            mlp(Fig1Config::Iq32Ltp),
+            mlp(Fig1Config::Iq256)
         ));
     }
-    if let Some(cache) = cache {
-        out.push('\n');
-        out.push_str(&cache.stats().summary_line());
-        out.push('\n');
-    }
-    report.push_text(out);
+    ctx.push_cache_summary(&mut report);
     report
 }

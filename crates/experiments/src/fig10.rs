@@ -7,14 +7,13 @@
 //! {∞, 128, 64, 32, 16} and the port count sweeps {1, 2, 4, 8}. The red line
 //! of the paper (IQ 32 / RF 96 without LTP) is included as well.
 
-use crate::parallel::par_map;
-use crate::runner::{group_mean, run_point, MlpGrouping, RunOptions};
+use crate::report::Report;
+use crate::runner::{sweep, MlpGrouping};
+use crate::ExperimentCtx;
 use ltp_core::LtpConfig;
 use ltp_energy::{EnergyModel, StructureActivity};
 use ltp_pipeline::{PipelineConfig, RunResult};
-use ltp_stats::TextTable;
 use ltp_workloads::WorkloadKind;
-use std::collections::HashMap;
 
 /// LTP entry counts swept on the x-axis (`usize::MAX` is the ∞ point; it is
 /// capped at the ROB size inside the pipeline anyway).
@@ -76,93 +75,67 @@ fn ed2p_of(point: Point, result: &RunResult) -> f64 {
     EnergyModel::ed2p(energy.total(), result.cycles)
 }
 
-/// Runs the Figure 10 experiment and renders the report.
+/// Runs the Figure 10 experiment and returns the report.
 #[must_use]
-pub fn run(opts: &RunOptions) -> String {
-    let grouping = MlpGrouping::derive(opts);
-
-    let mut point_list = vec![Point::Baseline, Point::NoLtpSmall];
+pub fn run(ctx: &ExperimentCtx<'_>) -> Report {
+    let grouping = MlpGrouping::derive(ctx);
+    let mut points = vec![Point::Baseline, Point::NoLtpSmall];
     for entries in ENTRIES {
         for ports in PORTS {
-            point_list.push(Point::Ltp { entries, ports });
+            points.push(Point::Ltp { entries, ports });
         }
     }
+    let runs = sweep(ctx, &points, &WorkloadKind::ALL, pipeline_for);
 
-    let jobs: Vec<(Point, WorkloadKind)> = point_list
-        .iter()
-        .flat_map(|&p| WorkloadKind::ALL.iter().map(move |&k| (p, k)))
-        .collect();
-    let results = par_map(jobs.clone(), |&(point, kind)| {
-        run_point(kind, pipeline_for(point), opts)
-    });
-    let by_job: HashMap<(Point, WorkloadKind), RunResult> = jobs.into_iter().zip(results).collect();
-
-    let mut out = String::new();
-    out.push_str(
+    let mut report = Report::new("fig10");
+    report.push_text(
         "Figure 10: performance and IQ/RF ED2P of the LTP (IQ 32 / RF 96) design vs. the\n\
          IQ 64 / RF 128 baseline, sweeping LTP entries and ports (runtime classifier)\n\n",
     );
-
-    for (group_label, group) in [
-        ("mlp_sensitive", &grouping.sensitive),
-        ("mlp_insensitive", &grouping.insensitive),
-    ] {
-        if group.is_empty() {
-            continue;
-        }
-        let base_cpi =
-            group_mean(group, |k| by_job[&(Point::Baseline, k)].cpi()).expect("group is non-empty");
-        let base_ed2p = group_mean(group, |k| {
-            ed2p_of(Point::Baseline, &by_job[&(Point::Baseline, k)])
-        })
-        .expect("group is non-empty");
-
-        let mut table = TextTable::with_columns(&[
-            "ltp entries",
-            "ports",
-            "perf vs base %",
-            "IQ/RF ED2P vs base %",
-        ]);
+    for (group_label, group) in grouping.groups() {
+        let base_cpi = runs.mean(Point::Baseline, group, RunResult::cpi);
+        let base_ed2p = runs.mean(Point::Baseline, group, |r| ed2p_of(Point::Baseline, r));
+        // A row: its two labels, then perf and ED²P of `p` against the
+        // baseline in percent.
+        let row = |entries: String, ports: String, p: Point| {
+            let cpi = runs.mean(p, group, RunResult::cpi);
+            let ed2p = runs.mean(p, group, |r| ed2p_of(p, r));
+            vec![
+                entries,
+                ports,
+                format!("{:+.1}", (base_cpi / cpi - 1.0) * 100.0),
+                format!("{:+.1}", (ed2p / base_ed2p - 1.0) * 100.0),
+            ]
+        };
         // The red line: IQ 32 / RF 96 without LTP.
-        let no_ltp_cpi = group_mean(group, |k| by_job[&(Point::NoLtpSmall, k)].cpi())
-            .expect("group is non-empty");
-        let no_ltp_ed2p = group_mean(group, |k| {
-            ed2p_of(Point::NoLtpSmall, &by_job[&(Point::NoLtpSmall, k)])
-        })
-        .expect("group is non-empty");
-        table.add_row(vec![
-            "no LTP".to_string(),
-            "-".to_string(),
-            format!("{:+.1}", (base_cpi / no_ltp_cpi - 1.0) * 100.0),
-            format!("{:+.1}", (no_ltp_ed2p / base_ed2p - 1.0) * 100.0),
-        ]);
+        let mut rows = vec![row("no LTP".into(), "-".into(), Point::NoLtpSmall)];
         for entries in ENTRIES {
             for ports in PORTS {
-                let p = Point::Ltp { entries, ports };
-                let cpi = group_mean(group, |k| by_job[&(p, k)].cpi()).expect("group is non-empty");
-                let ed2p = group_mean(group, |k| ed2p_of(p, &by_job[&(p, k)]))
-                    .expect("group is non-empty");
-                table.add_row(vec![
-                    if entries == usize::MAX {
-                        "inf".into()
-                    } else {
-                        entries.to_string()
-                    },
-                    ports.to_string(),
-                    format!("{:+.1}", (base_cpi / cpi - 1.0) * 100.0),
-                    format!("{:+.1}", (ed2p / base_ed2p - 1.0) * 100.0),
-                ]);
+                let label = if entries == usize::MAX {
+                    "inf".into()
+                } else {
+                    entries.to_string()
+                };
+                rows.push(row(label, ports.to_string(), Point::Ltp { entries, ports }));
             }
         }
-        out.push_str(&format!("--- {group_label} ---\n"));
-        out.push_str(&table.render());
-        out.push('\n');
+        report.push_text(format!("--- {group_label} ---\n"));
+        report.push_table(
+            &[
+                "ltp entries",
+                "ports",
+                "perf vs base %",
+                "IQ/RF ED2P vs base %",
+            ],
+            rows,
+        );
+        report.push_text("\n");
     }
-    out.push_str(
+    report.push_text(
         "Paper reference points: a 128-entry 4-port LTP is ~1% slower than the baseline with\n\
          ~40% lower IQ/RF ED2P for MLP-sensitive applications, and ~3% slower with ~38% lower\n\
          ED2P for MLP-insensitive applications; without LTP the small design loses noticeably\n\
          more performance on MLP-sensitive code.\n",
     );
-    out
+    report
 }

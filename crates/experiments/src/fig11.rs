@@ -7,13 +7,12 @@
 //! design without LTP (red line) and the 128-entry 4-port NU-only design
 //! (green line), all relative to the IQ 64 / RF 128 baseline.
 
-use crate::parallel::par_map;
-use crate::runner::{group_mean, run_point, MlpGrouping, RunOptions};
+use crate::report::Report;
+use crate::runner::{sweep, MlpGrouping};
+use crate::ExperimentCtx;
 use ltp_core::{LtpConfig, LtpMode};
 use ltp_pipeline::{PipelineConfig, RunResult};
-use ltp_stats::TextTable;
 use ltp_workloads::WorkloadKind;
-use std::collections::HashMap;
 
 /// Ticket counts swept on the x-axis.
 const TICKETS: [usize; 6] = [128, 64, 32, 16, 8, 4];
@@ -41,65 +40,43 @@ fn pipeline_for(point: Point) -> PipelineConfig {
     }
 }
 
-/// Runs the Figure 11 experiment and renders the report.
+/// Runs the Figure 11 experiment and returns the report.
 #[must_use]
-pub fn run(opts: &RunOptions) -> String {
-    let grouping = MlpGrouping::derive(opts);
+pub fn run(ctx: &ExperimentCtx<'_>) -> Report {
+    let grouping = MlpGrouping::derive(ctx);
+    let mut points = vec![Point::Baseline, Point::NoLtp, Point::NuOnly];
+    points.extend(TICKETS.map(|tickets| Point::NrNu { tickets }));
+    let runs = sweep(ctx, &points, &WorkloadKind::ALL, pipeline_for);
 
-    let mut point_list = vec![Point::Baseline, Point::NoLtp, Point::NuOnly];
-    for t in TICKETS {
-        point_list.push(Point::NrNu { tickets: t });
-    }
-    let jobs: Vec<(Point, WorkloadKind)> = point_list
-        .iter()
-        .flat_map(|&p| WorkloadKind::ALL.iter().map(move |&k| (p, k)))
-        .collect();
-    let results = par_map(jobs.clone(), |&(point, kind)| {
-        run_point(kind, pipeline_for(point), opts)
-    });
-    let by_job: HashMap<(Point, WorkloadKind), RunResult> = jobs.into_iter().zip(results).collect();
-
-    let mut out = String::new();
-    out.push_str(
+    let mut report = Report::new("fig11");
+    report.push_text(
         "Figure 11: performance vs. number of tickets for the NR+NU LTP design\n\
          (IQ 32 / RF 96, relative to the IQ 64 / RF 128 baseline)\n\n",
     );
-    for (group_label, group) in [
-        ("mlp_sensitive", &grouping.sensitive),
-        ("mlp_insensitive", &grouping.insensitive),
-    ] {
-        if group.is_empty() {
-            continue;
-        }
-        let base =
-            group_mean(group, |k| by_job[&(Point::Baseline, k)].cpi()).expect("group is non-empty");
-        let perf = |p: Point| {
-            let cpi = group_mean(group, |k| by_job[&(p, k)].cpi()).expect("group is non-empty");
-            (base / cpi - 1.0) * 100.0
+    for (group_label, group) in grouping.groups() {
+        let base = runs.mean(Point::Baseline, group, RunResult::cpi);
+        let row = |label: String, p: Point| {
+            let perf = (base / runs.mean(p, group, RunResult::cpi) - 1.0) * 100.0;
+            vec![label, format!("{perf:+.1}")]
         };
-        let mut table = TextTable::with_columns(&["config", "perf vs base %"]);
-        table.add_row(vec![
-            "No LTP (IQ32/RF96)".into(),
-            format!("{:+.1}", perf(Point::NoLtp)),
-        ]);
-        table.add_row(vec![
-            "LTP (NU), 128 entries, 4 ports".into(),
-            format!("{:+.1}", perf(Point::NuOnly)),
-        ]);
-        for t in TICKETS {
-            table.add_row(vec![
-                format!("LTP (NR+NU), {t} tickets"),
-                format!("{:+.1}", perf(Point::NrNu { tickets: t })),
-            ]);
+        let mut rows = vec![
+            row("No LTP (IQ32/RF96)".into(), Point::NoLtp),
+            row("LTP (NU), 128 entries, 4 ports".into(), Point::NuOnly),
+        ];
+        for tickets in TICKETS {
+            rows.push(row(
+                format!("LTP (NR+NU), {tickets} tickets"),
+                Point::NrNu { tickets },
+            ));
         }
-        out.push_str(&format!("--- {group_label} ---\n"));
-        out.push_str(&table.render());
-        out.push('\n');
+        report.push_text(format!("--- {group_label} ---\n"));
+        report.push_table(&["config", "perf vs base %"], rows);
+        report.push_text("\n");
     }
-    out.push_str(
+    report.push_text(
         "Paper reference: performance degrades only once very few tickets remain, and the\n\
          NR+NU design is only marginally better than NU-only, which motivates the simpler\n\
          queue-based NU-only implementation.\n",
     );
-    out
+    report
 }

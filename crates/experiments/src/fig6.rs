@@ -9,13 +9,12 @@
 //! for the astar-like point (`indirect_stream`), the milc-like point
 //! (`gather_fp`), and the MLP-sensitive / MLP-insensitive group averages.
 
-use crate::parallel::par_map;
-use crate::runner::{group_mean, limit_study_config, run_point, MlpGrouping, RunOptions};
+use crate::report::Report;
+use crate::runner::{limit_study_config, names, sweep, MlpGrouping};
+use crate::ExperimentCtx;
 use ltp_core::LtpMode;
-use ltp_pipeline::PipelineConfig;
-use ltp_stats::TextTable;
+use ltp_pipeline::{PipelineConfig, RunResult};
 use ltp_workloads::WorkloadKind;
-use std::collections::HashMap;
 
 /// The resource being swept in one row of Figure 6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -112,119 +111,78 @@ pub const MODES: [LtpMode; 4] = [
     LtpMode::Both,
 ];
 
-/// Runs the full limit study and renders the report.
+/// Runs the full limit study and returns the report.
 #[must_use]
-pub fn run(opts: &RunOptions) -> String {
-    run_resources(opts, &SweptResource::ALL)
-}
-
-/// Runs the limit study for a subset of resources (used by the benches to
-/// regenerate a single row of Figure 6).
-#[must_use]
-pub fn run_resources(opts: &RunOptions, resources: &[SweptResource]) -> String {
-    let grouping = MlpGrouping::derive(opts);
-
-    let mut points: Vec<(SweptResource, LtpMode, usize, WorkloadKind)> = Vec::new();
-    for &res in resources {
+pub fn run(ctx: &ExperimentCtx<'_>) -> Report {
+    let grouping = MlpGrouping::derive(ctx);
+    let mut configs: Vec<(SweptResource, LtpMode, usize)> = Vec::new();
+    for res in SweptResource::ALL {
         for mode in MODES {
             for size in res.sizes() {
-                for kind in WorkloadKind::ALL {
-                    points.push((res, mode, size, kind));
-                }
+                configs.push((res, mode, size));
             }
         }
     }
-    let cpis = par_map(points.clone(), |&(res, mode, size, kind)| {
-        let cfg = res.apply(limit_study_config(mode), size);
-        run_point(kind, cfg, opts).cpi()
+    let runs = sweep(ctx, &configs, &WorkloadKind::ALL, |(res, mode, size)| {
+        res.apply(limit_study_config(mode), size)
     });
-    let cpi: HashMap<(SweptResource, LtpMode, usize, WorkloadKind), f64> =
-        points.into_iter().zip(cpis).collect();
 
-    let mut out = String::new();
-    out.push_str("Figure 6: limit study — performance vs. resource size, relative to the\n");
-    out.push_str(
-        "baseline size of each resource with no LTP (ideal LTP, oracle classification)\n\n",
-    );
-    out.push_str(&format!(
-        "MLP-sensitive: {}   MLP-insensitive: {}\n\n",
-        grouping
-            .sensitive
-            .iter()
-            .map(|k| k.name())
-            .collect::<Vec<_>>()
-            .join(", "),
-        grouping
-            .insensitive
-            .iter()
-            .map(|k| k.name())
-            .collect::<Vec<_>>()
-            .join(", ")
+    let mut report = Report::new("fig6");
+    report.push_text(format!(
+        "Figure 6: limit study — performance vs. resource size, relative to the\n\
+         baseline size of each resource with no LTP (ideal LTP, oracle classification)\n\n\
+         MLP-sensitive: {}   MLP-insensitive: {}\n\n",
+        names(&grouping.sensitive),
+        names(&grouping.insensitive)
     ));
 
-    let columns = [
-        ("astar-like (indirect_stream)", None),
-        ("milc-like (gather_fp)", None),
-        ("mlp_sensitive (avg)", Some(true)),
-        ("mlp_insensitive (avg)", Some(false)),
+    // The single-workload columns are groups of one; an empty group's
+    // column reads 0.0.
+    let columns: [&[WorkloadKind]; 4] = [
+        &[WorkloadKind::IndirectStream],
+        &[WorkloadKind::GatherFp],
+        &grouping.sensitive,
+        &grouping.insensitive,
     ];
-
-    for &res in resources {
-        out.push_str(&format!(
+    for res in SweptResource::ALL {
+        report.push_text(format!(
             "--- {} sweep (baseline {} = {}) ---\n",
             res.label(),
             res.label(),
             res.baseline_size()
         ));
-        let mut table = TextTable::with_columns(&[
-            "size",
-            "variant",
-            "astar-like %",
-            "milc-like %",
-            "mlp-sens %",
-            "mlp-insens %",
-        ]);
+        let mut rows = Vec::new();
         for size in res.sizes() {
             for mode in MODES {
                 let mut row = vec![SweptResource::fmt_size(size), mode.label().to_string()];
-                for (_, group_sel) in columns {
-                    let value = match group_sel {
-                        None => {
-                            // Individual workload column.
-                            let kind = if row.len() == 2 {
-                                WorkloadKind::IndirectStream
-                            } else {
-                                WorkloadKind::GatherFp
-                            };
-                            let base = cpi[&(res, LtpMode::Off, res.baseline_size(), kind)];
-                            (base / cpi[&(res, mode, size, kind)] - 1.0) * 100.0
-                        }
-                        Some(sensitive) => {
-                            let group = if sensitive {
-                                &grouping.sensitive
-                            } else {
-                                &grouping.insensitive
-                            };
-                            if group.is_empty() {
-                                0.0
-                            } else {
-                                let base = group_mean(group, |k| {
-                                    cpi[&(res, LtpMode::Off, res.baseline_size(), k)]
-                                })
-                                .expect("group is non-empty");
-                                let this = group_mean(group, |k| cpi[&(res, mode, size, k)])
-                                    .expect("group is non-empty");
-                                (base / this - 1.0) * 100.0
-                            }
-                        }
+                for group in columns {
+                    let value = if group.is_empty() {
+                        0.0
+                    } else {
+                        let base = runs.mean(
+                            (res, LtpMode::Off, res.baseline_size()),
+                            group,
+                            RunResult::cpi,
+                        );
+                        (base / runs.mean((res, mode, size), group, RunResult::cpi) - 1.0) * 100.0
                     };
                     row.push(format!("{value:+.1}"));
                 }
-                table.add_row(row);
+                rows.push(row);
             }
         }
-        out.push_str(&table.render());
-        out.push('\n');
+        report.push_table(
+            &[
+                "size",
+                "variant",
+                "astar-like %",
+                "milc-like %",
+                "mlp-sens %",
+                "mlp-insens %",
+            ],
+            rows,
+        );
+        report.push_text("\n");
     }
-    out
+    report
 }

@@ -6,83 +6,70 @@
 //! fraction of time LTP is enabled by the DRAM-timer monitor, for the three
 //! parking variants (NR, NU, NR+NU).
 
-use crate::parallel::par_map;
-use crate::runner::{group_mean, limit_study_config, run_point, MlpGrouping, RunOptions};
+use crate::report::Report;
+use crate::runner::{limit_study_config, sweep, MlpGrouping};
+use crate::ExperimentCtx;
 use ltp_core::LtpMode;
 use ltp_pipeline::RunResult;
-use ltp_stats::TextTable;
 use ltp_workloads::WorkloadKind;
-use std::collections::HashMap;
 
 /// The parking variants shown in Figure 7.
 const MODES: [LtpMode; 3] = [LtpMode::NonReadyOnly, LtpMode::NonUrgentOnly, LtpMode::Both];
 
-fn config(mode: LtpMode) -> ltp_pipeline::PipelineConfig {
-    limit_study_config(mode).with_iq(32).with_regs(96)
-}
-
-/// Runs the Figure 7 experiment and renders the report.
+/// Runs the Figure 7 experiment and returns the report.
 #[must_use]
-pub fn run(opts: &RunOptions) -> String {
-    let grouping = MlpGrouping::derive(opts);
-
-    let points: Vec<(WorkloadKind, LtpMode)> = WorkloadKind::ALL
-        .iter()
-        .flat_map(|&k| MODES.iter().map(move |&m| (k, m)))
-        .collect();
-    let results = par_map(points.clone(), |&(kind, mode)| {
-        run_point(kind, config(mode), opts)
+pub fn run(ctx: &ExperimentCtx<'_>) -> Report {
+    let grouping = MlpGrouping::derive(ctx);
+    let runs = sweep(ctx, &MODES, &WorkloadKind::ALL, |mode| {
+        limit_study_config(mode).with_iq(32).with_regs(96)
     });
-    let by_point: HashMap<(WorkloadKind, LtpMode), RunResult> =
-        points.into_iter().zip(results).collect();
 
-    let mut out = String::new();
-    out.push_str(
-        "Figure 7: LTP utilisation (IQ 32, 96 registers, ideal LTP, oracle classification)\n\n",
-    );
-
-    let columns: Vec<(&str, Vec<WorkloadKind>)> = vec![
-        ("astar-like", vec![WorkloadKind::IndirectStream]),
-        ("milc-like", vec![WorkloadKind::GatherFp]),
-        ("mlp_sensitive", grouping.sensitive.clone()),
-        ("mlp_insensitive", grouping.insensitive.clone()),
+    let columns: [(&str, &[WorkloadKind]); 4] = [
+        ("astar-like", &[WorkloadKind::IndirectStream]),
+        ("milc-like", &[WorkloadKind::GatherFp]),
+        ("mlp_sensitive", &grouping.sensitive),
+        ("mlp_insensitive", &grouping.insensitive),
     ];
-
-    let mut table = TextTable::with_columns(&[
-        "group",
-        "variant",
-        "insts in LTP",
-        "regs in LTP",
-        "loads in LTP",
-        "stores in LTP",
-        "parked %",
-        "enabled %",
-    ]);
-    for (label, group) in &columns {
+    let mut rows = Vec::new();
+    for (label, group) in columns {
+        if group.is_empty() {
+            continue;
+        }
         for mode in MODES {
-            if group.is_empty() {
-                continue;
-            }
-            let m = |f: &dyn Fn(&RunResult) -> f64| {
-                group_mean(group, |k| f(&by_point[&(k, mode)])).expect("group is non-empty")
-            };
-            table.add_row(vec![
-                (*label).to_string(),
+            let m = |f: fn(&RunResult) -> f64| runs.mean(mode, group, f);
+            rows.push(vec![
+                label.to_string(),
                 mode.label().to_string(),
-                format!("{:.1}", m(&|r| r.occupancy.ltp.mean())),
-                format!("{:.1}", m(&|r| r.occupancy.ltp_regs.mean())),
-                format!("{:.1}", m(&|r| r.occupancy.ltp_loads.mean())),
-                format!("{:.1}", m(&|r| r.occupancy.ltp_stores.mean())),
-                format!("{:.0}", m(&|r| r.ltp.park_fraction() * 100.0)),
-                format!("{:.0}", m(&|r| r.ltp_enabled_fraction * 100.0)),
+                format!("{:.1}", m(|r| r.occupancy.ltp.mean())),
+                format!("{:.1}", m(|r| r.occupancy.ltp_regs.mean())),
+                format!("{:.1}", m(|r| r.occupancy.ltp_loads.mean())),
+                format!("{:.1}", m(|r| r.occupancy.ltp_stores.mean())),
+                format!("{:.0}", m(|r| r.ltp.park_fraction() * 100.0)),
+                format!("{:.0}", m(|r| r.ltp_enabled_fraction * 100.0)),
             ]);
         }
     }
-    out.push_str(&table.render());
-    out.push_str(
+    let mut report = Report::new("fig7");
+    report.push_text(
+        "Figure 7: LTP utilisation (IQ 32, 96 registers, ideal LTP, oracle classification)\n\n",
+    );
+    report.push_table(
+        &[
+            "group",
+            "variant",
+            "insts in LTP",
+            "regs in LTP",
+            "loads in LTP",
+            "stores in LTP",
+            "parked %",
+            "enabled %",
+        ],
+        rows,
+    );
+    report.push_text(
         "\nPaper reference points: MLP-sensitive ~40 insts / ~25 regs in LTP (NR+NU), few\n\
          parked loads/stores; LTP enabled ~95% of the time for MLP-sensitive and ~7% for\n\
          MLP-insensitive applications.\n",
     );
-    out
+    report
 }

@@ -19,10 +19,11 @@
 //! dynamic shared, ICOUNT fetch arbitration) on one memory-bound pair.
 
 use crate::parallel::par_map;
+use crate::report::Report;
 use crate::runner::RunOptions;
 use crate::sim::SimBuilder;
+use crate::ExperimentCtx;
 use ltp_pipeline::{PipelineConfig, SharePolicy, SmtRunResult};
-use ltp_stats::TextTable;
 use ltp_workloads::WorkloadKind;
 use std::collections::HashMap;
 
@@ -80,9 +81,10 @@ fn co_run(
         .unwrap_or_else(|e| panic!("co-run {}+{} failed: {e}", pair.0, pair.1))
 }
 
-/// Runs the SMT co-run experiment and renders the report.
+/// Runs the SMT co-run experiment and returns the report.
 #[must_use]
-pub fn run(opts: &RunOptions) -> String {
+pub fn run(ctx: &ExperimentCtx<'_>) -> Report {
+    let opts = ctx.opts;
     let points: Vec<((WorkloadKind, WorkloadKind), Point)> = PAIRS
         .iter()
         .flat_map(|&pair| Point::ALL.iter().map(move |&p| (pair, p)))
@@ -93,31 +95,21 @@ pub fn run(opts: &RunOptions) -> String {
     let by_point: HashMap<((WorkloadKind, WorkloadKind), Point), SmtRunResult> =
         points.into_iter().zip(results).collect();
 
-    let mut out = String::new();
-    out.push_str(
+    let mut report = Report::new("fig_smt");
+    report.push_text(
         "SMT co-run: two threads sharing one IQ 32 / RF 96 back end (dynamic sharing).\n\
          Baseline has no LTP; the LTP rows add the 128-entry 4-port Non-Urgent LTP.\n\
          \"vs base %\" is the aggregate-throughput gain over the pair's baseline —\n\
          positive when resources freed by parking are consumed by the co-runner.\n\n",
     );
 
-    let mut table = TextTable::with_columns(&[
-        "pair",
-        "config",
-        "t0 ipc",
-        "t1 ipc",
-        "agg ipc",
-        "vs base %",
-        "t0/t1 rob",
-        "t0/t1 iq",
-        "parked",
-    ]);
+    let mut rows = Vec::new();
     for pair in PAIRS {
         let base_agg = by_point[&(pair, Point::Baseline)].aggregate_ipc();
         for point in Point::ALL {
             let r = &by_point[&(pair, point)];
             let (t0, t1) = (&r.threads[0], &r.threads[1]);
-            table.add_row(vec![
+            rows.push(vec![
                 if point == Point::Baseline {
                     format!("{}+{}", pair.0, pair.1)
                 } else {
@@ -142,7 +134,20 @@ pub fn run(opts: &RunOptions) -> String {
             ]);
         }
     }
-    out.push_str(&table.render());
+    report.push_table(
+        &[
+            "pair",
+            "config",
+            "t0 ipc",
+            "t1 ipc",
+            "agg ipc",
+            "vs base %",
+            "t0/t1 rob",
+            "t0/t1 iq",
+            "parked",
+        ],
+        rows,
+    );
 
     // Sharing-policy comparison on the headline memory-bound pair.
     let policy_pair = PAIRS[0];
@@ -158,21 +163,24 @@ pub fn run(opts: &RunOptions) -> String {
             opts,
         )
     });
-    out.push_str(&format!(
+    report.push_text(format!(
         "\nSharing policies ({}+{}, ltp/uit):\n",
         policy_pair.0, policy_pair.1
     ));
-    let mut ptable = TextTable::with_columns(&["policy", "t0 ipc", "t1 ipc", "agg ipc"]);
-    for (policy, r) in policies.iter().zip(policy_results) {
-        ptable.add_row(vec![
-            policy.label().to_string(),
-            format!("{:.3}", r.thread_ipc(0)),
-            format!("{:.3}", r.thread_ipc(1)),
-            format!("{:.3}", r.aggregate_ipc()),
-        ]);
-    }
-    out.push_str(&ptable.render());
-    out.push_str(
+    let rows = policies
+        .iter()
+        .zip(policy_results)
+        .map(|(policy, r)| {
+            vec![
+                policy.label().to_string(),
+                format!("{:.3}", r.thread_ipc(0)),
+                format!("{:.3}", r.thread_ipc(1)),
+                format!("{:.3}", r.aggregate_ipc()),
+            ]
+        })
+        .collect();
+    report.push_table(&["policy", "t0 ipc", "t1 ipc", "agg ipc"], rows);
+    report.push_text(
         "\nReading the tables: when both co-runners are memory-bound (the first pair) both\n\
          threads park, the freed IQ/RF entries are consumed by the co-runner, and per-thread\n\
          IPC and aggregate throughput beat the baseline. Pairing a parking thread with a\n\
@@ -182,5 +190,5 @@ pub fn run(opts: &RunOptions) -> String {
          static partition because a stalled thread's entries are never locked away from\n\
          its co-runner.\n",
     );
-    out
+    report
 }

@@ -3,12 +3,15 @@
 //! Experiment harnesses that regenerate every table and figure of the LTP
 //! paper's evaluation (see [`Experiment`] for the index).
 //!
-//! Each figure module exposes a `run` function that performs the simulations
-//! (fanning independent simulation points out over the available cores) and
-//! returns a structured [`Report`]. [`Experiment::run`] dispatches on the
-//! experiment name over an [`ExperimentCtx`] (options + optional shared
-//! checkpoint cache); the `experiments` binary renders reports as text under
-//! `results/`, the `ltp-service` job server ships the same values as JSON.
+//! Each experiment module exposes one entry point, `run(ctx)`, which runs its
+//! simulation points and returns a structured [`Report`] of text and table
+//! blocks. A figure's points go through one helper, `runner::sweep`, which
+//! fans a grid of (configuration, workload) points out over the available
+//! cores with the context's checkpoint cache. [`Experiment::run`] dispatches
+//! on the experiment name over an [`ExperimentCtx`] (options + optional
+//! shared checkpoint cache); the `experiments` binary renders reports as
+//! text under `results/`, the `ltp-service` job server ships the same values
+//! as JSON.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,15 +38,15 @@ pub mod uit_sweep;
 
 pub use cache::CheckpointCache;
 pub use report::{Block, Report};
-pub use runner::{run_point, run_point_cached, try_run_point, MlpGrouping, RunOptions};
+pub use runner::{run_point, MlpGrouping, RunOptions};
 pub use sim::{CoRunBuilder, SimBuilder};
 
 /// Everything an experiment invocation needs besides its identity: the
 /// simulation sizing options, the optional checkpoint cache shared across
 /// experiments, and the controls of the `sample` experiment's points.
-/// Sweep-shaped experiments (fig1, uit, ablation) and the sampled run use the
-/// cache to pay each functional warm-up once per distinct warm
-/// configuration; the remaining experiments ignore it.
+/// Every experiment that simulates single-thread points (all but `table1`
+/// and `fig_smt`) uses the cache to pay each warm-up once per distinct warm
+/// configuration.
 #[derive(Debug, Clone)]
 pub struct ExperimentCtx<'a> {
     /// Simulation sizing options.
@@ -85,6 +88,14 @@ impl<'a> ExperimentCtx<'a> {
     ) -> ExperimentCtx<'a> {
         self.cache = cache;
         self
+    }
+
+    /// Appends the checkpoint cache's counters, after a blank line, when
+    /// the context has a cache.
+    pub(crate) fn push_cache_summary(&self, report: &mut Report) {
+        if let Some(cache) = self.cache {
+            report.push_text(format!("\n{}\n", cache.stats().summary_line()));
+        }
     }
 }
 
@@ -160,19 +171,18 @@ impl Experiment {
     /// it as JSON — one value, two renderings.
     #[must_use]
     pub fn run(self, ctx: &ExperimentCtx<'_>) -> Report {
-        let opts = ctx.opts;
         match self {
-            Experiment::Table1 => Report::from_text(self.name(), table1::run()),
+            Experiment::Table1 => table1::run(),
             Experiment::Fig1 => fig1::run(ctx),
-            Experiment::Classification => Report::from_text(self.name(), classification::run(opts)),
-            Experiment::Fig6 => Report::from_text(self.name(), fig6::run(opts)),
-            Experiment::Fig7 => Report::from_text(self.name(), fig7::run(opts)),
-            Experiment::Fig10 => Report::from_text(self.name(), fig10::run(opts)),
-            Experiment::Fig11 => Report::from_text(self.name(), fig11::run(opts)),
+            Experiment::Classification => classification::run(ctx),
+            Experiment::Fig6 => fig6::run(ctx),
+            Experiment::Fig7 => fig7::run(ctx),
+            Experiment::Fig10 => fig10::run(ctx),
+            Experiment::Fig11 => fig11::run(ctx),
             Experiment::UitSweep => uit_sweep::run(ctx),
             Experiment::Ablation => ablation::run(ctx),
-            Experiment::FigSmt => Report::from_text(self.name(), fig_smt::run(opts)),
-            Experiment::Sample => sampled::run_experiment(ctx),
+            Experiment::FigSmt => fig_smt::run(ctx),
+            Experiment::Sample => sampled::run(ctx),
         }
     }
 }
@@ -211,6 +221,36 @@ mod tests {
         assert!(warm.hits > cold.hits, "{warm:?}");
         assert_eq!(warm.misses, cold.misses, "the second run misses nothing");
         assert_eq!(cold_report.meta("digest"), warm_report.meta("digest"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A figure runs its points through the context's cache, like `sample`:
+    /// `fig7`'s first run looks entries up and stores them, and a second run
+    /// over the same context hits on every lookup.
+    #[test]
+    fn fig7_looks_up_the_context_cache() {
+        let dir = std::env::temp_dir().join(format!("ltp-fig7-ctx-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = std::sync::Arc::new(CheckpointCache::open(&dir).expect("open cache"));
+        let opts = RunOptions {
+            detail_insts: 1_000,
+            warm_insts: 500,
+            seed: 2015,
+        };
+        let ctx = ExperimentCtx::new(&opts).with_cache(Some(&cache));
+        let cold_report = Experiment::Fig7.run(&ctx);
+        let cold = cache.stats();
+        assert!(cold.misses > 0 && cold.stores > 0, "{cold:?}");
+        let warm_report = Experiment::Fig7.run(&ctx);
+        let warm = cache.stats();
+        assert!(warm.hits > cold.hits, "{warm:?}");
+        assert_eq!(warm.misses, cold.misses, "the second run misses nothing");
+        assert_eq!(cold_report, warm_report);
+        assert_eq!(
+            cold_report,
+            Experiment::Fig7.run(&ExperimentCtx::new(&opts)),
+            "cached and uncached runs report the same"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

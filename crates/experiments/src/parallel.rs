@@ -376,8 +376,11 @@ pub fn charge_attempt(d: Duration) {
     ));
 }
 
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Best-effort extraction of a panic payload's message: the payload of
+/// `panic!` with a literal or a format string, else "non-string panic
+/// payload".
+#[must_use]
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

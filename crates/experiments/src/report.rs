@@ -3,14 +3,12 @@
 //! Every experiment produces a [`Report`]: an ordered list of typed blocks
 //! (preformatted text and column/row tables) plus machine-readable `meta`
 //! key/values (result digests, partial-point counts, …). The CLI renders a
-//! report with [`Report::render_text`] — byte-for-byte the text the
-//! experiments historically printed, so the canary scripts' `grep`/`awk`
-//! parsers keep working — while the `ltp-service` job server ships the very
-//! same value as JSON, built from [`Report::name`], [`Report::meta_entries`]
-//! and [`Report::blocks`]. One value, two renderings; the two front ends can
+//! report with [`Report::render_text`] — prose verbatim, tables aligned, so
+//! the canary scripts' `grep`/`awk` parsers read the same lines they always
+//! have — while the `ltp-service` job server ships the very same value as
+//! JSON, built from [`Report::name`], [`Report::meta_entries`] and
+//! [`Report::blocks`]. One value, two renderings; the two front ends can
 //! never drift apart.
-
-use ltp_stats::TextTable;
 
 /// One renderable piece of a [`Report`].
 #[derive(Debug, Clone, PartialEq)]
@@ -19,8 +17,8 @@ pub enum Block {
     /// newlines), so reports assembled from text blocks reproduce the
     /// historical CLI output exactly.
     Text(String),
-    /// An aligned table; rendered through [`TextTable`] in text mode and as
-    /// `columns` / `rows` arrays in JSON.
+    /// A table; rendered as aligned columns under a dashed rule in text
+    /// mode and as `columns` / `rows` arrays in JSON.
     Table {
         /// Column headers, left to right.
         columns: Vec<String>,
@@ -48,15 +46,6 @@ impl Report {
         }
     }
 
-    /// Wraps an already-rendered text report in a single-block [`Report`].
-    /// Migration aid for experiments whose rendering is still string-based.
-    #[must_use]
-    pub fn from_text(name: impl Into<String>, text: impl Into<String>) -> Report {
-        let mut r = Report::new(name);
-        r.push_text(text);
-        r
-    }
-
     /// The experiment name this report belongs to.
     #[must_use]
     pub fn name(&self) -> &str {
@@ -74,11 +63,18 @@ impl Report {
         self.blocks.push(Block::Text(text.into()));
     }
 
-    /// Appends a table block built from a populated [`TextTable`].
-    pub fn push_table(&mut self, columns: Vec<String>, rows: Vec<Vec<String>>) {
+    /// Appends a table block.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `columns` is empty or a row's cell count differs from
+    /// the column count.
+    pub fn push_table(&mut self, columns: &[&str], rows: Vec<Vec<String>>) {
+        assert!(!columns.is_empty(), "a table needs at least one column");
         for row in &rows {
             assert_eq!(row.len(), columns.len(), "ragged report table row");
         }
+        let columns = columns.iter().map(|c| (*c).to_string()).collect();
         self.blocks.push(Block::Table { columns, rows });
     }
 
@@ -104,24 +100,49 @@ impl Report {
         &self.meta
     }
 
-    /// Renders the report as aligned plain text — the historical CLI output.
+    /// Renders the report as plain text: text blocks verbatim; a table as
+    /// its header row, a rule of dashes as wide as the table, then one line
+    /// per row. Cells are left-aligned with two spaces between columns, and
+    /// each line's trailing whitespace is trimmed. Column widths count
+    /// bytes, not chars, so a cell holding a multi-byte char such as `±`
+    /// pads its column by its byte length.
     #[must_use]
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         for block in &self.blocks {
             match block {
                 Block::Text(text) => out.push_str(text),
-                Block::Table { columns, rows } => {
-                    let cols: Vec<&str> = columns.iter().map(String::as_str).collect();
-                    let mut table = TextTable::with_columns(&cols);
-                    for row in rows {
-                        table.add_row(row.clone());
-                    }
-                    out.push_str(&table.render());
-                }
+                Block::Table { columns, rows } => render_table(&mut out, columns, rows),
             }
         }
         out
+    }
+}
+
+fn render_table(out: &mut String, columns: &[String], rows: &[Vec<String>]) {
+    let mut widths: Vec<usize> = columns.iter().map(String::len).collect();
+    for row in rows {
+        for (width, cell) in widths.iter_mut().zip(row) {
+            *width = (*width).max(cell.len());
+        }
+    }
+    let line = |out: &mut String, cells: &[String]| {
+        let start = out.len();
+        for (i, (cell, width)) in cells.iter().zip(&widths).enumerate() {
+            if i > 0 {
+                out.push_str("  ");
+            }
+            out.push_str(cell);
+            out.push_str(&" ".repeat(width - cell.len()));
+        }
+        out.truncate(start + out[start..].trim_end().len());
+        out.push('\n');
+    };
+    line(out, columns);
+    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * widths.len().saturating_sub(1)));
+    out.push('\n');
+    for row in rows {
+        line(out, row);
     }
 }
 
@@ -144,21 +165,45 @@ mod tests {
         assert_eq!(format!("{r}"), r.render_text());
     }
 
+    /// The exact bytes of a rendered table: byte-width columns (`±` is two
+    /// bytes), two-space gaps, a full-width rule, trailing blanks trimmed
+    /// (an empty last cell leaves no gap behind).
     #[test]
     fn table_block_matches_text_table_render() {
-        let mut direct = TextTable::with_columns(&["config", "cpi"]);
-        direct.add_row(vec!["baseline".into(), "1.20".into()]);
-        direct.add_row(vec!["ltp".into(), "1.21".into()]);
-
         let mut r = Report::new("demo");
         r.push_table(
-            vec!["config".into(), "cpi".into()],
+            &["config", "cpi", "note"],
             vec![
-                vec!["baseline".into(), "1.20".into()],
+                vec!["baseline".into(), "1.20".into(), "±0.1".into()],
+                vec!["ltp".into(), "1.21".into(), String::new()],
+            ],
+        );
+        assert_eq!(
+            r.render_text(),
+            "config    cpi   note\n\
+             ---------------------\n\
+             baseline  1.20  ±0.1\n\
+             ltp       1.21\n"
+        );
+    }
+
+    /// Every `cpi` cell starts at the header's column offset.
+    #[test]
+    fn table_block_renders_aligned_columns() {
+        let mut r = Report::new("demo");
+        r.push_table(
+            &["config", "cpi"],
+            vec![
+                vec!["baseline-iq64".into(), "1.20".into()],
                 vec!["ltp".into(), "1.21".into()],
             ],
         );
-        assert_eq!(r.render_text(), direct.render());
+        let text = r.render_text();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 4);
+        let col = lines[0].find("cpi").expect("header");
+        assert_eq!(&lines[2][col..col + 4], "1.20");
+        assert_eq!(&lines[3][col..col + 4], "1.21");
     }
 
     #[test]
@@ -175,6 +220,12 @@ mod tests {
     #[should_panic(expected = "ragged")]
     fn ragged_table_rows_are_rejected() {
         let mut r = Report::new("demo");
-        r.push_table(vec!["a".into(), "b".into()], vec![vec!["x".into()]]);
+        r.push_table(&["a", "b"], vec![vec!["x".into()]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one column")]
+    fn empty_table_header_is_rejected() {
+        Report::new("demo").push_table(&[], Vec::new());
     }
 }

@@ -1,10 +1,18 @@
-//! Shared machinery for running workloads through simulator configurations.
+//! Shared machinery for running workloads through simulator configurations:
+//! one point ([`run_point`]), a grid of points (`sweep`) and the §4.1
+//! workload grouping ([`MlpGrouping`]).
 
+use crate::cache::CheckpointCache;
+use crate::parallel::par_map;
 use crate::sim::SimBuilder;
+use crate::ExperimentCtx;
 use ltp_core::{LtpConfig, LtpMode};
-use ltp_pipeline::{PipelineConfig, RunError, RunResult};
+use ltp_pipeline::{PipelineConfig, RunResult};
 use ltp_stats::MeanAccumulator;
 use ltp_workloads::WorkloadKind;
+use std::collections::HashMap;
+use std::hash::Hash;
+use std::sync::Arc;
 
 /// How many instructions each simulation point runs in detail by default.
 pub const DEFAULT_DETAIL_INSTS: u64 = 30_000;
@@ -49,38 +57,26 @@ impl RunOptions {
     }
 }
 
-/// Runs one workload on one configuration, propagating a structured
-/// [`RunError`] (e.g. a deadlocked configuration) instead of panicking.
+/// Runs one workload on one configuration through [`SimBuilder`].
 ///
 /// The same dynamic trace is used for cache warming, oracle analysis and the
-/// detailed run so that the oracle's view matches what the pipeline executes
-/// (see [`SimBuilder`]).
-///
-/// # Errors
-///
-/// Returns [`RunError::Deadlock`] when the configuration starves itself.
-pub fn try_run_point(
-    kind: WorkloadKind,
-    cfg: PipelineConfig,
-    opts: &RunOptions,
-) -> Result<RunResult, RunError> {
-    SimBuilder::new(cfg, kind).options(opts).run()
-}
-
-/// [`run_point`] with an optional checkpoint cache: cache warming is served
-/// from (and stored to) the cache's warm-memory domain, so a sweep that runs
-/// the same workload under many detail configurations replays the warm
-/// trace once instead of once per point.
+/// detailed run so that the oracle's view matches what the pipeline executes.
+/// To handle a [`ltp_pipeline::RunError`] (e.g. a deadlocked configuration)
+/// as data, call [`SimBuilder::run`] instead.
 ///
 /// # Panics
 ///
-/// Panics when the run fails, like [`run_point`].
+/// Panics when the run fails.
 #[must_use]
-pub fn run_point_cached(
+pub fn run_point(kind: WorkloadKind, cfg: PipelineConfig, opts: &RunOptions) -> RunResult {
+    run_cached(kind, cfg, opts, None)
+}
+
+fn run_cached(
     kind: WorkloadKind,
     cfg: PipelineConfig,
     opts: &RunOptions,
-    cache: Option<&std::sync::Arc<crate::cache::CheckpointCache>>,
+    cache: Option<&Arc<CheckpointCache>>,
 ) -> RunResult {
     SimBuilder::new(cfg, kind)
         .options(opts)
@@ -89,17 +85,65 @@ pub fn run_point_cached(
         .unwrap_or_else(|e| panic!("simulation of {} failed: {e}", kind.name()))
 }
 
-/// Runs one workload on one configuration, optionally with the oracle
-/// classifier (required by the limit study).
+/// The results of a [`sweep`], keyed by (configuration key, workload).
+#[derive(Debug)]
+pub(crate) struct Sweep<K>(HashMap<(K, WorkloadKind), RunResult>);
+
+impl<K: Copy + Eq + Hash> Sweep<K> {
+    /// The mean of `metric` over the runs of `group` on configuration `key`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `group` is empty (callers skip an empty group, see
+    /// [`MlpGrouping::groups`]) or holds a point the sweep did not run.
+    #[must_use]
+    pub(crate) fn mean(
+        &self,
+        key: K,
+        group: &[WorkloadKind],
+        metric: impl Fn(&RunResult) -> f64,
+    ) -> f64 {
+        group_mean(group, |kind| metric(&self[(key, kind)])).expect("group is non-empty")
+    }
+}
+
+impl<K: Copy + Eq + Hash> std::ops::Index<(K, WorkloadKind)> for Sweep<K> {
+    type Output = RunResult;
+
+    fn index(&self, point: (K, WorkloadKind)) -> &RunResult {
+        &self.0[&point]
+    }
+}
+
+/// Runs every point of the grid `configs` × `kinds` in parallel through
+/// [`SimBuilder`] with the context's options and checkpoint cache (each
+/// warm-up is served from, or stored to, the cache's warm-memory domain, so
+/// a sweep over many detail configurations replays each warm trace once).
+/// `config` maps a configuration key to its machine.
 ///
 /// # Panics
 ///
-/// Panics when the run fails; use [`try_run_point`] to handle a
-/// [`RunError::Deadlock`] as data instead.
+/// Panics when a point fails, like [`run_point`].
 #[must_use]
-pub fn run_point(kind: WorkloadKind, cfg: PipelineConfig, opts: &RunOptions) -> RunResult {
-    try_run_point(kind, cfg, opts)
-        .unwrap_or_else(|e| panic!("simulation of {} failed: {e}", kind.name()))
+pub(crate) fn sweep<K>(
+    ctx: &ExperimentCtx<'_>,
+    configs: &[K],
+    kinds: &[WorkloadKind],
+    config: impl Fn(K) -> PipelineConfig + Sync,
+) -> Sweep<K>
+where
+    K: Copy + Eq + Hash + Send + Sync,
+{
+    // Workload-major, so the contiguous chunk a worker takes shares warm
+    // halves (and cache entries) instead of racing another worker to them.
+    let points: Vec<(K, WorkloadKind)> = kinds
+        .iter()
+        .flat_map(|&kind| configs.iter().map(move |&key| (key, kind)))
+        .collect();
+    let results = par_map(points.clone(), |&(key, kind)| {
+        run_cached(kind, config(key), ctx.opts, ctx.cache)
+    });
+    Sweep(points.into_iter().zip(results).collect())
 }
 
 /// The outcome of grouping the workload suite with the paper's §4.1
@@ -114,48 +158,58 @@ pub struct MlpGrouping {
 
 impl MlpGrouping {
     /// Applies the paper's criterion: compare each workload on a 32-entry IQ
-    /// versus a 256-entry IQ (everything else unlimited, prefetcher on) and
-    /// require >5 % speed-up, >10 % more outstanding requests, and an average
-    /// memory latency above the L2 latency.
+    /// versus a 256-entry IQ (everything else unlimited, prefetcher on),
+    /// running the 14 points in parallel with the context's options and
+    /// checkpoint cache.
     #[must_use]
-    pub fn derive(opts: &RunOptions) -> MlpGrouping {
-        MlpGrouping::derive_cached(opts, None)
+    pub fn derive(ctx: &ExperimentCtx<'_>) -> MlpGrouping {
+        let runs = sweep(ctx, &[32, 256], &WorkloadKind::ALL, |iq| {
+            PipelineConfig::limit_study_unlimited().with_iq(iq)
+        });
+        MlpGrouping::from_runs(&runs, 32, 256)
     }
 
-    /// [`MlpGrouping::derive`] with an optional checkpoint cache for the
-    /// warm-up replays (both criterion machines share one warm half).
+    /// Groups the workload suite from a sweep holding every workload's run
+    /// on a small-window machine (`small`) and a large-window one (`large`):
+    /// a workload is MLP-sensitive when the large window gives a >5 %
+    /// speed-up, >10 % more outstanding requests, and an average memory
+    /// latency above the L2 latency.
     #[must_use]
-    pub fn derive_cached(
-        opts: &RunOptions,
-        cache: Option<&std::sync::Arc<crate::cache::CheckpointCache>>,
+    pub(crate) fn from_runs<K: Copy + Eq + Hash>(
+        runs: &Sweep<K>,
+        small: K,
+        large: K,
     ) -> MlpGrouping {
-        let mut sensitive = Vec::new();
-        let mut insensitive = Vec::new();
         let l2_latency = PipelineConfig::micro2015_baseline().mem.l2.latency;
-        for kind in WorkloadKind::ALL {
-            let small = run_point_cached(
-                kind,
-                PipelineConfig::limit_study_unlimited().with_iq(32),
-                opts,
-                cache,
-            );
-            let large = run_point_cached(
-                kind,
-                PipelineConfig::limit_study_unlimited().with_iq(256),
-                opts,
-                cache,
-            );
-            if large.is_mlp_sensitive_vs(&small, l2_latency) {
-                sensitive.push(kind);
-            } else {
-                insensitive.push(kind);
-            }
-        }
+        let (sensitive, insensitive) = WorkloadKind::ALL.into_iter().partition(|&kind| {
+            runs[(large, kind)].is_mlp_sensitive_vs(&runs[(small, kind)], l2_latency)
+        });
         MlpGrouping {
             sensitive,
             insensitive,
         }
     }
+
+    /// The two groups with their report labels, skipping an empty group
+    /// (possible under quick options).
+    pub(crate) fn groups(&self) -> impl Iterator<Item = (&'static str, &[WorkloadKind])> {
+        [
+            ("mlp_sensitive", self.sensitive.as_slice()),
+            ("mlp_insensitive", self.insensitive.as_slice()),
+        ]
+        .into_iter()
+        .filter(|(_, group)| !group.is_empty())
+    }
+}
+
+/// The workload names of `group`, comma-separated.
+#[must_use]
+pub fn names(group: &[WorkloadKind]) -> String {
+    group
+        .iter()
+        .map(|k| k.name())
+        .collect::<Vec<_>>()
+        .join(", ")
 }
 
 /// Average of a per-workload metric over a group of workloads.
@@ -214,6 +268,7 @@ pub fn named_config(name: &str) -> Option<PipelineConfig> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ltp_pipeline::RunError;
 
     #[test]
     fn run_point_commits_requested_instructions() {
@@ -270,6 +325,19 @@ mod tests {
     }
 
     #[test]
+    fn groups_skip_an_empty_group() {
+        let grouping = MlpGrouping {
+            sensitive: vec![WorkloadKind::PointerChase],
+            insensitive: Vec::new(),
+        };
+        let groups: Vec<_> = grouping.groups().collect();
+        assert_eq!(
+            groups,
+            [("mlp_sensitive", &[WorkloadKind::PointerChase][..])]
+        );
+    }
+
+    #[test]
     fn limit_config_modes() {
         assert!(!limit_study_config(LtpMode::Off).ltp.mode.is_enabled());
         assert!(limit_study_config(LtpMode::Both).needs_oracle());
@@ -277,16 +345,19 @@ mod tests {
 
     #[test]
     fn try_run_point_exposes_the_result_path() {
-        // The Ok side of the structured-error API; the Err side (a genuinely
-        // stuck machine producing `RunError::Deadlock` with its snapshot) is
-        // covered by `ltp-pipeline`'s `stuck_machine_surfaces_deadlock_as_data`.
+        // The Ok side of the structured-error API that `run_point` unwraps;
+        // the Err side (a genuinely stuck machine producing
+        // `RunError::Deadlock` with its snapshot) is covered by
+        // `ltp-pipeline`'s `stuck_machine_surfaces_deadlock_as_data`.
         let opts = RunOptions {
             detail_insts: 1_000,
             warm_insts: 100,
             seed: 3,
         };
         let cfg = PipelineConfig::micro2015_baseline();
-        let r = try_run_point(WorkloadKind::StencilStream, cfg, &opts);
+        let r = SimBuilder::new(cfg, WorkloadKind::StencilStream)
+            .options(&opts)
+            .run();
         match r {
             Ok(res) => assert_eq!(res.instructions, 1_000),
             Err(

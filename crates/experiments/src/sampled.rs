@@ -1431,7 +1431,8 @@ pub fn result_digest(lines: &str) -> String {
 /// ([`journal::journal_path`] names the files) and `ctx.cache`. The report
 /// meta carries the result digest and how many points came back partial
 /// (`partial_points`) or failed (`error_points`).
-pub(crate) fn run_experiment(ctx: &ExperimentCtx<'_>) -> Report {
+#[must_use]
+pub(crate) fn run(ctx: &ExperimentCtx<'_>) -> Report {
     let spec = SampleSpec::from_options(ctx.opts);
     let control = &ctx.sample;
     let kinds = WorkloadKind::ALL;
@@ -1456,19 +1457,6 @@ pub(crate) fn run_experiment(ctx: &ExperimentCtx<'_>) -> Report {
         spec.detail_fraction() * 100.0
     ));
 
-    let columns: Vec<String> = [
-        "workload",
-        "config",
-        "full IPC",
-        "sampled IPC (95% CI)",
-        "err%",
-        "full s",
-        "sampled s",
-        "speedup",
-    ]
-    .iter()
-    .map(|s| (*s).to_string())
-    .collect();
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut total_full_secs = 0.0;
     let mut total_sampled_secs = 0.0;
@@ -1627,7 +1615,19 @@ pub(crate) fn run_experiment(ctx: &ExperimentCtx<'_>) -> Report {
         }
     }
 
-    report.push_table(columns, rows);
+    report.push_table(
+        &[
+            "workload",
+            "config",
+            "full IPC",
+            "sampled IPC (95% CI)",
+            "err%",
+            "full s",
+            "sampled s",
+            "speedup",
+        ],
+        rows,
+    );
     let mut out = String::new();
     out.push_str(&format!(
         "\ntotal wall-clock: full {total_full_secs:.2}s, sampled {total_sampled_secs:.2}s \

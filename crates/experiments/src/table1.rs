@@ -1,16 +1,14 @@
 //! Table 1: the baseline processor configuration, plus the proposed LTP
 //! design derived from it.
 
+use crate::report::Report;
 use ltp_pipeline::PipelineConfig;
-use ltp_stats::TextTable;
 
 /// Renders Table 1 (baseline configuration) and the proposed LTP variant.
 #[must_use]
-pub fn run() -> String {
+pub fn run() -> Report {
     let base = PipelineConfig::micro2015_baseline();
     let ltp = PipelineConfig::ltp_proposed();
-
-    let mut t = TextTable::with_columns(&["parameter", "baseline", "LTP design"]);
     let fmt = |v: usize| {
         if v == usize::MAX {
             "inf".to_string()
@@ -18,103 +16,64 @@ pub fn run() -> String {
             v.to_string()
         }
     };
-    t.add_row(vec![
-        "Width F/D/R | I | C".into(),
-        format!(
-            "{} | {} | {}",
-            base.front_width, base.issue_width, base.commit_width
-        ),
-        format!(
-            "{} | {} | {}",
-            ltp.front_width, ltp.issue_width, ltp.commit_width
-        ),
-    ]);
-    t.add_row(vec!["ROB".into(), fmt(base.rob_size), fmt(ltp.rob_size)]);
-    t.add_row(vec!["IQ".into(), fmt(base.iq_size), fmt(ltp.iq_size)]);
-    t.add_row(vec!["LQ".into(), fmt(base.lq_size), fmt(ltp.lq_size)]);
-    t.add_row(vec!["SQ".into(), fmt(base.sq_size), fmt(ltp.sq_size)]);
-    t.add_row(vec![
-        "Int/FP registers (available)".into(),
-        format!("{}/{}", fmt(base.int_regs), fmt(base.fp_regs)),
-        format!("{}/{}", fmt(ltp.int_regs), fmt(ltp.fp_regs)),
-    ]);
-    t.add_row(vec![
-        "LTP".into(),
-        "none".into(),
-        format!(
-            "{} entries, {} ports, UIT {}",
-            fmt(ltp.ltp.entries),
-            fmt(ltp.ltp.ports),
-            fmt(ltp.ltp.uit_entries)
-        ),
-    ]);
-    t.add_row(vec![
-        "L1D".into(),
-        format!(
-            "{} kB, {}c",
-            base.mem.l1d.size_bytes / 1024,
-            base.mem.l1d.latency
-        ),
-        format!(
-            "{} kB, {}c",
-            ltp.mem.l1d.size_bytes / 1024,
-            ltp.mem.l1d.latency
-        ),
-    ]);
-    t.add_row(vec![
-        "L2 (+ stride prefetcher deg 4)".into(),
-        format!(
-            "{} kB, {}c",
-            base.mem.l2.size_bytes / 1024,
-            base.mem.l2.latency
-        ),
-        format!(
-            "{} kB, {}c",
-            ltp.mem.l2.size_bytes / 1024,
-            ltp.mem.l2.latency
-        ),
-    ]);
-    t.add_row(vec![
-        "L3".into(),
-        format!(
-            "{} MB, {}c",
-            base.mem.l3.size_bytes / (1024 * 1024),
-            base.mem.l3.latency
-        ),
-        format!(
-            "{} MB, {}c",
-            ltp.mem.l3.size_bytes / (1024 * 1024),
-            ltp.mem.l3.latency
-        ),
-    ]);
-    t.add_row(vec![
-        "DRAM (row hit / miss, cycles)".into(),
-        format!(
-            "{} / {}",
-            base.mem.dram.row_hit_latency, base.mem.dram.row_miss_latency
-        ),
-        format!(
-            "{} / {}",
-            ltp.mem.dram.row_hit_latency, ltp.mem.dram.row_miss_latency
-        ),
-    ]);
-    t.add_row(vec![
-        "MSHRs".into(),
-        fmt(base.mem.mshrs),
-        fmt(ltp.mem.mshrs),
-    ]);
+    // One row per parameter: its label and its value on either machine.
+    let row = |label: &str, value: &dyn Fn(&PipelineConfig) -> String| {
+        vec![label.to_string(), value(&base), value(&ltp)]
+    };
+    let rows = vec![
+        row("Width F/D/R | I | C", &|c| {
+            format!("{} | {} | {}", c.front_width, c.issue_width, c.commit_width)
+        }),
+        row("ROB", &|c| fmt(c.rob_size)),
+        row("IQ", &|c| fmt(c.iq_size)),
+        row("LQ", &|c| fmt(c.lq_size)),
+        row("SQ", &|c| fmt(c.sq_size)),
+        row("Int/FP registers (available)", &|c| {
+            format!("{}/{}", fmt(c.int_regs), fmt(c.fp_regs))
+        }),
+        vec![
+            "LTP".into(),
+            "none".into(),
+            format!(
+                "{} entries, {} ports, UIT {}",
+                fmt(ltp.ltp.entries),
+                fmt(ltp.ltp.ports),
+                fmt(ltp.ltp.uit_entries)
+            ),
+        ],
+        row("L1D", &|c| {
+            format!("{} kB, {}c", c.mem.l1d.size_bytes / 1024, c.mem.l1d.latency)
+        }),
+        row("L2 (+ stride prefetcher deg 4)", &|c| {
+            format!("{} kB, {}c", c.mem.l2.size_bytes / 1024, c.mem.l2.latency)
+        }),
+        row("L3", &|c| {
+            format!(
+                "{} MB, {}c",
+                c.mem.l3.size_bytes / (1024 * 1024),
+                c.mem.l3.latency
+            )
+        }),
+        row("DRAM (row hit / miss, cycles)", &|c| {
+            format!(
+                "{} / {}",
+                c.mem.dram.row_hit_latency, c.mem.dram.row_miss_latency
+            )
+        }),
+        row("MSHRs", &|c| fmt(c.mem.mshrs)),
+    ];
 
-    let mut out = String::new();
-    out.push_str("Table 1: processor configuration (baseline and proposed LTP design)\n");
-    out.push_str(&t.render());
-    out
+    let mut report = Report::new("table1");
+    report.push_text("Table 1: processor configuration (baseline and proposed LTP design)\n");
+    report.push_table(&["parameter", "baseline", "LTP design"], rows);
+    report
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn table_mentions_key_sizes() {
-        let s = super::run();
+        let s = super::run().render_text();
         assert!(s.contains("ROB"));
         assert!(s.contains("256"));
         assert!(s.contains("128 entries"));

@@ -6,14 +6,12 @@
 //! more. This experiment sweeps the UIT size on the proposed design for the
 //! MLP-sensitive group.
 
-use crate::parallel::par_map;
 use crate::report::Report;
-use crate::runner::{group_mean, run_point_cached, MlpGrouping};
+use crate::runner::{sweep, MlpGrouping};
 use crate::ExperimentCtx;
 use ltp_core::LtpConfig;
 use ltp_pipeline::{PipelineConfig, RunResult};
 use ltp_workloads::WorkloadKind;
-use std::collections::HashMap;
 
 /// UIT sizes swept (the `usize::MAX` point is the unlimited UIT).
 const UIT_SIZES: [usize; 5] = [usize::MAX, 512, 256, 128, 64];
@@ -24,68 +22,43 @@ const UIT_SIZES: [usize; 5] = [usize::MAX, 512, 256, 128, 64];
 /// state exactly once.
 #[must_use]
 pub fn run(ctx: &ExperimentCtx<'_>) -> Report {
-    let (opts, cache) = (ctx.opts, ctx.cache);
-    let grouping = MlpGrouping::derive_cached(opts, cache);
-
-    let mut points: Vec<(Option<usize>, WorkloadKind)> = Vec::new();
-    for kind in WorkloadKind::ALL {
-        points.push((None, kind)); // the IQ 64 / RF 128 baseline
-        for size in UIT_SIZES {
-            points.push((Some(size), kind));
-        }
-    }
-    let results = par_map(points.clone(), |&(uit, kind)| {
-        let cfg = match uit {
-            None => PipelineConfig::micro2015_baseline(),
-            Some(size) => PipelineConfig::ltp_proposed()
-                .with_ltp(LtpConfig::nu_only_128x4().with_uit_entries(size)),
-        };
-        run_point_cached(kind, cfg, opts, cache)
+    let grouping = MlpGrouping::derive(ctx);
+    // `None` is the IQ 64 / RF 128 baseline.
+    let mut configs = vec![None];
+    configs.extend(UIT_SIZES.map(Some));
+    let runs = sweep(ctx, &configs, &WorkloadKind::ALL, |uit| match uit {
+        None => PipelineConfig::micro2015_baseline(),
+        Some(size) => PipelineConfig::ltp_proposed()
+            .with_ltp(LtpConfig::nu_only_128x4().with_uit_entries(size)),
     });
-    let by_point: HashMap<(Option<usize>, WorkloadKind), RunResult> =
-        points.into_iter().zip(results).collect();
 
     let mut report = Report::new("uit");
     report
         .push_text("UIT size sensitivity (§5.6): proposed design vs. IQ 64 / RF 128 baseline\n\n");
-    for (label, group) in [
-        ("mlp_sensitive", &grouping.sensitive),
-        ("mlp_insensitive", &grouping.insensitive),
-    ] {
-        if group.is_empty() {
-            continue;
-        }
-        let base = group_mean(group, |k| by_point[&(None, k)].cpi()).expect("group is non-empty");
-        let mut rows = Vec::new();
-        for size in UIT_SIZES {
-            let cpi = group_mean(group, |k| by_point[&(Some(size), k)].cpi())
-                .expect("group is non-empty");
-            rows.push(vec![
-                if size == usize::MAX {
-                    "inf".into()
-                } else {
-                    size.to_string()
-                },
-                format!("{:+.1}", (base / cpi - 1.0) * 100.0),
-            ]);
-        }
+    for (label, group) in grouping.groups() {
+        let base = runs.mean(None, group, RunResult::cpi);
+        let rows = UIT_SIZES
+            .iter()
+            .map(|&size| {
+                let cpi = runs.mean(Some(size), group, RunResult::cpi);
+                vec![
+                    if size == usize::MAX {
+                        "inf".into()
+                    } else {
+                        size.to_string()
+                    },
+                    format!("{:+.1}", (base / cpi - 1.0) * 100.0),
+                ]
+            })
+            .collect();
         report.push_text(format!("--- {label} ---\n"));
-        report.push_table(
-            ["UIT entries", "perf vs base %"].map(String::from).to_vec(),
-            rows,
-        );
+        report.push_table(&["UIT entries", "perf vs base %"], rows);
         report.push_text("\n");
     }
-    let mut out = String::new();
-    out.push_str(
+    report.push_text(
         "Paper reference: UIT 256 performs well; 128 entries give up ~4 percentage points;\n\
          an unlimited UIT gains only ~2 points over 256.\n",
     );
-    if let Some(cache) = cache {
-        out.push('\n');
-        out.push_str(&cache.stats().summary_line());
-        out.push('\n');
-    }
-    report.push_text(out);
+    ctx.push_cache_summary(&mut report);
     report
 }

@@ -14,7 +14,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use ltp_experiments::fault::FaultPlan;
-use ltp_experiments::parallel::{worker_threads, LptGovernor, RetryPolicy};
+use ltp_experiments::parallel::{panic_message, worker_threads, LptGovernor, RetryPolicy};
 use ltp_experiments::runner::named_config;
 use ltp_experiments::sampled::{
     digest_line, result_digest, IntervalError, IntervalMeasurement, SampleControl, SampleSpec,
@@ -27,7 +27,7 @@ use ltp_snapshot::{decode_value, SnapError};
 use ltp_stats::{ConfidenceInterval, Histogram};
 use ltp_workloads::WorkloadKind;
 
-use crate::json::{escape, Json};
+use crate::json::Json;
 
 /// Lifecycle of one job. `Queued → Warming → Sampling` then one of the four
 /// terminal states.
@@ -293,8 +293,9 @@ pub struct JobSummary {
     pub digest: String,
     /// Mean per-interval IPC with its 95 % confidence half-width.
     pub ipc: ConfidenceInterval,
-    /// Full report JSON (experiment jobs only).
-    pub report_json: Option<String>,
+    /// The experiment's report as a `{"experiment", "meta", "blocks"}`
+    /// object (experiment jobs only).
+    pub report: Option<Json>,
 }
 
 /// Mutable job state, guarded by the job's mutex.
@@ -459,6 +460,23 @@ struct RegistryInner {
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
+impl RegistryInner {
+    /// Jobs not yet in a terminal state.
+    fn active(&self) -> usize {
+        self.jobs
+            .values()
+            .filter(|j| !j.state().is_terminal())
+            .count()
+    }
+
+    /// Registers a new queued job.
+    fn insert(&mut self, id: u64, raw: String) -> Arc<Job> {
+        let job = Arc::new(Job::new(id, raw));
+        self.jobs.insert(id, Arc::clone(&job));
+        job
+    }
+}
+
 /// The shared job registry: submission, lookup, cancellation, restart
 /// resume, and the cross-job execution governor.
 pub struct Registry {
@@ -535,12 +553,7 @@ impl Registry {
     /// Jobs not yet in a terminal state.
     #[must_use]
     pub fn active_jobs(&self) -> usize {
-        let inner = self.inner.lock().expect("registry lock");
-        inner
-            .jobs
-            .values()
-            .filter(|j| !j.state().is_terminal())
-            .count()
+        self.inner.lock().expect("registry lock").active()
     }
 
     /// Job counts by state.
@@ -571,22 +584,32 @@ impl Registry {
     /// [`SubmitError::Busy`] over the admission limit; [`SubmitError::Io`]
     /// when the `.job` sidecar cannot be written.
     pub fn submit(self: &Arc<Registry>, request: JobRequest) -> Result<Arc<Job>, SubmitError> {
-        let active = self.active_jobs();
-        if active >= self.max_jobs {
-            self.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(SubmitError::Busy {
-                active,
-                limit: self.max_jobs,
-            });
-        }
-        let id = {
+        // Count and insert under one lock, so concurrent submissions cannot
+        // all pass the cap.
+        let job = {
             let mut inner = self.inner.lock().expect("registry lock");
+            let active = inner.active();
+            if active >= self.max_jobs {
+                self.metrics.rejected.fetch_add(1, Ordering::Relaxed);
+                return Err(SubmitError::Busy {
+                    active,
+                    limit: self.max_jobs,
+                });
+            }
             let id = inner.next_id;
             inner.next_id += 1;
-            id
+            inner.insert(id, request.raw.clone())
         };
-        self.persist_job(id, &request).map_err(SubmitError::Io)?;
-        Ok(self.spawn(id, request))
+        if let Err(e) = self.persist_job(job.id, &request) {
+            self.inner
+                .lock()
+                .expect("registry lock")
+                .jobs
+                .remove(&job.id);
+            return Err(SubmitError::Io(e));
+        }
+        self.spawn(&job, request.kind);
+        Ok(job)
     }
 
     /// Publishes the `.job` sidecar that makes the submission survive a
@@ -600,17 +623,16 @@ impl Registry {
         }
     }
 
-    fn spawn(self: &Arc<Registry>, id: u64, request: JobRequest) -> Arc<Job> {
-        let job = Arc::new(Job::new(id, request.raw.clone()));
+    /// Starts the worker thread of a registered job.
+    fn spawn(self: &Arc<Registry>, job: &Arc<Job>, kind: JobKind) {
         let registry = Arc::clone(self);
-        let worker_job = Arc::clone(&job);
-        let handle = std::thread::spawn(move || {
-            run_job(&registry, &worker_job, request.kind);
-        });
-        let mut inner = self.inner.lock().expect("registry lock");
-        inner.jobs.insert(id, Arc::clone(&job));
-        inner.workers.push(handle);
-        job
+        let worker_job = Arc::clone(job);
+        let handle = std::thread::spawn(move || run_job(&registry, &worker_job, kind));
+        self.inner
+            .lock()
+            .expect("registry lock")
+            .workers
+            .push(handle);
     }
 
     /// Re-submits every persisted job that never completed (`.job` sidecar
@@ -656,7 +678,12 @@ impl Registry {
         for (id, request) in pending {
             match request {
                 Ok(request) => {
-                    self.spawn(id, request);
+                    let job = self
+                        .inner
+                        .lock()
+                        .expect("registry lock")
+                        .insert(id, request.raw);
+                    self.spawn(&job, request.kind);
                     resumed.push(id);
                 }
                 // Marked done so it is not retried forever.
@@ -762,23 +789,13 @@ fn run_job(registry: &Arc<Registry>, job: &Arc<Job>, kind: JobKind) {
     match outcome {
         Ok(()) => {}
         Err(panic) => {
-            let msg = panic_message(&panic);
+            let msg = panic_message(panic.as_ref());
             mark_done(registry, job.id, "failed: panic");
             job.update(|s| {
                 s.state = JobState::Failed;
                 s.error = Some(format!("job panicked: {msg}"));
             });
         }
-    }
-}
-
-fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
     }
 }
 
@@ -915,7 +932,7 @@ fn run_point_job(
                 s.summary = Some(JobSummary {
                     digest,
                     ipc: result.ipc,
-                    report_json: None,
+                    report: None,
                 });
             });
         }
@@ -982,7 +999,7 @@ fn run_experiment_job(
         s.summary = Some(JobSummary {
             digest,
             ipc: ConfidenceInterval::from_samples(&ipcs),
-            report_json: Some(report_json(&report).render()),
+            report: Some(report_json(&report)),
         });
     });
 }
@@ -1022,35 +1039,69 @@ fn report_json(report: &Report) -> Json {
     ])
 }
 
-/// Renders one interval measurement as the wire JSON object used by status
-/// and streaming responses.
+/// Renders one interval measurement as the wire JSON object of a result
+/// stream line.
 #[must_use]
 pub fn interval_json(m: &IntervalMeasurement) -> String {
-    format!(
-        "{{\"index\":{},\"start\":{},\"instructions\":{},\"cycles\":{},\"ipc\":{},\"weight\":{}}}",
-        m.index, m.start, m.instructions, m.cycles, m.ipc, m.weight
-    )
+    Json::obj([
+        ("index", Json::Num(m.index as f64)),
+        ("start", Json::Num(m.start as f64)),
+        ("instructions", Json::Num(m.instructions as f64)),
+        ("cycles", Json::Num(m.cycles as f64)),
+        ("ipc", Json::Num(m.ipc)),
+        ("weight", Json::Num(m.weight as f64)),
+    ])
+    .render()
+}
+
+/// Renders the body of `GET /jobs/:id`: the job's progress and, while it
+/// measures, the running IPC of the intervals so far (`partial_ipc`).
+#[must_use]
+pub fn status_json(id: u64, shared: &JobShared) -> String {
+    job_json(("id", Json::Num(id as f64)), shared, true).render()
 }
 
 /// Renders the terminal summary line of a result stream.
 #[must_use]
 pub fn summary_json(shared: &JobShared) -> String {
-    let mut out = String::from("{\"final\":true");
-    out.push_str(&format!(",\"state\":{}", escape(shared.state.as_str())));
-    out.push_str(&format!(",\"completed\":{}", shared.intervals.len()));
-    out.push_str(&format!(",\"planned\":{}", shared.planned));
-    if let Some(summary) = &shared.summary {
-        out.push_str(&format!(",\"digest\":{}", escape(&summary.digest)));
-        out.push_str(&format!(
-            ",\"ipc\":{{\"mean\":{},\"half_width\":{},\"n\":{}}}",
-            summary.ipc.mean, summary.ipc.half_width, summary.ipc.n
+    job_json(("final", Json::Bool(true)), shared, false).render()
+}
+
+/// The fields a status body and a summary line share, after `head`: state,
+/// interval counts, `partial_ipc` (when asked for, the job has measured
+/// intervals and has no summary yet), a finished job's digest and IPC, and
+/// any error.
+fn job_json(head: (&str, Json), s: &JobShared, partial_ipc: bool) -> Json {
+    let mut fields = vec![
+        head,
+        ("state", Json::Str(s.state.as_str().into())),
+        ("completed", Json::Num(s.intervals.len() as f64)),
+        ("planned", Json::Num(s.planned as f64)),
+    ];
+    if partial_ipc && !s.intervals.is_empty() && s.summary.is_none() {
+        let ipcs: Vec<f64> = s.intervals.iter().map(|m| m.ipc).collect();
+        fields.push((
+            "partial_ipc",
+            ci_json(&ConfidenceInterval::from_samples(&ipcs)),
         ));
     }
-    if let Some(error) = &shared.error {
-        out.push_str(&format!(",\"error\":{}", escape(error)));
+    if let Some(summary) = &s.summary {
+        fields.push(("digest", Json::Str(summary.digest.clone())));
+        fields.push(("ipc", ci_json(&summary.ipc)));
     }
-    out.push('}');
-    out
+    if let Some(error) = &s.error {
+        fields.push(("error", Json::Str(error.clone())));
+    }
+    Json::obj(fields)
+}
+
+/// A confidence interval as `{"mean", "half_width", "n"}`.
+fn ci_json(ci: &ConfidenceInterval) -> Json {
+    Json::obj([
+        ("mean", Json::Num(ci.mean)),
+        ("half_width", Json::Num(ci.half_width)),
+        ("n", Json::Num(ci.n as f64)),
+    ])
 }
 
 /// Hex-encodes bytes (the inline-trace wire format).
@@ -1105,7 +1156,7 @@ mod tests {
         r.push_text("a \"quoted\"\nline\t!\u{1}");
         r.push_meta("digest", "0xabc");
         r.push_table(
-            vec!["k".into(), "v".into()],
+            &["k", "v"],
             vec![vec!["a".into(), "1".into()], vec!["b\\".into(), "2".into()]],
         );
         assert_eq!(
@@ -1116,6 +1167,63 @@ mod tests {
         assert!(report_json(&table1).render().starts_with(
             r#"{"experiment":"table1","meta":{},"blocks":[{"type":"text","text":"Table 1"#
         ));
+    }
+
+    /// The wire bytes of an interval line, a status body and a summary
+    /// line: key order, whole numbers without a fraction, shortest
+    /// round-trip floats and escaped strings. Clients find fields by
+    /// position (the service canary's `"state":"`, `"completed":`,
+    /// `"digest":"`), so these bytes must not drift.
+    #[test]
+    fn status_interval_and_summary_bytes_are_pinned() {
+        let measured = |index: usize, ipc: f64| IntervalMeasurement {
+            index,
+            start: 1_000 * index as u64,
+            instructions: 600,
+            cycles: 1_200,
+            ipc,
+            weight: 6_000,
+        };
+        assert_eq!(
+            interval_json(&measured(1, 0.1 + 0.2)),
+            r#"{"index":1,"start":1000,"instructions":600,"cycles":1200,"ipc":0.30000000000000004,"weight":6000}"#
+        );
+        let job = Job::new(7, String::new());
+        job.update(|s| {
+            s.state = JobState::Sampling;
+            s.planned = 4;
+            s.intervals = vec![measured(0, 0.5), measured(1, 0.5)];
+        });
+        job.with_shared(|s| {
+            assert_eq!(
+                status_json(7, s),
+                r#"{"id":7,"state":"sampling","completed":2,"planned":4,"partial_ipc":{"mean":0.5,"half_width":0,"n":2}}"#
+            );
+        });
+        job.update(|s| {
+            s.state = JobState::Partial;
+            s.error = Some("lost \"one\"".into());
+            s.summary = Some(JobSummary {
+                digest: "0x00ab".into(),
+                ipc: ConfidenceInterval {
+                    mean: 0.1 + 0.2,
+                    half_width: 0.125,
+                    stddev: 0.1,
+                    n: 2,
+                },
+                report: None,
+            });
+        });
+        job.with_shared(|s| {
+            assert_eq!(
+                status_json(7, s),
+                r#"{"id":7,"state":"partial","completed":2,"planned":4,"digest":"0x00ab","ipc":{"mean":0.30000000000000004,"half_width":0.125,"n":2},"error":"lost \"one\""}"#
+            );
+            assert_eq!(
+                summary_json(s),
+                r#"{"final":true,"state":"partial","completed":2,"planned":4,"digest":"0x00ab","ipc":{"mean":0.30000000000000004,"half_width":0.125,"n":2},"error":"lost \"one\""}"#
+            );
+        });
     }
 
     #[test]
@@ -1320,5 +1428,73 @@ mod tests {
         let state = job.wait_terminal();
         assert!(state.is_terminal());
         registry.shutdown();
+    }
+
+    /// Concurrent submissions cannot all pass the cap: the active count and
+    /// the insert happen under one lock, so of eight racing submissions to
+    /// a one-job registry exactly one is admitted. The registry journals, so
+    /// each submission also publishes its `.job` sidecar.
+    #[test]
+    fn concurrent_submissions_respect_the_admission_cap() {
+        const CLIENTS: usize = 8;
+        let dir = std::env::temp_dir().join(format!("ltp-admission-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("journal dir");
+        let registry = Arc::new(Registry::new(1, 1, None, Some(dir.clone())));
+        let slow = JobRequest::parse(
+            r#"{"workload":"pointer_chase","spec":{"total_insts":200000,"intervals":8,
+                "detail_warm":1000,"detail_measure":4000,"seed":3,"warm_insts":2000}}"#,
+        )
+        .expect("parse");
+        // The clients start behind a barrier and then queue on the registry
+        // lock, which the test holds; released, they submit back to back.
+        // The assertion holds under every interleaving; the pause only
+        // gives the clients time to queue, so that a cap checked apart from
+        // the insert is caught.
+        let gate = registry.inner.lock().expect("registry lock");
+        let barrier = Arc::new(std::sync::Barrier::new(CLIENTS + 1));
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                let (registry, barrier, request) =
+                    (Arc::clone(&registry), Arc::clone(&barrier), slow.clone());
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    registry.submit(request)
+                })
+            })
+            .collect();
+        barrier.wait();
+        std::thread::sleep(Duration::from_millis(50));
+        drop(gate);
+        let outcomes: Vec<_> = clients
+            .into_iter()
+            .map(|c| c.join().expect("client"))
+            .collect();
+        let admitted: Vec<&Arc<Job>> = outcomes.iter().filter_map(|o| o.as_ref().ok()).collect();
+        let busy = outcomes
+            .iter()
+            .filter(|o| matches!(o, Err(SubmitError::Busy { .. })))
+            .count();
+        for job in &admitted {
+            job.cancel();
+        }
+        registry.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!((admitted.len(), busy), (1, CLIENTS - 1));
+    }
+
+    /// A submission whose `.job` sidecar cannot be written is refused and
+    /// leaves no job behind (here the journal "directory" is a file).
+    #[test]
+    fn unpersistable_submission_leaves_no_job() {
+        let file = std::env::temp_dir().join(format!("ltp-not-a-dir-{}", std::process::id()));
+        std::fs::write(&file, b"").expect("scratch file");
+        let registry = Arc::new(Registry::new(1, 1, None, Some(file.clone())));
+        let request = JobRequest::parse(r#"{"workload":"compute_bound"}"#).expect("parse");
+        assert!(matches!(registry.submit(request), Err(SubmitError::Io(_))));
+        assert!(registry.get(1).is_none());
+        assert_eq!(registry.active_jobs(), 0);
+        registry.shutdown();
+        let _ = std::fs::remove_file(&file);
     }
 }

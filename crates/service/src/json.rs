@@ -1,6 +1,9 @@
 //! Minimal JSON codec — a hand-rolled, std-only stand-in in the spirit of
 //! the vendored `crates/compat` crates: exactly the surface the job server
-//! needs (parse request bodies, render responses), no serde.
+//! needs (parse request bodies, render responses), no serde. Every response
+//! body the server writes is a [`Json`] value rendered by [`Json::render`].
+
+use std::fmt::Write;
 
 /// Deepest array/object nesting [`Json::parse`] accepts. The parser
 /// recurses once per level, so without a cap one request body of nothing
@@ -47,6 +50,12 @@ impl Json {
             return Err(format!("trailing bytes at offset {}", p.pos));
         }
         Ok(v)
+    }
+
+    /// An object of `(key, value)` pairs, in the given order.
+    #[must_use]
+    pub fn obj<'k>(pairs: impl IntoIterator<Item = (&'k str, Json)>) -> Json {
+        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
     /// Looks up a key in an object value.
@@ -117,13 +126,13 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) {
-                    out.push_str(&format!("{}", *n as i64));
+                let _ = if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) {
+                    write!(out, "{}", *n as i64)
                 } else {
-                    out.push_str(&format!("{n}"));
-                }
+                    write!(out, "{n}")
+                };
             }
-            Json::Str(s) => out.push_str(&escape(s)),
+            Json::Str(s) => escape_onto(s, out),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -140,7 +149,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(&escape(k));
+                    escape_onto(k, out);
                     out.push(':');
                     v.render_onto(out);
                 }
@@ -150,10 +159,8 @@ impl Json {
     }
 }
 
-/// Escapes `s` as a JSON string literal, including the surrounding quotes.
-#[must_use]
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Appends `s` as a JSON string literal, including the surrounding quotes.
+fn escape_onto(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -162,12 +169,13 @@ pub fn escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
     out.push('"');
-    out
 }
 
 struct Parser<'a> {

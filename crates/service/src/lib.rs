@@ -20,7 +20,8 @@
 //! | GET    | `/healthz`        | Liveness                                  |
 //! | GET    | `/metrics`        | Jobs by state, governor, cache, latency   |
 //!
-//! Execution is governed by one cross-job [`LptGovernor`] permit pool:
+//! Execution is governed by one cross-job
+//! [`LptGovernor`](ltp_experiments::parallel::LptGovernor) permit pool:
 //! intervals from *all* active jobs compete heaviest-first for the machine's
 //! worker budget instead of each job oversubscribing its own pool.
 
@@ -35,11 +36,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ltp_experiments::parallel::LptGovernor;
-
 use http::{read_request, write_response, ChunkedResponse, Request};
-use jobs::{interval_json, summary_json, JobRequest, Registry, SubmitError};
-use json::escape;
+use jobs::{interval_json, status_json, summary_json, JobRequest, Registry, SubmitError};
+use json::Json;
 
 /// Server construction parameters.
 #[derive(Debug, Clone)]
@@ -198,13 +197,13 @@ fn handle_connection(stream: &mut TcpStream, registry: &Arc<Registry>) -> io::Re
 fn route(stream: &mut TcpStream, registry: &Arc<Registry>, req: &Request) -> io::Result<()> {
     match (req.method.as_str(), req.target.as_str()) {
         ("GET", "/healthz") => {
-            let body = format!("{{\"ok\":true,\"active_jobs\":{}}}", registry.active_jobs());
-            write_response(stream, 200, "application/json", &[], body.as_bytes())
+            let body = Json::obj([
+                ("ok", Json::Bool(true)),
+                ("active_jobs", Json::Num(registry.active_jobs() as f64)),
+            ]);
+            json_response(stream, 200, &[], &body)
         }
-        ("GET", "/metrics") => {
-            let body = render_metrics(registry);
-            write_response(stream, 200, "application/json", &[], body.as_bytes())
-        }
+        ("GET", "/metrics") => json_response(stream, 200, &[], &render_metrics(registry)),
         ("POST", "/jobs") => submit(stream, registry, req),
         (method, path) => {
             if let Some(rest) = path.strip_prefix("/jobs/") {
@@ -225,9 +224,24 @@ fn route(stream: &mut TcpStream, registry: &Arc<Registry>, req: &Request) -> io:
     }
 }
 
+fn json_response(
+    stream: &mut TcpStream,
+    status: u16,
+    headers: &[(&str, &str)],
+    body: &Json,
+) -> io::Result<()> {
+    write_response(
+        stream,
+        status,
+        "application/json",
+        headers,
+        body.render().as_bytes(),
+    )
+}
+
 fn error_response(stream: &mut TcpStream, status: u16, message: &str) -> io::Result<()> {
-    let body = format!("{{\"error\":{}}}", escape(message));
-    write_response(stream, status, "application/json", &[], body.as_bytes())
+    let body = Json::obj([("error", Json::Str(message.to_string()))]);
+    json_response(stream, status, &[], &body)
 }
 
 fn submit(stream: &mut TcpStream, registry: &Arc<Registry>, req: &Request) -> io::Result<()> {
@@ -241,23 +255,20 @@ fn submit(stream: &mut TcpStream, registry: &Arc<Registry>, req: &Request) -> io
     };
     match registry.submit(parsed) {
         Ok(job) => {
-            let body = format!(
-                "{{\"id\":{},\"state\":{},\"href\":\"/jobs/{}\"}}",
-                job.id,
-                escape(job.state().as_str()),
-                job.id
-            );
-            write_response(stream, 201, "application/json", &[], body.as_bytes())
+            let body = Json::obj([
+                ("id", Json::Num(job.id as f64)),
+                ("state", Json::Str(job.state().as_str().into())),
+                ("href", Json::Str(format!("/jobs/{}", job.id))),
+            ]);
+            json_response(stream, 201, &[], &body)
         }
         Err(SubmitError::Busy { active, limit }) => {
-            let body = format!("{{\"error\":\"busy\",\"active\":{active},\"limit\":{limit}}}");
-            write_response(
-                stream,
-                429,
-                "application/json",
-                &[("Retry-After", "1")],
-                body.as_bytes(),
-            )
+            let body = Json::obj([
+                ("error", Json::Str("busy".into())),
+                ("active", Json::Num(active as f64)),
+                ("limit", Json::Num(limit as f64)),
+            ]);
+            json_response(stream, 429, &[("Retry-After", "1")], &body)
         }
         Err(SubmitError::Io(e)) => error_response(stream, 500, &format!("cannot persist job: {e}")),
     }
@@ -267,36 +278,7 @@ fn job_status(stream: &mut TcpStream, registry: &Arc<Registry>, id: u64) -> io::
     let Some(job) = registry.get(id) else {
         return error_response(stream, 404, "no such job");
     };
-    let body = job.with_shared(|s| {
-        let mut out = format!(
-            "{{\"id\":{id},\"state\":{},\"completed\":{},\"planned\":{}",
-            escape(s.state.as_str()),
-            s.intervals.len(),
-            s.planned
-        );
-        if !s.intervals.is_empty() && s.summary.is_none() {
-            let ipcs: Vec<f64> = s.intervals.iter().map(|m| m.ipc).collect();
-            let ci = ltp_stats::ConfidenceInterval::from_samples(&ipcs);
-            out.push_str(&format!(
-                ",\"partial_ipc\":{{\"mean\":{},\"half_width\":{},\"n\":{}}}",
-                ci.mean, ci.half_width, ci.n
-            ));
-        }
-        if let Some(summary) = &s.summary {
-            out.push_str(&format!(
-                ",\"digest\":{},\"ipc\":{{\"mean\":{},\"half_width\":{},\"n\":{}}}",
-                escape(&summary.digest),
-                summary.ipc.mean,
-                summary.ipc.half_width,
-                summary.ipc.n
-            ));
-        }
-        if let Some(error) = &s.error {
-            out.push_str(&format!(",\"error\":{}", escape(error)));
-        }
-        out.push('}');
-        out
-    });
+    let body = job.with_shared(|s| status_json(id, s));
     write_response(stream, 200, "application/json", &[], body.as_bytes())
 }
 
@@ -324,15 +306,13 @@ fn job_results(stream: &mut TcpStream, registry: &Arc<Registry>, id_text: &str) 
             }
             if s.state.is_terminal() && !lines.is_empty() {
                 // Flush the tail and the summary in one pass.
-                let report = s.summary.as_ref().and_then(|x| x.report_json.clone());
                 lines.push_str(&summary_json(s));
                 lines.push('\n');
-                Step::Final(lines, report)
+                Step::Final(lines, report_line(s))
             } else if s.state.is_terminal() {
-                let report = s.summary.as_ref().and_then(|x| x.report_json.clone());
                 let mut line = summary_json(s);
                 line.push('\n');
-                Step::Final(line, report)
+                Step::Final(line, report_line(s))
             } else {
                 Step::Lines(lines)
             }
@@ -345,8 +325,7 @@ fn job_results(stream: &mut TcpStream, registry: &Arc<Registry>, id_text: &str) 
             }
             Step::Final(lines, report) => {
                 out.chunk(lines.as_bytes())?;
-                if let Some(report) = report {
-                    let line = format!("{{\"report\":{report}}}\n");
+                if let Some(line) = report {
                     out.chunk(line.as_bytes())?;
                 }
                 return out.finish();
@@ -355,51 +334,67 @@ fn job_results(stream: &mut TcpStream, registry: &Arc<Registry>, id_text: &str) 
     }
 }
 
+/// The `{"report":…}` line that ends a finished experiment job's stream.
+fn report_line(s: &jobs::JobShared) -> Option<String> {
+    let report = s.summary.as_ref()?.report.clone()?;
+    Some(Json::obj([("report", report)]).render() + "\n")
+}
+
 fn job_cancel(stream: &mut TcpStream, registry: &Arc<Registry>, id: u64) -> io::Result<()> {
     if registry.cancel(id) {
-        let body = format!("{{\"id\":{id},\"cancelling\":true}}");
-        write_response(stream, 202, "application/json", &[], body.as_bytes())
+        let body = Json::obj([
+            ("id", Json::Num(id as f64)),
+            ("cancelling", Json::Bool(true)),
+        ]);
+        json_response(stream, 202, &[], &body)
     } else {
         error_response(stream, 404, "no such job")
     }
 }
 
-fn render_metrics(registry: &Arc<Registry>) -> String {
-    let mut out = String::from("{\"jobs\":{");
-    for (i, (state, count)) in registry.jobs_by_state().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{}:{count}", escape(state.as_str())));
-    }
-    let governor: &Arc<LptGovernor> = registry.governor();
-    out.push_str(&format!(
-        "}},\"governor\":{{\"permits\":{},\"running\":{},\"queue_depth\":{}}}",
-        governor.permits(),
-        governor.running(),
-        governor.queue_depth()
-    ));
-    out.push_str(&format!(
-        ",\"cache\":{{\"hits\":{},\"misses\":{}}}",
-        registry.metrics.cache_hits.load(Ordering::Relaxed),
-        registry.metrics.cache_misses.load(Ordering::Relaxed)
-    ));
-    out.push_str(&format!(
-        ",\"rejected\":{}",
-        registry.metrics.rejected.load(Ordering::Relaxed)
-    ));
-    out.push_str(",\"latency_us\":{");
-    for (i, (ep, count, mean, p50, p99)) in registry.metrics.latency_snapshot().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{}:{{\"count\":{count},\"mean\":{mean:.1},\"p50\":{p50},\"p99\":{p99}}}",
-            escape(ep)
-        ));
-    }
-    out.push_str("}}");
-    out
+fn render_metrics(registry: &Arc<Registry>) -> Json {
+    let count = |n: u64| Json::Num(n as f64);
+    let jobs = registry
+        .jobs_by_state()
+        .into_iter()
+        .map(|(state, n)| (state.as_str(), count(n as u64)));
+    let governor = registry.governor();
+    let metrics = &registry.metrics;
+    let latency = metrics
+        .latency_snapshot()
+        .into_iter()
+        .map(|(endpoint, n, mean, p50, p99)| {
+            let stats = Json::obj([
+                ("count", count(n)),
+                ("mean", Json::Num(mean)),
+                ("p50", count(p50)),
+                ("p99", count(p99)),
+            ]);
+            (endpoint, stats)
+        });
+    Json::obj([
+        ("jobs", Json::obj(jobs)),
+        (
+            "governor",
+            Json::obj([
+                ("permits", count(governor.permits() as u64)),
+                ("running", count(governor.running() as u64)),
+                ("queue_depth", count(governor.queue_depth() as u64)),
+            ]),
+        ),
+        (
+            "cache",
+            Json::obj([
+                ("hits", count(metrics.cache_hits.load(Ordering::Relaxed))),
+                (
+                    "misses",
+                    count(metrics.cache_misses.load(Ordering::Relaxed)),
+                ),
+            ]),
+        ),
+        ("rejected", count(metrics.rejected.load(Ordering::Relaxed))),
+        ("latency_us", Json::obj(latency)),
+    ])
 }
 
 /// Blocking convenience client used by tests and the canary: one request,

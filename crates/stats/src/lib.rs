@@ -3,7 +3,7 @@
 //! Statistics primitives shared by the simulator and the experiment
 //! harnesses: event counters, time-weighted occupancy averages (used for the
 //! "average resources in use per cycle" plots of Figure 1c and Figure 7),
-//! histograms, and simple text tables for reports.
+//! histograms, and confidence intervals.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -13,13 +13,11 @@ mod ci;
 mod histogram;
 mod occupancy;
 mod summary;
-mod table;
 
 pub use ci::{t95, ConfidenceInterval};
 pub use histogram::Histogram;
 pub use occupancy::OccupancyTracker;
 pub use summary::{geometric_mean, ratio, speedup_percent, MeanAccumulator};
-pub use table::TextTable;
 
 #[cfg(test)]
 mod tests {
@@ -33,8 +31,6 @@ mod tests {
         o.sample(1, 5);
         let mut m = MeanAccumulator::new();
         m.add(2.0);
-        let mut t = TextTable::new(vec!["a".into()]);
-        t.add_row(vec!["1".into()]);
         assert_eq!(h.count(), 1);
         assert!(m.mean() > 1.0);
     }

@@ -7,7 +7,8 @@
 //! cargo run --release --example mlp_study
 //! ```
 
-use ltp_experiments::{run_point, MlpGrouping, RunOptions};
+use ltp_experiments::runner::names;
+use ltp_experiments::{run_point, ExperimentCtx, MlpGrouping, RunOptions};
 use ltp_pipeline::PipelineConfig;
 use ltp_stats::MeanAccumulator;
 use ltp_workloads::WorkloadKind;
@@ -28,25 +29,9 @@ fn main() {
     };
 
     println!("Deriving the MLP grouping with the paper's criterion (§4.1)...\n");
-    let grouping = MlpGrouping::derive(&opts);
-    println!(
-        "MLP-sensitive:   {}",
-        grouping
-            .sensitive
-            .iter()
-            .map(|k| k.name())
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    println!(
-        "MLP-insensitive: {}\n",
-        grouping
-            .insensitive
-            .iter()
-            .map(|k| k.name())
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
+    let grouping = MlpGrouping::derive(&ExperimentCtx::new(&opts));
+    println!("MLP-sensitive:   {}", names(&grouping.sensitive));
+    println!("MLP-insensitive: {}\n", names(&grouping.insensitive));
 
     let configs = [
         ("baseline IQ64/RF128", PipelineConfig::micro2015_baseline()),

@@ -7,6 +7,7 @@
 //! same inputs.
 
 use ltp_experiments::sampled::{digest_line, result_digest, SampleSpec, SampledRequest};
+use ltp_experiments::{Block, Experiment, ExperimentCtx, RunOptions};
 use ltp_service::json::Json;
 use ltp_service::{client, Server, ServiceConfig};
 use ltp_workloads::WorkloadKind;
@@ -455,4 +456,66 @@ fn damaged_job_sidecar_is_not_resumed_as_another_job() {
         "marked unresumable"
     );
     second.shutdown();
+}
+
+#[test]
+fn figure_job_report_carries_its_tables_as_table_blocks() {
+    // A figure job's final `{"report":…}` line holds the report's blocks as
+    // they are, tables as `table` blocks with their columns and rows, not
+    // one pre-rendered text block.
+    let mut server = Server::start(&ServiceConfig {
+        workers: 2,
+        ..ServiceConfig::default()
+    })
+    .expect("server");
+    let id = submit(server.addr(), r#"{"experiment":"table1","quick":true}"#);
+    let resp = client::request(server.addr(), "GET", &format!("/jobs/{id}/results"), None)
+        .expect("results");
+    server.shutdown();
+    let line = resp
+        .text()
+        .lines()
+        .find(|l| l.starts_with(r#"{"report":"#))
+        .expect("report line");
+    let report = Json::parse(line).expect("report JSON");
+    let blocks = report
+        .get("report")
+        .and_then(|r| r.get("blocks"))
+        .and_then(Json::as_array)
+        .expect("blocks");
+    let kind = |b: &Json| b.get("type").and_then(Json::as_str).map(String::from);
+    assert!(
+        blocks.iter().any(|b| kind(b).as_deref() == Some("table")),
+        "no table block in {line}"
+    );
+
+    let strings = |v: Option<&Json>| -> Vec<String> {
+        v.and_then(Json::as_array)
+            .expect("array")
+            .iter()
+            .map(|s| s.as_str().expect("string").to_string())
+            .collect()
+    };
+    let expected = Experiment::Table1.run(&ExperimentCtx::new(&RunOptions::quick()));
+    assert_eq!(blocks.len(), expected.blocks().len());
+    for (got, want) in blocks.iter().zip(expected.blocks()) {
+        match want {
+            Block::Text(text) => {
+                assert_eq!(kind(got).as_deref(), Some("text"));
+                assert_eq!(got.get("text").and_then(Json::as_str), Some(text.as_str()));
+            }
+            Block::Table { columns, rows } => {
+                assert_eq!(kind(got).as_deref(), Some("table"));
+                assert_eq!(&strings(got.get("columns")), columns);
+                let got_rows: Vec<Vec<String>> = got
+                    .get("rows")
+                    .and_then(Json::as_array)
+                    .expect("rows")
+                    .iter()
+                    .map(|row| strings(Some(row)))
+                    .collect();
+                assert_eq!(&got_rows, rows);
+            }
+        }
+    }
 }

@@ -21,19 +21,14 @@ use ltp_workloads::{replay_slice, WorkloadKind};
 use proptest::prelude::*;
 
 // A guard against OOM-scale allocations while decoding hostile bytes: the
-// tracking allocator records the largest single allocation request ever
-// made by this test binary, and by each thread since it last asked. The
-// counting shim needs `unsafe impl GlobalAlloc`; the workspace otherwise
+// tracking allocator records the largest single allocation request each
+// thread made since it last asked. The counting shim needs `unsafe impl GlobalAlloc`; the workspace otherwise
 // denies unsafe code, so the exemption is scoped to this module (same
 // pattern as `tests/hot_loop_alloc.rs`).
 #[allow(unsafe_code)]
 mod peak_alloc {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    /// Largest single allocation request seen so far, in bytes.
-    pub static PEAK_REQUEST: AtomicUsize = AtomicUsize::new(0);
 
     thread_local! {
         /// Largest single request of this thread since `peak_during` last
@@ -43,7 +38,6 @@ mod peak_alloc {
     }
 
     fn record(size: usize) {
-        PEAK_REQUEST.fetch_max(size, Ordering::Relaxed);
         let _ = THREAD_PEAK.try_with(|p| p.set(p.get().max(size)));
     }
 
@@ -298,7 +292,9 @@ fn valid_snapshot_bytes() -> &'static [u8] {
 /// snapshot) — never a panic, and never an allocation sized by attacker-
 /// controlled length fields. The 64 MiB ceiling is ~300× a real encoding,
 /// far below what a length-lying varint (terabytes) would request, and
-/// comfortably above every legitimate allocation this test binary makes.
+/// comfortably above every legitimate allocation of a decode. Each test
+/// measures its own decode on its own thread (`peak_alloc::peak_during`),
+/// so another test's allocations in this binary cannot fail it.
 const ALLOC_CEILING: usize = 64 << 20;
 
 proptest! {
@@ -314,11 +310,8 @@ proptest! {
         let mut bytes = valid_snapshot_bytes().to_vec();
         let pos = pos_seed % bytes.len();
         bytes[pos] = byte as u8;
-        let _ = Snapshot::from_bytes(&bytes);
-        prop_assert!(
-            peak_alloc::PEAK_REQUEST.load(std::sync::atomic::Ordering::Relaxed) < ALLOC_CEILING,
-            "an allocation crossed the {ALLOC_CEILING}-byte ceiling"
-        );
+        let (_, peak) = peak_alloc::peak_during(|| Snapshot::from_bytes(&bytes));
+        prop_assert!(peak < ALLOC_CEILING, "a {peak}-byte allocation crossed the ceiling");
     }
 
     /// Truncation to an arbitrary prefix (a torn write): every cut point
@@ -327,11 +320,9 @@ proptest! {
     fn truncated_snapshot_bytes_never_panic_or_overallocate(len_seed in 0usize..1 << 30) {
         let bytes = valid_snapshot_bytes();
         let len = len_seed % bytes.len();
-        prop_assert!(Snapshot::from_bytes(&bytes[..len]).is_err(), "truncated decode succeeded");
-        prop_assert!(
-            peak_alloc::PEAK_REQUEST.load(std::sync::atomic::Ordering::Relaxed) < ALLOC_CEILING,
-            "an allocation crossed the {ALLOC_CEILING}-byte ceiling"
-        );
+        let (decoded, peak) = peak_alloc::peak_during(|| Snapshot::from_bytes(&bytes[..len]));
+        prop_assert!(decoded.is_err(), "truncated decode succeeded");
+        prop_assert!(peak < ALLOC_CEILING, "a {peak}-byte allocation crossed the ceiling");
     }
 
     /// A burst of 0xFF bytes spliced over the encoding — the worst case for
@@ -345,11 +336,8 @@ proptest! {
         let pos = pos_seed % bytes.len();
         let end = (pos + burst).min(bytes.len());
         bytes[pos..end].fill(0xFF);
-        let _ = Snapshot::from_bytes(&bytes);
-        prop_assert!(
-            peak_alloc::PEAK_REQUEST.load(std::sync::atomic::Ordering::Relaxed) < ALLOC_CEILING,
-            "an allocation crossed the {ALLOC_CEILING}-byte ceiling"
-        );
+        let (_, peak) = peak_alloc::peak_during(|| Snapshot::from_bytes(&bytes));
+        prop_assert!(peak < ALLOC_CEILING, "a {peak}-byte allocation crossed the ceiling");
     }
 }
 
