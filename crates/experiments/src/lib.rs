@@ -33,6 +33,7 @@ pub mod report;
 pub mod runner;
 pub mod sampled;
 pub mod sim;
+mod table;
 pub mod table1;
 pub mod uit_sweep;
 

@@ -70,10 +70,7 @@ impl Report {
     /// Panics when `columns` is empty or a row's cell count differs from
     /// the column count.
     pub fn push_table(&mut self, columns: &[&str], rows: Vec<Vec<String>>) {
-        assert!(!columns.is_empty(), "a table needs at least one column");
-        for row in &rows {
-            assert_eq!(row.len(), columns.len(), "ragged report table row");
-        }
+        crate::table::check(columns, &rows);
         let columns = columns.iter().map(|c| (*c).to_string()).collect();
         self.blocks.push(Block::Table { columns, rows });
     }
@@ -102,47 +99,18 @@ impl Report {
 
     /// Renders the report as plain text: text blocks verbatim; a table as
     /// its header row, a rule of dashes as wide as the table, then one line
-    /// per row. Cells are left-aligned with two spaces between columns, and
-    /// each line's trailing whitespace is trimmed. Column widths count
-    /// bytes, not chars, so a cell holding a multi-byte char such as `±`
-    /// pads its column by its byte length.
+    /// per row, with left-aligned cells two spaces apart, trailing blanks
+    /// trimmed and column widths counted in bytes.
     #[must_use]
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         for block in &self.blocks {
             match block {
                 Block::Text(text) => out.push_str(text),
-                Block::Table { columns, rows } => render_table(&mut out, columns, rows),
+                Block::Table { columns, rows } => crate::table::render(&mut out, columns, rows),
             }
         }
         out
-    }
-}
-
-fn render_table(out: &mut String, columns: &[String], rows: &[Vec<String>]) {
-    let mut widths: Vec<usize> = columns.iter().map(String::len).collect();
-    for row in rows {
-        for (width, cell) in widths.iter_mut().zip(row) {
-            *width = (*width).max(cell.len());
-        }
-    }
-    let line = |out: &mut String, cells: &[String]| {
-        let start = out.len();
-        for (i, (cell, width)) in cells.iter().zip(&widths).enumerate() {
-            if i > 0 {
-                out.push_str("  ");
-            }
-            out.push_str(cell);
-            out.push_str(&" ".repeat(width - cell.len()));
-        }
-        out.truncate(start + out[start..].trim_end().len());
-        out.push('\n');
-    };
-    line(out, columns);
-    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * widths.len().saturating_sub(1)));
-    out.push('\n');
-    for row in rows {
-        line(out, row);
     }
 }
 
