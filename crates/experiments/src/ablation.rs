@@ -1,4 +1,4 @@
-//! Ablations of the design choices called out in `DESIGN.md`:
+//! Ablations of three design choices of the paper:
 //!
 //! 1. **Prefetcher** — the paper runs every experiment with the L2 stride
 //!    prefetcher enabled and notes that "applications with regular access

@@ -7,11 +7,11 @@
 //! simulation points and returns a structured [`Report`] of text and table
 //! blocks. A figure's points go through one helper, `runner::sweep`, which
 //! fans a grid of (configuration, workload) points out over the available
-//! cores with the context's checkpoint cache. [`Experiment::run`] dispatches
-//! on the experiment name over an [`ExperimentCtx`] (options + optional
-//! shared checkpoint cache); the `experiments` binary renders reports as
-//! text under `results/`, the `ltp-service` job server ships the same values
-//! as JSON.
+//! cores with the context's checkpoint cache, and simulates each distinct
+//! point once per context. [`Experiment::run`] dispatches on the experiment
+//! name over an [`ExperimentCtx`] (options + optional shared checkpoint
+//! cache); the `experiments` binary renders reports as text under
+//! `results/`, the `ltp-service` job server ships the same values as JSON.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,7 +47,8 @@ pub use sim::{CoRunBuilder, SimBuilder};
 /// experiments, and the controls of the `sample` experiment's points.
 /// Every experiment that simulates single-thread points (all but `table1`
 /// and `fig_smt`) uses the cache to pay each warm-up once per distinct warm
-/// configuration.
+/// configuration, and the context (with its clones) keeps the finished
+/// points, so the experiments run on it simulate each point once.
 #[derive(Debug, Clone)]
 pub struct ExperimentCtx<'a> {
     /// Simulation sizing options.
@@ -63,6 +64,7 @@ pub struct ExperimentCtx<'a> {
     /// ([`journal::journal_path`] names the files); journaling is on when
     /// set.
     pub journal_dir: Option<std::path::PathBuf>,
+    points: std::sync::Arc<runner::PointMemo>,
 }
 
 impl<'a> ExperimentCtx<'a> {
@@ -78,6 +80,7 @@ impl<'a> ExperimentCtx<'a> {
                 ..sampled::SampleControl::default()
             },
             journal_dir: None,
+            points: std::sync::Arc::default(),
         }
     }
 
@@ -227,7 +230,8 @@ mod tests {
 
     /// A figure runs its points through the context's cache, like `sample`:
     /// `fig7`'s first run looks entries up and stores them, and a second run
-    /// over the same context hits on every lookup.
+    /// on a fresh context over the same cache hits on every lookup (a second
+    /// run on the same context would simulate nothing).
     #[test]
     fn fig7_looks_up_the_context_cache() {
         let dir = std::env::temp_dir().join(format!("ltp-fig7-ctx-{}", std::process::id()));
@@ -242,7 +246,7 @@ mod tests {
         let cold_report = Experiment::Fig7.run(&ctx);
         let cold = cache.stats();
         assert!(cold.misses > 0 && cold.stores > 0, "{cold:?}");
-        let warm_report = Experiment::Fig7.run(&ctx);
+        let warm_report = Experiment::Fig7.run(&ExperimentCtx::new(&opts).with_cache(Some(&cache)));
         let warm = cache.stats();
         assert!(warm.hits > cold.hits, "{warm:?}");
         assert_eq!(warm.misses, cold.misses, "the second run misses nothing");

@@ -3,24 +3,19 @@
 //! Every experiment consists of many completely independent simulations; this
 //! helper fans them out over the available cores using only `std::thread`.
 //!
-//! Work is split into **contiguous chunks**, one per worker. The previous
-//! strided assignment (worker `t` taking items `t, t+T, t+2T, …`) interleaved
-//! neighbouring sweep points across caches and paired each worker with a
-//! scattering of heterogeneous points; contiguous ranges keep related points
-//! (which tend to have similar cost) together and write each worker's results
-//! into one cache-friendly span.
-//!
-//! The `LTP_THREADS` environment variable overrides the detected parallelism
-//! (useful for reproducible CI runs and for pinning experiments to a core
-//! budget); invalid or zero values fall back to the detected count.
-//!
-//! [`stream_map_lpt`] is the streaming distributor of the sampled runner: a
-//! producer emits jobs one at a time while workers claim the heaviest
-//! available one (online LPT). It is fault tolerant: each task runs under
+//! [`stream_map_lpt`] is the one distributor: a producer emits jobs one at a
+//! time while workers claim the heaviest available one (online LPT), so a
+//! worker that finishes early takes the next job instead of idling behind a
+//! fixed share. [`par_map`] feeds it a list at equal cost, so its items are
+//! claimed in list order. It is fault tolerant: each task runs under
 //! [`catch_unwind`], a panicking or deadline-overrunning attempt is retried
 //! with exponential backoff per a [`RetryPolicy`], and a task whose attempts
 //! are exhausted comes back as a structured [`TaskFailure`] instead of
 //! tearing down the whole scope.
+//!
+//! The `LTP_THREADS` environment variable overrides the detected parallelism
+//! (useful for reproducible CI runs and for pinning experiments to a core
+//! budget); invalid or zero values fall back to the detected count.
 //!
 //! [`catch_unwind`]: std::panic::catch_unwind
 
@@ -49,7 +44,13 @@ pub fn worker_threads(n: usize) -> usize {
     threads.min(n).max(1)
 }
 
-/// Applies `f` to every item, in parallel, preserving order.
+/// Applies `f` to every item in parallel, preserving order. Idle workers
+/// claim the items in order through [`stream_map_lpt`].
+///
+/// # Panics
+///
+/// Panics with the [`TaskFailure`] of an item on which `f` panicked, once
+/// every item has run.
 pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send + Sync,
@@ -57,41 +58,18 @@ where
     F: Fn(&T) -> R + Sync,
 {
     let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = worker_threads(n);
-    let chunk = n.div_ceil(threads);
-
-    let mut results: Vec<(usize, Vec<R>)> = std::thread::scope(|scope| {
-        let items_ref = &items;
-        let f_ref = &f;
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            let lo = t * chunk;
-            let hi = (lo + chunk).min(n);
-            if lo >= hi {
-                break;
-            }
-            handles.push(scope.spawn(move || {
-                let out: Vec<R> = items_ref[lo..hi].iter().map(f_ref).collect();
-                (lo, out)
-            }));
+    let produce = |queue: &StreamQueue<'_, T>| {
+        for item in items {
+            queue.push(0, item);
         }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    });
-
-    // Chunks are contiguous and non-overlapping; stitch them in item order.
-    results.sort_by_key(|(lo, _)| *lo);
-    let mut out = Vec::with_capacity(n);
-    for (_, chunk) in results {
-        out.extend(chunk);
-    }
-    debug_assert_eq!(out.len(), n);
-    out
+    };
+    stream_map_lpt(n, RetryPolicy::none(), produce, |item, _| f(item))
+        .into_iter()
+        .map(|outcome| match outcome {
+            TaskOutcome::Done { value, .. } => value,
+            TaskOutcome::Failed(failure) => panic!("{failure}"),
+        })
+        .collect()
 }
 
 /// Locks a mutex, recovering the data if a previous holder panicked while
@@ -669,10 +647,19 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "task 3 failed after 1 attempt: panicked: item 3 fails")]
+    fn par_map_panics_with_the_task_failure() {
+        let _ = par_map((0..8u64).collect(), |&x| {
+            assert!(x != 3, "item {x} fails");
+            x
+        });
+    }
+
+    #[test]
     fn order_preserved_around_chunk_boundaries() {
-        // Drive par_map itself (ambient thread count) across sizes that land
-        // on and around chunk boundaries for any worker count, so a
-        // regression in the chunking or the result stitching shows up as a
+        // Drive par_map itself (ambient thread count) across sizes below,
+        // at and above the stream's queue capacity for any worker count, so
+        // a regression in claiming or in the result ordering shows up as a
         // reordered or missing element.
         for n in [1usize, 2, 3, 7, 8, 9, 23, 64, 97] {
             let items: Vec<usize> = (0..n).collect();

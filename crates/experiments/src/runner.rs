@@ -8,11 +8,12 @@ use crate::sim::SimBuilder;
 use crate::ExperimentCtx;
 use ltp_core::{LtpConfig, LtpMode};
 use ltp_pipeline::{PipelineConfig, RunResult};
+use ltp_snapshot::encode_value;
 use ltp_stats::MeanAccumulator;
 use ltp_workloads::WorkloadKind;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// How many instructions each simulation point runs in detail by default.
 pub const DEFAULT_DETAIL_INSTS: u64 = 30_000;
@@ -25,7 +26,7 @@ pub const DEFAULT_WARM_INSTS: u64 = 20_000;
 ///
 /// Both instruction budgets are `u64` (they used to mix `u64` and `usize`,
 /// which forced casts at every boundary between them).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RunOptions {
     /// Detailed instructions per simulation point.
     pub detail_insts: u64,
@@ -115,11 +116,17 @@ impl<K: Copy + Eq + Hash> std::ops::Index<(K, WorkloadKind)> for Sweep<K> {
     }
 }
 
+/// The finished single-thread points of an [`ExperimentCtx`], keyed by the
+/// run options, the machine's canonical encoding and the workload.
+pub(crate) type PointMemo = Mutex<HashMap<(RunOptions, Vec<u8>, WorkloadKind), RunResult>>;
+
 /// Runs every point of the grid `configs` × `kinds` in parallel through
 /// [`SimBuilder`] with the context's options and checkpoint cache (each
 /// warm-up is served from, or stored to, the cache's warm-memory domain, so
 /// a sweep over many detail configurations replays each warm trace once).
-/// `config` maps a configuration key to its machine.
+/// `config` maps a configuration key to its machine. Each distinct point
+/// simulates once per context: a point the context has run before, or one
+/// that two keys map to, reuses that run.
 ///
 /// # Panics
 ///
@@ -134,16 +141,24 @@ pub(crate) fn sweep<K>(
 where
     K: Copy + Eq + Hash + Send + Sync,
 {
-    // Workload-major, so the contiguous chunk a worker takes shares warm
-    // halves (and cache entries) instead of racing another worker to them.
-    let points: Vec<(K, WorkloadKind)> = kinds
-        .iter()
-        .flat_map(|&kind| configs.iter().map(move |&key| (key, kind)))
+    let machines: Vec<PipelineConfig> = configs.iter().map(|&key| config(key)).collect();
+    let key_of = |&(c, kind): &(usize, WorkloadKind)| (*ctx.opts, encode_value(&machines[c]), kind);
+    // Configuration-major, so the workers claim different workloads in turn
+    // and seldom both miss on one warm-up before either has stored it.
+    let points: Vec<(usize, WorkloadKind)> = (0..configs.len())
+        .flat_map(|c| kinds.iter().map(move |&kind| (c, kind)))
         .collect();
-    let results = par_map(points.clone(), |&(key, kind)| {
-        run_cached(kind, config(key), ctx.opts, ctx.cache)
+    let memo = ctx.points.lock().expect("memo poisoned by a sweep panic");
+    let (mut fresh, mut queued) = (points.clone(), HashSet::new());
+    fresh.retain(|p| !memo.contains_key(&key_of(p)) && queued.insert(key_of(p)));
+    drop(memo);
+    let results = par_map(fresh.clone(), |&(c, kind)| {
+        run_cached(kind, machines[c], ctx.opts, ctx.cache)
     });
-    Sweep(points.into_iter().zip(results).collect())
+    let mut memo = ctx.points.lock().expect("memo poisoned by a sweep panic");
+    memo.extend(fresh.iter().map(key_of).zip(results));
+    let run = |p: &(usize, WorkloadKind)| ((configs[p.0], p.1), memo[&key_of(p)].clone());
+    Sweep(points.iter().map(run).collect())
 }
 
 /// The outcome of grouping the workload suite with the paper's §4.1
@@ -335,6 +350,62 @@ mod tests {
             groups,
             [("mlp_sensitive", &[WorkloadKind::PointerChase][..])]
         );
+    }
+
+    /// A checkpoint cache in a fresh scratch directory, and the directory.
+    fn scratch_cache(tag: &str) -> (Arc<CheckpointCache>, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!("ltp-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = Arc::new(CheckpointCache::open(&dir).expect("open cache"));
+        (cache, dir)
+    }
+
+    fn lookups(cache: &CheckpointCache) -> u64 {
+        let stats = cache.stats();
+        stats.hits + stats.misses
+    }
+
+    /// Every simulated point looks its warm-up up once, so a derive on a
+    /// context that already derived the grouping simulates nothing.
+    #[test]
+    fn a_repeated_derive_simulates_nothing() {
+        let (cache, dir) = scratch_cache("derive-memo");
+        let opts = RunOptions {
+            detail_insts: 1_000,
+            warm_insts: 500,
+            seed: 2015,
+        };
+        let ctx = ExperimentCtx::new(&opts).with_cache(Some(&cache));
+        let first = MlpGrouping::derive(&ctx);
+        let before = lookups(&cache);
+        assert_eq!(before, 14, "the first derive simulates its 14 points");
+        let second = MlpGrouping::derive(&ctx);
+        assert_eq!(
+            lookups(&cache),
+            before,
+            "the second derive simulates nothing"
+        );
+        assert_eq!(first.sensitive, second.sensitive);
+        assert_eq!(first.insensitive, second.insensitive);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn two_keys_on_one_machine_simulate_it_once() {
+        let (cache, dir) = scratch_cache("sweep-memo");
+        let opts = RunOptions {
+            detail_insts: 1_000,
+            warm_insts: 500,
+            seed: 2015,
+        };
+        let ctx = ExperimentCtx::new(&opts).with_cache(Some(&cache));
+        let kind = WorkloadKind::ComputeBound;
+        let runs = sweep(&ctx, &[1, 2], &[kind], |_| {
+            PipelineConfig::micro2015_baseline()
+        });
+        assert_eq!(lookups(&cache), 1, "one machine, one simulation");
+        assert_eq!(runs[(1, kind)].cycles, runs[(2, kind)].cycles);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -187,6 +187,9 @@ impl Codec for DynInst {
         if mem.is_some() && !sinst.op().is_mem() {
             return Err(SnapError::Invalid("memory access on non-memory op"));
         }
+        if branch.is_some() && !sinst.op().is_branch() {
+            return Err(SnapError::Invalid("branch outcome on non-branch op"));
+        }
         let mut inst = DynInst::new(seq.0, sinst).with_tid(tid);
         if let Some(m) = mem {
             inst = inst.with_mem(m);
@@ -270,5 +273,27 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert!(DynInst::read(&mut r).is_err());
+    }
+
+    #[test]
+    fn branch_outcome_on_non_branch_op_rejected() {
+        // A branch outcome attached to a non-branch op must fail cleanly,
+        // not reach the constructor's assert.
+        let mut w = Writer::new();
+        SeqNum(1).write(&mut w);
+        ThreadId(0).write(&mut w);
+        StaticInst::new(Pc(0), OpClass::IntAlu).write(&mut w);
+        Option::<MemAccess>::None.write(&mut w);
+        Some(BranchInfo {
+            taken: true,
+            target: Pc(0x40),
+        })
+        .write(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        assert!(matches!(
+            DynInst::read(&mut r),
+            Err(SnapError::Invalid("branch outcome on non-branch op"))
+        ));
     }
 }

@@ -40,14 +40,15 @@ impl Request {
     }
 }
 
-/// Reads one request from the stream. Returns `Ok(None)` when the peer
-/// closed the connection before sending anything (a clean no-request close).
+/// Reads one request from the stream (a connection, or any byte source).
+/// Returns `Ok(None)` when the peer closed the connection before sending
+/// anything (a clean no-request close).
 ///
 /// # Errors
 ///
 /// Propagates socket errors; malformed or oversized requests surface as
 /// `InvalidData`.
-pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
+pub fn read_request(stream: &mut impl Read) -> io::Result<Option<Request>> {
     let mut head = Vec::new();
     let mut buf = [0u8; 4096];
     let body_start;

@@ -132,10 +132,12 @@ pub const MAX_JOB_INTERVALS: u64 = 1_024;
 /// [`MAX_JOB_INSTS`].
 pub const MAX_EXPERIMENT_INSTS: u64 = MAX_JOB_INSTS / 16;
 
-/// The unsigned field `key` of `obj`, if present. A value above `max` is an
-/// error naming the field (`prefix` + `key`) and the limit.
-fn at_most(obj: &Json, prefix: &str, key: &str, max: u64) -> Result<Option<u64>, String> {
+/// The unsigned field `key` of `obj`, if present. A value outside
+/// `min..=max` is an error naming the field (`prefix` + `key`) and the bound
+/// it crosses.
+fn bounded(obj: &Json, prefix: &str, key: &str, min: u64, max: u64) -> Result<Option<u64>, String> {
     match obj.get(key).and_then(Json::as_u64) {
+        Some(n) if n < min => Err(format!("\"{prefix}{key}\" must be at least {min}")),
         Some(n) if n > max => Err(format!("\"{prefix}{key}\" must be at most {max}")),
         n => Ok(n),
     }
@@ -164,8 +166,9 @@ impl JobRequest {
     /// # Errors
     ///
     /// Returns a human-readable message for syntax errors, unknown names,
-    /// malformed inline traces and sizes above [`MAX_JOB_INSTS`],
-    /// [`MAX_JOB_INTERVALS`] or [`MAX_EXPERIMENT_INSTS`].
+    /// malformed, empty or out-of-order inline traces, budgets that measure
+    /// nothing (zero instructions or intervals) and sizes above
+    /// [`MAX_JOB_INSTS`], [`MAX_JOB_INTERVALS`] or [`MAX_EXPERIMENT_INSTS`].
     pub fn parse(body: &str) -> Result<JobRequest, String> {
         let v = Json::parse(body).map_err(|e| format!("bad JSON: {e}"))?;
         let quick = v.get("quick").and_then(Json::as_bool).unwrap_or(false);
@@ -183,10 +186,10 @@ impl JobRequest {
             } else {
                 RunOptions::default()
             };
-            if let Some(n) = at_most(&v, "", "insts", MAX_EXPERIMENT_INSTS)? {
+            if let Some(n) = bounded(&v, "", "insts", 1, MAX_EXPERIMENT_INSTS)? {
                 opts.detail_insts = n;
             }
-            if let Some(n) = at_most(&v, "", "warm", MAX_JOB_INSTS)? {
+            if let Some(n) = bounded(&v, "", "warm", 0, MAX_JOB_INSTS)? {
                 opts.warm_insts = n;
             }
             if let Some(n) = v.get("seed").and_then(Json::as_u64) {
@@ -225,25 +228,23 @@ impl JobRequest {
         };
         let mut spec = SampleSpec::from_options(&base_opts);
         if let Some(s) = v.get("spec") {
-            for (key, field, max) in [
+            for (key, field, min, max) in [
                 (
                     "total_insts",
                     &mut spec.total_insts as &mut u64,
+                    1,
                     MAX_JOB_INSTS,
                 ),
-                ("detail_warm", &mut spec.detail_warm, u64::MAX),
-                ("detail_measure", &mut spec.detail_measure, u64::MAX),
-                ("seed", &mut spec.seed, u64::MAX),
-                ("warm_insts", &mut spec.warm_insts, MAX_JOB_INSTS),
+                ("detail_warm", &mut spec.detail_warm, 0, u64::MAX),
+                ("detail_measure", &mut spec.detail_measure, 1, u64::MAX),
+                ("seed", &mut spec.seed, 0, u64::MAX),
+                ("warm_insts", &mut spec.warm_insts, 0, MAX_JOB_INSTS),
             ] {
-                if let Some(n) = at_most(s, "spec.", key, max)? {
+                if let Some(n) = bounded(s, "spec.", key, min, max)? {
                     *field = n;
                 }
             }
-            if let Some(n) = at_most(s, "spec.", "intervals", MAX_JOB_INTERVALS)? {
-                if n == 0 {
-                    return Err("\"spec.intervals\" must be at least 1".into());
-                }
+            if let Some(n) = bounded(s, "spec.", "intervals", 1, MAX_JOB_INTERVALS)? {
                 spec.intervals = n as usize;
             }
         }
@@ -254,10 +255,18 @@ impl JobRequest {
                 let hex = t.as_str().ok_or("\"trace_hex\" must be a string")?;
                 let bytes = hex_decode(hex)?;
                 ltp_snapshot::decode_envelope::<Vec<DynInst>>(&bytes)
-                    .map_err(|e| format!("bad trace envelope: {e}"))
+                    .map_err(|e| format!("bad \"trace_hex\" envelope: {e}"))
             })
             .transpose()?;
         if let Some(t) = &trace {
+            if t.is_empty() {
+                return Err("\"trace_hex\" holds no instructions".into());
+            }
+            // The ROB asserts program order, so an out-of-order trace would
+            // panic every interval of the job.
+            if t.windows(2).any(|w| w[0].seq() >= w[1].seq()) {
+                return Err("\"trace_hex\" sequence numbers must increase".into());
+            }
             spec.total_insts = t.len() as u64;
         }
 
@@ -1322,6 +1331,62 @@ mod tests {
         // The sample experiment at the experiment limit stays within the
         // instruction limit.
         assert_eq!(MAX_EXPERIMENT_INSTS * 16, MAX_JOB_INSTS);
+    }
+
+    /// A budget that measures nothing is rejected naming its field; the
+    /// smallest one that measures something is accepted.
+    #[test]
+    fn zero_budgets_are_rejected_at_parse_time() {
+        for (field, template) in [
+            ("insts", r#"{"experiment":"fig1","quick":true,"insts":N}"#),
+            (
+                "spec.total_insts",
+                r#"{"workload":"hash_probe","spec":{"total_insts":N}}"#,
+            ),
+            (
+                "spec.detail_measure",
+                r#"{"workload":"hash_probe","spec":{"detail_measure":N}}"#,
+            ),
+            (
+                "spec.intervals",
+                r#"{"workload":"hash_probe","spec":{"intervals":N}}"#,
+            ),
+        ] {
+            let err = JobRequest::parse(&template.replace('N', "0")).expect_err(field);
+            assert_eq!(err, format!("\"{field}\" must be at least 1"));
+            assert!(
+                JobRequest::parse(&template.replace('N', "1")).is_ok(),
+                "{field} at 1"
+            );
+        }
+    }
+
+    /// An inline trace needs at least one instruction and strictly
+    /// increasing sequence numbers (gaps are fine).
+    #[test]
+    fn inline_traces_must_hold_instructions_in_program_order() {
+        let parse = |detail: Vec<DynInst>| {
+            let hex = hex_encode(&ltp_snapshot::encode_envelope(&detail));
+            JobRequest::parse(&format!(
+                r#"{{"workload":"hash_probe","trace_hex":"{hex}"}}"#
+            ))
+        };
+        let detail = trace(WorkloadKind::HashProbe, 5, 8);
+        assert_eq!(
+            parse(Vec::new()).expect_err("empty trace"),
+            "\"trace_hex\" holds no instructions"
+        );
+        assert!(parse(detail[..1].to_vec()).is_ok());
+        let gapped = (0..).step_by(10).zip(&detail);
+        assert!(parse(gapped.map(|(seq, d)| d.with_seq(seq)).collect()).is_ok());
+        let reversed = detail.iter().rev().copied().collect();
+        let constant = detail.iter().map(|d| d.with_seq(7)).collect();
+        for bad in [reversed, constant] {
+            assert_eq!(
+                parse(bad).expect_err("out of order"),
+                "\"trace_hex\" sequence numbers must increase"
+            );
+        }
     }
 
     #[test]

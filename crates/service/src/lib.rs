@@ -592,6 +592,66 @@ mod tests {
         server.shutdown();
     }
 
+    /// Jobs that used to panic the connection thread or every worker, or
+    /// to measure nothing, are a 400 naming the field, and the server still
+    /// answers.
+    #[test]
+    fn unusable_jobs_are_400_and_server_survives() {
+        use ltp_isa::{BranchInfo, DynInst, MemAccess, OpClass, Pc, SeqNum, StaticInst, ThreadId};
+        use ltp_snapshot::{encode_envelope, Codec, Writer};
+        let mut server = start_test_server(4);
+        // One ALU instruction carrying a branch outcome, which no
+        // constructor can build.
+        let mut w = Writer::new();
+        w.bytes(&ltp_snapshot::MAGIC);
+        w.varint(u64::from(ltp_snapshot::FORMAT_VERSION));
+        w.varint(1);
+        SeqNum(1).write(&mut w);
+        ThreadId(0).write(&mut w);
+        StaticInst::new(Pc(0), OpClass::IntAlu).write(&mut w);
+        None::<MemAccess>.write(&mut w);
+        Some(BranchInfo {
+            taken: true,
+            target: Pc(0x40),
+        })
+        .write(&mut w);
+        let alu = |seq| DynInst::new(seq, StaticInst::new(Pc(0), OpClass::IntAlu));
+        let trace_job = |envelope: Vec<u8>| {
+            let hex = jobs::hex_encode(&envelope);
+            format!(r#"{{"workload":"hash_probe","trace_hex":"{hex}"}}"#)
+        };
+        for (field, body) in [
+            ("trace_hex", trace_job(w.into_bytes())),
+            (
+                "trace_hex",
+                trace_job(encode_envelope(&vec![alu(2), alu(1)])),
+            ),
+            (
+                "trace_hex",
+                trace_job(encode_envelope(&Vec::<DynInst>::new())),
+            ),
+            (
+                "insts",
+                r#"{"experiment":"fig1","quick":true,"insts":0}"#.to_string(),
+            ),
+            (
+                "spec.total_insts",
+                r#"{"workload":"hash_probe","spec":{"total_insts":0}}"#.to_string(),
+            ),
+            (
+                "spec.detail_measure",
+                r#"{"workload":"hash_probe","spec":{"detail_measure":0}}"#.to_string(),
+            ),
+        ] {
+            let r = client::request(server.addr(), "POST", "/jobs", Some(&body)).expect("request");
+            assert_eq!(r.status, 400, "{field}: {}", r.text());
+            assert!(r.text().contains(field), "{}", r.text());
+            let health = client::request(server.addr(), "GET", "/healthz", None).expect("healthz");
+            assert_eq!(health.status, 200, "the server still answers");
+        }
+        server.shutdown();
+    }
+
     #[test]
     fn submit_then_stream_results() {
         let mut server = start_test_server(4);

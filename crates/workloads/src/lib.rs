@@ -6,10 +6,10 @@
 //! The original evaluation uses 550 SimPoints of SPEC CPU2006 run under gem5;
 //! neither the benchmarks nor the checkpoints can be redistributed, so this
 //! crate provides kernels that populate the *behavioural classes* the paper's
-//! analysis is built on (see `DESIGN.md` for the substitution argument):
-//! MLP-sensitive kernels with parkable Non-Urgent work (indirect streaming,
-//! FP gathers, hash probing), a pointer chaser whose misses cannot be
-//! overlapped, and MLP-insensitive compute-bound / prefetch-friendly kernels.
+//! analysis is built on: MLP-sensitive kernels with parkable Non-Urgent work
+//! (indirect streaming, FP gathers, hash probing), a pointer chaser whose
+//! misses cannot be overlapped, and MLP-insensitive compute-bound /
+//! prefetch-friendly kernels.
 //! The paper's own MLP-sensitivity criterion (§4.1) is applied to the
 //! simulated runs to group them, rather than trusting the expected labels.
 //!

@@ -118,6 +118,9 @@ fn run() -> Result<ExitCode, CliError> {
             "--insts" => {
                 i += 1;
                 opts.detail_insts = parse_flag_value(&args, i, "--insts", "a number")?;
+                if opts.detail_insts == 0 {
+                    return Err(CliError::config("--insts must be at least 1"));
+                }
             }
             "--seed" => {
                 i += 1;

@@ -219,3 +219,23 @@ fn realistic_classifier_approaches_oracle() {
         oracle.cpi()
     );
 }
+
+/// `experiments --insts 0` would measure nothing, so it is a usage error
+/// (exit 2); one instruction is accepted.
+#[test]
+fn cli_rejects_a_zero_instruction_budget() {
+    let out = std::env::temp_dir().join(format!("ltp-cli-insts-{}", std::process::id()));
+    let run = |insts: &str| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(["table1", "--insts", insts, "--out"])
+            .arg(&out)
+            .output()
+            .expect("run experiments")
+    };
+    let zero = run("0");
+    assert_eq!(zero.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&zero.stderr);
+    assert!(stderr.contains("--insts must be at least 1"), "{stderr}");
+    assert_eq!(run("1").status.code(), Some(0));
+    let _ = std::fs::remove_dir_all(&out);
+}

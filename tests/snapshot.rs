@@ -20,62 +20,11 @@ use ltp_snapshot::framed::{read_framed, FileKind, FramedWriter};
 use ltp_workloads::{replay_slice, WorkloadKind};
 use proptest::prelude::*;
 
-// A guard against OOM-scale allocations while decoding hostile bytes: the
-// tracking allocator records the largest single allocation request each
-// thread made since it last asked. The counting shim needs `unsafe impl GlobalAlloc`; the workspace otherwise
-// denies unsafe code, so the exemption is scoped to this module (same
-// pattern as `tests/hot_loop_alloc.rs`).
+// A guard against OOM-scale allocations while decoding hostile bytes (shared
+// with `tests/service_decoders.rs`).
 #[allow(unsafe_code)]
-mod peak_alloc {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::cell::Cell;
-
-    thread_local! {
-        /// Largest single request of this thread since `peak_during` last
-        /// reset it. Const initialised and without a destructor, so
-        /// recording never allocates or touches a torn-down slot.
-        static THREAD_PEAK: Cell<usize> = const { Cell::new(0) };
-    }
-
-    fn record(size: usize) {
-        let _ = THREAD_PEAK.try_with(|p| p.set(p.get().max(size)));
-    }
-
-    /// Runs `f` and returns its result with the largest single allocation
-    /// request it made on this thread (libtest runs tests in parallel, so
-    /// the process-wide peak would charge one test with another's).
-    pub fn peak_during<R>(f: impl FnOnce() -> R) -> (R, usize) {
-        THREAD_PEAK.with(|p| p.set(0));
-        let result = f();
-        (result, THREAD_PEAK.with(Cell::get))
-    }
-
-    pub struct PeakAlloc;
-
-    unsafe impl GlobalAlloc for PeakAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            record(layout.size());
-            unsafe { System.alloc(layout) }
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            unsafe { System.dealloc(ptr, layout) }
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            record(new_size);
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            record(layout.size());
-            unsafe { System.alloc_zeroed(layout) }
-        }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: peak_alloc::PeakAlloc = peak_alloc::PeakAlloc;
+#[path = "common/peak_alloc.rs"]
+mod peak_alloc;
 
 /// The golden-run options (`tests/golden_stats.rs`).
 fn opts() -> RunOptions {
