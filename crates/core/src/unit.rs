@@ -11,8 +11,7 @@ use crate::rat_ext::RatExtension;
 use crate::tickets::{Ticket, TicketFile, TicketSet};
 use crate::Cycle;
 use inlinevec::InlineVec;
-use ltp_isa::{ArchReg, DynInst, OpClass, Pc, SeqNum};
-use std::collections::HashMap;
+use ltp_isa::{ArchReg, DynInst, OpClass, Pc, SeqMap, SeqNum};
 
 /// The information about an instruction that the LTP unit needs at rename.
 ///
@@ -170,7 +169,7 @@ pub struct LtpUnit {
     /// had anything attached).
     pub(crate) classifier_attached: bool,
     /// seq -> ticket owned by that (predicted long-latency) instruction.
-    pub(crate) ticket_owner: HashMap<u64, Ticket>,
+    pub(crate) ticket_owner: SeqMap<Ticket>,
     pub(crate) stats: LtpStats,
 }
 
@@ -198,10 +197,9 @@ impl LtpUnit {
             tickets: TicketFile::new(cfg.num_tickets.max(1)),
             monitor: DramTimerMonitor::new(monitor_timeout.max(1)),
             classifier_attached: false,
-            // One key per ticket in use; twice that room keeps the map at
-            // most half full, so clearing tombstones never grows it
-            // (unlimited tickets take the same 1024-entry cap as the IQ).
-            ticket_owner: HashMap::with_capacity(2 * cfg.num_tickets.clamp(1, 1024)),
+            // One key per ticket in use (unlimited tickets take the same
+            // 1024-entry cap as the IQ).
+            ticket_owner: SeqMap::with_capacity(cfg.num_tickets.clamp(1, 1024)),
             stats: LtpStats::default(),
             cfg,
         }
@@ -476,7 +474,7 @@ impl LtpUnit {
     /// ticket pool. Returns the number of parked instructions that became
     /// fully ready.
     pub fn on_long_latency_completing(&mut self, seq: SeqNum, _now: Cycle) -> usize {
-        let Some(ticket) = self.ticket_owner.remove(&seq.0) else {
+        let Some(ticket) = self.ticket_owner.remove(seq.0) else {
             return 0;
         };
         self.rat_ext.clear_ticket_everywhere(ticket);

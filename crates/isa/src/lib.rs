@@ -43,6 +43,7 @@ mod inst;
 mod mem_access;
 mod op;
 mod reg;
+mod seq_map;
 mod snap;
 mod stream;
 
@@ -52,6 +53,7 @@ pub use inst::{BranchInfo, DynInst, SeqNum, StaticInst, ThreadId, MAX_SRCS};
 pub use mem_access::MemAccess;
 pub use op::{ExecLatency, FuKind, OpClass};
 pub use reg::{ArchReg, PhysReg, RegClass, NUM_ARCH_FP_REGS, NUM_ARCH_INT_REGS, NUM_ARCH_REGS};
+pub use seq_map::SeqMap;
 pub use stream::{ArcStream, InstStream, PeekableStream, SliceStream, TakeStream, VecStream};
 
 /// A program counter (byte address of a static instruction).

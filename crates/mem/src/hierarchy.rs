@@ -218,6 +218,13 @@ impl MemoryHierarchy {
         self.mshrs.outstanding_at(now)
     }
 
+    /// Completion cycles of the misses outstanding at `now`, ascending. The
+    /// outstanding-miss count drops by one at each, so a caller can account
+    /// a span of cycles without any new access in one step per completion.
+    pub fn miss_completions_after(&self, now: Cycle) -> impl Iterator<Item = Cycle> + '_ {
+        self.mshrs.completions_after(now)
+    }
+
     /// Peak number of simultaneously outstanding misses observed.
     #[must_use]
     pub fn peak_outstanding(&self) -> usize {

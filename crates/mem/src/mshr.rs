@@ -27,17 +27,18 @@ pub enum MshrOutcome {
 }
 
 /// A finite (or unlimited) MSHR file tracking outstanding line misses.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct MshrFile {
     capacity: usize,
-    /// line address -> completion cycle of the outstanding miss. A hash map
-    /// (rather than an ordered map) so the per-miss insert/remove churn of
-    /// the hot loop reuses capacity instead of allocating tree nodes; every
-    /// ordered decision below breaks ties explicitly, so behaviour is
-    /// independent of iteration order.
+    /// line address -> completion cycle of the outstanding miss. Line
+    /// addresses come from the trace, so this map keeps its randomly keyed
+    /// hasher.
     outstanding: HashMap<u64, Cycle>,
-    /// Completion cycles of in-flight misses, used to compute when a full
-    /// file frees an entry.
+    /// The same entries as `(completion cycle, line address)`, ascending.
+    /// Counting the misses still outstanding at a cycle, retiring completed
+    /// ones and finding the one a full file frees first are a binary search
+    /// or a prefix of this list, never a walk of the map.
+    by_completion: Vec<(Cycle, u64)>,
     peak_occupancy: usize,
     total_allocations: u64,
     total_merges: u64,
@@ -50,12 +51,14 @@ impl MshrFile {
     #[must_use]
     pub fn new(capacity: usize) -> MshrFile {
         assert!(capacity > 0, "MSHR capacity must be at least 1");
+        // Pre-size both tables so miss churn never grows them mid-run (the
+        // live count is bounded by the file capacity; 512 covers the limit
+        // study's practical outstanding-miss population).
+        let room = capacity.clamp(64, 512);
         MshrFile {
             capacity,
-            // Pre-size the table so miss churn never rehashes mid-run (the
-            // live count is bounded by the file capacity; 512 covers the
-            // limit study's practical outstanding-miss population).
-            outstanding: HashMap::with_capacity(capacity.clamp(64, 512)),
+            outstanding: HashMap::with_capacity(room),
+            by_completion: Vec::with_capacity(room),
             peak_occupancy: 0,
             total_allocations: 0,
             total_merges: 0,
@@ -63,16 +66,40 @@ impl MshrFile {
         }
     }
 
+    /// Index of the first entry of `by_completion` still outstanding at
+    /// `now`.
+    fn first_after(&self, now: Cycle) -> usize {
+        self.by_completion.partition_point(|&(c, _)| c <= now)
+    }
+
     /// Number of misses currently outstanding at `now` (entries whose
     /// completion is still in the future).
     #[must_use]
     pub fn outstanding_at(&self, now: Cycle) -> usize {
-        self.outstanding.values().filter(|&&c| c > now).count()
+        self.by_completion.len() - self.first_after(now)
+    }
+
+    /// Completion cycles of the misses outstanding at `now`, ascending: the
+    /// outstanding count drops by one at each.
+    pub fn completions_after(&self, now: Cycle) -> impl Iterator<Item = Cycle> + '_ {
+        self.by_completion[self.first_after(now)..]
+            .iter()
+            .map(|&(c, _)| c)
     }
 
     /// Removes entries that have completed by `now`.
     pub fn retire_completed(&mut self, now: Cycle) {
-        self.outstanding.retain(|_, &mut c| c > now);
+        let done = self.first_after(now);
+        for (_, line) in self.by_completion.drain(..done) {
+            self.outstanding.remove(&line);
+        }
+    }
+
+    fn order_insert(&mut self, completion: Cycle, line_addr: u64) {
+        let at = self
+            .by_completion
+            .partition_point(|&e| e < (completion, line_addr));
+        self.by_completion.insert(at, (completion, line_addr));
     }
 
     /// Checks whether `line_addr` has an outstanding miss at `now` without
@@ -115,12 +142,7 @@ impl MshrFile {
             // Wait until the earliest outstanding miss completes; ties are
             // broken towards the smallest line address (the entry the old
             // ordered-map scan would have found).
-            let (earliest, key) = self
-                .outstanding
-                .iter()
-                .map(|(&k, &c)| (c, k))
-                .min()
-                .expect("full MSHR file has entries");
+            let (earliest, key) = self.by_completion.remove(0);
             let stall = earliest.saturating_sub(now);
             self.full_stall_cycles += stall;
             // Drop the completed entry so we stay within capacity.
@@ -133,6 +155,7 @@ impl MshrFile {
         self.total_allocations += 1;
         // Placeholder completion; the caller overwrites it via record_completion.
         self.outstanding.insert(line_addr, issue_cycle);
+        self.order_insert(issue_cycle, line_addr);
         self.peak_occupancy = self.peak_occupancy.max(self.outstanding.len());
         MshrOutcome::Allocated { issue_cycle }
     }
@@ -141,7 +164,11 @@ impl MshrFile {
     /// later requests to the same line can merge with it.
     pub fn record_completion(&mut self, line_addr: u64, completion: Cycle) {
         if let Some(entry) = self.outstanding.get_mut(&line_addr) {
-            *entry = completion;
+            let old = std::mem::replace(entry, completion);
+            if let Ok(at) = self.by_completion.binary_search(&(old, line_addr)) {
+                self.by_completion.remove(at);
+            }
+            self.order_insert(completion, line_addr);
         }
     }
 
@@ -176,6 +203,20 @@ impl MshrFile {
     }
 }
 
+/// A clone keeps the completion list's room, as the map's clone keeps its
+/// table size, so a restored machine never grows it mid-run.
+impl Clone for MshrFile {
+    fn clone(&self) -> MshrFile {
+        let mut by_completion = Vec::with_capacity(self.by_completion.capacity());
+        by_completion.extend_from_slice(&self.by_completion);
+        MshrFile {
+            outstanding: self.outstanding.clone(),
+            by_completion,
+            ..*self
+        }
+    }
+}
+
 /// Exported MSHR state for the snapshot codec.
 #[derive(Debug)]
 pub(crate) struct MshrSnap {
@@ -202,9 +243,12 @@ impl MshrFile {
     pub(crate) fn from_snap_parts(snap: MshrSnap) -> MshrFile {
         let mut file = MshrFile::new(snap.capacity.max(1));
         file.capacity = snap.capacity.max(1);
-        // Extend into the constructor's deliberately pre-sized map instead
-        // of replacing it, so a restored machine keeps the never-rehash-
-        // mid-run capacity guarantee the hot loop relies on.
+        // Extend into the constructor's deliberately pre-sized tables
+        // instead of replacing them, so a restored machine keeps the
+        // never-grow-mid-run capacity guarantee the hot loop relies on.
+        file.by_completion
+            .extend(snap.outstanding.iter().map(|(&line, &c)| (c, line)));
+        file.by_completion.sort_unstable();
         file.outstanding.extend(snap.outstanding);
         file.peak_occupancy = snap.peak_occupancy;
         file.total_allocations = snap.total_allocations;
@@ -282,6 +326,34 @@ mod tests {
         }
         assert_eq!(m.outstanding_at(5), 1000);
         assert_eq!(m.peak_occupancy(), 1000);
+    }
+
+    #[test]
+    fn completions_are_counted_in_order() {
+        let mut m = MshrFile::new(8);
+        for (line, done) in [(0x40, 300), (0x80, 100), (0xc0, 200), (0x100, 100)] {
+            m.lookup_or_allocate(line, 10);
+            m.record_completion(line, done);
+        }
+        assert_eq!(
+            m.completions_after(99).collect::<Vec<_>>(),
+            [100, 100, 200, 300]
+        );
+        assert_eq!(m.completions_after(100).collect::<Vec<_>>(), [200, 300]);
+        for now in [0, 99, 100, 150, 200, 299, 300] {
+            let brute = [300, 100, 200, 100].iter().filter(|&&c| c > now).count();
+            assert_eq!(m.outstanding_at(now), brute, "at {now}");
+        }
+        // Re-recording a completion moves the entry.
+        m.record_completion(0x40, 50);
+        assert_eq!(
+            m.completions_after(0).collect::<Vec<_>>(),
+            [50, 100, 100, 200]
+        );
+        m.retire_completed(100);
+        assert_eq!(m.outstanding_at(0), 1);
+        let restored = MshrFile::from_snap_parts(m.snap_parts());
+        assert_eq!(restored.completions_after(0).collect::<Vec<_>>(), [200]);
     }
 
     #[test]

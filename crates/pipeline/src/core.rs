@@ -19,7 +19,12 @@
 //! shared cycle timeline.
 //!
 //! Fresh, checkpointing, resumed and SMT runs all go through one cycle loop,
-//! `Processor::drive`, with their own stop and measured-window rules.
+//! `Processor::drive`, with their own stop and measured-window rules. The
+//! loop pays per event, not per cycle: after a quiet cycle, one in which no
+//! stage changed the machine, it jumps to the next cycle on which something
+//! can happen and charges the span to the per-cycle statistics (see
+//! `Processor::next_event`). [`Processor::run_observed`] runs every cycle
+//! instead, because its observer sees each one.
 
 use crate::config::{PipelineConfig, SharePolicy};
 use crate::free_list::FreeList;
@@ -32,12 +37,11 @@ use crate::result::{
 };
 use crate::rob::Rob;
 use crate::stages::{commit, issue, release, writeback, RenameStage, StageBus};
-use crate::state::{PipelineState, ThreadState};
+use crate::state::{PipelineState, RegSet, ThreadState};
 use crate::FuPool;
 use ltp_core::{CriticalityClassifier, LtpUnit, OracleClassifier};
-use ltp_isa::{DynInst, InstStream, ThreadId};
+use ltp_isa::{DynInst, InstStream, SeqMap, ThreadId};
 use ltp_mem::{AccessKind, Cycle, MemoryHierarchy, MemoryRequest};
-use std::collections::{HashMap, HashSet};
 
 /// If no instruction commits for this many cycles the simulation aborts with
 /// a [`RunError::Deadlock`]: it indicates a resource-accounting deadlock.
@@ -74,8 +78,8 @@ pub(crate) enum Window {
 #[derive(Debug)]
 pub(crate) struct Run<S> {
     pub(crate) threads: Vec<RunResult>,
-    fes: Vec<FrontEnd<S>>,
-    window: Option<(Cycle, u64)>,
+    pub(crate) fes: Vec<FrontEnd<S>>,
+    pub(crate) window: Option<(Cycle, u64)>,
 }
 
 /// A snapshot of one free list, exposed to per-cycle observers.
@@ -173,11 +177,11 @@ impl Processor {
                     lq: LoadQueue::new(size(cfg.lq_size)),
                     sq: StoreQueue::new(size(cfg.sq_size)),
                     memdep: MemDepPredictor::new(),
-                    inflight: HashMap::with_capacity(cfg.rob_size.min(1024) * 2),
-                    completed_regs: HashSet::with_capacity(
-                        (cfg.int_regs.min(1024) + cfg.fp_regs.min(1024)) * 2,
-                    ),
-                    released_parked_regs: HashMap::with_capacity(64),
+                    // The ROB plus the rename skid buffer.
+                    inflight: SeqMap::with_capacity(cfg.rob_size.min(1024) + 1),
+                    completed_regs: RegSet::with_room(cfg.int_regs.max(cfg.fp_regs)),
+                    // Each entry waits on a younger writer still in the ROB.
+                    released_parked_regs: SeqMap::with_capacity(cfg.rob_size.min(1024)),
                     committed: 0,
                     loads_committed: 0,
                     stores_committed: 0,
@@ -311,12 +315,16 @@ impl Processor {
     ///
     /// Panics on an SMT-configured machine; use [`Processor::run_smt`] there.
     pub fn run<S: InstStream>(&mut self, stream: S, max_insts: u64) -> Result<RunResult, RunError> {
-        self.run_observed(stream, max_insts, |_| {})
+        self.run_single(stream, max_insts, None)
     }
 
     /// Like [`Processor::run`], but calls `observer` with a [`CycleView`]
     /// after every simulated cycle. This is the hook the structural-invariant
     /// test-suite uses to watch the stage bus and the resource accounting.
+    /// It is also the per-cycle reference of the quiet-cycle skip: the
+    /// observer must see every cycle, so this run executes each one, and its
+    /// result equals [`Processor::run`]'s in every field but
+    /// [`RunResult::cycle_loop_iterations`].
     ///
     /// # Errors
     ///
@@ -330,12 +338,21 @@ impl Processor {
         &mut self,
         stream: S,
         max_insts: u64,
-        observer: F,
+        mut observer: F,
     ) -> Result<RunResult, RunError>
     where
         S: InstStream,
         F: FnMut(&CycleView<'_>),
     {
+        self.run_single(stream, max_insts, Some(&mut observer))
+    }
+
+    fn run_single<S: InstStream>(
+        &mut self,
+        stream: S,
+        max_insts: u64,
+        observer: Option<&mut dyn FnMut(&CycleView<'_>)>,
+    ) -> Result<RunResult, RunError> {
         assert_eq!(
             self.state.nthreads(),
             1,
@@ -364,7 +381,7 @@ impl Processor {
             vec![stream],
             Stop::At(max_insts),
             Window::From(measure_from),
-            |_| {},
+            None,
         )?;
         Ok(run.threads.remove(0))
     }
@@ -392,12 +409,7 @@ impl Processor {
                 crate::SnapshotError::SmtUnsupported.to_string(),
             ));
         }
-        let run = self.drive(
-            vec![stream],
-            Stop::At(checkpoint_at),
-            Window::Warmup,
-            |_| {},
-        )?;
+        let run = self.drive(vec![stream], Stop::At(checkpoint_at), Window::Warmup, None)?;
         crate::Snapshot::capture(self, run.fes[0].export_state(), run.window)
             .map_err(|e| RunError::SnapshotUnsupported(e.to_string()))
     }
@@ -438,7 +450,7 @@ impl Processor {
             streams,
             Stop::DrainAt(max_insts_per_thread),
             Window::Whole,
-            |_| {},
+            None,
         )?;
         Ok(SmtRunResult {
             cycles: self.state.now.max(1),
@@ -455,6 +467,10 @@ impl Processor {
     /// runs cycles until every thread has finished under `stop`, calling
     /// `observer` after each, noting the cycle each thread finished on and
     /// aborting once no thread has committed for `DEADLOCK_CYCLES` cycles.
+    /// Without an observer, a quiet cycle is followed by a jump to the next
+    /// cycle on which anything can happen ([`Processor::next_event`]); the
+    /// skipped cycles are charged to the statistics they would have fed, so
+    /// the result is the same cycle for cycle.
     ///
     /// The measured window opens at the end of the first cycle on which the
     /// committed count reaches the window's threshold. A resumed run that
@@ -462,17 +478,13 @@ impl Processor {
     /// snapshot recorded (where the uninterrupted run opened the window),
     /// and opens it, under [`Window::From`], where the run starts. Each
     /// thread's result covers the window up to the cycle it finished on.
-    pub(crate) fn drive<S, F>(
+    pub(crate) fn drive<S: InstStream>(
         &mut self,
         streams: Vec<S>,
         stop: Stop,
         window: Window,
-        mut observer: F,
-    ) -> Result<Run<S>, RunError>
-    where
-        S: InstStream,
-        F: FnMut(&CycleView<'_>),
-    {
+        mut observer: Option<&mut dyn FnMut(&CycleView<'_>)>,
+    ) -> Result<Run<S>, RunError> {
         let cfg = self.state.cfg;
         if cfg.needs_oracle()
             && !self
@@ -514,18 +526,22 @@ impl Processor {
         };
         let mut finish: [Option<Cycle>; MAX_THREADS] = [None; MAX_THREADS];
         let mut running = (0..fes.len()).any(|tid| !finished(&self.state, &fes[tid], tid));
+        let mut iterations = 0u64;
         while running {
-            self.cycle(&mut fes, cap);
+            let quiet = self.cycle(&mut fes, cap);
+            iterations += 1;
             let now = self.state.now;
             let t = &self.state.thread;
-            observer(&CycleView {
-                cycle: now - 1,
-                bus: &self.buses[0],
-                int_regs: RegFileSnapshot::of(&self.state.int_free),
-                fp_regs: RegFileSnapshot::of(&self.state.fp_free),
-                rob_len: t.rob.len(),
-                committed: t.committed,
-            });
+            if let Some(observer) = observer.as_mut() {
+                observer(&CycleView {
+                    cycle: now - 1,
+                    bus: &self.buses[0],
+                    int_regs: RegFileSnapshot::of(&self.state.int_free),
+                    fp_regs: RegFileSnapshot::of(&self.state.fp_free),
+                    rob_len: t.rob.len(),
+                    committed: t.committed,
+                });
+            }
             if start.is_none() && t.committed >= open_at {
                 start = Some((now, t.committed));
             }
@@ -549,6 +565,12 @@ impl Processor {
                     cycle: now,
                     snapshot: Box::new(self.deadlock_snapshot(names.join("+"))),
                 });
+            }
+            if running && quiet && observer.is_none() {
+                let to = self.next_event(&fes);
+                if to > now {
+                    self.state.idle_until(to);
+                }
             }
         }
 
@@ -574,6 +596,7 @@ impl Processor {
                     loads: t.loads_committed,
                     stores: t.stores_committed,
                     llc_miss_loads: t.llc_miss_loads,
+                    cycle_loop_iterations: iterations,
                 }
             })
             .collect();
@@ -582,6 +605,45 @@ impl Processor {
             fes,
             window: start,
         })
+    }
+
+    /// The next cycle to run after a quiet cycle (`now - 1`): the first on
+    /// which some stage can act differently from the quiet one. Between
+    /// quiet cycles the machine state is constant, so only time-driven
+    /// conditions can end the quiet span:
+    /// - a delayed signal falling due on a stage bus (completions and early
+    ///   long-latency signals);
+    /// - the front-end pipe head becoming ready for rename, or a redirect
+    ///   ending so fetch resumes;
+    /// - a busy unpipelined functional unit freeing up;
+    /// - the release stage's no-commit threshold, while the LTP holds
+    ///   instructions;
+    /// - the cycle whose end trips the deadlock watchdog.
+    ///
+    /// Every other input to a stage is machine state, which a quiet cycle
+    /// leaves unchanged. MSHR completions inside the span change no stage's
+    /// behaviour, only the outstanding-miss samples, which
+    /// [`PipelineState::idle_until`] charges per completion.
+    fn next_event<S: InstStream>(&self, fes: &[FrontEnd<S>]) -> Cycle {
+        let state = &self.state;
+        let last = state.now - 1;
+        let watchdog = state
+            .all_threads()
+            .map(|t| t.last_commit_cycle)
+            .max()
+            .unwrap_or(0)
+            + DEADLOCK_CYCLES
+            - 1;
+        let mut to = watchdog.min(state.fu.next_free(last).unwrap_or(Cycle::MAX));
+        for (tid, (fe, bus)) in fes.iter().zip(&self.buses).enumerate() {
+            let t = state.thread_ref(tid);
+            let front = fe.next_change(last).unwrap_or(Cycle::MAX);
+            let stall = release::stall_force_cycle(t)
+                .filter(|&c| c > last)
+                .unwrap_or(Cycle::MAX);
+            to = bus.next_due(to.min(front).min(stall));
+        }
+        to.max(state.now)
     }
 
     /// The per-cycle thread order: the primary thread gets first claim on
@@ -625,7 +687,12 @@ impl Processor {
     /// renames or fetches (it drains in flight). Single-thread runs pass
     /// `u64::MAX`: [`Stop::At`] ends the whole simulation at its count
     /// instead, which keeps that path bit-identical to the pre-SMT machine.
-    fn cycle<S: InstStream>(&mut self, fes: &mut [FrontEnd<S>], insts_cap: u64) {
+    ///
+    /// Returns whether the cycle was quiet: no stage of any thread changed
+    /// the machine, so the next cycle starts from the state this one did.
+    /// Nothing completed, committed, released, issued, renamed or fetched,
+    /// and the force-release latch ends as it began.
+    fn cycle<S: InstStream>(&mut self, fes: &mut [FrontEnd<S>], insts_cap: u64) -> bool {
         let (order, n) = self.thread_order(fes);
         let order = &order[..n];
         let Processor {
@@ -634,7 +701,9 @@ impl Processor {
             renames,
             ..
         } = self;
+        let mut before = [(false, (0, 0, false)); MAX_THREADS];
         for &t in order {
+            before[t] = (buses[t].force_release_pending(), fes[t].progress_mark());
             buses[t].begin_cycle();
         }
         state.fu.new_cycle();
@@ -692,6 +761,16 @@ impl Processor {
             state.sample_occupancy(outstanding);
         }
         state.now += 1;
+        let cfg = &state.cfg;
+        (commit_budget, issue_budget, rename_budget)
+            == (cfg.commit_width, cfg.issue_width, cfg.front_width)
+            && order.iter().all(|&t| {
+                let bus = &buses[t];
+                bus.seq_wakeups.is_empty()
+                    && bus.ticket_clears.is_empty()
+                    && bus.releases.is_empty()
+                    && before[t] == (bus.force_release_pending(), fes[t].progress_mark())
+            })
     }
 
     fn deadlock_snapshot(&self, workload: String) -> DeadlockSnapshot {

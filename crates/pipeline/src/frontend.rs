@@ -101,6 +101,26 @@ impl<S: InstStream> FrontEnd<S> {
         }
     }
 
+    /// What fetch and rename change: instructions fetched, instructions in
+    /// the pipe and whether the stream has ended. Equal marks before and
+    /// after a cycle mean the front end did nothing in it.
+    pub(crate) fn progress_mark(&self) -> (u64, usize, bool) {
+        (
+            self.state.fetched,
+            self.state.pipe.len(),
+            self.state.exhausted,
+        )
+    }
+
+    /// The first cycle after `last` on which the front end can offer
+    /// something it could not on `last`: the pipe head becoming ready for
+    /// rename, or the end of a redirect letting fetch resume.
+    pub(crate) fn next_change(&self, last: Cycle) -> Option<Cycle> {
+        let head = self.state.pipe.front().map(|&(ready, _)| ready);
+        let redirect = (!self.state.exhausted).then_some(self.state.redirect_until);
+        head.into_iter().chain(redirect).filter(|&c| c > last).min()
+    }
+
     /// Pops the next instruction if it has traversed the front-end pipe by
     /// cycle `now`.
     pub fn pop_ready(&mut self, now: Cycle) -> Option<DynInst> {

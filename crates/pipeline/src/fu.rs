@@ -117,6 +117,17 @@ impl FuPool {
         self.pool_mut(kind).acquire(now, latency)
     }
 
+    /// The first cycle after `last` on which a busy unpipelined unit (the
+    /// integer and FP dividers) frees up. Pipelined units accept work every
+    /// cycle.
+    pub(crate) fn next_free(&self, last: Cycle) -> Option<Cycle> {
+        [&self.int_muldiv, &self.fp_divsqrt]
+            .into_iter()
+            .flat_map(|pool| pool.busy_until.iter().copied())
+            .filter(|&b| b > last)
+            .min()
+    }
+
     /// Resets the per-cycle issue budget of the pipelined units. Call once at
     /// the start of each simulated cycle.
     pub fn new_cycle(&mut self) {

@@ -28,10 +28,11 @@
 //! to be zero — at that point no waiter list references it, so the index is
 //! self-cleaning and slots can be recycled freely.
 
+use crate::state::dense_reg;
 use inlinevec::InlineVec;
-use ltp_isa::{FuKind, PhysReg, SeqNum};
+use ltp_isa::{FuKind, PhysReg, SeqMap, SeqNum};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// Maximum inline wait-list / waiter-list length before spilling. Real
 /// instructions have at most three sources; fan-out beyond four consumers of
@@ -79,10 +80,11 @@ pub struct IssueQueue {
     pub(crate) slots: Vec<Slot>,
     pub(crate) free_slots: Vec<u32>,
     pub(crate) occupancy: usize,
-    /// Dense physical-register → waiting-slots index (see [`dense_reg`]).
+    /// Dense physical-register → waiting-slots index (see
+    /// [`crate::state::dense_reg`]).
     pub(crate) phys_waiters: Vec<InlineVec<u32, INLINE_WAITERS>>,
     /// Producer sequence number → waiting slots (parked producers only).
-    pub(crate) seq_waiters: HashMap<u64, InlineVec<u32, INLINE_WAITERS>>,
+    pub(crate) seq_waiters: SeqMap<InlineVec<u32, INLINE_WAITERS>>,
     /// Min-heap of `(seq, slot)` for entries whose counter reached zero.
     pub(crate) ready: BinaryHeap<Reverse<(u64, u32)>>,
     /// Reused by `select_into` for ready entries skipped by the FU check.
@@ -90,19 +92,6 @@ pub struct IssueQueue {
     pub(crate) peak: usize,
     pub(crate) dispatched: u64,
     pub(crate) issued: u64,
-}
-
-/// Maps a [`PhysReg`] to a dense index: integer registers occupy the even
-/// slots, floating point registers (offset by
-/// [`crate::state::FP_PHYS_OFFSET`] in the shared namespace) the odd ones.
-fn dense_reg(reg: PhysReg) -> usize {
-    let idx = reg.index();
-    let fp_offset = crate::state::FP_PHYS_OFFSET as usize;
-    if idx >= fp_offset {
-        ((idx - fp_offset) << 1) | 1
-    } else {
-        idx << 1
-    }
 }
 
 impl IssueQueue {
@@ -122,11 +111,9 @@ impl IssueQueue {
             free_slots: Vec::with_capacity(reserve),
             occupancy: 0,
             phys_waiters: Vec::with_capacity(512),
-            // At most one key per waiting entry. Twice that room keeps the
-            // map at most half full, where a rehash that clears tombstones
-            // happens in place instead of growing the table, so the
-            // steady-state loop never allocates here.
-            seq_waiters: HashMap::with_capacity(2 * reserve),
+            // At most two keys per waiting entry, so the steady-state loop
+            // never grows the table.
+            seq_waiters: SeqMap::with_capacity(2 * reserve),
             ready: BinaryHeap::with_capacity(reserve),
             skipped: Vec::with_capacity(16),
             peak: 0,
@@ -225,7 +212,7 @@ impl IssueQueue {
             if seqs[..i].contains(&s) {
                 continue;
             }
-            self.seq_waiters.entry(s.0).or_default().push(slot_id);
+            self.seq_waiters.get_or_default(s.0).push(slot_id);
             pending += 1;
         }
         self.slots[slot_id as usize] = Slot {
@@ -271,7 +258,7 @@ impl IssueQueue {
     /// Wakeup by producer sequence number (for consumers of parked
     /// instructions).
     pub fn wake_seq(&mut self, seq: SeqNum) {
-        let Some(waiters) = self.seq_waiters.remove(&seq.0) else {
+        let Some(waiters) = self.seq_waiters.remove(seq.0) else {
             return;
         };
         for &slot_id in waiters.iter() {

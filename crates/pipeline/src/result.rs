@@ -79,6 +79,12 @@ pub struct RunResult {
     pub stores: u64,
     /// Loads that missed the LLC (long-latency loads).
     pub llc_miss_loads: u64,
+    /// Host work, not a simulated quantity: the iterations of the cycle
+    /// loop this run executed, warm-up included. The loop skips spans of
+    /// quiet cycles in one step, so this is at most the cycles the run
+    /// simulated; [`crate::Processor::run_observed`] executes every cycle.
+    /// No fingerprint or digest reads it.
+    pub cycle_loop_iterations: u64,
 }
 
 impl RunResult {
@@ -332,6 +338,7 @@ mod tests {
             loads: 10,
             stores: 5,
             llc_miss_loads: 2,
+            cycle_loop_iterations: cycles,
         }
     }
 

@@ -165,6 +165,12 @@ impl StageBus {
         self.force_release
     }
 
+    /// The earliest cycle before `limit` on which a delayed signal is due,
+    /// or `limit` (see [`TimingWheel::next_due`]).
+    pub(crate) fn next_due(&self, limit: Cycle) -> Cycle {
+        self.ll_signals.next_due(self.completions.next_due(limit))
+    }
+
     /// Number of completion events still in flight (scheduled but not yet
     /// consumed by writeback).
     #[must_use]

@@ -42,7 +42,7 @@ pub(crate) fn run(state: &mut PipelineState, bus: &mut StageBus, budget: usize) 
                 bus.reg_frees.push(p);
             }
             RegSource::Parked(s) => {
-                if let Some(p) = state.tm().released_parked_regs.remove(&s.0) {
+                if let Some(p) = state.tm().released_parked_regs.remove(s.0) {
                     state.free_dest(p);
                     bus.reg_frees.push(p);
                 }
@@ -57,7 +57,7 @@ pub(crate) fn run(state: &mut PipelineState, bus: &mut StageBus, budget: usize) 
             if let Some(access) = state
                 .t()
                 .inflight
-                .get(&entry.seq.0)
+                .get(entry.seq.0)
                 .and_then(|infl| infl.inst.mem_access())
             {
                 let req = MemoryRequest::new(entry.pc, access.addr(), AccessKind::Store);
@@ -82,7 +82,7 @@ pub(crate) fn run(state: &mut PipelineState, bus: &mut StageBus, budget: usize) 
             op: entry.op,
             was_parked: entry.was_parked,
         });
-        t.inflight.remove(&entry.seq.0);
+        t.inflight.remove(entry.seq.0);
     }
     committed
 }

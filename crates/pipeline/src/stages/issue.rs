@@ -46,7 +46,7 @@ pub(crate) fn run(state: &mut PipelineState, bus: &mut StageBus, budget: usize) 
             let infl = state
                 .t()
                 .inflight
-                .get(&seq.0)
+                .get(seq.0)
                 .expect("issued instruction must be in flight");
             (infl.inst, infl.inst.static_inst().dataflow_srcs().count())
         };

@@ -18,9 +18,20 @@
 use crate::iq::IqEntry;
 use crate::rob::RobState;
 use crate::stages::StageBus;
-use crate::state::PipelineState;
+use crate::state::{PipelineState, ThreadState};
 use ltp_core::ParkedInst;
 use ltp_isa::RegClass;
+use ltp_mem::Cycle;
+
+/// Cycles without a commit after which the release stage forces the oldest
+/// parked instruction out even when rename did not ask for it.
+const STALL_FORCE_CYCLES: u64 = 64;
+
+/// The first cycle on which the no-commit path can force a release for
+/// thread `t`: only while its LTP holds instructions.
+pub(crate) fn stall_force_cycle(t: &ThreadState) -> Option<Cycle> {
+    (t.ltp.occupancy() > 0).then_some(t.last_commit_cycle + STALL_FORCE_CYCLES + 1)
+}
 
 /// Runs the release stage of the active thread for one cycle.
 pub(crate) fn run(state: &mut PipelineState, bus: &mut StageBus) {
@@ -73,7 +84,7 @@ pub(crate) fn run(state: &mut PipelineState, bus: &mut StageBus) {
     // progress, force the oldest parked instruction out (through the
     // reserved bypass) so it can eventually commit and free resources.
     let force_requested = bus.take_force_release();
-    let stalled_long = state.now.saturating_sub(state.t().last_commit_cycle) > 64;
+    let stalled_long = state.now.saturating_sub(state.t().last_commit_cycle) > STALL_FORCE_CYCLES;
     let bypass_has_room = state.iq_bypass_has_room();
     if (force_requested || stalled_long)
         && !released_any
@@ -106,7 +117,7 @@ fn place_released(state: &mut PipelineState, bus: &mut StageBus, parked: ParkedI
         let infl = state
             .t()
             .inflight
-            .get(&seq.0)
+            .get(seq.0)
             .expect("released instruction must be in flight");
         (infl.src_phys.clone(), infl.src_seqs.clone(), infl.inst.op())
     };
@@ -150,7 +161,7 @@ fn place_released(state: &mut PipelineState, bus: &mut StageBus, parked: ParkedI
     let wait_phys = src_phys
         .iter()
         .copied()
-        .filter(|p| !state.t().completed_regs.contains(p))
+        .filter(|&p| !state.t().completed_regs.contains(p))
         .collect();
     let wait_seqs = src_seqs
         .iter()

@@ -280,7 +280,7 @@ fn try_place_dispatch(
     let wait_phys = src_phys
         .iter()
         .copied()
-        .filter(|p| !state.t().completed_regs.contains(p))
+        .filter(|&p| !state.t().completed_regs.contains(p))
         .collect();
     let wait_seqs = src_seqs
         .iter()

@@ -122,6 +122,24 @@ impl TimingWheel {
         Some(payload)
     }
 
+    /// The earliest cycle before `limit` at which an event is due, or
+    /// `limit` when none is. Events already due (staged, or scheduled at or
+    /// before the last `pop_due` cycle) are due on the next cycle. Wheel
+    /// slots are scanned from the next cycle on; every slot event lies
+    /// within one horizon past `drained_through`, so the first non-empty
+    /// slot holds the earliest event. The scan stops at `limit`, so its cost
+    /// is bounded by the span it lets the caller skip.
+    pub fn next_due(&self, limit: Cycle) -> Cycle {
+        let next = self.drained_through + 1;
+        if !self.staging.is_empty() {
+            return next.min(limit);
+        }
+        let end = limit.min(self.far_min).min(next + self.mask);
+        (next..end)
+            .find(|&c| !self.slots[(c & self.mask) as usize].is_empty())
+            .unwrap_or(limit.min(self.far_min))
+    }
+
     /// Moves everything due at or before `now` into the staging buffer and
     /// migrates far events that entered the horizon into the wheel.
     fn advance(&mut self, now: Cycle) {
@@ -298,6 +316,26 @@ mod tests {
         assert_eq!(w.pop_due(jump + 3_000_000), Some(2));
         assert_eq!(w.pop_due(jump + 3_000_000), Some(3));
         assert_eq!(w.len(), 0);
+    }
+
+    #[test]
+    fn next_due_finds_the_earliest_event() {
+        let mut w = TimingWheel::new(8, 8);
+        assert_eq!(w.next_due(100), 100);
+        w.schedule(6, 1);
+        w.schedule(3, 2);
+        w.schedule(50, 3);
+        assert_eq!(w.next_due(100), 3);
+        assert_eq!(w.next_due(2), 2);
+        assert_eq!(w.pop_due(3), Some(2));
+        assert_eq!(w.next_due(100), 6);
+        assert_eq!(w.pop_due(6), Some(1));
+        // Only the far event is left.
+        assert_eq!(w.next_due(100), 50);
+        assert_eq!(w.next_due(20), 20);
+        // An event scheduled in the past is due on the next cycle.
+        w.schedule(4, 4);
+        assert_eq!(w.next_due(100), 7);
     }
 
     #[test]

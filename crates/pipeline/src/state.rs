@@ -41,13 +41,91 @@ use crate::rob::{Rob, RobEntry};
 use crate::FuPool;
 use inlinevec::InlineVec;
 use ltp_core::LtpUnit;
-use ltp_isa::{DynInst, PhysReg, RegClass, SeqNum, ThreadId};
+use ltp_isa::{DynInst, PhysReg, RegClass, SeqMap, SeqNum, ThreadId};
 use ltp_mem::{Cycle, MemoryHierarchy};
-use std::collections::{HashMap, HashSet};
 
 /// Offset separating floating point physical register indices from integer
 /// ones, so both free lists can share the dense [`PhysReg`] namespace.
 pub(crate) const FP_PHYS_OFFSET: u32 = 1 << 20;
+
+/// Maps a [`PhysReg`] to a dense index: integer registers occupy the even
+/// slots, floating point registers (offset by [`FP_PHYS_OFFSET`] in the
+/// shared namespace) the odd ones.
+pub(crate) fn dense_reg(reg: PhysReg) -> usize {
+    let idx = reg.index();
+    let fp_offset = FP_PHYS_OFFSET as usize;
+    if idx >= fp_offset {
+        ((idx - fp_offset) << 1) | 1
+    } else {
+        idx << 1
+    }
+}
+
+/// A set of physical registers, one flag per [`dense_reg`] index. Register
+/// numbers come from the free lists, never from a trace, and stay below the
+/// register-file sizes, so the flags stay few.
+#[derive(Debug, Clone)]
+pub(crate) struct RegSet {
+    flags: Vec<bool>,
+}
+
+impl RegSet {
+    /// An empty set with room for `per_class` registers of each class
+    /// (at least 1024), so the steady-state loop never grows it.
+    pub(crate) fn with_room(per_class: usize) -> RegSet {
+        RegSet {
+            flags: vec![false; 2 * per_class.clamp(1024, 4096)],
+        }
+    }
+
+    pub(crate) fn contains(&self, reg: PhysReg) -> bool {
+        self.flags.get(dense_reg(reg)) == Some(&true)
+    }
+
+    pub(crate) fn insert(&mut self, reg: PhysReg) {
+        let d = dense_reg(reg);
+        if self.flags.len() <= d {
+            self.flags.resize(d + 1, false);
+        }
+        self.flags[d] = true;
+    }
+
+    pub(crate) fn remove(&mut self, reg: PhysReg) {
+        if let Some(flag) = self.flags.get_mut(dense_reg(reg)) {
+            *flag = false;
+        }
+    }
+}
+
+/// The byte layout of a `HashSet<PhysReg>` (the registers in ascending
+/// order), so snapshot bytes do not depend on the set's representation.
+impl ltp_snapshot::Codec for RegSet {
+    fn write(&self, w: &mut ltp_snapshot::Writer) {
+        let mut regs: Vec<PhysReg> = (self.flags.iter().enumerate())
+            .filter(|&(_, &set)| set)
+            .map(|(d, _)| {
+                let class_index = (d >> 1) as u32;
+                PhysReg::new(class_index + if d & 1 == 1 { FP_PHYS_OFFSET } else { 0 })
+            })
+            .collect();
+        regs.sort_unstable();
+        regs.write(w);
+    }
+    fn read(r: &mut ltp_snapshot::Reader<'_>) -> Result<Self, ltp_snapshot::SnapError> {
+        let mut set = RegSet::with_room(0);
+        for reg in Vec::<PhysReg>::read(r)? {
+            // Each class numbers its registers below the offset, which
+            // bounds what a damaged snapshot can make this set allocate.
+            if reg.index() >= 2 * FP_PHYS_OFFSET as usize {
+                return Err(ltp_snapshot::SnapError::Invalid(
+                    "physical register out of range",
+                ));
+            }
+            set.insert(reg);
+        }
+        Ok(set)
+    }
+}
 
 /// Per-instruction in-flight metadata not stored in the ROB.
 #[derive(Debug, Clone)]
@@ -74,9 +152,13 @@ pub(crate) struct ThreadState {
     pub(crate) lq: LoadQueue,
     pub(crate) sq: StoreQueue,
     pub(crate) memdep: MemDepPredictor,
-    pub(crate) inflight: HashMap<u64, InFlight>,
-    pub(crate) completed_regs: HashSet<PhysReg>,
-    pub(crate) released_parked_regs: HashMap<u64, PhysReg>,
+    /// Renamed instructions not yet committed, by sequence number.
+    pub(crate) inflight: SeqMap<InFlight>,
+    /// Physical registers whose values have been produced.
+    pub(crate) completed_regs: RegSet,
+    /// Registers of released parked writers whose architectural register a
+    /// younger writer had renamed meanwhile, freed when that writer commits.
+    pub(crate) released_parked_regs: SeqMap<PhysReg>,
     pub(crate) committed: u64,
     pub(crate) loads_committed: u64,
     pub(crate) stores_committed: u64,
@@ -363,7 +445,7 @@ impl PipelineState {
     }
 
     pub(crate) fn free_dest(&mut self, reg: PhysReg) {
-        self.tm().completed_regs.remove(&reg);
+        self.tm().completed_regs.remove(reg);
         if (reg.index() as u32) >= FP_PHYS_OFFSET {
             self.fp_free
                 .free(PhysReg::new(reg.index() as u32 - FP_PHYS_OFFSET));
@@ -415,7 +497,7 @@ impl PipelineState {
             match t.rat.source(src) {
                 RegSource::Ready => {}
                 RegSource::Phys(p) => {
-                    if !t.completed_regs.contains(&p) {
+                    if !t.completed_regs.contains(p) {
                         phys.push(p);
                     }
                 }
@@ -515,17 +597,61 @@ impl PipelineState {
     /// the caller so an SMT cycle does not query the MSHRs per thread.
     pub(crate) fn sample_occupancy(&mut self, outstanding: u64) {
         let t = self.tm();
-        let occ = &mut t.occupancy;
-        occ.iq.sample_cycle(t.iq.len() as u64);
-        occ.rob.sample_cycle(t.rob.len() as u64);
-        occ.lq.sample_cycle(t.lq.len() as u64);
-        occ.sq.sample_cycle(t.sq.len() as u64);
+        t.sample_structures(1);
+        t.occupancy.outstanding_misses.sample_cycle(outstanding);
+    }
+
+    /// Moves `now` to `to`, charging the cycles `now..to` to every thread's
+    /// occupancy trackers as the cycle loop would have sampled them. The
+    /// caller guarantees those cycles repeat the quiet cycle `now - 1`, so
+    /// every structure holds still and only the outstanding-miss count
+    /// moves: it drops by one at each MSHR completion inside the span.
+    ///
+    /// The one other value a quiet cycle can write is the LTP queue's port
+    /// stamp: a release attempt that finds nothing to release stamps the
+    /// cycle. The skipped cycles would restamp it, and so does the next
+    /// cycle that runs on a single-thread machine (the only kind a
+    /// checkpoint captures): its release stage sees the same parked head
+    /// and at least the free resources the quiet one saw, so it tries
+    /// again. A checkpoint therefore never sees the difference.
+    pub(crate) fn idle_until(&mut self, to: Cycle) {
+        let from = self.now;
+        let PipelineState {
+            mem,
+            thread,
+            parked_threads,
+            ..
+        } = self;
+        for t in std::iter::once(thread).chain(parked_threads.iter_mut()) {
+            t.sample_structures(to - from);
+            let tracker = &mut t.occupancy.outstanding_misses;
+            let (mut at, mut count) = (from, mem.outstanding_misses(from) as u64);
+            for done in mem.miss_completions_after(from).take_while(|&c| c < to) {
+                tracker.sample(done - at, count);
+                (at, count) = (done, count - 1);
+            }
+            tracker.sample(to - at, count);
+        }
+        self.now = to;
+    }
+}
+
+impl ThreadState {
+    /// Charges `cycles` cycles of the current structure occupancies (all but
+    /// the shared outstanding-miss count) to the trackers.
+    fn sample_structures(&mut self, cycles: u64) {
+        let occ = &mut self.occupancy;
+        occ.iq.sample(cycles, self.iq.len() as u64);
+        occ.rob.sample(cycles, self.rob.len() as u64);
+        occ.lq.sample(cycles, self.lq.len() as u64);
+        occ.sq.sample(cycles, self.sq.len() as u64);
         occ.regs
-            .sample_cycle((t.int_regs_used + t.fp_regs_used) as u64);
-        occ.ltp.sample_cycle(t.ltp.occupancy() as u64);
-        occ.ltp_regs.sample_cycle(t.ltp.parked_writers() as u64);
-        occ.ltp_loads.sample_cycle(t.ltp.parked_loads() as u64);
-        occ.ltp_stores.sample_cycle(t.ltp.parked_stores() as u64);
-        occ.outstanding_misses.sample_cycle(outstanding);
+            .sample(cycles, (self.int_regs_used + self.fp_regs_used) as u64);
+        occ.ltp.sample(cycles, self.ltp.occupancy() as u64);
+        occ.ltp_regs
+            .sample(cycles, self.ltp.parked_writers() as u64);
+        occ.ltp_loads.sample(cycles, self.ltp.parked_loads() as u64);
+        occ.ltp_stores
+            .sample(cycles, self.ltp.parked_stores() as u64);
     }
 }

@@ -273,3 +273,111 @@ fn observer_sees_bus_traffic_and_commit_order() {
     assert_eq!(total_commits, r.instructions);
     assert!(total_wakeups >= r.instructions, "every writer wakes the IQ");
 }
+
+/// Runs `streams` through the cycle loop per cycle (an observer sees every
+/// cycle, which turns the quiet-cycle skip off).
+fn drive_per_cycle<S: ltp_isa::InstStream>(
+    p: &mut Processor,
+    streams: Vec<S>,
+    stop: crate::core::Stop,
+    window: crate::core::Window,
+) -> crate::core::Run<S> {
+    p.drive(streams, stop, window, Some(&mut |_| {}))
+        .expect("no deadlock")
+}
+
+/// Everything a run reports except the host-work counter.
+fn observable(r: &crate::RunResult) -> String {
+    let mut r = r.clone();
+    r.cycle_loop_iterations = 0;
+    format!("{r:?}")
+}
+
+/// SMT co-runs skip quiet cycles too, exactly: under every sharing policy a
+/// two-thread co-run gives the same per-thread results skipping as per
+/// cycle, in fewer loop iterations.
+#[test]
+fn smt_co_run_skips_exactly() {
+    use crate::config::SharePolicy;
+    use crate::core::{Stop, Window};
+    use ltp_workloads::{co_trace, replay_slice, trace, WorkloadKind};
+    let a = co_trace(WorkloadKind::PointerChase, 3, 1_200, 0);
+    let b = co_trace(WorkloadKind::HashProbe, 4, 1_200, 1);
+    let warm = trace(WorkloadKind::HashProbe, 5, 1_000);
+    for policy in [
+        SharePolicy::Shared,
+        SharePolicy::Icount,
+        SharePolicy::StaticPartition,
+    ] {
+        let cfg = PipelineConfig::ltp_proposed().smt(policy);
+        let streams = || vec![replay_slice("a", &a), replay_slice("b", &b)];
+        let mut skipping = Processor::new(cfg);
+        skipping.warm_caches(&warm);
+        let skipped = skipping.run_smt(streams(), 1_000).expect("no deadlock");
+        let mut stepping = Processor::new(cfg);
+        stepping.warm_caches(&warm);
+        let stepped = drive_per_cycle(
+            &mut stepping,
+            streams(),
+            Stop::DrainAt(1_000),
+            Window::Whole,
+        );
+        assert_eq!(skipped.cycles, stepping.state.now.max(1), "{policy:?}");
+        for (x, y) in skipped.threads.iter().zip(&stepped.threads) {
+            assert_eq!(observable(x), observable(y), "{policy:?}");
+            assert!(
+                x.cycle_loop_iterations < y.cycle_loop_iterations,
+                "{policy:?}"
+            );
+        }
+    }
+}
+
+/// A checkpoint taken by a run that skips quiet cycles is byte for byte
+/// the one a per-cycle run takes at the same point.
+#[test]
+fn checkpoint_bytes_do_not_depend_on_skipping() {
+    use crate::core::{Stop, Window};
+    use ltp_workloads::{replay_slice, trace, WorkloadKind};
+    // Parking both kinds of instruction exercises the out-of-order release
+    // path, whose failed attempts in quiet cycles still stamp the LTP
+    // ports with the cycle.
+    let both = ltp_core::LtpConfig {
+        mode: ltp_core::LtpMode::Both,
+        ..ltp_core::LtpConfig::nu_only_128x4()
+    };
+    for cfg in [
+        PipelineConfig::ltp_proposed(),
+        PipelineConfig::ltp_proposed().with_ltp(both),
+        PipelineConfig::micro2015_baseline().with_warmup(300),
+    ] {
+        for (kind, at) in WorkloadKind::ALL
+            .into_iter()
+            .zip([700, 800, 900, 1_000].iter().cycle())
+        {
+            let warm = trace(kind, 6, 1_000);
+            let detail = trace(kind, 7, 1_500);
+            let mut skipping = Processor::new(cfg);
+            skipping.warm_caches(&warm);
+            let skipped = skipping
+                .run_to_snapshot(replay_slice(kind.name(), &detail), *at)
+                .expect("no deadlock");
+            let mut stepping = Processor::new(cfg);
+            stepping.warm_caches(&warm);
+            let run = drive_per_cycle(
+                &mut stepping,
+                vec![replay_slice(kind.name(), &detail)],
+                Stop::At(*at),
+                Window::Warmup,
+            );
+            let stepped =
+                crate::Snapshot::capture(&stepping, run.fes[0].export_state(), run.window)
+                    .expect("capturable");
+            assert!(
+                skipped.to_bytes() == stepped.to_bytes(),
+                "{} on {cfg:?}",
+                kind.name()
+            );
+        }
+    }
+}

@@ -154,6 +154,13 @@ pub struct JobRequest {
 }
 
 impl JobRequest {
+    /// Whether the job asks for injected faults (a non-empty `"inject"`
+    /// plan), which a server accepts only when configured to.
+    #[must_use]
+    pub fn injects_faults(&self) -> bool {
+        matches!(&self.kind, JobKind::Point { faults, .. } if !faults.is_empty())
+    }
+
     /// Parses a submission body.
     ///
     /// Two shapes are accepted. An experiment job:
@@ -494,6 +501,9 @@ pub struct Registry {
     cache_dir: Option<PathBuf>,
     journal_dir: Option<PathBuf>,
     max_jobs: usize,
+    /// Whether clients may submit `"inject"` fault plans (see
+    /// [`crate::ServiceConfig::allow_fault_injection`]).
+    pub(crate) allow_fault_injection: bool,
     /// Server-wide counters.
     pub metrics: Arc<Metrics>,
 }
@@ -549,6 +559,7 @@ impl Registry {
             cache_dir,
             journal_dir,
             max_jobs: max_jobs.max(1),
+            allow_fault_injection: false,
             metrics: Arc::new(Metrics::default()),
         }
     }

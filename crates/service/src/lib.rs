@@ -58,6 +58,11 @@ pub struct ServiceConfig {
     pub journal_dir: Option<PathBuf>,
     /// Re-submit persisted jobs that never completed (restart recovery).
     pub resume: bool,
+    /// Accept jobs that carry an `"inject"` fault plan. Off by default: a
+    /// fault plan makes workers panic or stall on purpose, which is for
+    /// testing the server, not for arbitrary clients. When off, such a
+    /// submission gets HTTP 400.
+    pub allow_fault_injection: bool,
 }
 
 impl Default for ServiceConfig {
@@ -69,6 +74,7 @@ impl Default for ServiceConfig {
             cache_dir: None,
             journal_dir: None,
             resume: false,
+            allow_fault_injection: false,
         }
     }
 }
@@ -91,12 +97,14 @@ impl Server {
     pub fn start(config: &ServiceConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.bind)?;
         let addr = listener.local_addr()?;
-        let registry = Arc::new(Registry::new(
+        let mut registry = Registry::new(
             config.workers,
             config.max_jobs,
             config.cache_dir.clone(),
             config.journal_dir.clone(),
-        ));
+        );
+        registry.allow_fault_injection = config.allow_fault_injection;
+        let registry = Arc::new(registry);
         if config.resume {
             registry.resume_pending();
         }
@@ -253,6 +261,13 @@ fn submit(stream: &mut TcpStream, registry: &Arc<Registry>, req: &Request) -> io
         Ok(p) => p,
         Err(e) => return error_response(stream, 400, &e),
     };
+    if parsed.injects_faults() && !registry.allow_fault_injection {
+        return error_response(
+            stream,
+            400,
+            "\"inject\" is disabled: start the server with --allow-fault-injection",
+        );
+    }
     match registry.submit(parsed) {
         Ok(job) => {
             let body = Json::obj([

@@ -6,6 +6,7 @@
 //!             [--retries N]
 //! experiments serve [--bind ADDR] [--workers N] [--max-jobs N]
 //!             [--cache DIR] [--journal DIR] [--resume DIR]
+//!             [--allow-fault-injection]
 //!
 //! EXPERIMENT: all | table1 | fig1 | fig2 | fig6 | fig7 | fig10 | fig11 | uit
 //!           | ablation | fig_smt | sample
@@ -36,7 +37,8 @@
 //! jobs (submissions beyond it get HTTP 429); `--cache`/`--journal` share the
 //! CLI's checkpoint-cache and journal formats, and `--resume DIR` re-submits
 //! jobs a killed server left unfinished under `DIR`, replaying their
-//! journals bit-identically.
+//! journals bit-identically. A job's `"inject"` fault plan is refused (HTTP
+//! 400) unless the server runs with `--allow-fault-injection`.
 //!
 //! Exit codes: 0 success, 2 usage/configuration error, 3 a simulation failed
 //! outright, 4 everything ran but at least one sampled point is partial
@@ -95,15 +97,29 @@ const USAGE: &str = "usage: experiments \
 [--quick] [--insts N] [--seed S] [--out DIR] [--cache DIR] \
 [--journal DIR] [--resume DIR] [--inject SPEC] [--retries N]\n\
        experiments serve [--bind ADDR] [--workers N] [--max-jobs N] \
-[--cache DIR] [--journal DIR] [--resume DIR]";
+[--cache DIR] [--journal DIR] [--resume DIR] [--allow-fault-injection]";
 
-fn run() -> Result<ExitCode, CliError> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("serve") {
-        return serve(&args[1..]).map(|()| ExitCode::SUCCESS);
-    }
+/// A parsed report invocation.
+#[derive(Debug)]
+struct Invocation {
+    experiments: Vec<Experiment>,
+    opts: RunOptions,
+    out_dir: String,
+    cache_dir: Option<PathBuf>,
+    journal_dir: Option<PathBuf>,
+    resume: bool,
+    faults: FaultPlan,
+    retries: Option<u32>,
+}
+
+/// Parses the report flags; `None` for `--help`. `--quick` selects the
+/// quick budgets, and an explicit `--insts` or `--seed` overrides them
+/// wherever it stands on the command line.
+fn parse_invocation(args: &[String]) -> Result<Option<Invocation>, CliError> {
     let mut experiments: Vec<Experiment> = Vec::new();
-    let mut opts = RunOptions::default();
+    let mut quick = false;
+    let mut insts: Option<u64> = None;
+    let mut seed: Option<u64> = None;
     let mut out_dir = String::from("results");
     let mut cache_dir: Option<PathBuf> = None;
     let mut journal_dir: Option<PathBuf> = None;
@@ -114,17 +130,18 @@ fn run() -> Result<ExitCode, CliError> {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--quick" => opts = RunOptions::quick(),
+            "--quick" => quick = true,
             "--insts" => {
                 i += 1;
-                opts.detail_insts = parse_flag_value(&args, i, "--insts", "a number")?;
-                if opts.detail_insts == 0 {
+                let n: u64 = parse_flag_value(args, i, "--insts", "a number")?;
+                if n == 0 {
                     return Err(CliError::config("--insts must be at least 1"));
                 }
+                insts = Some(n);
             }
             "--seed" => {
                 i += 1;
-                opts.seed = parse_flag_value(&args, i, "--seed", "a number")?;
+                seed = Some(parse_flag_value(args, i, "--seed", "a number")?);
             }
             "--out" => {
                 i += 1;
@@ -169,13 +186,10 @@ fn run() -> Result<ExitCode, CliError> {
             }
             "--retries" => {
                 i += 1;
-                retries = Some(parse_flag_value(&args, i, "--retries", "a number")?);
+                retries = Some(parse_flag_value(args, i, "--retries", "a number")?);
             }
             "all" => experiments.extend(Experiment::ALL),
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Ok(ExitCode::SUCCESS);
-            }
+            "--help" | "-h" => return Ok(None),
             name => match Experiment::from_name(name) {
                 Some(e) => experiments.push(e),
                 None => return Err(CliError::config(format!("unknown experiment '{name}'"))),
@@ -186,13 +200,42 @@ fn run() -> Result<ExitCode, CliError> {
     if experiments.is_empty() {
         experiments.extend(Experiment::ALL);
     }
+    let mut opts = if quick {
+        RunOptions::quick()
+    } else {
+        RunOptions::default()
+    };
+    opts.detail_insts = insts.unwrap_or(opts.detail_insts);
+    opts.seed = seed.unwrap_or(opts.seed);
+    Ok(Some(Invocation {
+        experiments,
+        opts,
+        out_dir,
+        cache_dir,
+        journal_dir,
+        resume,
+        faults,
+        retries,
+    }))
+}
+
+fn run() -> Result<ExitCode, CliError> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().map(String::as_str) == Some("serve") {
+        return serve(&args[1..]).map(|()| ExitCode::SUCCESS);
+    }
+    let Some(inv) = parse_invocation(&args)? else {
+        println!("{USAGE}");
+        return Ok(ExitCode::SUCCESS);
+    };
+    let out_dir = inv.out_dir;
 
     std::fs::create_dir_all(&out_dir)
         .map_err(|e| CliError::io("cannot create the output directory", &out_dir, &e))?;
 
     // One cache instance is shared by every experiment of the invocation, so
     // e.g. `experiments fig1 uit --cache DIR` warms each workload once.
-    let cache: Option<std::sync::Arc<CheckpointCache>> = match &cache_dir {
+    let cache: Option<std::sync::Arc<CheckpointCache>> = match &inv.cache_dir {
         Some(dir) => {
             let c = CheckpointCache::open(dir).map_err(|e| {
                 CliError::io(
@@ -205,16 +248,16 @@ fn run() -> Result<ExitCode, CliError> {
         }
         None => None,
     };
-    let mut ctx = ExperimentCtx::new(&opts).with_cache(cache.as_ref());
-    ctx.journal_dir = journal_dir;
-    ctx.sample.resume = resume;
-    ctx.sample.faults = faults;
-    if let Some(n) = retries {
+    let mut ctx = ExperimentCtx::new(&inv.opts).with_cache(cache.as_ref());
+    ctx.journal_dir = inv.journal_dir;
+    ctx.sample.resume = inv.resume;
+    ctx.sample.faults = inv.faults;
+    if let Some(n) = inv.retries {
         ctx.sample.retry.max_attempts = n.max(1);
     }
 
     let (mut partial_points, mut error_points) = (0usize, 0usize);
-    for experiment in experiments {
+    for experiment in inv.experiments {
         let started = std::time::Instant::now();
         eprintln!("== running {} ...", experiment.name());
         let report = experiment.run(&ctx);
@@ -310,6 +353,7 @@ fn serve(args: &[String]) -> Result<(), CliError> {
                 config.journal_dir = Some(PathBuf::from(dir));
                 config.resume = true;
             }
+            "--allow-fault-injection" => config.allow_fault_injection = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return Ok(());
@@ -362,4 +406,48 @@ fn parse_flag_value<T: std::str::FromStr>(
     args.get(i)
         .and_then(|v| v.parse().ok())
         .ok_or_else(|| CliError::config(format!("{flag} needs {what}")))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn opts(args: &[&str]) -> RunOptions {
+        let args: Vec<String> = args.iter().map(|a| (*a).to_string()).collect();
+        match parse_invocation(&args) {
+            Ok(Some(invocation)) => invocation.opts,
+            _ => panic!("{args:?} should parse"),
+        }
+    }
+
+    /// `--quick` picks the quick budgets and an explicit `--insts` or
+    /// `--seed` wins over them, before or after it.
+    #[test]
+    fn explicit_budgets_override_quick_in_any_order() {
+        let want = RunOptions {
+            detail_insts: 500,
+            seed: 9,
+            ..RunOptions::quick()
+        };
+        assert_eq!(
+            opts(&["fig7", "--insts", "500", "--seed", "9", "--quick"]),
+            want
+        );
+        assert_eq!(
+            opts(&["fig7", "--quick", "--insts", "500", "--seed", "9"]),
+            want
+        );
+        assert_eq!(
+            opts(&["fig7", "--seed", "9", "--quick", "--insts", "500"]),
+            want
+        );
+        assert_eq!(opts(&["fig7", "--quick"]), RunOptions::quick());
+        assert_eq!(
+            opts(&["fig7", "--insts", "500"]),
+            RunOptions {
+                detail_insts: 500,
+                ..RunOptions::default()
+            }
+        );
+    }
 }

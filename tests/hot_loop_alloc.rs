@@ -18,10 +18,16 @@
 //! Allocations are counted per thread: the simulation and its observer run
 //! on the test's own thread, and libtest runs the audits in parallel, so a
 //! process-wide count would charge each audit with the others' work.
+//!
+//! An observer turns the quiet-cycle skip off, so the skipping loop of
+//! `Processor::run` is audited through its input instead: a probe stream
+//! reads the allocation counter as fetch pulls instructions.
 
-use ltp_isa::InstStream;
+use ltp_isa::{DynInst, InstStream};
 use ltp_pipeline::{FunctionalFastForward, PipelineConfig, Processor};
 use ltp_workloads::{replay_slice, trace, WorkloadKind};
+use std::cell::Cell;
+use std::rc::Rc;
 
 // The counting allocator needs `unsafe impl GlobalAlloc`; the workspace
 // otherwise denies unsafe code, so the exemption is scoped to this shim.
@@ -221,4 +227,95 @@ fn resumed_processor_allocates_no_more_than_fresh() {
 #[test]
 fn resumed_baseline_allocates_no_more_than_fresh() {
     audit_resumed_against_fresh(PipelineConfig::micro2015_baseline());
+}
+
+/// A stream that reads this thread's allocation counter when fetch pulls
+/// instruction `from` and again when it pulls instruction `to` (positions
+/// in the whole stream, seeks included). Fetch runs inside the cycle loop,
+/// so the difference is what the loop allocated in between.
+struct Probe<S> {
+    inner: S,
+    pos: u64,
+    at: [u64; 2],
+    marks: Rc<Cell<[Option<u64>; 2]>>,
+}
+
+impl<S: InstStream> InstStream for Probe<S> {
+    fn next_inst(&mut self) -> Option<DynInst> {
+        if let Some(i) = self.at.iter().position(|&at| at == self.pos) {
+            let mut marks = self.marks.get();
+            marks[i] = Some(counting::calls());
+            self.marks.set(marks);
+        }
+        self.pos += 1;
+        self.inner.next_inst()
+    }
+
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn skip_insts(&mut self, n: u64) -> u64 {
+        let skipped = self.inner.skip_insts(n);
+        self.pos += skipped;
+        skipped
+    }
+}
+
+/// Runs `cpu` with quiet-cycle skipping over the stretch `start..start +
+/// 20_000` of the mixed kernel's stream — a fresh processor from a stream
+/// seeked to `start`, a resumed one (`resumed`, committed count `start`)
+/// from the stream's beginning, which its front end seeks — and returns the
+/// allocations of the loop between the fetches of instructions `start +
+/// 10_000` and `start + 19_000`.
+fn skipping_allocations(mut cpu: Processor, start: u64, resumed: bool) -> u64 {
+    let mut stream = InstStream::take_insts(WorkloadKind::MixedPhases.build(8), start + 20_000);
+    let mut budget = 20_000;
+    if resumed {
+        budget += start;
+    } else {
+        assert_eq!(stream.skip_insts(start), start);
+    }
+    let marks = Rc::new(Cell::new([None; 2]));
+    let probe = Probe {
+        inner: stream,
+        pos: if resumed { 0 } else { start },
+        at: [start + 10_000, start + 19_000],
+        marks: Rc::clone(&marks),
+    };
+    cpu.run(probe, budget).expect("no deadlock");
+    match marks.get() {
+        [Some(a), Some(b)] => b - a,
+        marks => panic!("the run never reached both probe points: {marks:?}"),
+    }
+}
+
+/// The skipping loop of `Processor::run`, on a fresh processor and on one
+/// resumed from a functional checkpoint, allocates nothing in steady state:
+/// jumping over quiet spans (timing-wheel scans, span sampling, MSHR
+/// completion walks) reuses what the per-cycle loop already sized.
+#[test]
+fn skipping_runs_do_not_allocate_in_steady_state() {
+    let kind = WorkloadKind::MixedPhases;
+    let start = 30_000u64;
+    let warm = trace(kind, 7, 2_000);
+    for (name, cfg) in [
+        ("ltp_proposed", PipelineConfig::ltp_proposed()),
+        ("micro2015_baseline", PipelineConfig::micro2015_baseline()),
+    ] {
+        let mut fresh = Processor::new(cfg);
+        fresh.warm_caches(&warm);
+        let fresh_allocating = skipping_allocations(fresh, start, false);
+
+        let mut ff = FunctionalFastForward::new(cfg);
+        ff.warm_caches(&warm);
+        ff.feed_all(&trace(kind, 8, start as usize));
+        let resumed = ff.checkpoint().expect("checkpoint").resume();
+        let resumed_allocating = skipping_allocations(resumed, start, true);
+        assert_eq!(
+            (fresh_allocating, resumed_allocating),
+            (0, 0),
+            "steady-state allocations of a skipping run on {name}: fresh, resumed"
+        );
+    }
 }

@@ -293,6 +293,7 @@ fn admission_control_returns_429_with_retry_after() {
 fn injected_worker_panic_degrades_the_job_not_the_server() {
     let mut server = Server::start(&ServiceConfig {
         workers: 2,
+        allow_fault_injection: true,
         ..ServiceConfig::default()
     })
     .expect("server");
@@ -333,6 +334,27 @@ fn injected_worker_panic_degrades_the_job_not_the_server() {
     let id2 = submit(addr, &tiny_job_body());
     let (_, summary2) = stream_results(addr, id2);
     assert_eq!(summary2.get("state").and_then(Json::as_str), Some("done"));
+    server.shutdown();
+}
+
+/// A server started without `--allow-fault-injection` (the default)
+/// refuses a job that carries a fault plan, names the flag, and still runs
+/// the same job without one.
+#[test]
+fn fault_injection_is_refused_by_default() {
+    let mut server = Server::start(&ServiceConfig::default()).expect("server");
+    let addr = server.addr();
+    let body = tiny_job_body().replacen('{', r#"{"inject":"panic@1.0","#, 1);
+    let resp = client::request(addr, "POST", "/jobs", Some(&body)).expect("submit");
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    assert!(
+        resp.text().contains("--allow-fault-injection"),
+        "{}",
+        resp.text()
+    );
+    let id = submit(addr, &tiny_job_body());
+    let (_, summary) = stream_results(addr, id);
+    assert_eq!(summary.get("state").and_then(Json::as_str), Some("done"));
     server.shutdown();
 }
 
