@@ -5,6 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ltp_core::{Criticality, LtpConfig, LtpMode, LtpUnit, OracleAnalysis, RenamedInst};
+use ltp_experiments::runner::limit_study_config;
 use ltp_isa::{ArchReg, DynInst, OpClass, Pc, StaticInst};
 use ltp_mem::{AccessKind, MemoryConfig, MemoryHierarchy, MemoryRequest};
 use ltp_pipeline::{PipelineConfig, Processor};
@@ -66,6 +67,15 @@ fn oracle(c: &mut Criterion) {
     group.bench_function("analyze_5k", |b| {
         b.iter(|| OracleAnalysis::default().analyze(&t, &MemoryConfig::limit_study()))
     });
+    // The sampled scale: each oracle point of a sampled run analyses its
+    // whole 480k-instruction trace once.
+    let sampled = 480_000;
+    group.throughput(Throughput::Elements(sampled));
+    group.sample_size(10);
+    group.bench_function("analyze_480k", |b| {
+        let t = trace(WorkloadKind::IndirectStream, 3, sampled as usize);
+        b.iter(|| OracleAnalysis::default().analyze(&t, &MemoryConfig::limit_study()))
+    });
     group.finish();
 }
 
@@ -88,6 +98,20 @@ fn end_to_end(c: &mut Criterion) {
             })
         });
     }
+    // Non-Ready parking: the limit study's ideal LTP in both modes at IQ 32,
+    // with the analysed oracle attached, so the ticket path runs.
+    let cfg = limit_study_config(LtpMode::Both).with_iq(32);
+    group.bench_function("limit_study_non_ready_iq32", |b| {
+        let detail = trace(WorkloadKind::IndirectStream, 2, insts as usize);
+        let oracle = OracleAnalysis::new(cfg.rob_size.min(4096) as u64).analyze(&detail, &cfg.mem);
+        b.iter(|| {
+            let mut cpu = Processor::new(cfg);
+            cpu.set_oracle(oracle.clone());
+            cpu.run(replay("indirect_stream", detail.clone()), insts)
+                .expect("no deadlock")
+                .cycles
+        })
+    });
     group.finish();
 }
 

@@ -13,17 +13,24 @@
 //!    ROB size.
 //! 3. A backward dataflow pass marks the *ancestors* of long-latency
 //!    instructions (Urgent), within the same window.
+//!
+//! Steps 1 and 2 share one forward sweep over the trace, which also packs
+//! each instruction's registers into a 4-byte column; step 3 sweeps that
+//! column and the long-latency flags backwards instead of the trace.
 
 use crate::class::Criticality;
 use ltp_isa::{DynInst, SeqNum, NUM_ARCH_REGS};
 use ltp_mem::{AccessKind, MemoryConfig, MemoryHierarchy, MemoryRequest};
+use std::sync::Arc;
 
 /// Perfect classification of a concrete dynamic trace, indexed by sequence
-/// number.
+/// number. The two vectors are shared, so a clone (one per sampled
+/// interval, and one per checkpoint of an oracle-classified machine)
+/// copies nothing.
 #[derive(Debug, Clone)]
 pub struct OracleClassifier {
-    pub(crate) classes: Vec<Criticality>,
-    pub(crate) long_latency: Vec<bool>,
+    pub(crate) classes: Arc<[Criticality]>,
+    pub(crate) long_latency: Arc<[bool]>,
 }
 
 impl OracleClassifier {
@@ -42,8 +49,8 @@ impl OracleClassifier {
             "classes and long-latency flags must cover the same instructions"
         );
         OracleClassifier {
-            classes,
-            long_latency,
+            classes: classes.into(),
+            long_latency: long_latency.into(),
         }
     }
 
@@ -84,7 +91,7 @@ impl OracleClassifier {
     #[must_use]
     pub fn class_histogram(&self) -> [u64; 4] {
         let mut out = [0u64; 4];
-        for c in &self.classes {
+        for c in self.classes.iter() {
             let idx = crate::InstClass::ALL
                 .iter()
                 .position(|&k| k == c.class())
@@ -127,109 +134,294 @@ impl OracleAnalysis {
     #[must_use]
     pub fn analyze(&self, trace: &[DynInst], mem_cfg: &MemoryConfig) -> OracleClassifier {
         let n = trace.len();
-        let mut long_latency = vec![false; n];
+        let mut long_latency = Vec::with_capacity(n);
+        let mut classes = Vec::with_capacity(n);
+        let mut column: Vec<PackedRegs> = Vec::with_capacity(n);
 
-        // --- pass 1: which loads miss the LLC --------------------------------
+        // --- forward: LLC misses and Non-Ready = descendant of in-flight LL --
         let mut mem = MemoryHierarchy::new(*mem_cfg);
-        for (i, inst) in trace.iter().enumerate() {
-            if inst.op().is_long_latency_arith() {
-                long_latency[i] = true;
-                continue;
-            }
-            if let Some(access) = inst.mem_access() {
-                let kind = if inst.op().is_store() {
-                    AccessKind::Store
-                } else {
-                    AccessKind::Load
-                };
-                // Space accesses far apart so MSHR merging does not hide
-                // misses from the functional replay.
-                let result = mem.access(
-                    i as u64 * 1_000,
-                    &MemoryRequest::new(inst.pc(), access.addr(), kind),
-                );
-                if inst.op().is_load() && result.is_llc_miss() {
-                    long_latency[i] = true;
-                }
-            }
-        }
-
-        // --- pass 2 (forward): Non-Ready = descendant of in-flight LL --------
         // taint[r] = Some(seq of the long-latency origin) if the current value
         // of r transitively depends on a long-latency instruction.
-        let mut ready = vec![true; n];
-        let mut taint: Vec<Option<u64>> = vec![None; NUM_ARCH_REGS];
+        let mut taint: [Option<u64>; NUM_ARCH_REGS] = [None; NUM_ARCH_REGS];
         for (i, inst) in trace.iter().enumerate() {
+            let ll = inst.op().is_long_latency_arith()
+                || inst.mem_access().is_some_and(|access| {
+                    let kind = if inst.op().is_store() {
+                        AccessKind::Store
+                    } else {
+                        AccessKind::Load
+                    };
+                    // Space accesses far apart so MSHR merging does not hide
+                    // misses from the functional replay.
+                    let result = mem.access(
+                        i as u64 * 1_000,
+                        &MemoryRequest::new(inst.pc(), access.addr(), kind),
+                    );
+                    inst.op().is_load() && result.is_llc_miss()
+                });
             let sinst = inst.static_inst();
+            let mut packed = PackedRegs::default();
             let mut origin: Option<u64> = None;
-            for src in sinst.dataflow_srcs() {
+            for (slot, src) in packed.srcs.iter_mut().zip(sinst.dataflow_srcs()) {
+                *slot = src.index() as u8;
                 if let Some(o) = taint[src.index()] {
                     if (i as u64).saturating_sub(o) < self.window {
                         origin = Some(origin.map_or(o, |cur: u64| cur.max(o)));
                     }
                 }
             }
-            if origin.is_some() {
-                ready[i] = false;
-            }
             if let Some(dst) = sinst.dst().filter(|d| !d.is_zero()) {
-                taint[dst.index()] = if long_latency[i] {
-                    Some(i as u64)
-                } else {
-                    origin
-                };
+                packed.dst = dst.index() as u8;
+                taint[dst.index()] = if ll { Some(i as u64) } else { origin };
             }
+            long_latency.push(ll);
+            classes.push(Criticality {
+                urgent: false,
+                ready: origin.is_none(),
+            });
+            column.push(packed);
         }
 
-        // --- pass 3 (backward): Urgent = ancestor of LL within the window ----
-        let mut urgent = vec![false; n];
+        // --- backward: Urgent = ancestor of LL within the window -------------
         // needed[r] = Some(consumer seq) when the value of r feeding that
         // consumer is on an urgent slice.
-        let mut needed: Vec<Option<u64>> = vec![None; NUM_ARCH_REGS];
-        for i in (0..n).rev() {
-            let inst = &trace[i];
-            let sinst = inst.static_inst();
-
-            // Does this instruction produce a value needed by an urgent slice?
-            if let Some(dst) = sinst.dst().filter(|d| !d.is_zero()) {
-                if let Some(consumer) = needed[dst.index()] {
-                    // This is the producer the consumer actually read; the
-                    // urgency request is satisfied here either way.
-                    needed[dst.index()] = None;
-                    if consumer.saturating_sub(i as u64) < self.window {
-                        urgent[i] = true;
-                    }
-                }
-            }
-
+        let mut needed: [Option<u64>; NUM_ARCH_REGS] = [None; NUM_ARCH_REGS];
+        let rows = column.iter().zip(&long_latency).zip(&mut classes);
+        for (i, ((regs, &ll), class)) in rows.enumerate().rev() {
+            let i = i as u64;
             // Long-latency instructions are urgent themselves (their PCs sit
             // in the UIT in the realistic design).
-            if long_latency[i] {
-                urgent[i] = true;
-            }
-
-            if urgent[i] {
-                for src in sinst.dataflow_srcs() {
-                    let entry = &mut needed[src.index()];
-                    *entry = Some(entry.map_or(i as u64, |cur| cur.max(i as u64)));
+            let mut urgent = ll;
+            // Does this instruction produce a value needed by an urgent
+            // slice? It is the producer the consumer actually read, so the
+            // request is satisfied here either way.
+            if regs.dst != 0 {
+                if let Some(consumer) = needed[usize::from(regs.dst)].take() {
+                    urgent |= consumer.saturating_sub(i) < self.window;
                 }
             }
+            if urgent {
+                for &src in regs.srcs.iter().filter(|&&s| s != 0) {
+                    let entry = &mut needed[usize::from(src)];
+                    *entry = Some(entry.map_or(i, |cur| cur.max(i)));
+                }
+            }
+            class.urgent = urgent;
         }
-
-        let classes = (0..n)
-            .map(|i| Criticality {
-                urgent: urgent[i],
-                ready: ready[i],
-            })
-            .collect();
         OracleClassifier::from_parts(classes, long_latency)
     }
+}
+
+/// One instruction's registers in the analysis column: flat register
+/// indices, with 0 (the zero register, which nothing renames) for "none".
+#[derive(Debug, Clone, Copy, Default)]
+struct PackedRegs {
+    /// The renamed destination.
+    dst: u8,
+    /// The dataflow sources.
+    srcs: [u8; ltp_isa::MAX_SRCS],
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ltp_isa::{ArchReg, MemAccess, OpClass, Pc, StaticInst};
+
+    /// The three-pass analysis the one-sweep [`OracleAnalysis::analyze`]
+    /// replaced, kept as its reference: a memory replay, a forward pass and
+    /// a backward pass, each over the whole trace.
+    mod reference {
+        use super::*;
+
+        pub fn analyze(window: u64, trace: &[DynInst], mem_cfg: &MemoryConfig) -> OracleClassifier {
+            let n = trace.len();
+            let mut long_latency = vec![false; n];
+
+            // --- pass 1: which loads miss the LLC ----------------------------
+            let mut mem = MemoryHierarchy::new(*mem_cfg);
+            for (i, inst) in trace.iter().enumerate() {
+                if inst.op().is_long_latency_arith() {
+                    long_latency[i] = true;
+                    continue;
+                }
+                if let Some(access) = inst.mem_access() {
+                    let kind = if inst.op().is_store() {
+                        AccessKind::Store
+                    } else {
+                        AccessKind::Load
+                    };
+                    let result = mem.access(
+                        i as u64 * 1_000,
+                        &MemoryRequest::new(inst.pc(), access.addr(), kind),
+                    );
+                    if inst.op().is_load() && result.is_llc_miss() {
+                        long_latency[i] = true;
+                    }
+                }
+            }
+
+            // --- pass 2 (forward): Non-Ready = descendant of in-flight LL ----
+            let mut ready = vec![true; n];
+            let mut taint: Vec<Option<u64>> = vec![None; NUM_ARCH_REGS];
+            for (i, inst) in trace.iter().enumerate() {
+                let sinst = inst.static_inst();
+                let mut origin: Option<u64> = None;
+                for src in sinst.dataflow_srcs() {
+                    if let Some(o) = taint[src.index()] {
+                        if (i as u64).saturating_sub(o) < window {
+                            origin = Some(origin.map_or(o, |cur: u64| cur.max(o)));
+                        }
+                    }
+                }
+                if origin.is_some() {
+                    ready[i] = false;
+                }
+                if let Some(dst) = sinst.dst().filter(|d| !d.is_zero()) {
+                    taint[dst.index()] = if long_latency[i] {
+                        Some(i as u64)
+                    } else {
+                        origin
+                    };
+                }
+            }
+
+            // --- pass 3 (backward): Urgent = ancestor of LL within the window
+            let mut urgent = vec![false; n];
+            let mut needed: Vec<Option<u64>> = vec![None; NUM_ARCH_REGS];
+            for i in (0..n).rev() {
+                let sinst = trace[i].static_inst();
+                if let Some(dst) = sinst.dst().filter(|d| !d.is_zero()) {
+                    if let Some(consumer) = needed[dst.index()] {
+                        needed[dst.index()] = None;
+                        if consumer.saturating_sub(i as u64) < window {
+                            urgent[i] = true;
+                        }
+                    }
+                }
+                if long_latency[i] {
+                    urgent[i] = true;
+                }
+                if urgent[i] {
+                    for src in sinst.dataflow_srcs() {
+                        let entry = &mut needed[src.index()];
+                        *entry = Some(entry.map_or(i as u64, |cur| cur.max(i as u64)));
+                    }
+                }
+            }
+
+            let classes = (0..n)
+                .map(|i| Criticality {
+                    urgent: urgent[i],
+                    ready: ready[i],
+                })
+                .collect();
+            OracleClassifier::from_parts(classes, long_latency)
+        }
+    }
+
+    /// Whether two oracles classify every instruction of `n` (and one past
+    /// the end) the same way.
+    fn same_oracle(a: &OracleClassifier, b: &OracleClassifier, n: usize) -> bool {
+        a.len() == b.len()
+            && (0..=n as u64).all(|s| {
+                a.classify(SeqNum(s)) == b.classify(SeqNum(s))
+                    && a.is_long_latency(SeqNum(s)) == b.is_long_latency(SeqNum(s))
+            })
+    }
+
+    /// The one-sweep analysis agrees with the three-pass reference on every
+    /// workload kernel, at windows from 8 to 4096 and under both the
+    /// limit-study and the baseline memory hierarchy.
+    #[test]
+    fn one_sweep_analysis_matches_the_three_pass_reference() {
+        const INSTS: usize = 60_000;
+        for kind in ltp_workloads::WorkloadKind::ALL {
+            let trace = ltp_workloads::trace(kind, 2015, INSTS);
+            for mem_cfg in [
+                MemoryConfig::limit_study(),
+                MemoryConfig::micro2015_baseline(),
+            ] {
+                for window in [8, 256, 4096] {
+                    let fast = OracleAnalysis::new(window).analyze(&trace, &mem_cfg);
+                    let slow = reference::analyze(window, &trace, &mem_cfg);
+                    assert!(
+                        same_oracle(&fast, &slow, INSTS),
+                        "{} at window {window} differs from the reference",
+                        kind.name()
+                    );
+                }
+            }
+        }
+    }
+
+    mod differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One random instruction: an op (ALU, divide, load, store, branch),
+        /// a destination that may be the zero register, up to three sources
+        /// (the top byte of `srcs` counts them, the others name them) that
+        /// may include it, and in `flags` a zero-idiom bit and an address
+        /// drawn from a small set, so loads both hit and miss.
+        fn inst(seq: u64, op: u8, dst: u8, srcs: u32, flags: u8) -> DynInst {
+            let op = match op % 6 {
+                0 | 1 => OpClass::IntAlu,
+                2 => OpClass::IntDiv,
+                3 => OpClass::Load,
+                4 => OpClass::Store,
+                _ => OpClass::Branch,
+            };
+            let reg = |r: u32| ArchReg::int((r % 8) as usize);
+            let mut s = StaticInst::new(Pc(0x100 + 4 * seq), op);
+            if !matches!(op, OpClass::Store | OpClass::Branch) {
+                s = s.with_dst(reg(u32::from(dst)));
+            }
+            for k in 0..(srcs >> 24) % 4 {
+                s = s.with_src(reg(srcs >> (8 * k)));
+            }
+            if flags & 7 == 0 {
+                s = s.with_zero_idiom();
+            }
+            let addr = u64::from(flags >> 3);
+            let mut d = DynInst::new(seq, s);
+            if op.is_mem() {
+                let far = (addr % 4) * 0x10_0000 * (1 + seq % 7);
+                d = d.with_mem(MemAccess::qword(0x4000_0000 + far + addr * 64));
+            }
+            if op.is_branch() {
+                d = d.with_branch(ltp_isa::BranchInfo {
+                    taken: addr & 1 == 1,
+                    target: Pc(0x100),
+                });
+            }
+            d
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Short random traces classify the same way in one sweep as in
+            /// three passes.
+            #[test]
+            fn random_traces_match_the_reference(
+                raw in prop::collection::vec(
+                    (any::<u8>(), any::<u8>(), any::<u32>(), any::<u8>()),
+                    0..120,
+                ),
+                window in 1u64..40,
+            ) {
+                let trace: Vec<DynInst> = raw
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(op, dst, srcs, flags))| inst(i as u64, op, dst, srcs, flags))
+                    .collect();
+                let mem_cfg = MemoryConfig::limit_study();
+                let fast = OracleAnalysis::new(window).analyze(&trace, &mem_cfg);
+                let slow = reference::analyze(window, &trace, &mem_cfg);
+                prop_assert!(same_oracle(&fast, &slow, trace.len()));
+            }
+        }
+    }
 
     /// Builds the paper's Figure 2 loop:
     /// ```text

@@ -98,9 +98,9 @@ impl RatExtension {
     /// The tickets the current value of `src` is waiting on.
     #[must_use]
     pub fn tickets(&self, src: ArchReg) -> &TicketSet {
-        static EMPTY: std::sync::OnceLock<TicketSet> = std::sync::OnceLock::new();
+        static EMPTY: TicketSet = TicketSet::new();
         if src.is_zero() {
-            EMPTY.get_or_init(TicketSet::new)
+            &EMPTY
         } else {
             &self.entries[src.index()].tickets
         }

@@ -30,14 +30,57 @@ impl Codec for Ticket {
     }
 }
 
-impl_codec!(TicketSet { tickets });
-impl_codec!(TicketFile {
-    capacity,
-    free,
-    next_unallocated,
-    in_flight,
-    exhausted_allocations,
-});
+/// Writes ascending ids in the ordered-set layout: a count, then the ids.
+fn write_id_set(len: usize, ids: impl Iterator<Item = u32>, w: &mut Writer) {
+    w.varint(len as u64);
+    for id in ids {
+        id.write(w);
+    }
+}
+
+/// Reads the ids of an ordered-set layout, as written. The count is checked
+/// against the input left, so the vector is bounded by the input.
+fn read_ids(r: &mut Reader<'_>) -> Result<Vec<u32>, SnapError> {
+    let n = usize::read(r)?;
+    if n > r.remaining() {
+        return Err(SnapError::Truncated);
+    }
+    (0..n).map(|_| u32::read(r)).collect()
+}
+
+impl Codec for TicketSet {
+    fn write(&self, w: &mut Writer) {
+        write_id_set(self.len(), self.iter().map(|t| t.0), w);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, SnapError> {
+        Ok(TicketSet::from_ids(read_ids(r)?))
+    }
+}
+
+impl Codec for TicketFile {
+    fn write(&self, w: &mut Writer) {
+        self.capacity.write(w);
+        self.free.write(w);
+        self.next_unallocated.write(w);
+        write_id_set(self.in_flight_len, self.in_flight_ids(), w);
+        self.exhausted_allocations.write(w);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, SnapError> {
+        let capacity = usize::read(r)?;
+        let free = Vec::<Ticket>::read(r)?;
+        let next_unallocated = u32::read(r)?;
+        let in_flight = read_ids(r)?;
+        let exhausted_allocations = u64::read(r)?;
+        TicketFile::from_parts(
+            capacity,
+            free,
+            next_unallocated,
+            &in_flight,
+            exhausted_allocations,
+        )
+        .ok_or(SnapError::Invalid("ticket ids are not the minted ones"))
+    }
+}
 
 impl Codec for Criticality {
     fn write(&self, w: &mut Writer) {
@@ -113,10 +156,13 @@ impl_codec!(RandomClassifier {
     state,
 });
 
+/// The oracle's shared vectors are written in the `Vec` layout.
 impl Codec for OracleClassifier {
     fn write(&self, w: &mut Writer) {
-        self.classes.write(w);
-        self.long_latency.write(w);
+        w.varint(self.classes.len() as u64);
+        Criticality::write_run(&self.classes, w);
+        w.varint(self.long_latency.len() as u64);
+        bool::write_run(&self.long_latency, w);
     }
     fn read(r: &mut Reader<'_>) -> Result<Self, SnapError> {
         let classes = Vec::<Criticality>::read(r)?;
@@ -242,7 +288,7 @@ impl Codec for LtpUnit {
         let cfg = LtpConfig::read(r)?;
         let classifier = ClassifierState::read(r)?.into_classifier();
         let classifier_attached = bool::read(r)?;
-        Ok(LtpUnit {
+        let unit = LtpUnit {
             cfg,
             classifier,
             classifier_attached,
@@ -252,7 +298,21 @@ impl Codec for LtpUnit {
             monitor: DramTimerMonitor::read(r)?,
             ticket_owner: Codec::read(r)?,
             stats: LtpStats::read(r)?,
-        })
+        };
+        // The queue's holder index grows to the largest id a parked
+        // instruction waits on, so an id that was never minted would size
+        // an allocation once the machine runs.
+        let minted = unit.tickets.next_unallocated;
+        let rat_sets = unit.rat_ext.entries.iter().map(|e| &e.tickets);
+        let parked_sets = unit.queue.entries.iter().map(|p| &p.tickets);
+        if rat_sets
+            .chain(parked_sets)
+            .flat_map(TicketSet::iter)
+            .any(|t| t.0 >= minted)
+        {
+            return Err(SnapError::Invalid("a ticket set holds an id never minted"));
+        }
+        Ok(unit)
     }
 }
 
@@ -356,6 +416,104 @@ mod tests {
             .collect();
         assert_eq!(ra, rb);
         assert_eq!(unit.stats().total_parked(), restored.stats().total_parked());
+    }
+
+    /// Ids at the edges of each bitset word and of the inline words.
+    const EDGE_IDS: [u32; 6] = [0, 63, 64, 127, 128, 4_095];
+
+    /// What an ordered set of `ids` encodes to: the layout both ticket
+    /// bitsets keep.
+    fn ordered_set_bytes(ids: &[u32]) -> Vec<u8> {
+        let set: std::collections::BTreeSet<Ticket> = ids.iter().map(|&id| Ticket(id)).collect();
+        encode_value(&set)
+    }
+
+    /// A ticket set encodes as the ordered set it replaced, byte for byte,
+    /// and decodes back to itself.
+    #[test]
+    fn ticket_set_bytes_are_the_ordered_set_layout() {
+        let set: TicketSet = EDGE_IDS.iter().rev().map(|&id| Ticket(id)).collect();
+        let bytes = encode_value(&set);
+        assert_eq!(
+            bytes,
+            [0x06, 0x00, 0x3f, 0x40, 0x7f, 0x80, 0x01, 0xff, 0x1f],
+            "count, then the ids ascending as varints"
+        );
+        assert_eq!(bytes, ordered_set_bytes(&EDGE_IDS));
+        assert_eq!(ltp_snapshot::decode_value::<TicketSet>(&bytes), Ok(set));
+        assert_eq!(encode_value(&TicketSet::new()), ordered_set_bytes(&[]));
+    }
+
+    /// A ticket file with those ids in flight, after minting 4,096 and
+    /// freeing the rest out of order, encodes its in-flight bitset as the
+    /// ordered set it replaced, and the free list verbatim.
+    #[test]
+    fn ticket_file_bytes_are_the_ordered_set_layout() {
+        let mut file = TicketFile::new(usize::MAX);
+        let minted: Vec<Ticket> = (0..4_096)
+            .map(|_| file.allocate().expect("unlimited"))
+            .collect();
+        for t in minted
+            .iter()
+            .rev()
+            .step_by(2)
+            .chain(minted.iter().step_by(2))
+        {
+            if !EDGE_IDS.contains(&t.0) {
+                file.release(*t);
+            }
+        }
+        let bytes = encode_value(&file);
+        let mut expected = Writer::new();
+        usize::MAX.write(&mut expected);
+        file.free.write(&mut expected);
+        4_096u32.write(&mut expected);
+        expected.bytes(&ordered_set_bytes(&EDGE_IDS));
+        0u64.write(&mut expected);
+        assert_eq!(bytes, expected.into_bytes());
+        assert_eq!(
+            ltp_snapshot::fnv1a64(&bytes),
+            0x10bc_7cee_e604_fe0c,
+            "pinned bytes"
+        );
+        let back: TicketFile = ltp_snapshot::decode_value(&bytes).expect("decode");
+        assert_eq!(encode_value(&back), bytes);
+        assert!(back.in_flight_ids().eq(EDGE_IDS));
+        assert_eq!(back.in_flight(), EDGE_IDS.len());
+    }
+
+    /// A ticket file decodes only when its in-flight and free ids are
+    /// exactly the minted ids; otherwise it is invalid, whatever the ids.
+    #[test]
+    fn ticket_files_with_unminted_ids_are_invalid() {
+        let file = |free: &[u32], next: u32, in_flight: &[u32]| {
+            let mut w = Writer::new();
+            8usize.write(&mut w);
+            free.iter()
+                .map(|&id| Ticket(id))
+                .collect::<Vec<_>>()
+                .write(&mut w);
+            next.write(&mut w);
+            w.bytes(&ordered_set_bytes(in_flight));
+            0u64.write(&mut w);
+            ltp_snapshot::decode_value::<TicketFile>(&w.into_bytes()).map(|f| f.in_flight())
+        };
+        assert_eq!(file(&[1], 3, &[0, 2]), Ok(2));
+        let invalid = Err(SnapError::Invalid("ticket ids are not the minted ones"));
+        for (free, next, in_flight) in [
+            (&[][..], u32::MAX, &[u32::MAX - 1][..]),
+            (&[], 1, &[u32::MAX]),
+            (&[u32::MAX], 1, &[]),
+            (&[0], 2, &[0]),
+            (&[1, 1], 3, &[0]),
+            (&[], 2, &[0]),
+        ] {
+            assert_eq!(
+                file(free, next, in_flight),
+                invalid,
+                "{free:?} {next} {in_flight:?}"
+            );
+        }
     }
 
     #[test]

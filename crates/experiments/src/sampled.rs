@@ -60,7 +60,7 @@ use ltp_stats::ConfidenceInterval;
 use ltp_workloads::{replay_slice, trace, WorkloadKind};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Shape of one sampled-simulation run.
@@ -496,7 +496,8 @@ impl<'a> SampledRequest<'a> {
 
     /// Shares a pre-computed oracle analysis (a pure function of
     /// `(configuration, trace)`); when absent and the configuration needs
-    /// one, it is analysed inside [`SampledRequest::run`].
+    /// one, [`SampledRequest::run`] analyses the trace on a thread beside
+    /// its functional pass.
     #[must_use]
     pub fn oracle(mut self, oracle: &'a OracleClassifier) -> SampledRequest<'a> {
         self.oracle = Some(oracle);
@@ -596,7 +597,12 @@ impl<'a> SampledRequest<'a> {
             TraceSource::Slice(detail) if self.two_phase => {
                 run_two_phase(self.cfg, self.kind, detail, &self.spec)
             }
-            _ => run_controlled(self, source),
+            _ => {
+                let cfg = self.cfg;
+                run_controlled(self, source, move || {
+                    source.with_slice(|detail| crate::sim::analyze_oracle(&cfg, detail))
+                })
+            }
         }
     }
 }
@@ -676,10 +682,12 @@ impl TraceSource<'_> {
 ///
 /// A shared decoded trace must be the decoded form of `source`; otherwise
 /// the trace is decoded only if the functional pass runs (a cache hit never
-/// decodes).
+/// decodes). `analyse` is the oracle analysis of `source`, run only when the
+/// configuration needs an oracle and the request shares none.
 fn run_controlled(
     req: &SampledRequest<'_>,
     source: TraceSource<'_>,
+    analyse: impl FnOnce() -> OracleClassifier + Send,
 ) -> Result<SampledResult, RunError> {
     let (cfg, kind, spec, control) = (req.cfg, req.kind, &req.spec, &req.control);
     spec.validate();
@@ -774,14 +782,13 @@ fn run_controlled(
 
     // An oracle-classified configuration gets one whole-trace analysis shared
     // by every interval — the same analysis a full-detail run would use (and
-    // none at all when the journal already covers every interval).
-    let analysed: Option<OracleClassifier> =
-        if !all_done && req.oracle.is_none() && cfg.needs_oracle() {
-            Some(source.with_slice(|detail| crate::sim::analyze_oracle(&cfg, detail)))
-        } else {
-            None
-        };
-    let oracle = req.oracle.or(analysed.as_ref());
+    // none at all when the journal already covers every interval). Unless
+    // the caller shares one, it runs on its own thread beside the functional
+    // pass (`beside_analysis`).
+    let oracle = match req.oracle {
+        None if !all_done && cfg.needs_oracle() => RunOracle::Analysing(OnceLock::new()),
+        shared => RunOracle::Ready(shared),
+    };
 
     // Streaming pipeline: the producer runs on this thread and emits each
     // interval's checkpoint into the bounded queue the moment its boundary
@@ -807,6 +814,13 @@ fn run_controlled(
             if cancel_requested() {
                 return Err(WorkerErr::Cancelled);
             }
+            // The wait for a concurrent analysis comes before the governor
+            // permit and the detail timer: waiting is not interval work, and
+            // a waiting interval must not hold a permit another job could
+            // use. A panicked analysis ends the run; its intervals drain.
+            let Ok(oracle) = oracle.wait() else {
+                return Err(WorkerErr::Cancelled);
+            };
             control.faults.inject(job.index, attempt);
             let simulate = || {
                 let t0 = Instant::now();
@@ -937,70 +951,72 @@ fn run_controlled(
             }
         };
 
-        stream_map_lpt(
-            intervals - resumed_intervals,
-            control.retry,
-            |queue| {
-                // Cancellation and checkpoint failures stop production early;
-                // only a pass over every interval may fill the cache.
-                let mut complete = true;
-                for (i, &start) in starts.iter().enumerate() {
-                    if cancel_requested() {
-                        complete = false;
-                        break;
-                    }
-                    let job_snap = match warm.enter(cfg, start, !done.contains(&i)) {
-                        Ok(snap) => snap.map(|snap| {
-                            let snap_bytes = encode_for_journal(&snap);
-                            if i == 0 {
-                                // Report what persisting a checkpoint costs;
-                                // reuse the journal encoding when there is
-                                // one.
-                                checkpoint_bytes = snap_bytes
-                                    .as_ref()
-                                    .map_or_else(|| snap.to_bytes().len(), |b| b.len());
-                            }
-                            (snap, snap_bytes)
-                        }),
-                        Err(e) => {
-                            producer_err = Some(RunError::SnapshotUnsupported(e.to_string()));
+        beside_analysis(&oracle, analyse, || {
+            stream_map_lpt(
+                intervals - resumed_intervals,
+                control.retry,
+                |queue| {
+                    // Cancellation and checkpoint failures stop production early;
+                    // only a pass over every interval may fill the cache.
+                    let mut complete = true;
+                    for (i, &start) in starts.iter().enumerate() {
+                        if cancel_requested() {
                             complete = false;
                             break;
                         }
-                    };
-                    let weight = warm.leave(starts.get(i + 1).copied().unwrap_or(total));
-                    if let Some((snap, snap_bytes)) = job_snap {
-                        // LPT cost: the detailed window length is constant,
-                        // so the miss weight is the differentiating term; +1
-                        // keeps zero-miss intervals schedulable.
-                        pushed_log.push(i);
-                        queue.push(
-                            weight + 1,
-                            IntervalJob {
-                                index: i,
-                                start,
-                                snap: Arc::new(snap),
-                                snap_bytes: Mutex::new(snap_bytes),
-                                weight,
-                            },
-                        );
+                        let job_snap = match warm.enter(cfg, start, !done.contains(&i)) {
+                            Ok(snap) => snap.map(|snap| {
+                                let snap_bytes = encode_for_journal(&snap);
+                                if i == 0 {
+                                    // Report what persisting a checkpoint costs;
+                                    // reuse the journal encoding when there is
+                                    // one.
+                                    checkpoint_bytes = snap_bytes
+                                        .as_ref()
+                                        .map_or_else(|| snap.to_bytes().len(), |b| b.len());
+                                }
+                                (snap, snap_bytes)
+                            }),
+                            Err(e) => {
+                                producer_err = Some(RunError::SnapshotUnsupported(e.to_string()));
+                                complete = false;
+                                break;
+                            }
+                        };
+                        let weight = warm.leave(starts.get(i + 1).copied().unwrap_or(total));
+                        if let Some((snap, snap_bytes)) = job_snap {
+                            // LPT cost: the detailed window length is constant,
+                            // so the miss weight is the differentiating term; +1
+                            // keeps zero-miss intervals schedulable.
+                            pushed_log.push(i);
+                            queue.push(
+                                weight + 1,
+                                IntervalJob {
+                                    index: i,
+                                    start,
+                                    snap: Arc::new(snap),
+                                    snap_bytes: Mutex::new(snap_bytes),
+                                    weight,
+                                },
+                            );
+                        }
                     }
-                }
-                if let (
-                    true,
-                    Some((cache, key)),
-                    WarmSource::FastForward {
-                        capture: Some(intervals),
-                        ..
-                    },
-                ) = (complete, cache_key.as_ref(), warm)
-                {
-                    cache.store_sampled_warm(*key, &SampledWarmEntry { intervals });
-                }
-                functional_secs = func_t0.elapsed().as_secs_f64();
-            },
-            worker,
-        )
+                    if let (
+                        true,
+                        Some((cache, key)),
+                        WarmSource::FastForward {
+                            capture: Some(intervals),
+                            ..
+                        },
+                    ) = (complete, cache_key.as_ref(), warm)
+                    {
+                        cache.store_sampled_warm(*key, &SampledWarmEntry { intervals });
+                    }
+                    functional_secs = func_t0.elapsed().as_secs_f64();
+                },
+                worker,
+            )
+        })
     };
     let journal_error =
         journal.and_then(|j| j.into_inner().unwrap_or_else(|p| p.into_inner()).err());
@@ -1170,6 +1186,61 @@ impl WarmSource<'_> {
             }
         }
     }
+}
+
+/// The oracle a run's intervals share: none or the caller's, or one being
+/// analysed beside the functional pass.
+enum RunOracle<'o> {
+    Ready(Option<&'o OracleClassifier>),
+    /// Set by the analysing thread: `None` when the analysis panicked.
+    Analysing(OnceLock<Option<OracleClassifier>>),
+}
+
+/// The oracle analysis panicked; the panic itself leaves the run.
+struct AnalysisPanicked;
+
+impl RunOracle<'_> {
+    /// The oracle, once the analysis (if any) has finished.
+    fn wait(&self) -> Result<Option<&OracleClassifier>, AnalysisPanicked> {
+        match self {
+            RunOracle::Ready(oracle) => Ok(*oracle),
+            RunOracle::Analysing(slot) => slot.wait().as_ref().map(Some).ok_or(AnalysisPanicked),
+        }
+    }
+}
+
+/// Runs `body` with `oracle`'s pending analysis, if any, on a scoped thread
+/// of its own: the analysis and the functional pass are independent passes
+/// over the trace, so neither waits for the other, and only the intervals
+/// wait for the analysis. A panicking analysis still sets the slot (no
+/// interval waits forever), and its panic leaves here once `body` returns,
+/// as it would have left a serial analysis.
+fn beside_analysis<R>(
+    oracle: &RunOracle<'_>,
+    analyse: impl FnOnce() -> OracleClassifier + Send,
+    body: impl FnOnce() -> R,
+) -> R {
+    /// Sets the slot to `None` unless the analysis set it first.
+    struct Unblock<'s>(&'s OnceLock<Option<OracleClassifier>>);
+    impl Drop for Unblock<'_> {
+        fn drop(&mut self) {
+            let _ = self.0.set(None);
+        }
+    }
+    let RunOracle::Analysing(slot) = oracle else {
+        return body();
+    };
+    std::thread::scope(|scope| {
+        let analyser = scope.spawn(move || {
+            let _unblock = Unblock(slot);
+            let _ = slot.set(Some(analyse()));
+        });
+        let out = body();
+        if let Err(panic) = analyser.join() {
+            std::panic::resume_unwind(panic);
+        }
+        out
+    })
 }
 
 /// Why one worker attempt produced no measurement (internal to the stream).
@@ -1694,6 +1765,8 @@ pub(crate) fn run(ctx: &ExperimentCtx<'_>) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     fn quick_spec() -> SampleSpec {
         // Cheaper than the default spec (smaller measured windows) but the
@@ -1871,6 +1944,116 @@ mod tests {
             .expect("oracle sampled run");
         assert_eq!(r.intervals.len(), 4);
         assert!(r.ipc.mean > 0.0);
+    }
+
+    /// An oracle-classified request that analyses its own trace: the
+    /// Non-Ready limit study at IQ 32.
+    fn analysing_request(spec: SampleSpec) -> SampledRequest<'static> {
+        let cfg = limit_study_config(LtpMode::Both).with_iq(32);
+        SampledRequest::new(cfg, WorkloadKind::MixedPhases, spec)
+    }
+
+    /// Runs `request` over its generated trace on a thread of its own, with
+    /// `analyse` standing in for the oracle analysis, and returns how the
+    /// run ended (`Err` with the panic message if it panicked), or `None` if
+    /// it did not end in time.
+    fn run_with_analysis(
+        request: SampledRequest<'static>,
+        analyse: impl FnOnce() -> OracleClassifier + Send + 'static,
+    ) -> Option<Result<SampledResult, String>> {
+        let (tx, rx) = mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let source = TraceSource::Generator {
+                kind: request.kind,
+                seed: request.spec.seed.wrapping_add(1),
+                total: request.spec.total_insts,
+            };
+            let ended = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_controlled(&request, source, analyse)
+            }))
+            .map(|r| r.expect("no run error"))
+            .map_err(|p| crate::parallel::panic_message(p.as_ref()));
+            let _ = tx.send(ended);
+        });
+        // A run that does not end in time is left running: joining it
+        // would hang the test.
+        let ended = rx.recv_timeout(Duration::from_secs(120)).ok()?;
+        runner
+            .join()
+            .expect("the runner thread caught the run's panic");
+        Some(ended)
+    }
+
+    /// The analysis running beside the functional pass classifies exactly
+    /// as an analysis shared by the caller, which runs before the pass.
+    #[test]
+    fn concurrent_analysis_matches_a_shared_one() {
+        let spec = cache_spec();
+        let detail = trace(
+            WorkloadKind::MixedPhases,
+            spec.seed.wrapping_add(1),
+            spec.total_insts as usize,
+        );
+        let request = analysing_request(spec);
+        let shared = crate::sim::analyze_oracle(&request.cfg, &detail);
+        let concurrent = request.trace(&detail).run().expect("concurrent run");
+        let serial = analysing_request(spec)
+            .trace(&detail)
+            .oracle(&shared)
+            .run()
+            .expect("serial run");
+        assert!(concurrent.failures.is_empty());
+        let lines = |r: &SampledResult| -> Vec<String> {
+            r.intervals
+                .iter()
+                .map(|m| digest_line(r.workload.as_str(), "oracle", m))
+                .collect()
+        };
+        assert_eq!(lines(&concurrent), lines(&serial));
+    }
+
+    /// A panicking analysis panics the run, as a serial analysis did, and
+    /// leaves no interval waiting for it.
+    #[test]
+    fn a_panicking_analysis_panics_the_run() {
+        let ended = run_with_analysis(analysing_request(cache_spec()), || {
+            panic!("injected analysis failure")
+        });
+        match ended {
+            Some(Err(message)) => assert_eq!(message, "injected analysis failure"),
+            Some(Ok(_)) => panic!("the run survived a panicking analysis"),
+            None => panic!("the run hung after its analysis panicked"),
+        }
+    }
+
+    /// A request cancelled while its analysis runs returns, with every
+    /// interval either measured or cancelled.
+    #[test]
+    fn cancelling_during_the_analysis_returns() {
+        let spec = cache_spec();
+        let cancel = Arc::new(AtomicBool::new(false));
+        let request = analysing_request(spec).control(SampleControl {
+            cancel: Some(Arc::clone(&cancel)),
+            ..SampleControl::default()
+        });
+        let cfg = request.cfg;
+        let analyse = move || {
+            cancel.store(true, Ordering::Relaxed);
+            let detail = trace(
+                WorkloadKind::MixedPhases,
+                spec.seed.wrapping_add(1),
+                spec.total_insts as usize,
+            );
+            crate::sim::analyze_oracle(&cfg, &detail)
+        };
+        let r = run_with_analysis(request, analyse)
+            .expect("the cancelled run returned")
+            .expect("the cancelled run did not panic");
+        assert_eq!(r.intervals.len() + r.failures.len(), spec.intervals);
+        assert!(r
+            .failures
+            .iter()
+            .all(|f| matches!(f.error, IntervalError::Cancelled)));
     }
 
     fn cache_spec() -> SampleSpec {

@@ -23,6 +23,8 @@
 //! `Processor::run` is audited through its input instead: a probe stream
 //! reads the allocation counter as fetch pulls instructions.
 
+use ltp_core::{LtpMode, OracleAnalysis};
+use ltp_experiments::runner::limit_study_config;
 use ltp_isa::{DynInst, InstStream};
 use ltp_pipeline::{FunctionalFastForward, PipelineConfig, Processor};
 use ltp_workloads::{replay_slice, trace, WorkloadKind};
@@ -105,13 +107,19 @@ fn count_steady<S: InstStream>(
     (steady_cycles, allocating_cycles)
 }
 
-/// Runs `kind` on `cfg` and returns `(steady_cycles, allocating_cycles)`
-/// for the window after `warm_committed` instructions have committed.
+/// Runs `kind` on `cfg`, with the trace's analysed oracle attached when
+/// `cfg` classifies by oracle, and returns `(steady_cycles,
+/// allocating_cycles)` for the window after `warm_committed` instructions
+/// have committed.
 fn audit(cfg: PipelineConfig, kind: WorkloadKind, insts: u64, warm_committed: u64) -> (u64, u64) {
     let warm = trace(kind, 7, 2_000);
     let detail = trace(kind, 8, insts as usize);
     let mut cpu = Processor::new(cfg);
     cpu.warm_caches(&warm);
+    if cfg.needs_oracle() {
+        let window = cfg.rob_size.min(4096) as u64;
+        cpu.set_oracle(OracleAnalysis::new(window).analyze(&detail, &cfg.mem));
+    }
     count_steady(
         &mut cpu,
         replay_slice(kind.name(), &detail),
@@ -156,6 +164,26 @@ fn baseline_steady_state_cycles_do_not_allocate() {
         allocating, 0,
         "{allocating} of {steady} steady-state cycles performed a heap allocation"
     );
+}
+
+/// The limit study's Non-Ready parking (ideal LTP in both modes, IQ 32,
+/// analysed oracle): inheriting, copying and clearing tickets are word
+/// operations on ticket bitsets, so parking allocates nothing once the
+/// ideal LTP's unbounded tables have grown. The window starts after 6,000
+/// commits because those tables are still growing at 3,000.
+#[test]
+fn non_ready_parking_does_not_allocate() {
+    let cfg = limit_study_config(LtpMode::Both).with_iq(32);
+    for kind in [WorkloadKind::MixedPhases, WorkloadKind::HashProbe] {
+        let (steady, allocating) = audit(cfg, kind, 12_000, 6_000);
+        assert!(steady > 500, "audit window too small: {steady} cycles");
+        assert_eq!(
+            allocating,
+            0,
+            "{}: {allocating} of {steady} steady-state cycles performed a heap allocation",
+            kind.name()
+        );
+    }
 }
 
 /// The generator that feeds sampled intervals, seeked with `skip_insts` the

@@ -7,7 +7,7 @@
 //! pinned by `tests/golden_stats.rs` (24 golden fingerprints), so these tests
 //! transitively pin checkpoint/restore to the seed simulator's behaviour.
 
-use ltp_core::{ClassifierKind, LtpConfig, LtpMode};
+use ltp_core::{ClassifierKind, ClassifierState, LtpConfig, LtpMode, LtpQueue, ParkedInst};
 use ltp_experiments::cache::warm_mem_key;
 use ltp_experiments::journal::{load_journal, JournalHeader, JournalRecord, JournalWriter};
 use ltp_experiments::runner::{limit_study_config, RunOptions};
@@ -15,8 +15,8 @@ use ltp_experiments::sampled::SampleSpec;
 use ltp_experiments::{CheckpointCache, SimBuilder};
 use ltp_mem::{AccessKind, MemoryConfig, MemoryHierarchy, MemoryRequest};
 use ltp_pipeline::{PipelineConfig, RunResult, Snapshot};
-use ltp_snapshot::encode_value;
 use ltp_snapshot::framed::{read_framed, FileKind, FramedWriter};
+use ltp_snapshot::{encode_value, Codec, Reader, SnapError};
 use ltp_workloads::{replay_slice, WorkloadKind};
 use proptest::prelude::*;
 
@@ -287,6 +287,84 @@ proptest! {
         bytes[pos..end].fill(0xFF);
         let (_, peak) = peak_alloc::peak_during(|| Snapshot::from_bytes(&bytes));
         prop_assert!(peak < ALLOC_CEILING, "a {peak}-byte allocation crossed the ceiling");
+    }
+}
+
+/// Offsets, in [`valid_snapshot_bytes`], of the first in-flight ticket id of
+/// the LTP unit's ticket file and of the first ticket id a parked
+/// instruction waits on. The unit's encoding starts with its configuration,
+/// whose last occurrence in the snapshot locates it; the public codecs of
+/// its leading fields then walk to both ids.
+fn ticket_id_offsets(bytes: &[u8]) -> (usize, usize) {
+    let ltp_cfg = encode_value(&realistic(LtpMode::Both).ltp);
+    let unit = bytes
+        .windows(ltp_cfg.len())
+        .rposition(|w| w == ltp_cfg)
+        .expect("the snapshot holds the LTP unit");
+    let mut r = Reader::new(&bytes[unit..]);
+    let at = |r: &Reader<'_>| bytes.len() - r.remaining();
+    LtpConfig::read(&mut r).expect("unit configuration");
+    ClassifierState::read(&mut r).expect("classifier state");
+    bool::read(&mut r).expect("classifier attached");
+    ltp_core::RatExtension::read(&mut r).expect("RAT extension");
+    let queue_at = at(&r);
+    // The queue: capacity, ports, then the parked instructions.
+    usize::read(&mut r).expect("capacity");
+    usize::read(&mut r).expect("ports");
+    let mut parked_id = None;
+    for _ in 0..usize::read(&mut r).expect("parked count") {
+        let inst_at = at(&r);
+        let inst = ParkedInst::read(&mut r).expect("parked instruction");
+        if parked_id.is_none() && !inst.tickets.is_empty() {
+            // Sequence number, two class flags, then the set's count.
+            let count_at = inst_at + encode_value(&inst.seq).len() + 2;
+            parked_id = Some(count_at + encode_value(&inst.tickets.len()).len());
+        }
+    }
+    let mut r = Reader::new(&bytes[queue_at..]);
+    LtpQueue::read(&mut r).expect("queue");
+    // The ticket file: capacity, free list, next id, then the in-flight set.
+    usize::read(&mut r).expect("ticket capacity");
+    Vec::<ltp_core::Ticket>::read(&mut r).expect("free tickets");
+    u32::read(&mut r).expect("next ticket");
+    let in_flight = usize::read(&mut r).expect("in-flight count");
+    assert!(in_flight > 0, "the fixture has tickets in flight");
+    (
+        at(&r),
+        parked_id.expect("the fixture parks an instruction that waits on a ticket"),
+    )
+}
+
+/// `bytes` with the varint at `at` rewritten to `u32::MAX`.
+fn with_id_at_max(bytes: &[u8], at: usize) -> Vec<u8> {
+    let len = bytes[at..]
+        .iter()
+        .position(|b| b & 0x80 == 0)
+        .expect("a varint ends")
+        + 1;
+    let mut out = bytes[..at].to_vec();
+    out.extend(encode_value(&u32::MAX));
+    out.extend_from_slice(&bytes[at + len..]);
+    out
+}
+
+/// A ticket id rewritten to `u32::MAX` in the checkpoint of the realistic
+/// machine that parks Non-Ready instructions, in its ticket file's
+/// in-flight set or in a parked instruction's ticket set, is a typed
+/// decode error: ids size no bitset and no later table, and the decode
+/// stays under the ceiling.
+#[test]
+fn ticket_ids_rewritten_to_u32_max_are_invalid() {
+    let valid = valid_snapshot_bytes();
+    let (in_flight, parked) = ticket_id_offsets(valid);
+    for (what, at) in [("in-flight", in_flight), ("parked", parked)] {
+        let bytes = with_id_at_max(valid, at);
+        let (decoded, peak) = peak_alloc::peak_during(|| Snapshot::from_bytes(&bytes));
+        assert!(peak < ALLOC_CEILING, "{what}: a {peak}-byte allocation");
+        match decoded {
+            Err(ltp_pipeline::SnapshotError::Decode(SnapError::Invalid(_))) => {}
+            other => panic!("{what} id at u32::MAX decoded as {:?}", other.map(|_| ())),
+        }
     }
 }
 
