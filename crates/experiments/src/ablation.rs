@@ -25,11 +25,7 @@ use ltp_core::{ClassifierKind, LtpConfig};
 use ltp_pipeline::PipelineConfig;
 use ltp_workloads::WorkloadKind;
 
-/// Runs all four ablations. The context's checkpoint cache (when set) is
-/// shared with the other sweeps: ablations 2-4 vary only detail-half
-/// dimensions (monitor, reserve, classifier kind), so all of their points
-/// share warmed memory state; ablation 1 adds one extra warm half
-/// (prefetcher off).
+/// Runs all four ablations.
 #[must_use]
 pub fn run(ctx: &ExperimentCtx<'_>) -> Report {
     let mut report = Report::new("ablation");
@@ -40,7 +36,6 @@ pub fn run(ctx: &ExperimentCtx<'_>) -> Report {
     reserve_ablation(ctx, &mut report);
     report.push_text("\n");
     classifier_ablation(ctx, &mut report);
-    ctx.push_cache_summary(&mut report);
     report
 }
 

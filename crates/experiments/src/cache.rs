@@ -3,22 +3,18 @@
 //! Functional warm-up state depends only on the trace and the warm half of
 //! the configuration ([`WarmupConfig`]: memory geometry, predictor
 //! geometry, classifier training projection) — never on ROB/IQ/PRF sizes,
-//! LTP mode or SMT policy. Sweeps therefore pay warm-up once per
-//! *(trace, geometry)* instead of once per configuration by storing warm
-//! state here keyed by an FNV-1a fingerprint of exactly those inputs.
+//! LTP mode or SMT policy. Sampled runs therefore pay the functional pass
+//! once per *(trace, geometry)* instead of once per configuration by
+//! storing warm state here keyed by an FNV-1a fingerprint of exactly those
+//! inputs.
 //!
-//! Two entry families share one directory, separated by a key-domain tag:
-//!
-//! * **Sampled warm entries** ([`SampledWarmEntry`]): every interval
-//!   boundary's [`FunctionalWarmState`] plus its LLC-miss LPT weight, for
-//!   one (workload trace, warm config, interval geometry). A hit bypasses
-//!   the functional fast-forward pass entirely — per-interval checkpoints
-//!   are rebuilt from the cached state under the *requesting* detail
-//!   configuration, bit-identical to what a cold pass would emit.
-//! * **Warm-memory entries** ([`CheckpointCache::load_warm_mem`]): the
-//!   cache hierarchy after pre-run cache warming, shared by the
-//!   full-detail sweep drivers (`fig1`, `ablation`, `uit_sweep`) across
-//!   their config grids.
+//! The cache holds one entry family, **sampled warm entries**
+//! ([`SampledWarmEntry`]): every interval boundary's [`FunctionalWarmState`]
+//! plus its LLC-miss LPT weight, for one (workload trace, warm config,
+//! interval geometry). A hit bypasses the functional fast-forward pass
+//! entirely — per-interval checkpoints are rebuilt from the cached state
+//! under the *requesting* detail configuration, bit-identical to what a
+//! cold pass would emit.
 //!
 //! Storage discipline (the parts a cache must get right):
 //!
@@ -42,7 +38,6 @@
 //!   key race benignly and a torn write is never visible under the final
 //!   name.
 
-use ltp_mem::MemoryHierarchy;
 use ltp_pipeline::{FunctionalWarmState, WarmupConfig};
 use ltp_snapshot::framed::{publish, read_framed, FileKind};
 use ltp_snapshot::{decode_value, fnv1a64, impl_codec, Codec, Writer};
@@ -68,13 +63,6 @@ const ENTRY_FILE: FileKind = FileKind {
     magic: *b"LTPCKPT\0",
     version: CACHE_VERSION,
 };
-
-/// Key-domain tags keeping the entry families' key spaces disjoint.
-#[derive(Debug, Clone, Copy)]
-enum KeyDomain {
-    SampledWarm = 1,
-    WarmMem = 2,
-}
 
 /// Counters exported by [`CheckpointCache::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -272,8 +260,6 @@ impl CheckpointCache {
         }
     }
 
-    // --- typed entry families -----------------------------------------------
-
     /// Looks up the sampled warm entry for `key` (from
     /// [`sampled_warm_key`]).
     #[must_use]
@@ -284,17 +270,6 @@ impl CheckpointCache {
     /// Stores a sampled warm entry.
     pub fn store_sampled_warm(&self, key: u64, entry: &SampledWarmEntry) {
         self.store(key, entry);
-    }
-
-    /// Looks up a warmed memory hierarchy (from [`warm_mem_key`]).
-    #[must_use]
-    pub fn load_warm_mem(&self, key: u64) -> Option<MemoryHierarchy> {
-        self.load(key)
-    }
-
-    /// Stores a warmed memory hierarchy.
-    pub fn store_warm_mem(&self, key: u64, mem: &MemoryHierarchy) {
-        self.store(key, mem);
     }
 }
 
@@ -314,13 +289,9 @@ fn decode_entry<T: Codec>(bytes: &[u8], key: u64) -> Option<(T, usize)> {
 
 // --- keys --------------------------------------------------------------------
 
-fn key_writer(domain: KeyDomain) -> Writer {
-    let mut w = Writer::new();
-    CACHE_VERSION.write(&mut w);
-    u64::from(ltp_snapshot::FORMAT_VERSION).write(&mut w);
-    w.byte(domain as u8);
-    w
-}
+/// The key-domain tag of sampled warm entries, hashed ahead of the key's
+/// inputs: every key of [`CACHE_VERSION`] 2 carries it.
+const SAMPLED_WARM_DOMAIN: u8 = 1;
 
 /// The geometry of a sampled run that shapes where interval boundaries
 /// fall — every input of `SampleSpec::interval_starts` plus the functional
@@ -351,7 +322,10 @@ pub fn sampled_warm_key(
     warm: &WarmupConfig,
     geometry: &IntervalGeometry,
 ) -> u64 {
-    let mut w = key_writer(KeyDomain::SampledWarm);
+    let mut w = Writer::new();
+    CACHE_VERSION.write(&mut w);
+    u64::from(ltp_snapshot::FORMAT_VERSION).write(&mut w);
+    w.byte(SAMPLED_WARM_DOMAIN);
     workload.as_bytes().to_vec().write(&mut w);
     trace_fnv.write(&mut w);
     warm.write(&mut w);
@@ -361,26 +335,6 @@ pub fn sampled_warm_key(
     geometry.detail_measure.write(&mut w);
     geometry.seed.write(&mut w);
     geometry.warm_insts.write(&mut w);
-    fnv1a64(&w.into_bytes())
-}
-
-/// Key of a warmed-memory entry: trace identity of the warming trace plus
-/// the warm half of the configuration. (The predictor geometry and
-/// classifier training in the warm half are inert here — cache warming
-/// touches only the hierarchy — but sharing [`WarmupConfig`] keeps one key
-/// derivation for both families.)
-#[must_use]
-pub fn warm_mem_key(
-    workload: &str,
-    warm_trace_fnv: u64,
-    warm_insts: u64,
-    warm: &WarmupConfig,
-) -> u64 {
-    let mut w = key_writer(KeyDomain::WarmMem);
-    workload.as_bytes().to_vec().write(&mut w);
-    warm_trace_fnv.write(&mut w);
-    warm_insts.write(&mut w);
-    warm.write(&mut w);
     fnv1a64(&w.into_bytes())
 }
 
@@ -417,6 +371,7 @@ impl_codec!(SampledWarmEntry { intervals });
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ltp_mem::MemoryHierarchy;
     use ltp_pipeline::PipelineConfig;
     use ltp_snapshot::encode_value;
 
@@ -426,6 +381,8 @@ mod tests {
         dir
     }
 
+    /// A warmed memory hierarchy: a payload of realistic size for the
+    /// storage tests, which go through the generic `load` and `store`.
     fn sample_mem() -> MemoryHierarchy {
         use ltp_mem::{AccessKind, MemoryConfig, MemoryRequest};
         let mut mem = MemoryHierarchy::new(MemoryConfig::micro2015_baseline());
@@ -443,12 +400,14 @@ mod tests {
     fn warm_mem_roundtrip_and_stats() {
         let dir = tmp_dir("roundtrip");
         let cache = CheckpointCache::open(&dir).expect("open");
-        let warm = PipelineConfig::micro2015_baseline().warmup_config();
-        let key = warm_mem_key("w", 0xfeed, 1000, &warm);
-        assert!(cache.load_warm_mem(key).is_none(), "empty cache misses");
+        let key = 0xfeed;
+        assert!(
+            cache.load::<MemoryHierarchy>(key).is_none(),
+            "empty cache misses"
+        );
         let mem = sample_mem();
-        cache.store_warm_mem(key, &mem);
-        let back = cache.load_warm_mem(key).expect("hit after store");
+        cache.store(key, &mem);
+        let back: MemoryHierarchy = cache.load(key).expect("hit after store");
         assert_eq!(encode_value(&back), encode_value(&mem), "bit-exact payload");
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.stores, s.corrupt), (1, 1, 1, 0));
@@ -463,10 +422,10 @@ mod tests {
         // deletes the entry, and a re-store must regenerate it.
         let dir = tmp_dir("corrupt");
         let cache = CheckpointCache::open(&dir).expect("open");
-        let warm = PipelineConfig::micro2015_baseline().warmup_config();
         let mem = sample_mem();
-        let key = warm_mem_key("w", 1, 1000, &warm);
-        cache.store_warm_mem(key, &mem);
+        let key = 1;
+        let load = |key| cache.load::<MemoryHierarchy>(key);
+        cache.store(key, &mem);
         let path = cache.entry_path(key);
         let pristine = fs::read(&path).expect("entry exists");
 
@@ -475,16 +434,16 @@ mod tests {
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x40;
         fs::write(&path, &flipped).expect("write corrupted");
-        assert!(cache.load_warm_mem(key).is_none(), "bit flip must miss");
+        assert!(load(key).is_none(), "bit flip must miss");
         assert!(!path.exists(), "corrupt entry deleted");
 
         // Short read: the tail of the frame is missing.
-        cache.store_warm_mem(key, &mem);
+        cache.store(key, &mem);
         fs::write(&path, &pristine[..pristine.len() - 7]).expect("truncate");
-        assert!(cache.load_warm_mem(key).is_none(), "truncation must miss");
+        assert!(load(key).is_none(), "truncation must miss");
 
         // Length-lying header: the frame's varint length points past EOF.
-        cache.store_warm_mem(key, &mem);
+        cache.store(key, &mem);
         let mut lying = pristine.clone();
         // Framed-file layout: 8 magic bytes and a 1-byte version, then the
         // key frame's varint length; force a huge length.
@@ -492,20 +451,17 @@ mod tests {
         lying[10] = 0xff;
         lying[11] = 0x7f;
         fs::write(&path, &lying).expect("write lying header");
-        assert!(cache.load_warm_mem(key).is_none(), "lying length must miss");
+        assert!(load(key).is_none(), "lying length must miss");
 
         // A wrong-slot entry (valid frame, mismatched embedded key).
-        cache.store_warm_mem(key, &mem);
-        let other = warm_mem_key("w", 2, 1000, &warm);
+        cache.store(key, &mem);
+        let other = 2;
         fs::copy(&path, cache.entry_path(other)).expect("copy to wrong slot");
-        assert!(
-            cache.load_warm_mem(other).is_none(),
-            "entry in the wrong slot must miss"
-        );
+        assert!(load(other).is_none(), "entry in the wrong slot must miss");
 
         // Regeneration works after every class.
-        cache.store_warm_mem(key, &mem);
-        assert!(cache.load_warm_mem(key).is_some());
+        cache.store(key, &mem);
+        assert!(load(key).is_some());
         let s = cache.stats();
         assert_eq!(s.corrupt, 4, "each corruption class counted");
         let _ = fs::remove_dir_all(&dir);
@@ -519,9 +475,8 @@ mod tests {
         // check and is replaced, never misread.
         let dir = tmp_dir("old-layout");
         let cache = CheckpointCache::open(&dir).expect("open");
-        let warm = PipelineConfig::micro2015_baseline().warmup_config();
         let mem = sample_mem();
-        let key = warm_mem_key("w", 3, 1000, &warm);
+        let key = 3;
         let path = cache.entry_path(key);
         publish(&path, ENTRY_FILE, |w| {
             w.append_value(&(CACHE_VERSION, key, encode_value(&mem)))
@@ -531,11 +486,14 @@ mod tests {
         let framed = fs::read(&path).expect("entry");
         let header_len = ENTRY_FILE.magic.len() + 1;
         fs::write(&path, &framed[header_len..]).expect("strip the header");
-        assert!(cache.load_warm_mem(key).is_none(), "old layout must miss");
+        assert!(
+            cache.load::<MemoryHierarchy>(key).is_none(),
+            "old layout must miss"
+        );
         assert!(!path.exists(), "old entry deleted");
         assert_eq!(cache.stats().corrupt, 1);
-        cache.store_warm_mem(key, &mem);
-        let back = cache.load_warm_mem(key).expect("replaced entry hits");
+        cache.store(key, &mem);
+        let back: MemoryHierarchy = cache.load(key).expect("replaced entry hits");
         assert_eq!(encode_value(&back), encode_value(&mem));
         let _ = fs::remove_dir_all(&dir);
     }
@@ -548,31 +506,28 @@ mod tests {
             // Measure one entry's on-disk size to size the budget at ~2.5
             // entries.
             let probe = CheckpointCache::open(dir.join("probe")).expect("open");
-            let warm = PipelineConfig::micro2015_baseline().warmup_config();
-            probe.store_warm_mem(warm_mem_key("w", 0, 0, &warm), &mem);
-            let path = probe.entry_path(warm_mem_key("w", 0, 0, &warm));
-            fs::metadata(path).expect("probe entry").len()
+            probe.store(0, &mem);
+            fs::metadata(probe.entry_path(0))
+                .expect("probe entry")
+                .len()
         };
         let cache =
             CheckpointCache::with_budget(dir.join("real"), entry_len * 5 / 2).expect("open");
-        let warm = PipelineConfig::micro2015_baseline().warmup_config();
-        let keys: Vec<u64> = (0..3).map(|i| warm_mem_key("w", i, 1000, &warm)).collect();
-        cache.store_warm_mem(keys[0], &mem);
+        let load = |key| cache.load::<MemoryHierarchy>(key);
+        let keys: [u64; 3] = [10, 11, 12];
+        cache.store(keys[0], &mem);
         // Ensure distinct mtimes even on coarse filesystem clocks.
         std::thread::sleep(std::time::Duration::from_millis(20));
-        cache.store_warm_mem(keys[1], &mem);
+        cache.store(keys[1], &mem);
         std::thread::sleep(std::time::Duration::from_millis(20));
         // Touch key 0 (a hit refreshes recency) so key 1 is now the LRU.
-        assert!(cache.load_warm_mem(keys[0]).is_some());
+        assert!(load(keys[0]).is_some());
         std::thread::sleep(std::time::Duration::from_millis(20));
-        cache.store_warm_mem(keys[2], &mem);
+        cache.store(keys[2], &mem);
         assert_eq!(cache.stats().evictions, 1, "one entry over budget");
-        assert!(
-            cache.load_warm_mem(keys[1]).is_none(),
-            "least-recently-used entry evicted"
-        );
-        assert!(cache.load_warm_mem(keys[0]).is_some(), "recent hit kept");
-        assert!(cache.load_warm_mem(keys[2]).is_some(), "new entry kept");
+        assert!(load(keys[1]).is_none(), "least-recently-used entry evicted");
+        assert!(load(keys[0]).is_some(), "recent hit kept");
+        assert!(load(keys[2]).is_some(), "new entry kept");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -588,11 +543,18 @@ mod tests {
             warm_insts: 4_000,
         };
         let base = sampled_warm_key("w", 7, &warm, &geo);
-        assert_ne!(
-            base,
-            warm_mem_key("w", 7, geo.warm_insts, &warm),
-            "key domains are disjoint"
-        );
+        // The key hashes its domain tag ahead of its inputs.
+        let mut w = Writer::new();
+        CACHE_VERSION.write(&mut w);
+        u64::from(ltp_snapshot::FORMAT_VERSION).write(&mut w);
+        w.byte(SAMPLED_WARM_DOMAIN);
+        b"w".to_vec().write(&mut w);
+        7u64.write(&mut w);
+        warm.write(&mut w);
+        for field in [240_000u64, 12, 1_000, 2_000, 2015, 4_000] {
+            field.write(&mut w);
+        }
+        assert_eq!(base, fnv1a64(&w.into_bytes()), "key domain");
         assert_ne!(base, sampled_warm_key("x", 7, &warm, &geo), "workload");
         assert_ne!(base, sampled_warm_key("w", 8, &warm, &geo), "trace content");
         let mut geo2 = geo;

@@ -2,16 +2,14 @@
 //!
 //! The fault-tolerance layer ([`crate::parallel::stream_map_lpt`]) is only
 //! trustworthy if its failure paths are exercised on purpose: a [`FaultPlan`]
-//! injects worker panics, deadline-busting delays and journal-record
-//! corruption at *chosen* `(interval index, attempt number)` coordinates, so
-//! every test (and the CI canary) drives exactly the failure it claims to
-//! cover and the run is reproducible down to which attempt dies.
+//! injects worker panics at *chosen* `(interval index, attempt number)`
+//! coordinates and corrupts chosen journal records, so every test (and the
+//! CI canary) drives exactly the failure it claims to cover and the run is
+//! reproducible down to which attempt dies.
 //!
 //! Plans reach the runner two ways: tests build them with the builder
 //! methods, and the `experiments` binary parses `--inject` via
 //! [`FaultPlan::parse`].
-
-use std::time::Duration;
 
 /// A deterministic set of faults to inject into a sampled run, keyed by
 /// interval index and zero-based attempt number.
@@ -19,9 +17,6 @@ use std::time::Duration;
 pub struct FaultPlan {
     /// `(interval, attempt)` pairs whose simulation attempt panics.
     panics: Vec<(usize, u32)>,
-    /// `(interval, attempt, millis)`: charge the attempt `millis` of
-    /// injected time before simulating (used to bust per-attempt deadlines).
-    delays: Vec<(usize, u32, u64)>,
     /// Journal record indices whose on-disk bytes are corrupted after the
     /// run (exercises the checksum recovery on resume).
     corrupt: Vec<usize>,
@@ -37,22 +32,13 @@ impl FaultPlan {
     /// Whether the plan injects nothing at all.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.panics.is_empty() && self.delays.is_empty() && self.corrupt.is_empty()
+        self.panics.is_empty() && self.corrupt.is_empty()
     }
 
     /// Panics attempt `attempt` of interval `index`.
     #[must_use]
     pub fn panic_at(mut self, index: usize, attempt: u32) -> FaultPlan {
         self.panics.push((index, attempt));
-        self
-    }
-
-    /// Delays attempt `attempt` of interval `index` by `millis` milliseconds
-    /// of injected time before the simulation starts (see
-    /// [`FaultPlan::inject`]).
-    #[must_use]
-    pub fn delay_at(mut self, index: usize, attempt: u32, millis: u64) -> FaultPlan {
-        self.delays.push((index, attempt, millis));
         self
     }
 
@@ -76,36 +62,23 @@ impl FaultPlan {
         &self.corrupt
     }
 
-    /// Runs the faults scheduled for `(index, attempt)`: charges any
-    /// matching delay, then panics if a panic is scheduled. Called at the top
-    /// of each simulation attempt, inside the runner's panic isolation.
-    ///
-    /// A plan with any delay puts every attempt it runs on the injected clock
-    /// of [`crate::parallel::charge_attempt`], so exactly the attempts
-    /// delayed past a deadline overrun it, on any host.
+    /// Runs the fault scheduled for `(index, attempt)`: panics if the plan
+    /// schedules a panic there. Called at the top of each simulation
+    /// attempt, inside the runner's panic isolation.
     ///
     /// # Panics
     ///
     /// Panics exactly when the plan schedules a panic for this coordinate —
     /// that is the injected fault.
     pub fn inject(&self, index: usize, attempt: u32) {
-        if !self.delays.is_empty() {
-            let delay: u64 = self
-                .delays
-                .iter()
-                .filter(|&&(i, a, _)| i == index && a == attempt)
-                .map(|&(_, _, ms)| ms)
-                .sum();
-            crate::parallel::charge_attempt(Duration::from_millis(delay));
-        }
         if self.panics.contains(&(index, attempt)) {
             panic!("injected fault: interval {index} attempt {attempt}");
         }
     }
 
     /// Parses a plan from its command-line form: comma-separated directives
-    /// `panic@IDX.ATT`, `delay@IDX.ATT=MS` and `corrupt@IDX`, e.g.
-    /// `panic@3.0,delay@1.0=80,corrupt@2`. An empty string is the empty plan.
+    /// `panic@IDX.ATT` and `corrupt@IDX`, e.g. `panic@3.0,corrupt@2`. An
+    /// empty string is the empty plan.
     ///
     /// # Errors
     ///
@@ -120,16 +93,6 @@ impl FaultPlan {
                 "panic" => {
                     let (idx, att) = parse_coord(coord)?;
                     plan = plan.panic_at(idx, att);
-                }
-                "delay" => {
-                    let (coord, ms) = coord
-                        .split_once('=')
-                        .ok_or_else(|| format!("delay directive `{part}` is missing `=MS`"))?;
-                    let (idx, att) = parse_coord(coord)?;
-                    let ms: u64 = ms
-                        .parse()
-                        .map_err(|_| format!("bad delay milliseconds in `{part}`"))?;
-                    plan = plan.delay_at(idx, att, ms);
                 }
                 "corrupt" => {
                     let idx: usize = coord
@@ -168,7 +131,7 @@ mod tests {
         assert!(plan.is_empty());
         for i in 0..8 {
             for a in 0..3 {
-                plan.inject(i, a); // must not panic or sleep
+                plan.inject(i, a); // must not panic
             }
         }
     }
@@ -185,12 +148,12 @@ mod tests {
 
     #[test]
     fn parse_round_trips_every_directive() {
-        let plan = FaultPlan::parse("panic@3.0, delay@1.2=80 ,corrupt@2").expect("valid spec");
+        let plan = FaultPlan::parse("panic@3.0, panic@1.2 ,corrupt@2").expect("valid spec");
         assert_eq!(
             plan,
             FaultPlan::new()
                 .panic_at(3, 0)
-                .delay_at(1, 2, 80)
+                .panic_at(1, 2)
                 .corrupt_record(2)
         );
         assert!(plan.corrupts(2));
@@ -204,8 +167,7 @@ mod tests {
             "panic",
             "panic@x.0",
             "panic@0",
-            "delay@1.0",
-            "delay@1.0=ms",
+            "delay@1.0=80",
             "corrupt@x",
             "explode@1.0",
         ] {

@@ -46,10 +46,7 @@ impl Fig1Config {
     }
 }
 
-/// Runs the Figure 1 experiment. The context's checkpoint cache (when set)
-/// is shared with the other sweeps: the two limit-study warm halves of this
-/// figure (prefetcher on, classifier trained or not) are warmed once each
-/// instead of once per point.
+/// Runs the Figure 1 experiment.
 #[must_use]
 pub fn run(ctx: &ExperimentCtx<'_>) -> Report {
     let runs = sweep(
@@ -122,6 +119,5 @@ pub fn run(ctx: &ExperimentCtx<'_>) -> Report {
             mlp(Fig1Config::Iq256)
         ));
     }
-    ctx.push_cache_summary(&mut report);
     report
 }

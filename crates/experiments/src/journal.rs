@@ -1,11 +1,13 @@
 //! On-disk run journal for resumable sampled simulation.
 //!
 //! Each sampled point (one workload × one configuration) appends every
-//! completed interval — its measurement *and* its checkpoint bytes — to an
-//! append-only journal file as it finishes. A later `--resume` run replays
-//! the completed intervals straight from the journal and re-simulates only
-//! the missing ones; per-interval measurements are deterministic, so the
-//! resumed aggregate is bit-identical to an uninterrupted run.
+//! completed interval's measurement to an append-only journal file as it
+//! finishes. A later `--resume` run replays the completed intervals straight
+//! from the journal and re-simulates only the missing ones; per-interval
+//! measurements are deterministic, so the resumed aggregate is
+//! bit-identical to an uninterrupted run. Journals hold measurements, not
+//! checkpoints: a resume needs only the measurement, and a lost interval
+//! re-simulates from the functional pass (or the checkpoint cache).
 //!
 //! ## Format
 //!
@@ -97,9 +99,7 @@ impl JournalHeader {
     }
 }
 
-/// One completed interval: its measurement plus the encoded checkpoint it
-/// was simulated from (kept so a damaged run can be audited or re-verified
-/// without redoing the functional pass).
+/// One completed interval's measurement.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalRecord {
     /// Interval index in trace order.
@@ -112,7 +112,11 @@ pub struct JournalRecord {
     pub instructions: u64,
     /// Measured cycles.
     pub cycles: u64,
-    /// The interval's encoded [`ltp_pipeline::Snapshot`].
+    /// Empty in every record the sampled runner writes, and never read.
+    /// Journals of the same [`JOURNAL_VERSION`] written by earlier versions
+    /// hold the interval's encoded [`ltp_pipeline::Snapshot`] here; keeping
+    /// the field keeps those journals resumable, and keeps the record the
+    /// one `ltpbench-traced` builds.
     pub snapshot: Vec<u8>,
 }
 

@@ -7,10 +7,10 @@
 //! simulation points and returns a structured [`Report`] of text and table
 //! blocks. A figure's points go through one helper, `runner::sweep`, which
 //! fans a grid of (configuration, workload) points out over the available
-//! cores with the context's checkpoint cache, and simulates each distinct
-//! point once per context. [`Experiment::run`] dispatches on the experiment
-//! name over an [`ExperimentCtx`] (options + optional shared checkpoint
-//! cache); the `experiments` binary renders reports as text under
+//! cores and simulates each distinct point once per context.
+//! [`Experiment::run`] dispatches on the experiment name over an
+//! [`ExperimentCtx`] (options + optional checkpoint cache for the `sample`
+//! experiment); the `experiments` binary renders reports as text under
 //! `results/`, the `ltp-service` job server ships the same values as JSON.
 
 #![forbid(unsafe_code)]
@@ -43,19 +43,20 @@ pub use runner::{run_point, MlpGrouping, RunOptions};
 pub use sim::{CoRunBuilder, SimBuilder};
 
 /// Everything an experiment invocation needs besides its identity: the
-/// simulation sizing options, the optional checkpoint cache shared across
-/// experiments, and the controls of the `sample` experiment's points.
-/// Every experiment that simulates single-thread points (all but `table1`
-/// and `fig_smt`) uses the cache to pay each warm-up once per distinct warm
-/// configuration, and the context (with its clones) keeps the finished
-/// points, so the experiments run on it simulate each point once.
+/// simulation sizing options, the optional checkpoint cache, and the
+/// controls of the `sample` experiment's points. Only `sample` uses the
+/// cache, to pay each functional pass once per distinct warm configuration;
+/// the figures replay their warm-up traces in every run, which costs about
+/// what a cache hit would. The context (with its clones) keeps the finished
+/// single-thread points, so the experiments run on it simulate each point
+/// once.
 #[derive(Debug, Clone)]
 pub struct ExperimentCtx<'a> {
     /// Simulation sizing options.
     pub opts: &'a RunOptions,
-    /// Checkpoint cache shared across the experiments of one invocation.
+    /// Checkpoint cache of the `sample` experiment's functional passes.
     pub cache: Option<&'a std::sync::Arc<CheckpointCache>>,
-    /// Controls applied to every point of the `sample` experiment: retry,
+    /// Controls applied to every point of the `sample` experiment: attempts,
     /// faults, resume, progress, cancellation and governor. The experiment
     /// sets each point's journal, configuration label, cache and trace
     /// fingerprint itself.
@@ -69,14 +70,14 @@ pub struct ExperimentCtx<'a> {
 
 impl<'a> ExperimentCtx<'a> {
     /// A context over `opts` with no checkpoint cache, no journal, and
-    /// [`parallel::RetryPolicy::default_sampled`] for the `sample` points.
+    /// [`sampled::DEFAULT_ATTEMPTS`] per interval of the `sample` points.
     #[must_use]
     pub fn new(opts: &'a RunOptions) -> ExperimentCtx<'a> {
         ExperimentCtx {
             opts,
             cache: None,
             sample: sampled::SampleControl {
-                retry: parallel::RetryPolicy::default_sampled(),
+                attempts: sampled::DEFAULT_ATTEMPTS,
                 ..sampled::SampleControl::default()
             },
             journal_dir: None,
@@ -84,7 +85,7 @@ impl<'a> ExperimentCtx<'a> {
         }
     }
 
-    /// Attaches a shared checkpoint cache.
+    /// Attaches a checkpoint cache.
     #[must_use]
     pub fn with_cache(
         mut self,
@@ -92,14 +93,6 @@ impl<'a> ExperimentCtx<'a> {
     ) -> ExperimentCtx<'a> {
         self.cache = cache;
         self
-    }
-
-    /// Appends the checkpoint cache's counters, after a blank line, when
-    /// the context has a cache.
-    pub(crate) fn push_cache_summary(&self, report: &mut Report) {
-        if let Some(cache) = self.cache {
-            report.push_text(format!("\n{}\n", cache.stats().summary_line()));
-        }
     }
 }
 
@@ -228,12 +221,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A figure runs its points through the context's cache, like `sample`:
-    /// `fig7`'s first run looks entries up and stores them, and a second run
-    /// on a fresh context over the same cache hits on every lookup (a second
-    /// run on the same context would simulate nothing).
+    /// Only `sample` uses the context's cache: a figure run with a cache
+    /// attached neither looks entries up nor stores any, and reports what a
+    /// run without one reports.
     #[test]
-    fn fig7_looks_up_the_context_cache() {
+    fn fig7_leaves_the_context_cache_alone() {
         let dir = std::env::temp_dir().join(format!("ltp-fig7-ctx-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = std::sync::Arc::new(CheckpointCache::open(&dir).expect("open cache"));
@@ -242,20 +234,11 @@ mod tests {
             warm_insts: 500,
             seed: 2015,
         };
-        let ctx = ExperimentCtx::new(&opts).with_cache(Some(&cache));
-        let cold_report = Experiment::Fig7.run(&ctx);
-        let cold = cache.stats();
-        assert!(cold.misses > 0 && cold.stores > 0, "{cold:?}");
-        let warm_report = Experiment::Fig7.run(&ExperimentCtx::new(&opts).with_cache(Some(&cache)));
-        let warm = cache.stats();
-        assert!(warm.hits > cold.hits, "{warm:?}");
-        assert_eq!(warm.misses, cold.misses, "the second run misses nothing");
-        assert_eq!(cold_report, warm_report);
-        assert_eq!(
-            cold_report,
-            Experiment::Fig7.run(&ExperimentCtx::new(&opts)),
-            "cached and uncached runs report the same"
-        );
+        let cached = Experiment::Fig7.run(&ExperimentCtx::new(&opts).with_cache(Some(&cache)));
+        assert_eq!(cache.stats(), cache::CacheStats::default());
+        assert_eq!(cached, Experiment::Fig7.run(&ExperimentCtx::new(&opts)));
+        let entries = std::fs::read_dir(&dir).expect("cache dir").count();
+        assert_eq!(entries, 0, "the cache directory stays empty");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

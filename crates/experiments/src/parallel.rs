@@ -8,19 +8,15 @@
 //! worker that finishes early takes the next job instead of idling behind a
 //! fixed share. [`par_map`] feeds it a list at equal cost, so its items are
 //! claimed in list order. It is fault tolerant: each task runs under
-//! [`catch_unwind`], a panicking or deadline-overrunning attempt is retried
-//! with exponential backoff per a [`RetryPolicy`], and a task whose attempts
-//! are exhausted comes back as a structured [`TaskFailure`] instead of
-//! tearing down the whole scope.
+//! [`catch_unwind`], a panicking attempt is retried up to an attempt count,
+//! and a task whose attempts are exhausted comes back as a structured
+//! [`TaskFailure`] instead of tearing down the whole scope.
 //!
 //! The `LTP_THREADS` environment variable overrides the detected parallelism
 //! (useful for reproducible CI runs and for pinning experiments to a core
 //! budget); invalid or zero values fall back to the detected count.
 //!
 //! [`catch_unwind`]: std::panic::catch_unwind
-
-use std::cell::Cell;
-use std::time::{Duration, Instant};
 
 /// Number of worker threads for a pool processing up to `n` jobs: the
 /// `LTP_THREADS` override when set and valid, otherwise the machine's
@@ -63,7 +59,7 @@ where
             queue.push(0, item);
         }
     };
-    stream_map_lpt(n, RetryPolicy::none(), produce, |item, _| f(item))
+    stream_map_lpt(n, 1, produce, |item, _| f(item))
         .into_iter()
         .map(|outcome| match outcome {
             TaskOutcome::Done { value, .. } => value,
@@ -189,106 +185,26 @@ impl<T> Drop for StreamCloseGuard<'_, T> {
     }
 }
 
-/// Retry discipline for the fault-tolerant runners.
-///
-/// A task attempt fails when the task closure panics or (if `deadline` is
-/// set) when it runs longer than the deadline. Failed attempts are retried —
-/// after an exponential backoff — until `max_attempts` attempts have been
-/// consumed, at which point the task is abandoned with a [`TaskFailure`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts allowed per task, including the first (clamped to ≥1).
-    pub max_attempts: u32,
-    /// Backoff before retry `k` is `base_backoff << k` (k = 0 for the first
-    /// retry), capping the shift at 10 doublings.
-    pub base_backoff: Duration,
-    /// Per-attempt deadline, on the wall clock unless the attempt moved onto
-    /// an injected clock ([`charge_attempt`]). The check is post-hoc — the
-    /// attempt is not interrupted, its result is discarded once the overrun
-    /// is observed — which is enough because the simulator bounds true hangs
-    /// with its own deadlock watchdog, and task results are deterministic so
-    /// a discarded value equals the retried one.
-    pub deadline: Option<Duration>,
-}
-
-impl RetryPolicy {
-    /// No fault tolerance: a single attempt, no deadline. A panic still
-    /// surfaces as a [`TaskFailure`] rather than unwinding the scope.
-    #[must_use]
-    pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            base_backoff: Duration::ZERO,
-            deadline: None,
-        }
-    }
-
-    /// The default policy for sampled simulation: three attempts with a
-    /// 10 ms initial backoff and a generous per-interval deadline (a quick
-    /// interval simulates in milliseconds; a minute means the worker is
-    /// wedged or the machine is badly oversubscribed).
-    #[must_use]
-    pub fn default_sampled() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 3,
-            base_backoff: Duration::from_millis(10),
-            deadline: Some(Duration::from_secs(60)),
-        }
-    }
-
-    fn backoff_for(&self, attempt: u32) -> Duration {
-        self.base_backoff.saturating_mul(1 << attempt.min(10))
-    }
-}
-
-/// Why one attempt of a task failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FailureKind {
-    /// The task closure panicked; the payload's message, when it had one.
-    Panic(String),
-    /// The attempt finished but overran the policy deadline.
-    DeadlineExceeded {
-        /// How long the attempt took on its clock.
-        elapsed: Duration,
-        /// The policy deadline it overran.
-        deadline: Duration,
-    },
-}
-
-impl std::fmt::Display for FailureKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FailureKind::Panic(msg) => write!(f, "panicked: {msg}"),
-            FailureKind::DeadlineExceeded { elapsed, deadline } => write!(
-                f,
-                "deadline exceeded: ran {:.3}s against a {:.3}s deadline",
-                elapsed.as_secs_f64(),
-                deadline.as_secs_f64()
-            ),
-        }
-    }
-}
-
-/// A task abandoned after exhausting its retry budget.
+/// A task abandoned after every attempt it was allowed panicked.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskFailure {
     /// Push index of the failed task.
     pub index: usize,
-    /// Attempts consumed (equals the policy's effective `max_attempts`).
+    /// Attempts consumed (the effective attempt count).
     pub attempts: u32,
-    /// The failure observed on the final attempt.
-    pub failure: FailureKind,
+    /// The panic message of the final attempt (see [`panic_message`]).
+    pub message: String,
 }
 
 impl std::fmt::Display for TaskFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "task {} failed after {} attempt{}: {}",
+            "task {} failed after {} attempt{}: panicked: {}",
             self.index,
             self.attempts,
             if self.attempts == 1 { "" } else { "s" },
-            self.failure
+            self.message
         )
     }
 }
@@ -338,22 +254,6 @@ impl<R> TaskOutcome<R> {
     }
 }
 
-thread_local! {
-    /// The injected clock of the task attempt running on this thread, when
-    /// the attempt has moved onto one: the time charged to it so far.
-    static CHARGED: Cell<Option<Duration>> = const { Cell::new(None) };
-}
-
-/// Moves the task attempt running on this thread onto an injected clock and
-/// advances that clock by `d`; nothing sleeps. [`stream_map_lpt`] then checks
-/// the attempt's deadline against the time charged to it alone, so whether
-/// it overruns does not depend on the host's speed or load.
-pub fn charge_attempt(d: Duration) {
-    CHARGED.set(Some(
-        CHARGED.get().unwrap_or(Duration::ZERO).saturating_add(d),
-    ));
-}
-
 /// Best-effort extraction of a panic payload's message: the payload of
 /// `panic!` with a literal or a format string, else "non-string panic
 /// payload".
@@ -380,11 +280,10 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 ///
 /// Every task attempt runs under
 /// [`catch_unwind`](std::panic::catch_unwind), so one panicking job reports
-/// a structured failure instead of tearing down the scope. A failed attempt
-/// (panic or deadline overrun) is re-enqueued — after the policy backoff,
-/// with its attempt count bumped — so *another* worker can pick it up; a
-/// task that exhausts `policy.max_attempts` comes back as
-/// [`TaskOutcome::Failed`].
+/// a structured failure instead of tearing down the scope. A panicked
+/// attempt is re-enqueued at once, with its attempt count bumped, so
+/// *another* worker can pick it up; a task whose `attempts` (clamped to at
+/// least 1) all panic comes back as [`TaskOutcome::Failed`].
 ///
 /// `expected_jobs` sizes the worker pool ([`worker_threads`]); it is a hint,
 /// not a limit — the producer may push any number of jobs. The task closure
@@ -395,7 +294,7 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// even after its peers have drained out.
 pub fn stream_map_lpt<T, R, P, F>(
     expected_jobs: usize,
-    policy: RetryPolicy,
+    attempts: u32,
     produce: P,
     f: F,
 ) -> Vec<TaskOutcome<R>>
@@ -405,7 +304,7 @@ where
     P: FnOnce(&StreamQueue<'_, T>),
     F: Fn(&T, u32) -> R + Sync,
 {
-    let max_attempts = policy.max_attempts.max(1);
+    let max_attempts = attempts.max(1);
     let workers = worker_threads(expected_jobs.max(1));
     let shared = StreamShared {
         state: std::sync::Mutex::new(StreamState {
@@ -420,50 +319,35 @@ where
     let mut results: Vec<(usize, TaskOutcome<R>)> = std::thread::scope(|scope| {
         let shared_ref = &shared;
         let f_ref = &f;
-        let policy_ref = &policy;
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(move || {
                     let mut out: Vec<(usize, TaskOutcome<R>)> = Vec::new();
                     while let Some((idx, cost, attempt, item)) = claim_heaviest(shared_ref) {
                         shared_ref.not_full.notify_one();
-                        CHARGED.set(None);
-                        let started = Instant::now();
                         let attempt_result =
                             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                                 f_ref(&item, attempt)
                             }));
-                        let elapsed = CHARGED.take().unwrap_or_else(|| started.elapsed());
-                        let failure = match attempt_result {
-                            Ok(value) => match policy_ref.deadline {
-                                Some(deadline) if elapsed > deadline => {
-                                    FailureKind::DeadlineExceeded { elapsed, deadline }
-                                }
-                                _ => {
-                                    out.push((
-                                        idx,
-                                        TaskOutcome::Done {
-                                            value,
-                                            attempts: attempt + 1,
-                                        },
-                                    ));
-                                    continue;
-                                }
-                            },
-                            Err(payload) => FailureKind::Panic(panic_message(payload.as_ref())),
-                        };
-                        if attempt + 1 < max_attempts {
-                            std::thread::sleep(policy_ref.backoff_for(attempt));
-                            push_retry(shared_ref, idx, cost, attempt + 1, item);
-                        } else {
-                            out.push((
+                        match attempt_result {
+                            Ok(value) => out.push((
+                                idx,
+                                TaskOutcome::Done {
+                                    value,
+                                    attempts: attempt + 1,
+                                },
+                            )),
+                            Err(_) if attempt + 1 < max_attempts => {
+                                push_retry(shared_ref, idx, cost, attempt + 1, item);
+                            }
+                            Err(payload) => out.push((
                                 idx,
                                 TaskOutcome::Failed(TaskFailure {
                                     index: idx,
                                     attempts: attempt + 1,
-                                    failure,
+                                    message: panic_message(payload.as_ref()),
                                 }),
-                            ));
+                            )),
                         }
                     }
                     out
@@ -623,6 +507,7 @@ impl LptGovernor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn preserves_order() {
@@ -672,12 +557,12 @@ mod tests {
     /// Streams `items` (cost 1 each) through [`stream_map_lpt`].
     fn stream_items<R: Send>(
         items: Vec<u64>,
-        policy: RetryPolicy,
+        attempts: u32,
         f: impl Fn(&u64, u32) -> R + Sync,
     ) -> Vec<TaskOutcome<R>> {
         stream_map_lpt(
             items.len(),
-            policy,
+            attempts,
             |q| {
                 for x in items {
                     q.push(1, x);
@@ -698,7 +583,7 @@ mod tests {
     fn stream_map_preserves_push_order() {
         let out = stream_map_lpt(
             97,
-            RetryPolicy::none(),
+            1,
             |q| {
                 for i in 0..97u64 {
                     q.push(i % 7 + 1, i);
@@ -714,8 +599,7 @@ mod tests {
 
     #[test]
     fn stream_map_empty_producer() {
-        let out: Vec<TaskOutcome<u64>> =
-            stream_map_lpt(0, RetryPolicy::none(), |_q| {}, |&x: &u64, _| x);
+        let out: Vec<TaskOutcome<u64>> = stream_map_lpt(0, 1, |_q| {}, |&x: &u64, _| x);
         assert!(out.is_empty());
     }
 
@@ -724,7 +608,7 @@ mod tests {
         // Push far more jobs than the bounded queue holds while workers are
         // artificially slowed: every job must still come back, in order.
         let n = 500u64;
-        let out = stream_items((0..n).collect(), RetryPolicy::none(), |&x, _| {
+        let out = stream_items((0..n).collect(), 1, |&x, _| {
             if x % 50 == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
@@ -739,7 +623,7 @@ mod tests {
         // they arrive rather than after production completes.
         let out = stream_map_lpt(
             8,
-            RetryPolicy::none(),
+            1,
             |q| {
                 for i in 0..8u64 {
                     std::thread::sleep(std::time::Duration::from_millis(1));
@@ -773,7 +657,7 @@ mod tests {
         for weight in weights {
             let out = stream_map_lpt(
                 97,
-                RetryPolicy::none(),
+                1,
                 |q| {
                     for i in 0..97u64 {
                         q.push(weight(i), i);
@@ -795,7 +679,7 @@ mod tests {
         let plain = par_map(items.clone(), |&x| x * x);
         let ft = stream_map_lpt(
             items.len(),
-            RetryPolicy::none(),
+            1,
             |q| {
                 for &x in &items {
                     q.push(x + 1, x);
@@ -812,15 +696,11 @@ mod tests {
 
     #[test]
     fn ft_matches_plain_when_fault_free() {
-        // When nothing fails, a retrying policy with a deadline gives the
-        // values of a single-attempt policy, and uses one attempt per task.
+        // When nothing fails, three allowed attempts give the values of a
+        // single attempt, and use one attempt per task.
         let items: Vec<u64> = (0..64).map(|i| (i * 37) % 19).collect();
-        let plain = values(&stream_items(
-            items.clone(),
-            RetryPolicy::none(),
-            |&x, _| x * x,
-        ));
-        let ft = stream_items(items, RetryPolicy::default_sampled(), |&x, _| x * x);
+        let plain = values(&stream_items(items.clone(), 1, |&x, _| x * x));
+        let ft = stream_items(items, 3, |&x, _| x * x);
         assert_eq!(ft.len(), plain.len());
         for (out, expect) in ft.iter().zip(plain) {
             assert_eq!(out.value(), Some(&expect));
@@ -830,20 +710,12 @@ mod tests {
 
     #[test]
     fn ft_panicking_task_retries_and_succeeds() {
-        let out = stream_items(
-            (0..40).collect(),
-            RetryPolicy {
-                max_attempts: 2,
-                base_backoff: Duration::ZERO,
-                deadline: None,
-            },
-            |&x, attempt| {
-                if x == 17 && attempt == 0 {
-                    panic!("injected fault at item 17");
-                }
-                x * 2
-            },
-        );
+        let out = stream_items((0..40).collect(), 2, |&x, attempt| {
+            if x == 17 && attempt == 0 {
+                panic!("injected fault at item 17");
+            }
+            x * 2
+        });
         assert_eq!(out.len(), 40);
         for (i, o) in out.iter().enumerate() {
             assert_eq!(o.value(), Some(&(i as u64 * 2)), "item {i}");
@@ -854,27 +726,20 @@ mod tests {
 
     #[test]
     fn ft_exhausted_retries_report_structured_failure() {
-        let out = stream_items(
-            (0..8u64).collect(),
-            RetryPolicy {
-                max_attempts: 3,
-                base_backoff: Duration::ZERO,
-                deadline: None,
-            },
-            |&x, _| {
-                if x == 3 {
-                    panic!("item {x} always fails");
-                }
-                x
-            },
-        );
+        let out = stream_items((0..8u64).collect(), 3, |&x, _| {
+            if x == 3 {
+                panic!("item {x} always fails");
+            }
+            x
+        });
         let fail = out[3].failure().expect("item 3 must fail");
         assert_eq!(fail.index, 3);
         assert_eq!(fail.attempts, 3);
-        match &fail.failure {
-            FailureKind::Panic(msg) => assert!(msg.contains("always fails"), "got {msg:?}"),
-            other => panic!("expected a panic failure, got {other:?}"),
-        }
+        assert!(
+            fail.message.contains("always fails"),
+            "got {:?}",
+            fail.message
+        );
         assert!(fail.to_string().contains("after 3 attempts"));
         // Every other item still completed on the first attempt.
         for (i, o) in out.iter().enumerate() {
@@ -886,64 +751,13 @@ mod tests {
     }
 
     #[test]
-    fn ft_deadline_overrun_discards_and_retries() {
-        let out = stream_items(
-            (0..4u64).collect(),
-            RetryPolicy {
-                max_attempts: 2,
-                base_backoff: Duration::ZERO,
-                deadline: Some(Duration::from_millis(20)),
-            },
-            |&x, attempt| {
-                if x == 2 && attempt == 0 {
-                    std::thread::sleep(Duration::from_millis(60));
-                }
-                x + 100
-            },
-        );
-        for (i, o) in out.iter().enumerate() {
-            assert_eq!(o.value(), Some(&(i as u64 + 100)), "item {i}");
-        }
-        assert_eq!(out[2].attempts(), 2, "slow first attempt must be retried");
-    }
-
-    #[test]
-    fn ft_charged_attempt_ignores_wall_clock() {
-        // On the injected clock an attempt overruns by what it is charged,
-        // not by how long it runs: every attempt sleeps past the 1 ms
-        // deadline, yet only the charged first attempt of item 1 is retried.
-        let out = stream_items(
-            (0..4u64).collect(),
-            RetryPolicy {
-                max_attempts: 2,
-                base_backoff: Duration::ZERO,
-                deadline: Some(Duration::from_millis(1)),
-            },
-            |&x, attempt| {
-                let charge = if x == 1 && attempt == 0 { 5 } else { 0 };
-                charge_attempt(Duration::from_millis(charge));
-                std::thread::sleep(Duration::from_millis(3));
-                x + 100
-            },
-        );
-        for (i, o) in out.iter().enumerate() {
-            assert_eq!(o.value(), Some(&(i as u64 + 100)), "item {i}");
-            assert_eq!(o.attempts(), if i == 1 { 2 } else { 1 }, "item {i}");
-        }
-    }
-
-    #[test]
     fn ft_single_worker_survives_its_own_retries() {
         // expected_jobs = 1 sizes the pool to exactly one worker; the retry
         // re-enqueue must not deadlock when the failing worker is the only
         // one left to pick the job back up.
         let out = stream_map_lpt(
             1,
-            RetryPolicy {
-                max_attempts: 2,
-                base_backoff: Duration::ZERO,
-                deadline: None,
-            },
+            2,
             |q| {
                 for i in 0..5u64 {
                     q.push(1, i);
@@ -962,21 +776,6 @@ mod tests {
             let expected = if i % 2 == 0 { 2 } else { 1 };
             assert_eq!(o.attempts(), expected, "item {i}");
         }
-    }
-
-    #[test]
-    fn retry_policy_backoff_grows_and_saturates() {
-        let p = RetryPolicy {
-            max_attempts: 100,
-            base_backoff: Duration::from_millis(2),
-            deadline: None,
-        };
-        assert_eq!(p.backoff_for(0), Duration::from_millis(2));
-        assert_eq!(p.backoff_for(1), Duration::from_millis(4));
-        assert_eq!(p.backoff_for(3), Duration::from_millis(16));
-        // Shift is capped: huge attempt counts don't overflow.
-        assert_eq!(p.backoff_for(64), Duration::from_millis(2 * 1024));
-        assert_eq!(RetryPolicy::none().backoff_for(9), Duration::ZERO);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! one point ([`run_point`]), a grid of points (`sweep`) and the §4.1
 //! workload grouping ([`MlpGrouping`]).
 
-use crate::cache::CheckpointCache;
 use crate::parallel::par_map;
 use crate::sim::SimBuilder;
 use crate::ExperimentCtx;
@@ -13,7 +12,7 @@ use ltp_stats::MeanAccumulator;
 use ltp_workloads::WorkloadKind;
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// How many instructions each simulation point runs in detail by default.
 pub const DEFAULT_DETAIL_INSTS: u64 = 30_000;
@@ -70,18 +69,8 @@ impl RunOptions {
 /// Panics when the run fails.
 #[must_use]
 pub fn run_point(kind: WorkloadKind, cfg: PipelineConfig, opts: &RunOptions) -> RunResult {
-    run_cached(kind, cfg, opts, None)
-}
-
-fn run_cached(
-    kind: WorkloadKind,
-    cfg: PipelineConfig,
-    opts: &RunOptions,
-    cache: Option<&Arc<CheckpointCache>>,
-) -> RunResult {
     SimBuilder::new(cfg, kind)
         .options(opts)
-        .warm_cache(cache.cloned())
         .run()
         .unwrap_or_else(|e| panic!("simulation of {} failed: {e}", kind.name()))
 }
@@ -121,12 +110,10 @@ impl<K: Copy + Eq + Hash> std::ops::Index<(K, WorkloadKind)> for Sweep<K> {
 pub(crate) type PointMemo = Mutex<HashMap<(RunOptions, Vec<u8>, WorkloadKind), RunResult>>;
 
 /// Runs every point of the grid `configs` × `kinds` in parallel through
-/// [`SimBuilder`] with the context's options and checkpoint cache (each
-/// warm-up is served from, or stored to, the cache's warm-memory domain, so
-/// a sweep over many detail configurations replays each warm trace once).
-/// `config` maps a configuration key to its machine. Each distinct point
-/// simulates once per context: a point the context has run before, or one
-/// that two keys map to, reuses that run.
+/// [`run_point`] with the context's options. `config` maps a configuration
+/// key to its machine. Each distinct point simulates once per context: a
+/// point the context has run before, or one that two keys map to, reuses
+/// that run.
 ///
 /// # Panics
 ///
@@ -143,8 +130,6 @@ where
 {
     let machines: Vec<PipelineConfig> = configs.iter().map(|&key| config(key)).collect();
     let key_of = |&(c, kind): &(usize, WorkloadKind)| (*ctx.opts, encode_value(&machines[c]), kind);
-    // Configuration-major, so the workers claim different workloads in turn
-    // and seldom both miss on one warm-up before either has stored it.
     let points: Vec<(usize, WorkloadKind)> = (0..configs.len())
         .flat_map(|c| kinds.iter().map(move |&kind| (c, kind)))
         .collect();
@@ -153,7 +138,7 @@ where
     fresh.retain(|p| !memo.contains_key(&key_of(p)) && queued.insert(key_of(p)));
     drop(memo);
     let results = par_map(fresh.clone(), |&(c, kind)| {
-        run_cached(kind, machines[c], ctx.opts, ctx.cache)
+        run_point(kind, machines[c], ctx.opts)
     });
     let mut memo = ctx.points.lock().expect("memo poisoned by a sweep panic");
     memo.extend(fresh.iter().map(key_of).zip(results));
@@ -174,8 +159,7 @@ pub struct MlpGrouping {
 impl MlpGrouping {
     /// Applies the paper's criterion: compare each workload on a 32-entry IQ
     /// versus a 256-entry IQ (everything else unlimited, prefetcher on),
-    /// running the 14 points in parallel with the context's options and
-    /// checkpoint cache.
+    /// running the 14 points in parallel with the context's options.
     #[must_use]
     pub fn derive(ctx: &ExperimentCtx<'_>) -> MlpGrouping {
         let runs = sweep(ctx, &[32, 256], &WorkloadKind::ALL, |iq| {
@@ -352,60 +336,69 @@ mod tests {
         );
     }
 
-    /// A checkpoint cache in a fresh scratch directory, and the directory.
-    fn scratch_cache(tag: &str) -> (Arc<CheckpointCache>, std::path::PathBuf) {
-        let dir = std::env::temp_dir().join(format!("ltp-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = Arc::new(CheckpointCache::open(&dir).expect("open cache"));
-        (cache, dir)
+    /// Tags every point in the context's memo. A point that simulates
+    /// again replaces its memo entry and loses the tag.
+    fn tag_memo(ctx: &ExperimentCtx<'_>) -> usize {
+        let mut memo = ctx.points.lock().expect("memo");
+        for r in memo.values_mut() {
+            r.workload.push_str(" (memo)");
+        }
+        memo.len()
     }
 
-    fn lookups(cache: &CheckpointCache) -> u64 {
-        let stats = cache.stats();
-        stats.hits + stats.misses
+    fn tagged_points(ctx: &ExperimentCtx<'_>) -> usize {
+        let memo = ctx.points.lock().expect("memo");
+        memo.values()
+            .filter(|r| r.workload.ends_with(" (memo)"))
+            .count()
     }
 
-    /// Every simulated point looks its warm-up up once, so a derive on a
-    /// context that already derived the grouping simulates nothing.
+    /// A derive on a context that already derived the grouping simulates
+    /// nothing: every point it needs comes from the memo.
     #[test]
     fn a_repeated_derive_simulates_nothing() {
-        let (cache, dir) = scratch_cache("derive-memo");
         let opts = RunOptions {
             detail_insts: 1_000,
             warm_insts: 500,
             seed: 2015,
         };
-        let ctx = ExperimentCtx::new(&opts).with_cache(Some(&cache));
+        let ctx = ExperimentCtx::new(&opts);
         let first = MlpGrouping::derive(&ctx);
-        let before = lookups(&cache);
-        assert_eq!(before, 14, "the first derive simulates its 14 points");
+        assert_eq!(
+            tag_memo(&ctx),
+            14,
+            "the first derive simulates its 14 points"
+        );
         let second = MlpGrouping::derive(&ctx);
         assert_eq!(
-            lookups(&cache),
-            before,
+            tagged_points(&ctx),
+            14,
             "the second derive simulates nothing"
         );
+        assert_eq!(ctx.points.lock().expect("memo").len(), 14);
         assert_eq!(first.sensitive, second.sensitive);
         assert_eq!(first.insensitive, second.insensitive);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn two_keys_on_one_machine_simulate_it_once() {
-        let (cache, dir) = scratch_cache("sweep-memo");
         let opts = RunOptions {
             detail_insts: 1_000,
             warm_insts: 500,
             seed: 2015,
         };
-        let ctx = ExperimentCtx::new(&opts).with_cache(Some(&cache));
+        let ctx = ExperimentCtx::new(&opts);
         let kind = WorkloadKind::ComputeBound;
         let runs = sweep(&ctx, &[1, 2], &[kind], |_| {
             PipelineConfig::micro2015_baseline()
         });
-        assert_eq!(lookups(&cache), 1, "one machine, one simulation");
+        assert_eq!(tag_memo(&ctx), 1, "one machine, one simulation");
         assert_eq!(runs[(1, kind)].cycles, runs[(2, kind)].cycles);
-        let _ = std::fs::remove_dir_all(&dir);
+        let again = sweep(&ctx, &[3], &[kind], |_| {
+            PipelineConfig::micro2015_baseline()
+        });
+        assert_eq!(tagged_points(&ctx), 1, "a third key reuses the run");
+        assert_eq!(again[(3, kind)].cycles, runs[(1, kind)].cycles);
     }
 
     #[test]

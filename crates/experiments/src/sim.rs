@@ -42,7 +42,6 @@ pub struct SimBuilder {
     warm_insts: u64,
     detail_insts: u64,
     oracle: Option<OracleClassifier>,
-    warm_cache: Option<std::sync::Arc<crate::cache::CheckpointCache>>,
 }
 
 impl SimBuilder {
@@ -58,7 +57,6 @@ impl SimBuilder {
             warm_insts: DEFAULT_WARM_INSTS,
             detail_insts: DEFAULT_DETAIL_INSTS,
             oracle: None,
-            warm_cache: None,
         }
     }
 
@@ -106,20 +104,6 @@ impl SimBuilder {
         self
     }
 
-    /// Attaches a checkpoint cache: cache warming replays the warm trace
-    /// once per (workload, seed, budget, warm configuration) and restores
-    /// the warmed memory hierarchy from the cache on every later build.
-    /// Sound because [`Processor::warm_caches`] touches *only* the memory
-    /// hierarchy, which is part of the warm configuration half.
-    #[must_use]
-    pub fn warm_cache(
-        mut self,
-        cache: Option<std::sync::Arc<crate::cache::CheckpointCache>>,
-    ) -> SimBuilder {
-        self.warm_cache = cache;
-        self
-    }
-
     /// Generates the detailed trace this builder would run.
     #[must_use]
     pub fn detail_trace(&self) -> Vec<DynInst> {
@@ -145,28 +129,7 @@ impl SimBuilder {
     fn build_against(&self, detail: &[DynInst]) -> Processor {
         let mut cpu = Processor::new(self.cfg);
         if self.warm_insts > 0 {
-            match &self.warm_cache {
-                Some(cache) => {
-                    let warm = trace(self.kind, self.seed, self.warm_insts as usize);
-                    let key = crate::cache::warm_mem_key(
-                        self.kind.name(),
-                        ltp_isa::trace_fingerprint(&warm),
-                        self.warm_insts,
-                        &self.cfg.warmup_config(),
-                    );
-                    match cache.load_warm_mem(key) {
-                        Some(mem) => cpu.restore_memory_state(mem),
-                        None => {
-                            cpu.warm_caches(&warm);
-                            cache.store_warm_mem(key, cpu.memory_state());
-                        }
-                    }
-                }
-                None => {
-                    let warm = trace(self.kind, self.seed, self.warm_insts as usize);
-                    cpu.warm_caches(&warm);
-                }
-            }
+            cpu.warm_caches(&trace(self.kind, self.seed, self.warm_insts as usize));
         }
         if self.cfg.needs_oracle() {
             cpu.set_oracle(
@@ -437,43 +400,5 @@ mod tests {
         .run()
         .expect("no deadlock");
         assert_eq!(r.instructions, 1_000);
-    }
-
-    /// Cached cache-warming is invisible to the run: a cache-miss build, a
-    /// cache-hit build and an uncached build all produce identical results,
-    /// and detail-half sweep points (IQ, classifier) share one warm entry.
-    #[test]
-    fn warm_cache_reproduces_uncached_runs() {
-        let dir = std::env::temp_dir().join(format!("ltp-sim-warm-cache-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache =
-            std::sync::Arc::new(crate::cache::CheckpointCache::open(&dir).expect("open cache"));
-        let point = |cfg: PipelineConfig, cached: bool| {
-            SimBuilder::new(cfg, WorkloadKind::IndirectStream)
-                .seed(9)
-                .warm_insts(1_000)
-                .detail_insts(2_000)
-                .warm_cache(cached.then(|| cache.clone()))
-                .run()
-                .expect("no deadlock")
-        };
-
-        let base = PipelineConfig::ltp_proposed();
-        let uncached = point(base, false);
-        let miss = point(base, true);
-        let hit = point(base, true);
-        for r in [&miss, &hit] {
-            assert_eq!(r.cycles, uncached.cycles);
-            assert_eq!(r.instructions, uncached.instructions);
-        }
-        // A detail-only variation hits the same entry; stats confirm the
-        // warm trace was replayed exactly once.
-        let _ = point(base.with_iq(256), true);
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 2);
-        assert_eq!(stats.stores, 1);
-
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -16,10 +16,7 @@ use ltp_workloads::WorkloadKind;
 /// UIT sizes swept (the `usize::MAX` point is the unlimited UIT).
 const UIT_SIZES: [usize; 5] = [usize::MAX, 512, 256, 128, 64];
 
-/// Runs the UIT sweep. The context's checkpoint cache (when set) is shared
-/// with the other sweeps; every swept point is a detail-half variation (UIT
-/// size, baseline widths), so the whole sweep warms each workload's memory
-/// state exactly once.
+/// Runs the UIT sweep.
 #[must_use]
 pub fn run(ctx: &ExperimentCtx<'_>) -> Report {
     let grouping = MlpGrouping::derive(ctx);
@@ -59,6 +56,5 @@ pub fn run(ctx: &ExperimentCtx<'_>) -> Report {
         "Paper reference: UIT 256 performs well; 128 entries give up ~4 percentage points;\n\
          an unlimited UIT gains only ~2 points over 256.\n",
     );
-    ctx.push_cache_summary(&mut report);
     report
 }

@@ -266,25 +266,6 @@ impl Processor {
         }
     }
 
-    /// The memory hierarchy's current state. Together with
-    /// [`Processor::restore_memory_state`] this lets a sweep harness warm
-    /// the caches once per (trace, memory geometry) and reuse the result
-    /// across detail configurations — [`Processor::warm_caches`] touches
-    /// nothing but the hierarchy, so restoring a warmed hierarchy into a
-    /// fresh machine is bit-identical to re-warming it.
-    #[must_use]
-    pub fn memory_state(&self) -> &MemoryHierarchy {
-        &self.state.mem
-    }
-
-    /// Replaces the memory hierarchy state (see
-    /// [`Processor::memory_state`]). Only exact when `mem` was captured
-    /// from a machine with the same memory configuration; geometry is the
-    /// caller's (cache key's) responsibility.
-    pub fn restore_memory_state(&mut self, mem: MemoryHierarchy) {
-        self.state.mem = mem;
-    }
-
     /// The configuration of this processor.
     #[must_use]
     pub fn config(&self) -> &PipelineConfig {

@@ -14,11 +14,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use ltp_experiments::fault::FaultPlan;
-use ltp_experiments::parallel::{panic_message, worker_threads, LptGovernor, RetryPolicy};
+use ltp_experiments::parallel::{panic_message, worker_threads, LptGovernor};
 use ltp_experiments::runner::named_config;
 use ltp_experiments::sampled::{
     digest_line, result_digest, IntervalError, IntervalMeasurement, SampleControl, SampleSpec,
-    SampledRequest,
+    SampledRequest, DEFAULT_ATTEMPTS,
 };
 use ltp_experiments::{Block, CheckpointCache, Experiment, ExperimentCtx, Report, RunOptions};
 use ltp_isa::DynInst;
@@ -101,7 +101,7 @@ pub enum JobKind {
         config_name: String,
         /// Sampling geometry.
         spec: SampleSpec,
-        /// Deterministic fault plan injected into interval attempts.
+        /// Deterministic worker panics injected into interval attempts.
         faults: FaultPlan,
         /// Per-interval attempt budget.
         retries: u32,
@@ -168,23 +168,33 @@ impl JobRequest {
     /// and a point job:
     /// `{"workload": "indirect_stream", "config": "ltp_proposed",
     ///   "quick": true, "spec": {"total_insts": ..., "intervals": ...},
-    ///   "trace_hex": "...", "inject": "panic:2", "retries": 3}`.
+    ///   "trace_hex": "...", "inject": "panic@2.0", "retries": 3}`.
+    /// `"retries"` is the attempt count per interval (1 to 100, default
+    /// [`DEFAULT_ATTEMPTS`]).
     ///
     /// # Errors
     ///
     /// Returns a human-readable message for syntax errors, unknown names,
     /// malformed, empty or out-of-order inline traces, budgets that measure
-    /// nothing (zero instructions or intervals) and sizes above
-    /// [`MAX_JOB_INSTS`], [`MAX_JOB_INTERVALS`] or [`MAX_EXPERIMENT_INSTS`].
+    /// nothing (zero instructions or intervals), sizes above
+    /// [`MAX_JOB_INSTS`], [`MAX_JOB_INTERVALS`] or [`MAX_EXPERIMENT_INSTS`],
+    /// and fault plans the server cannot apply: an `"inject"` on an
+    /// experiment job, or a `corrupt@IDX` directive (only the CLI's `sample`
+    /// experiment corrupts journals).
     pub fn parse(body: &str) -> Result<JobRequest, String> {
         let v = Json::parse(body).map_err(|e| format!("bad JSON: {e}"))?;
         let quick = v.get("quick").and_then(Json::as_bool).unwrap_or(false);
         let retries = v
             .get("retries")
             .and_then(Json::as_u64)
-            .map_or(3, |r| u32::try_from(r.clamp(1, 100)).expect("clamped"));
+            .map_or(DEFAULT_ATTEMPTS, |r| {
+                u32::try_from(r.clamp(1, 100)).expect("clamped")
+            });
 
         if let Some(name) = v.get("experiment") {
+            if v.get("inject").is_some() {
+                return Err("\"inject\" applies to point jobs only".into());
+            }
             let name = name.as_str().ok_or("\"experiment\" must be a string")?;
             let experiment = Experiment::from_name(name)
                 .ok_or_else(|| format!("unknown experiment `{name}`"))?;
@@ -281,10 +291,13 @@ impl JobRequest {
             .get("inject")
             .map(|f| -> Result<FaultPlan, String> {
                 let spec = f.as_str().ok_or("\"inject\" must be a string")?;
-                FaultPlan::parse(spec).map_err(|e| format!("bad fault plan: {e}"))
+                FaultPlan::parse(spec).map_err(|e| format!("bad \"inject\" fault plan: {e}"))
             })
             .transpose()?
             .unwrap_or_default();
+        if !faults.corrupted_records().is_empty() {
+            return Err("\"inject\" cannot corrupt journal records in a point job".into());
+        }
 
         Ok(JobRequest {
             kind: JobKind::Point {
@@ -327,10 +340,6 @@ pub struct JobShared {
     pub summary: Option<JobSummary>,
     /// Failure detail for `failed` (and degraded detail for `partial`).
     pub error: Option<String>,
-    /// Interval indices already streamed (a retry policy with a deadline can
-    /// emit one interval twice; see
-    /// [`ltp_experiments::sampled::ProgressSink`]).
-    seen: std::collections::HashSet<usize>,
     /// Bumped by every update, so a waiter can tell whether anything
     /// changed since it last looked (see [`Job::wait_update`]).
     generation: u64,
@@ -359,7 +368,6 @@ impl Job {
                 intervals: Vec::new(),
                 summary: None,
                 error: None,
-                seen: std::collections::HashSet::new(),
                 generation: 0,
             }),
             changed: Condvar::new(),
@@ -819,31 +827,18 @@ fn run_job(registry: &Arc<Registry>, job: &Arc<Job>, kind: JobKind) {
     }
 }
 
-/// A progress sink that appends to the job's interval list (deduplicated by
-/// index) and flips `Warming → Sampling` on the first measurement.
+/// A progress sink that appends to the job's interval list and flips
+/// `Warming → Sampling` on the first measurement.
 fn progress_sink(job: &Arc<Job>) -> ltp_experiments::sampled::ProgressSink {
     let job = Arc::clone(job);
     Arc::new(move |m: &IntervalMeasurement| {
         job.update(|s| {
-            if s.seen.insert(m.index) {
-                s.intervals.push(m.clone());
-                if s.state == JobState::Warming {
-                    s.state = JobState::Sampling;
-                }
+            s.intervals.push(m.clone());
+            if s.state == JobState::Warming {
+                s.state = JobState::Sampling;
             }
         });
     })
-}
-
-fn service_retry(retries: u32) -> RetryPolicy {
-    RetryPolicy {
-        max_attempts: retries.max(1),
-        base_backoff: Duration::from_millis(10),
-        // No per-attempt deadline: an interval queued behind other jobs'
-        // permits would trip a wall-clock deadline through no fault of its
-        // own, and the simulator's deadlock watchdog already bounds hangs.
-        deadline: None,
-    }
 }
 
 fn open_cache(registry: &Registry) -> Option<Arc<CheckpointCache>> {
@@ -884,7 +879,7 @@ fn run_point_job(
     let cache = open_cache(registry);
 
     let mut request = SampledRequest::new(cfg, workload, spec).control(SampleControl {
-        retry: service_retry(retries),
+        attempts: retries,
         faults,
         journal: registry
             .journal_dir
@@ -966,12 +961,12 @@ fn run_experiment_job(
     opts: &RunOptions,
     retries: u32,
 ) {
-    // The sample controls reach only the `sample` experiment, which streams
-    // intervals, journals per point and honours cancellation; the figure
-    // experiments run opaquely. Every experiment shares the cache.
+    // The sample controls and the cache reach only the `sample` experiment,
+    // which streams intervals, journals per point and honours cancellation;
+    // the figure experiments run opaquely.
     let cache = open_cache(registry);
     let mut ctx = ExperimentCtx::new(opts).with_cache(cache.as_ref());
-    ctx.sample.retry = service_retry(retries);
+    ctx.sample.attempts = retries;
     ctx.sample.progress = Some(progress_sink(job));
     ctx.sample.cancel = Some(Arc::clone(&job.cancel));
     ctx.sample.governor = Some(Arc::clone(&registry.governor));

@@ -10,25 +10,28 @@
 //!
 //! EXPERIMENT: all | table1 | fig1 | fig2 | fig6 | fig7 | fig10 | fig11 | uit
 //!           | ablation | fig_smt | sample
+//! SPEC:       DIRECTIVE[,DIRECTIVE...], DIRECTIVE = panic@IDX.ATT | corrupt@IDX
 //! ```
 //!
 //! Reports are printed to stdout and written to `<out>/<experiment>.txt`
 //! (default `results/`). Run with `--release`; the debug build is an order of
 //! magnitude slower.
 //!
-//! `--cache DIR` opens a content-addressed checkpoint cache shared by every
-//! experiment of the invocation (and by later invocations pointing at the
-//! same directory): sweeps serve their cache-warming from it and the sampled
-//! runner its functional fast-forward warm states, so repeated runs pay each
-//! functional warm-up once per distinct (trace, warm configuration). The
-//! reports gain a cache-stats line when it is active.
+//! `--cache DIR` opens a content-addressed checkpoint cache for the `sample`
+//! experiment (shared with later invocations pointing at the same
+//! directory): its points serve their functional fast-forward warm states
+//! from it, so repeated runs pay each functional pass once per distinct
+//! (trace, warm configuration). The `sample` report gains a cache-stats line
+//! when it is active; the other experiments do not use the cache.
 //!
 //! The fault-tolerance flags apply to the `sample` experiment: `--journal DIR`
-//! appends completed intervals to per-point journals under `DIR`, `--resume
-//! DIR` replays matching journals (and implies journaling to the same
-//! directory), `--retries N` bounds attempts per interval, and `--inject
-//! SPEC` injects a deterministic fault plan — see
-//! `ltp_experiments::fault::FaultPlan::parse` for the grammar.
+//! appends each completed interval's measurement to per-point journals under
+//! `DIR`, `--resume DIR` replays matching journals (and implies journaling to
+//! the same directory), `--retries N` is the number of attempts per interval
+//! (default 3), and `--inject SPEC` injects a deterministic fault plan: a
+//! comma-separated list of `panic@IDX.ATT` (panic attempt `ATT` of interval
+//! `IDX`) and `corrupt@IDX` (corrupt journal record `IDX` after the point
+//! ran) directives.
 //!
 //! `serve` starts the `ltp-service` HTTP job server on `--bind` (default
 //! `127.0.0.1:8080`) and runs until killed. `--workers N` sizes the
@@ -97,7 +100,8 @@ const USAGE: &str = "usage: experiments \
 [--quick] [--insts N] [--seed S] [--out DIR] [--cache DIR] \
 [--journal DIR] [--resume DIR] [--inject SPEC] [--retries N]\n\
        experiments serve [--bind ADDR] [--workers N] [--max-jobs N] \
-[--cache DIR] [--journal DIR] [--resume DIR] [--allow-fault-injection]";
+[--cache DIR] [--journal DIR] [--resume DIR] [--allow-fault-injection]\n\
+SPEC: comma-separated panic@IDX.ATT and corrupt@IDX directives";
 
 /// A parsed report invocation.
 #[derive(Debug)]
@@ -253,7 +257,7 @@ fn run() -> Result<ExitCode, CliError> {
     ctx.sample.resume = inv.resume;
     ctx.sample.faults = inv.faults;
     if let Some(n) = inv.retries {
-        ctx.sample.retry.max_attempts = n.max(1);
+        ctx.sample.attempts = n;
     }
 
     let (mut partial_points, mut error_points) = (0usize, 0usize);

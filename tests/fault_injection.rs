@@ -6,7 +6,6 @@
 //! - a panicking worker attempt is isolated and retried, losing at most that
 //!   one attempt, and the recovered run aggregates **bit-identically** to a
 //!   fault-free one;
-//! - a deadline-busting attempt is retried the same way;
 //! - exhausted retries degrade the run to a clearly flagged *partial* result
 //!   with a widened confidence interval instead of failing it;
 //! - a deterministic simulation error (a detected deadlock) is **not**
@@ -14,24 +13,23 @@
 //!   [`DeadlockSnapshot`] diagnostics;
 //! - a journaled run that dies mid-way resumes from the journal and
 //!   reproduces the uninterrupted result exactly, including when the journal
-//!   tail was corrupted or truncated by the crash.
+//!   tail was corrupted or truncated by the crash, and when its records
+//!   carry checkpoint bytes, as journals of earlier versions did.
 //!
 //! The simulator is deterministic, so "recovered correctly" is assertable as
 //! bit-for-bit equality of every per-interval measurement and of the
 //! aggregate confidence interval.
 
 use ltp_experiments::fault::FaultPlan;
-use ltp_experiments::parallel::{FailureKind, RetryPolicy};
 use ltp_experiments::sampled::{
     IntervalError, IntervalMeasurement, SampleControl, SampleSpec, SampledRequest, SampledResult,
 };
 use ltp_experiments::{journal, Experiment, ExperimentCtx};
 use ltp_isa::{DecodedTrace, DynInst};
-use ltp_pipeline::{PipelineConfig, RunError};
+use ltp_pipeline::{FunctionalFastForward, PipelineConfig, RunError};
 use ltp_workloads::{trace, WorkloadKind};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// A cheap but multi-interval spec (the suite runs a dozen sampled runs).
 fn spec() -> SampleSpec {
@@ -72,16 +70,6 @@ fn reference() -> SampledResult {
     run_controlled(&SampleControl::default())
 }
 
-/// Retry policy used by the recovery tests: generous attempts, no backoff
-/// (keeps the suite fast), no deadline.
-fn retrying() -> RetryPolicy {
-    RetryPolicy {
-        max_attempts: 3,
-        base_backoff: Duration::ZERO,
-        deadline: None,
-    }
-}
-
 /// Asserts two sampled results carry bit-identical measurements and
 /// aggregates (timing is wall-clock and legitimately differs).
 fn assert_bit_identical(a: &SampledResult, b: &SampledResult, what: &str) {
@@ -115,10 +103,6 @@ fn assert_bit_identical(a: &SampledResult, b: &SampledResult, what: &str) {
     );
     assert_eq!(a.ipc.n, b.ipc.n, "{what}: sample count");
     assert_eq!(a.detailed_insts, b.detailed_insts, "{what}: detailed insts");
-    assert_eq!(
-        a.checkpoint_bytes, b.checkpoint_bytes,
-        "{what}: checkpoint bytes"
-    );
 }
 
 /// A unique scratch journal path per test (the suite runs tests in
@@ -133,10 +117,7 @@ fn injected_panic_is_isolated_and_retried() {
     // the scope, must cost exactly that one attempt, and the retried run
     // must match the fault-free reference bit for bit.
     let r = run_controlled(&SampleControl {
-        retry: RetryPolicy {
-            max_attempts: 2,
-            ..retrying()
-        },
+        attempts: 2,
         faults: FaultPlan::new().panic_at(2, 0),
         ..SampleControl::default()
     });
@@ -153,34 +134,12 @@ fn all_but_one_interval_panicking_still_recovers_bit_identically() {
         plan = plan.panic_at(i, 0);
     }
     let r = run_controlled(&SampleControl {
-        retry: retrying(),
+        attempts: 3,
         faults: plan,
         ..SampleControl::default()
     });
     assert!(!r.is_partial());
     assert_bit_identical(&r, &reference(), "N-1 panics");
-}
-
-#[test]
-fn deadline_overrun_is_retried() {
-    // Attempt 0 of interval 1 is delayed well past the per-attempt deadline;
-    // the overrun attempt is discarded and the retry (which is not delayed)
-    // succeeds with the same deterministic measurement. Injected delays run
-    // on an injected clock, so the outcome does not depend on host speed.
-    let r = run_controlled(&SampleControl {
-        retry: RetryPolicy {
-            max_attempts: 2,
-            base_backoff: Duration::ZERO,
-            deadline: Some(Duration::from_millis(40)),
-        },
-        faults: FaultPlan::new().delay_at(1, 0, 250),
-        ..SampleControl::default()
-    });
-    assert!(
-        !r.is_partial(),
-        "deadline overrun within budget must recover"
-    );
-    assert_bit_identical(&r, &reference(), "deadline-retried run");
 }
 
 #[test]
@@ -190,10 +149,7 @@ fn exhausted_retries_degrade_to_partial_with_widened_ci() {
     // accounted for, and the CI widened exactly per the stats contract.
     let reference = reference();
     let r = run_controlled(&SampleControl {
-        retry: RetryPolicy {
-            max_attempts: 2,
-            ..retrying()
-        },
+        attempts: 2,
         faults: FaultPlan::new().panic_at(2, 0).panic_at(2, 1),
         ..SampleControl::default()
     });
@@ -203,12 +159,11 @@ fn exhausted_retries_degrade_to_partial_with_widened_ci() {
     assert_eq!(f.index, 2);
     assert_eq!(f.attempts, 2, "both allowed attempts were consumed");
     match &f.error {
-        IntervalError::Task(t) => match &t.failure {
-            FailureKind::Panic(msg) => {
-                assert!(msg.contains("injected fault"), "panic message: {msg}")
-            }
-            other => panic!("expected a panic failure, got {other}"),
-        },
+        IntervalError::Task(t) => assert!(
+            t.message.contains("injected fault"),
+            "panic message: {}",
+            t.message
+        ),
         other => panic!("expected a task failure, got {other}"),
     }
     // The surviving intervals are the reference's, minus the lost one.
@@ -242,7 +197,7 @@ fn deadlock_surfaces_as_interval_failure_with_snapshot() {
         .trace(&detail)
         .decoded(&dec)
         .control(SampleControl {
-            retry: retrying(),
+            attempts: 3,
             ..SampleControl::default()
         })
         .run()
@@ -281,6 +236,67 @@ fn journaled_fault_free_run_is_unchanged_and_replayable() {
     });
     assert_eq!(resumed.resumed_intervals, spec().intervals);
     assert_bit_identical(&resumed, &reference(), "fully replayed run");
+    let _ = std::fs::remove_file(path);
+}
+
+/// A journal holds measurements only: a fresh run writes one record per
+/// interval, none carrying checkpoint bytes.
+#[test]
+fn journal_records_carry_no_checkpoint_bytes() {
+    let path = scratch_journal("no-bytes");
+    let journaled = run_controlled(&SampleControl {
+        journal: Some(path.clone()),
+        ..SampleControl::default()
+    });
+    assert!(journaled.journal_error.is_none());
+    let loaded = journal::load_journal(&path).expect("journal written");
+    assert_eq!(loaded.records.len(), spec().intervals);
+    assert!(loaded.records.iter().all(|r| r.snapshot.is_empty()));
+    let _ = std::fs::remove_file(path);
+}
+
+/// Journals of the same format version written with each interval's
+/// encoded checkpoint in its record still resume: the bytes are skipped,
+/// the measurements replay, and the missing interval simulates, bit for bit
+/// as a fresh run.
+#[test]
+fn a_journal_with_checkpoint_bytes_resumes_bit_identically() {
+    let (kind, _, dec) = workload();
+    let cfg = PipelineConfig::ltp_proposed();
+    let reference = reference();
+    // The records such a journal holds: every interval's measurement and
+    // the encoded checkpoint at its start, for all but the last interval.
+    let mut ff = FunctionalFastForward::new(cfg);
+    ff.warm_caches(&trace(kind, spec().seed, spec().warm_insts as usize));
+    let mut records = Vec::new();
+    for m in &reference.intervals[..spec().intervals - 1] {
+        ff.advance_on(&dec, m.start);
+        records.push(journal::JournalRecord {
+            index: m.index as u64,
+            start: m.start,
+            weight: m.weight,
+            instructions: m.instructions,
+            cycles: m.cycles,
+            snapshot: ff.checkpoint().expect("checkpoint").to_bytes(),
+        });
+    }
+    let path = scratch_journal("with-bytes");
+    let header = journal::JournalHeader::for_run(&spec(), kind.name(), "", &cfg);
+    let mut w = journal::JournalWriter::create(&path, &header).expect("create journal");
+    for rec in &records {
+        assert!(!rec.snapshot.is_empty());
+        w.append(rec).expect("append");
+    }
+    drop(w);
+
+    let resumed = run_controlled(&SampleControl {
+        journal: Some(path.clone()),
+        resume: true,
+        ..SampleControl::default()
+    });
+    assert_eq!(resumed.resumed_intervals, spec().intervals - 1);
+    assert!(!resumed.is_partial());
+    assert_bit_identical(&resumed, &reference, "resume over checkpoint bytes");
     let _ = std::fs::remove_file(path);
 }
 
@@ -332,7 +348,7 @@ fn crash_and_resume_matches_uninterrupted_run() {
     // must be bit-identical to a run that never crashed.
     let path = scratch_journal("resume");
     let crashed = run_controlled(&SampleControl {
-        retry: RetryPolicy::none(),
+        attempts: 1,
         faults: FaultPlan::new().panic_at(1, 0),
         journal: Some(path.clone()),
         ..SampleControl::default()
@@ -472,7 +488,7 @@ fn experiment_report_flags_partial_points_and_keeps_digest_deterministic() {
     assert_eq!(degraded_points(&clean_report), (0, 0));
     assert!(!clean_report.render_text().contains("DEGRADED RUN"));
 
-    // One injected panic, recovered by the default retry policy: same
+    // One injected panic, recovered by the default attempt count: same
     // digest, clean status.
     let recovered_report = run(FaultPlan::new().panic_at(0, 0));
     assert_eq!(degraded_points(&recovered_report), (0, 0));

@@ -337,6 +337,35 @@ fn injected_worker_panic_degrades_the_job_not_the_server() {
     server.shutdown();
 }
 
+/// Even a server that allows fault injection refuses, with HTTP 400 naming
+/// `inject`, a plan it cannot apply: any plan on an experiment job, a
+/// journal corruption in a point job, and a `delay@` directive, which is not
+/// a fault directive.
+#[test]
+fn fault_plans_the_server_cannot_apply_are_refused() {
+    let mut server = Server::start(&ServiceConfig {
+        allow_fault_injection: true,
+        ..ServiceConfig::default()
+    })
+    .expect("server");
+    let addr = server.addr();
+    let point = |plan: &str| tiny_job_body().replacen('{', &format!(r#"{{"inject":"{plan}","#), 1);
+    for body in [
+        r#"{"experiment":"sample","quick":true,"inject":"panic@0.0"}"#.to_string(),
+        point("corrupt@1"),
+        point("delay@1.0=80"),
+    ] {
+        let resp = client::request(addr, "POST", "/jobs", Some(&body)).expect("submit");
+        assert_eq!(resp.status, 400, "{body}: {}", resp.text());
+        assert!(
+            resp.text().contains(r#"\"inject\""#),
+            "{body}: {}",
+            resp.text()
+        );
+    }
+    server.shutdown();
+}
+
 /// A server started without `--allow-fault-injection` (the default)
 /// refuses a job that carries a fault plan, names the flag, and still runs
 /// the same job without one.

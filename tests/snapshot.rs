@@ -8,13 +8,14 @@
 //! transitively pin checkpoint/restore to the seed simulator's behaviour.
 
 use ltp_core::{ClassifierKind, ClassifierState, LtpConfig, LtpMode, LtpQueue, ParkedInst};
-use ltp_experiments::cache::warm_mem_key;
+use ltp_experiments::cache::{
+    sampled_warm_key, CachedInterval, IntervalGeometry, SampledWarmEntry,
+};
 use ltp_experiments::journal::{load_journal, JournalHeader, JournalRecord, JournalWriter};
 use ltp_experiments::runner::{limit_study_config, RunOptions};
 use ltp_experiments::sampled::SampleSpec;
 use ltp_experiments::{CheckpointCache, SimBuilder};
-use ltp_mem::{AccessKind, MemoryConfig, MemoryHierarchy, MemoryRequest};
-use ltp_pipeline::{PipelineConfig, RunResult, Snapshot};
+use ltp_pipeline::{FunctionalFastForward, PipelineConfig, RunResult, Snapshot};
 use ltp_snapshot::framed::{read_framed, FileKind, FramedWriter};
 use ltp_snapshot::{encode_value, Codec, Reader, SnapError};
 use ltp_workloads::{replay_slice, WorkloadKind};
@@ -518,23 +519,48 @@ fn check_journal_load(bytes: &[u8], name: &str) {
     }
 }
 
-/// A cache directory holding one warmed-memory entry, its key and its
-/// path.
+/// A sampled warm entry of one interval, at the start of a trace whose
+/// caches were warmed, and its key.
+fn sampled_warm_entry() -> &'static (u64, SampledWarmEntry) {
+    use std::sync::OnceLock;
+    static ENTRY: OnceLock<(u64, SampledWarmEntry)> = OnceLock::new();
+    ENTRY.get_or_init(|| {
+        let cfg = PipelineConfig::micro2015_baseline();
+        let mut ff = FunctionalFastForward::new(cfg);
+        ff.warm_caches(&ltp_workloads::trace(
+            WorkloadKind::IndirectStream,
+            1,
+            1_000,
+        ));
+        let state = ff.warm_state().expect("warm state");
+        let geometry = IntervalGeometry {
+            total_insts: 6_000,
+            intervals: 1,
+            detail_warm: 500,
+            detail_measure: 1_000,
+            seed: 1,
+            warm_insts: 1_000,
+        };
+        let key = sampled_warm_key("indirect_stream", 1, &cfg.warmup_config(), &geometry);
+        let entry = SampledWarmEntry {
+            intervals: vec![CachedInterval {
+                start: 0,
+                weight: 0,
+                state,
+            }],
+        };
+        (key, entry)
+    })
+}
+
+/// A cache directory holding one sampled warm entry, its key and its path.
 fn cache_with_entry(tag: &str) -> (CheckpointCache, u64, std::path::PathBuf) {
     let dir = scratch(&format!("cache-{tag}"));
     let _ = std::fs::remove_dir_all(&dir);
     let cache = CheckpointCache::open(&dir).expect("open cache");
-    let warm = PipelineConfig::micro2015_baseline().warmup_config();
-    let key = warm_mem_key("indirect_stream", 1, 1_000, &warm);
-    let mut mem = MemoryHierarchy::new(MemoryConfig::micro2015_baseline());
-    for i in 0..64u64 {
-        mem.warm(&MemoryRequest::new(
-            ltp_isa::Pc(0x1000 + i * 4),
-            i * 4_160,
-            AccessKind::Load,
-        ));
-    }
-    cache.store_warm_mem(key, &mem);
+    let (key, entry) = sampled_warm_entry();
+    let key = *key;
+    cache.store_sampled_warm(key, entry);
     let path = std::fs::read_dir(&dir)
         .expect("cache dir")
         .flatten()
@@ -544,7 +570,7 @@ fn cache_with_entry(tag: &str) -> (CheckpointCache, u64, std::path::PathBuf) {
     (cache, key, path)
 }
 
-/// The bytes of a valid warmed-memory cache entry.
+/// The bytes of a valid sampled warm cache entry.
 fn valid_cache_entry() -> &'static [u8] {
     use std::sync::OnceLock;
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
@@ -561,7 +587,7 @@ fn valid_cache_entry() -> &'static [u8] {
 fn check_cache_lookup(bytes: &[u8], tag: &str) {
     let (cache, key, path) = cache_with_entry(tag);
     std::fs::write(&path, bytes).expect("write entry");
-    let (hit, peak) = peak_alloc::peak_during(|| cache.load_warm_mem(key).is_some());
+    let (hit, peak) = peak_alloc::peak_during(|| cache.load_sampled_warm(key).is_some());
     let _ = std::fs::remove_dir_all(cache.dir());
     assert!(!hit, "a damaged entry was returned");
     assert_alloc_bounded(peak, bytes.len(), "cache lookup");
