@@ -56,8 +56,8 @@ pub struct ExperimentCtx<'a> {
     pub opts: &'a RunOptions,
     /// Checkpoint cache of the `sample` experiment's functional passes.
     pub cache: Option<&'a std::sync::Arc<CheckpointCache>>,
-    /// Controls applied to every point of the `sample` experiment: attempts,
-    /// faults, resume, progress, cancellation and governor. The experiment
+    /// Controls applied to every point of the `sample` experiment: faults,
+    /// resume, progress, cancellation and governor. The experiment
     /// sets each point's journal, configuration label, cache and trace
     /// fingerprint itself.
     pub sample: sampled::SampleControl,
@@ -69,17 +69,14 @@ pub struct ExperimentCtx<'a> {
 }
 
 impl<'a> ExperimentCtx<'a> {
-    /// A context over `opts` with no checkpoint cache, no journal, and
-    /// [`sampled::DEFAULT_ATTEMPTS`] per interval of the `sample` points.
+    /// A context over `opts` with no checkpoint cache, no journal and
+    /// default `sample` controls.
     #[must_use]
     pub fn new(opts: &'a RunOptions) -> ExperimentCtx<'a> {
         ExperimentCtx {
             opts,
             cache: None,
-            sample: sampled::SampleControl {
-                attempts: sampled::DEFAULT_ATTEMPTS,
-                ..sampled::SampleControl::default()
-            },
+            sample: sampled::SampleControl::default(),
             journal_dir: None,
             points: std::sync::Arc::default(),
         }

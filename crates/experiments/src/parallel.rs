@@ -8,8 +8,7 @@
 //! worker that finishes early takes the next job instead of idling behind a
 //! fixed share. [`par_map`] feeds it a list at equal cost, so its items are
 //! claimed in list order. It is fault tolerant: each task runs under
-//! [`catch_unwind`], a panicking attempt is retried up to an attempt count,
-//! and a task whose attempts are exhausted comes back as a structured
+//! [`catch_unwind`], and a task that panics comes back as a structured
 //! [`TaskFailure`] instead of tearing down the whole scope.
 //!
 //! The `LTP_THREADS` environment variable overrides the detected parallelism
@@ -49,7 +48,7 @@ pub fn worker_threads(n: usize) -> usize {
 /// every item has run.
 pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
-    T: Send + Sync,
+    T: Send,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
@@ -59,12 +58,9 @@ where
             queue.push(0, item);
         }
     };
-    stream_map_lpt(n, 1, produce, |item, _| f(item))
+    stream_map_lpt(n, produce, |item| f(&item))
         .into_iter()
-        .map(|outcome| match outcome {
-            TaskOutcome::Done { value, .. } => value,
-            TaskOutcome::Failed(failure) => panic!("{failure}"),
-        })
+        .map(|outcome| outcome.unwrap_or_else(|failure| panic!("{failure}")))
         .collect()
 }
 
@@ -106,10 +102,8 @@ struct StreamShared<T> {
 
 #[derive(Debug)]
 struct StreamState<T> {
-    /// Jobs pushed but not yet claimed: `(push index, cost, attempt, item)`.
-    /// Producer pushes always carry attempt 0; failed attempts are
-    /// re-enqueued with the attempt count bumped.
-    pending: Vec<(usize, u64, u32, T)>,
+    /// Jobs pushed but not yet claimed: `(push index, cost, item)`.
+    pending: Vec<(usize, u64, T)>,
     /// Set when the producer finishes (or either side unwinds): workers
     /// drain `pending` and exit, pushes become no-ops.
     closed: bool,
@@ -131,37 +125,27 @@ impl<T> StreamQueue<'_, T> {
         }
         let idx = st.pushed;
         st.pushed += 1;
-        st.pending.push((idx, cost, 0, item));
+        st.pending.push((idx, cost, item));
         drop(st);
         self.shared.not_empty.notify_one();
     }
 }
 
-/// Re-enqueues a failed job for another attempt. Bypasses the capacity bound
-/// (the job was already admitted once; blocking here could wedge the last
-/// live worker) and ignores `closed` — closed only means the producer is
-/// done, and workers drain every pending retry before exiting.
-fn push_retry<T>(shared: &StreamShared<T>, idx: usize, cost: u64, attempt: u32, item: T) {
-    let mut st = lock_recover(&shared.state);
-    st.pending.push((idx, cost, attempt, item));
-    drop(st);
-    shared.not_empty.notify_one();
-}
-
 /// Claims the heaviest pending job, ties to the earliest pushed (online LPT),
 /// blocking while the queue is empty but still open. Returns `None` once the
 /// stream is closed and fully drained.
-fn claim_heaviest<T>(shared: &StreamShared<T>) -> Option<(usize, u64, u32, T)> {
+fn claim_heaviest<T>(shared: &StreamShared<T>) -> Option<(usize, T)> {
     let mut st = lock_recover(&shared.state);
     loop {
         let best = st
             .pending
             .iter()
             .enumerate()
-            .max_by_key(|(_, (idx, cost, _, _))| (*cost, std::cmp::Reverse(*idx)))
+            .max_by_key(|(_, (idx, cost, _))| (*cost, std::cmp::Reverse(*idx)))
             .map(|(pos, _)| pos);
         if let Some(pos) = best {
-            return Some(st.pending.swap_remove(pos));
+            let (idx, _, item) = st.pending.swap_remove(pos);
+            return Some((idx, item));
         }
         if st.closed {
             return None;
@@ -185,74 +169,22 @@ impl<T> Drop for StreamCloseGuard<'_, T> {
     }
 }
 
-/// A task abandoned after every attempt it was allowed panicked.
+/// A task that panicked.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskFailure {
     /// Push index of the failed task.
     pub index: usize,
-    /// Attempts consumed (the effective attempt count).
-    pub attempts: u32,
-    /// The panic message of the final attempt (see [`panic_message`]).
+    /// The panic message (see [`panic_message`]).
     pub message: String,
 }
 
 impl std::fmt::Display for TaskFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "task {} failed after {} attempt{}: panicked: {}",
-            self.index,
-            self.attempts,
-            if self.attempts == 1 { "" } else { "s" },
-            self.message
-        )
+        write!(f, "task {} panicked: {}", self.index, self.message)
     }
 }
 
 impl std::error::Error for TaskFailure {}
-
-/// The outcome of one fault-isolated task.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TaskOutcome<R> {
-    /// The task produced a value, possibly after retries.
-    Done {
-        /// The value the task closure returned.
-        value: R,
-        /// Attempts consumed, including the successful one.
-        attempts: u32,
-    },
-    /// Every permitted attempt failed.
-    Failed(TaskFailure),
-}
-
-impl<R> TaskOutcome<R> {
-    /// The computed value, if the task succeeded.
-    #[must_use]
-    pub fn value(&self) -> Option<&R> {
-        match self {
-            TaskOutcome::Done { value, .. } => Some(value),
-            TaskOutcome::Failed(_) => None,
-        }
-    }
-
-    /// The failure record, if the task was abandoned.
-    #[must_use]
-    pub fn failure(&self) -> Option<&TaskFailure> {
-        match self {
-            TaskOutcome::Done { .. } => None,
-            TaskOutcome::Failed(fail) => Some(fail),
-        }
-    }
-
-    /// Attempts this task consumed, whether it succeeded or not.
-    #[must_use]
-    pub fn attempts(&self) -> u32 {
-        match self {
-            TaskOutcome::Done { attempts, .. } => *attempts,
-            TaskOutcome::Failed(fail) => fail.attempts,
-        }
-    }
-}
 
 /// Best-effort extraction of a panic payload's message: the payload of
 /// `panic!` with a literal or a format string, else "non-string panic
@@ -278,33 +210,24 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// overlaps the parallel consumption phase, and the bounded queue (twice the
 /// worker count) caps how many jobs exist at once.
 ///
-/// Every task attempt runs under
-/// [`catch_unwind`](std::panic::catch_unwind), so one panicking job reports
-/// a structured failure instead of tearing down the scope. A panicked
-/// attempt is re-enqueued at once, with its attempt count bumped, so
-/// *another* worker can pick it up; a task whose `attempts` (clamped to at
-/// least 1) all panic comes back as [`TaskOutcome::Failed`].
+/// Every task runs under [`catch_unwind`](std::panic::catch_unwind), so
+/// one panicking job comes back as a [`TaskFailure`] instead of tearing
+/// down the scope, and the worker goes on to claim the next job.
 ///
 /// `expected_jobs` sizes the worker pool ([`worker_threads`]); it is a hint,
-/// not a limit — the producer may push any number of jobs. The task closure
-/// receives the job by reference plus the zero-based attempt number (a
-/// panicking attempt must not consume the job — it is needed again for the
-/// retry). Results come back in push order. A worker that claims the last
-/// pending job stays alive across its own retries, so progress is guaranteed
-/// even after its peers have drained out.
+/// not a limit — the producer may push any number of jobs. Each job moves
+/// into its task, and results come back in push order.
 pub fn stream_map_lpt<T, R, P, F>(
     expected_jobs: usize,
-    attempts: u32,
     produce: P,
     f: F,
-) -> Vec<TaskOutcome<R>>
+) -> Vec<Result<R, TaskFailure>>
 where
     T: Send,
     R: Send,
     P: FnOnce(&StreamQueue<'_, T>),
-    F: Fn(&T, u32) -> R + Sync,
+    F: Fn(T) -> R + Sync,
 {
-    let max_attempts = attempts.max(1);
     let workers = worker_threads(expected_jobs.max(1));
     let shared = StreamShared {
         state: std::sync::Mutex::new(StreamState {
@@ -316,39 +239,22 @@ where
         not_full: std::sync::Condvar::new(),
     };
 
-    let mut results: Vec<(usize, TaskOutcome<R>)> = std::thread::scope(|scope| {
+    let mut results: Vec<(usize, Result<R, TaskFailure>)> = std::thread::scope(|scope| {
         let shared_ref = &shared;
         let f_ref = &f;
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(move || {
-                    let mut out: Vec<(usize, TaskOutcome<R>)> = Vec::new();
-                    while let Some((idx, cost, attempt, item)) = claim_heaviest(shared_ref) {
+                    let mut out = Vec::new();
+                    while let Some((idx, item)) = claim_heaviest(shared_ref) {
                         shared_ref.not_full.notify_one();
-                        let attempt_result =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                f_ref(&item, attempt)
-                            }));
-                        match attempt_result {
-                            Ok(value) => out.push((
-                                idx,
-                                TaskOutcome::Done {
-                                    value,
-                                    attempts: attempt + 1,
-                                },
-                            )),
-                            Err(_) if attempt + 1 < max_attempts => {
-                                push_retry(shared_ref, idx, cost, attempt + 1, item);
-                            }
-                            Err(payload) => out.push((
-                                idx,
-                                TaskOutcome::Failed(TaskFailure {
+                        let outcome =
+                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f_ref(item)))
+                                .map_err(|payload| TaskFailure {
                                     index: idx,
-                                    attempts: attempt + 1,
                                     message: panic_message(payload.as_ref()),
-                                }),
-                            )),
-                        }
+                                });
+                        out.push((idx, outcome));
                     }
                     out
                 })
@@ -532,7 +438,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "task 3 failed after 1 attempt: panicked: item 3 fails")]
+    #[should_panic(expected = "task 3 panicked: item 3 fails")]
     fn par_map_panics_with_the_task_failure() {
         let _ = par_map((0..8u64).collect(), |&x| {
             assert!(x != 3, "item {x} fails");
@@ -557,12 +463,10 @@ mod tests {
     /// Streams `items` (cost 1 each) through [`stream_map_lpt`].
     fn stream_items<R: Send>(
         items: Vec<u64>,
-        attempts: u32,
-        f: impl Fn(&u64, u32) -> R + Sync,
-    ) -> Vec<TaskOutcome<R>> {
+        f: impl Fn(u64) -> R + Sync,
+    ) -> Vec<Result<R, TaskFailure>> {
         stream_map_lpt(
             items.len(),
-            attempts,
             |q| {
                 for x in items {
                     q.push(1, x);
@@ -573,9 +477,9 @@ mod tests {
     }
 
     /// The values of outcomes that must all have succeeded.
-    fn values<R: Clone>(out: &[TaskOutcome<R>]) -> Vec<R> {
+    fn values<R: Clone>(out: &[Result<R, TaskFailure>]) -> Vec<R> {
         out.iter()
-            .map(|o| o.value().expect("task succeeded").clone())
+            .map(|o| o.clone().expect("task succeeded"))
             .collect()
     }
 
@@ -583,13 +487,12 @@ mod tests {
     fn stream_map_preserves_push_order() {
         let out = stream_map_lpt(
             97,
-            1,
             |q| {
                 for i in 0..97u64 {
                     q.push(i % 7 + 1, i);
                 }
             },
-            |&x, _| x * 3,
+            |x| x * 3,
         );
         assert_eq!(out.len(), 97);
         for (i, v) in values(&out).iter().enumerate() {
@@ -599,7 +502,7 @@ mod tests {
 
     #[test]
     fn stream_map_empty_producer() {
-        let out: Vec<TaskOutcome<u64>> = stream_map_lpt(0, 1, |_q| {}, |&x: &u64, _| x);
+        let out = stream_map_lpt(0, |_q| {}, |x: u64| x);
         assert!(out.is_empty());
     }
 
@@ -608,7 +511,7 @@ mod tests {
         // Push far more jobs than the bounded queue holds while workers are
         // artificially slowed: every job must still come back, in order.
         let n = 500u64;
-        let out = stream_items((0..n).collect(), 1, |&x, _| {
+        let out = stream_items((0..n).collect(), |x| {
             if x % 50 == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
@@ -623,14 +526,13 @@ mod tests {
         // they arrive rather than after production completes.
         let out = stream_map_lpt(
             8,
-            1,
             |q| {
                 for i in 0..8u64 {
                     std::thread::sleep(std::time::Duration::from_millis(1));
                     q.push(8 - i, i);
                 }
             },
-            |&x, _| x + 100,
+            |x| x + 100,
         );
         assert_eq!(values(&out), (100..108).collect::<Vec<u64>>());
     }
@@ -657,13 +559,12 @@ mod tests {
         for weight in weights {
             let out = stream_map_lpt(
                 97,
-                1,
                 |q| {
                     for i in 0..97u64 {
                         q.push(weight(i), i);
                     }
                 },
-                |&x, _| x * 3,
+                |x| x * 3,
             );
             let expected: Vec<u64> = (0..97).map(|i| i * 3).collect();
             assert_eq!(values(&out), expected);
@@ -674,107 +575,64 @@ mod tests {
     fn stream_map_matches_par_map_lpt_results() {
         // The streaming distributor is a drop-in for the batch `par_map` the
         // two-phase reference runs on: identical inputs give identical
-        // ordered values, one attempt each.
+        // ordered values.
         let items: Vec<u64> = (0..64).map(|i| (i * 37) % 19).collect();
         let plain = par_map(items.clone(), |&x| x * x);
         let ft = stream_map_lpt(
             items.len(),
-            1,
             |q| {
                 for &x in &items {
                     q.push(x + 1, x);
                 }
             },
-            |&x, _| x * x,
+            |x| x * x,
         );
-        assert_eq!(ft.len(), plain.len());
-        for (out, expect) in ft.iter().zip(plain) {
-            assert_eq!(out.value(), Some(&expect));
-            assert_eq!(out.attempts(), 1);
-        }
+        assert_eq!(values(&ft), plain);
     }
 
-    #[test]
-    fn ft_matches_plain_when_fault_free() {
-        // When nothing fails, three allowed attempts give the values of a
-        // single attempt, and use one attempt per task.
-        let items: Vec<u64> = (0..64).map(|i| (i * 37) % 19).collect();
-        let plain = values(&stream_items(items.clone(), 1, |&x, _| x * x));
-        let ft = stream_items(items, 3, |&x, _| x * x);
-        assert_eq!(ft.len(), plain.len());
-        for (out, expect) in ft.iter().zip(plain) {
-            assert_eq!(out.value(), Some(&expect));
-            assert_eq!(out.attempts(), 1);
-        }
-    }
-
-    #[test]
-    fn ft_panicking_task_retries_and_succeeds() {
-        let out = stream_items((0..40).collect(), 2, |&x, attempt| {
-            if x == 17 && attempt == 0 {
-                panic!("injected fault at item 17");
-            }
-            x * 2
-        });
-        assert_eq!(out.len(), 40);
-        for (i, o) in out.iter().enumerate() {
-            assert_eq!(o.value(), Some(&(i as u64 * 2)), "item {i}");
-            let expected_attempts = if i == 17 { 2 } else { 1 };
-            assert_eq!(o.attempts(), expected_attempts, "item {i}");
-        }
-    }
-
+    /// A panicking task comes back as a failure carrying its push index and
+    /// panic message; every other task still completes.
     #[test]
     fn ft_exhausted_retries_report_structured_failure() {
-        let out = stream_items((0..8u64).collect(), 3, |&x, _| {
+        let out = stream_items((0..8u64).collect(), |x| {
             if x == 3 {
                 panic!("item {x} always fails");
             }
             x
         });
-        let fail = out[3].failure().expect("item 3 must fail");
+        let fail = out[3].as_ref().expect_err("item 3 must fail");
         assert_eq!(fail.index, 3);
-        assert_eq!(fail.attempts, 3);
-        assert!(
-            fail.message.contains("always fails"),
-            "got {:?}",
-            fail.message
-        );
-        assert!(fail.to_string().contains("after 3 attempts"));
-        // Every other item still completed on the first attempt.
+        assert_eq!(fail.message, "item 3 always fails");
+        assert_eq!(fail.to_string(), "task 3 panicked: item 3 always fails");
         for (i, o) in out.iter().enumerate() {
             if i != 3 {
-                assert_eq!(o.value(), Some(&(i as u64)));
-                assert_eq!(o.attempts(), 1);
+                assert_eq!(o.as_ref().ok(), Some(&(i as u64)));
             }
         }
     }
 
+    /// `expected_jobs = 1` sizes the pool to exactly one worker: the tasks
+    /// that panic on it must not stop it from running the jobs behind them.
     #[test]
     fn ft_single_worker_survives_its_own_retries() {
-        // expected_jobs = 1 sizes the pool to exactly one worker; the retry
-        // re-enqueue must not deadlock when the failing worker is the only
-        // one left to pick the job back up.
         let out = stream_map_lpt(
             1,
-            2,
             |q| {
                 for i in 0..5u64 {
                     q.push(1, i);
                 }
             },
-            |&x, attempt| {
-                if attempt == 0 && x % 2 == 0 {
-                    panic!("first attempt of even items fails");
-                }
+            |x| {
+                assert!(x % 2 == 1, "even item {x} fails");
                 x * 10
             },
         );
         assert_eq!(out.len(), 5);
         for (i, o) in out.iter().enumerate() {
-            assert_eq!(o.value(), Some(&(i as u64 * 10)));
-            let expected = if i % 2 == 0 { 2 } else { 1 };
-            assert_eq!(o.attempts(), expected, "item {i}");
+            match o {
+                Ok(v) => assert_eq!((i % 2, *v), (1, i as u64 * 10)),
+                Err(fail) => assert_eq!((i % 2, fail.index), (0, i)),
+            }
         }
     }
 

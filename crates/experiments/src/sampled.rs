@@ -45,7 +45,7 @@
 use crate::cache::{sampled_warm_key, CachedInterval, IntervalGeometry, SampledWarmEntry};
 use crate::fault::FaultPlan;
 use crate::journal::{self, JournalHeader, JournalRecord, JournalWriter};
-use crate::parallel::{par_map, stream_map_lpt, LptGovernor, TaskFailure, TaskOutcome};
+use crate::parallel::{par_map, stream_map_lpt, LptGovernor, TaskFailure};
 use crate::report::Report;
 use crate::runner::{limit_study_config, RunOptions};
 use crate::ExperimentCtx;
@@ -167,7 +167,8 @@ impl SampleSpec {
 
 /// Wall-clock breakdown of one sampled run. In the streaming pipeline the
 /// functional pass and the detailed intervals overlap, so the parts can sum
-/// to more than `total_secs` — that surplus *is* the overlap won back.
+/// to more than the run's wall clock — that surplus *is* the overlap won
+/// back.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SampledTiming {
     /// Functional pass on the producer thread: cache warming, fast-forward
@@ -175,14 +176,10 @@ pub struct SampledTiming {
     pub functional_secs: f64,
     /// Detailed interval simulation, summed across workers (CPU seconds).
     pub detail_cpu_secs: f64,
-    /// Per-interval IPC aggregation into the confidence interval.
-    pub aggregate_secs: f64,
     /// Total journaling cost: loading, rewriting and replaying the journal
     /// at setup, and appending each completed interval's record on the
     /// worker that measured it (zero when the run is not journaled).
     pub journal_secs: f64,
-    /// End-to-end wall clock of the sampled run.
-    pub total_secs: f64,
 }
 
 /// One measured sample interval.
@@ -206,11 +203,10 @@ pub struct IntervalMeasurement {
 #[derive(Debug, Clone)]
 pub enum IntervalError {
     /// A deterministic simulation error (e.g. a detected deadlock, with its
-    /// diagnostic snapshot attached). Deterministic errors are *not*
-    /// retried: the same inputs would fail the same way.
+    /// diagnostic snapshot attached).
     Run(RunError),
-    /// The fault-tolerance layer abandoned the interval after every attempt
-    /// it was allowed panicked.
+    /// The interval's simulation panicked. The panic is isolated to the
+    /// interval; when the run is journaled, a resume simulates it again.
     Task(TaskFailure),
     /// The run was cancelled ([`SampleControl::cancel`]) before this interval
     /// was simulated. Cancelled intervals are not errors of the interval
@@ -236,8 +232,6 @@ pub struct IntervalFailure {
     pub index: usize,
     /// Trace position (instructions) of the interval's checkpoint.
     pub start: u64,
-    /// Attempts consumed before giving up.
-    pub attempts: u32,
     /// What went wrong.
     pub error: IntervalError,
 }
@@ -246,12 +240,8 @@ impl std::fmt::Display for IntervalFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "interval {} (at inst {}) lost after {} attempt{}: {}",
-            self.index,
-            self.start,
-            self.attempts,
-            if self.attempts == 1 { "" } else { "s" },
-            self.error
+            "interval {} (at inst {}) lost: {}",
+            self.index, self.start, self.error
         )
     }
 }
@@ -263,17 +253,10 @@ impl std::fmt::Display for IntervalFailure {
 /// flight. Each interval reaches the sink once.
 pub type ProgressSink = Arc<dyn Fn(&IntervalMeasurement) + Send + Sync>;
 
-/// Attempts per interval of the `sample` experiment's points and of the job
-/// server's, unless the caller asks for another count.
-pub const DEFAULT_ATTEMPTS: u32 = 3;
-
 /// Fault-tolerance and persistence controls for one sampled point.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct SampleControl {
-    /// Attempts allowed per interval, the first included (clamped to at
-    /// least 1): a panicked attempt is retried until they run out.
-    pub attempts: u32,
-    /// Deterministic fault plan injected into interval attempts.
+    /// Deterministic fault plan injected into interval simulations.
     pub faults: FaultPlan,
     /// Journal file for this point: completed intervals are appended as they
     /// finish, and `resume` replays them.
@@ -312,27 +295,9 @@ pub struct SampleControl {
     pub governor: Option<Arc<LptGovernor>>,
 }
 
-impl Default for SampleControl {
-    fn default() -> SampleControl {
-        SampleControl {
-            attempts: 1,
-            faults: FaultPlan::new(),
-            journal: None,
-            resume: false,
-            config_label: String::new(),
-            cache: None,
-            trace_fnv: None,
-            progress: None,
-            cancel: None,
-            governor: None,
-        }
-    }
-}
-
 impl std::fmt::Debug for SampleControl {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SampleControl")
-            .field("attempts", &self.attempts)
             .field("faults", &self.faults)
             .field("journal", &self.journal)
             .field("resume", &self.resume)
@@ -360,7 +325,7 @@ pub struct SampledResult {
     /// Trace length.
     pub total_insts: u64,
     /// Wall-clock breakdown (functional pass / detailed intervals /
-    /// aggregation).
+    /// journaling).
     pub timing: SampledTiming,
     /// Intervals that produced no measurement (empty on a clean run). When
     /// non-empty the result is *partial*: `ipc` covers the measured
@@ -401,7 +366,7 @@ impl SampledResult {
 ///
 /// A request names the configuration, workload and [`SampleSpec`]; everything
 /// else — trace source, pre-decoded trace, shared oracle analysis,
-/// [`SampleControl`] (attempts/faults/journal/cache/progress/cancel/governor)
+/// [`SampleControl`] (faults/journal/cache/progress/cancel/governor)
 /// and the two-phase reference schedule — is opt-in through builder methods.
 /// The `sample` experiment, the `ltp-service` job server and the repo
 /// benchmark all construct their runs through this type.
@@ -449,7 +414,7 @@ impl std::fmt::Debug for SampledRequest<'_> {
 
 impl<'a> SampledRequest<'a> {
     /// Starts a request for one `(configuration, workload, spec)` point with
-    /// default controls: no retries, no journal, no cache, and the trace
+    /// default controls: no faults, no journal, no cache, and the trace
     /// comes from the workload generator at the spec's seed. A generated
     /// trace is never collected unless an oracle analysis or the two-phase
     /// reference needs it whole: the functional pass decodes the generator
@@ -498,9 +463,9 @@ impl<'a> SampledRequest<'a> {
         self
     }
 
-    /// Sets the run's whole [`SampleControl`]: attempts, faults, journal,
-    /// resume, cache, progress, cancellation and governor. The setters
-    /// below change one field of it, so they go after this call.
+    /// Sets the run's whole [`SampleControl`]: faults, journal, resume,
+    /// cache, progress, cancellation and governor. The setters below change
+    /// one field of it, so they go after this call.
     #[must_use]
     pub fn control(mut self, control: SampleControl) -> SampledRequest<'a> {
         self.control = control;
@@ -557,10 +522,10 @@ impl<'a> SampledRequest<'a> {
 
     /// Runs the request (see the module docs for the pipeline).
     ///
-    /// Per-interval failures (worker panics on every allowed attempt,
-    /// deterministic interval errors, cancellation) come back *inside* the
-    /// result as [`SampledResult::failures`], degrading it to a clearly
-    /// flagged partial result — not as `Err`.
+    /// Per-interval failures (worker panics, deterministic interval errors,
+    /// cancellation) come back *inside* the result as
+    /// [`SampledResult::failures`], degrading it to a clearly flagged
+    /// partial result — not as `Err`.
     ///
     /// # Errors
     ///
@@ -658,21 +623,22 @@ impl TraceSource<'_> {
 }
 
 /// The streaming runner body behind [`SampledRequest::run`]. Interval
-/// attempts run isolated under [`stream_map_lpt`] with `control.attempts`; a
-/// deterministic [`RunError`] (e.g. a detected deadlock) is *not* retried and
-/// surfaces as an [`IntervalFailure`] carrying the error, while a panicked
-/// attempt is retried until the attempts run out and the interval is
-/// declared lost. Lost intervals degrade the result to a clearly flagged
-/// partial one ([`SampledResult::is_partial`]) with a widened confidence
-/// interval rather than failing the run.
+/// simulations run isolated under [`stream_map_lpt`]. One that panics, or
+/// that returns a deterministic [`RunError`] (e.g. a detected deadlock), is
+/// lost at once and surfaces as an [`IntervalFailure`]: the interval is a
+/// pure function of its inputs, so simulating it again would fail again.
+/// Lost intervals degrade the result to a clearly flagged partial one
+/// ([`SampledResult::is_partial`]) with a widened confidence interval rather
+/// than failing the run.
 ///
 /// With `control.journal` set, every completed interval is appended to an
 /// on-disk, checksummed journal before its progress callback fires; with
 /// `control.resume` also set, intervals
 /// already in a matching journal are replayed instead of re-simulated (if
 /// *all* intervals replay, the functional pass is skipped entirely).
-/// Per-interval measurements are deterministic, so a resumed or
-/// fault-recovered run aggregates bit-identically to an uninterrupted one.
+/// Per-interval measurements are deterministic, so a resumed run aggregates
+/// bit-identically to an uninterrupted one; resuming is how a run recovers
+/// the intervals it lost.
 ///
 /// A shared decoded trace must be the decoded form of `source`; otherwise
 /// the trace is decoded only if the functional pass runs (a cache hit never
@@ -693,7 +659,6 @@ fn run_controlled(
             "decoded trace does not match the detailed trace"
         );
     }
-    let run_t0 = Instant::now();
     let intervals = spec.intervals.min(total.max(1) as usize);
     let stride = total / intervals as u64;
     let (warm_eff, measure_eff) = spec.effective_window(stride);
@@ -792,31 +757,28 @@ fn run_controlled(
     let mut pushed_log: Vec<usize> = Vec::new();
     let mut functional_secs = 0.0f64;
     let detail_nanos = AtomicU64::new(0);
-    let outcomes: Vec<TaskOutcome<Result<IntervalMeasurement, WorkerErr>>> = if all_done {
+    let outcomes = if all_done {
         Vec::new()
     } else {
         let func_t0 = Instant::now();
-        let worker = |job: &IntervalJob, attempt: u32| {
+        let worker = |job: IntervalJob| {
             // A queued interval observed after cancellation is skipped, not
             // simulated — the cheapest way to drain the stream fast.
             if cancel_requested() {
-                return Err(WorkerErr::Cancelled);
+                return Err(IntervalError::Cancelled);
             }
             // The wait for a concurrent analysis comes before the governor
             // permit and the detail timer: waiting is not interval work, and
             // a waiting interval must not hold a permit another job could
             // use. A panicked analysis ends the run; its intervals drain.
             let Ok(oracle) = oracle.wait() else {
-                return Err(WorkerErr::Cancelled);
+                return Err(IntervalError::Cancelled);
             };
-            control.faults.inject(job.index, attempt);
+            control.faults.inject(job.index);
             let simulate = || {
                 let t0 = Instant::now();
-                let m = simulate_interval(job, oracle, name, source, warm_eff, measure_eff);
-                detail_nanos.fetch_add(
-                    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                    Ordering::Relaxed,
-                );
+                let m = simulate_interval(&job, oracle, name, source, warm_eff, measure_eff);
+                detail_nanos.fetch_add(elapsed_ns(t0), Ordering::Relaxed);
                 m
             };
             // Under a governor the permit wait happens here, outside the
@@ -843,13 +805,16 @@ fn run_controlled(
                         }
                     }
                     drop(journal);
-                    push_ns(&journal_append_ns, j0);
+                    journal_append_ns
+                        .lock()
+                        .unwrap_or_else(|p| p.into_inner())
+                        .push(elapsed_ns(j0));
                 }
                 if let Some(sink) = &control.progress {
                     sink(m);
                 }
             }
-            m.map_err(WorkerErr::Run)
+            m.map_err(IntervalError::Run)
         };
         // Checkpoint cache: key over the trace identity (name + content
         // fingerprint), the warm half of the configuration, and the
@@ -921,7 +886,6 @@ fn run_controlled(
         beside_analysis(&oracle, analyse, || {
             stream_map_lpt(
                 intervals - resumed_intervals,
-                control.attempts,
                 |queue| {
                     // Cancellation and checkpoint failures stop production early;
                     // only a pass over every interval may fill the cache.
@@ -950,7 +914,7 @@ fn run_controlled(
                                 IntervalJob {
                                     index: i,
                                     start,
-                                    snap: Arc::new(snap),
+                                    snap,
                                     weight,
                                 },
                             );
@@ -979,7 +943,6 @@ fn run_controlled(
         return Err(e);
     }
 
-    let agg_t0 = Instant::now();
     // `stream_map_lpt` returns outcomes in push order and `pushed_log`
     // recorded exactly which trace-order intervals were pushed — map them
     // back. Intervals never pushed (production stopped by cancellation)
@@ -990,45 +953,29 @@ fn run_controlled(
     let mut failures: Vec<IntervalFailure> = Vec::new();
     for (k, outcome) in outcomes.into_iter().enumerate() {
         let index = pushed_log[k];
-        let start = starts[index];
-        match outcome {
-            TaskOutcome::Done { value: Ok(m), .. } => intervals_out.push(m),
-            TaskOutcome::Done {
-                value: Err(WorkerErr::Run(e)),
-                attempts,
-            } => failures.push(IntervalFailure {
-                index,
-                start,
-                attempts,
-                error: IntervalError::Run(e),
-            }),
-            TaskOutcome::Done {
-                value: Err(WorkerErr::Cancelled),
-                attempts,
-            } => failures.push(IntervalFailure {
-                index,
-                start,
-                attempts,
-                error: IntervalError::Cancelled,
-            }),
-            TaskOutcome::Failed(mut t) => {
+        let error = match outcome {
+            Ok(Ok(m)) => {
+                intervals_out.push(m);
+                continue;
+            }
+            Ok(Err(e)) => e,
+            Err(mut t) => {
                 // The task layer knows only push indices; report trace ones.
                 t.index = index;
-                failures.push(IntervalFailure {
-                    index,
-                    start,
-                    attempts: t.attempts,
-                    error: IntervalError::Task(t),
-                });
+                IntervalError::Task(t)
             }
-        }
+        };
+        failures.push(IntervalFailure {
+            index,
+            start: starts[index],
+            error,
+        });
     }
     let pushed_set: std::collections::HashSet<usize> = pushed_log.into_iter().collect();
     for index in (0..intervals).filter(|i| !done.contains(i) && !pushed_set.contains(i)) {
         failures.push(IntervalFailure {
             index,
             start: starts[index],
-            attempts: 0,
             error: IntervalError::Cancelled,
         });
     }
@@ -1040,9 +987,7 @@ fn run_controlled(
     let timing = SampledTiming {
         functional_secs,
         detail_cpu_secs: detail_nanos.load(Ordering::Relaxed) as f64 / 1e9,
-        aggregate_secs: agg_t0.elapsed().as_secs_f64(),
         journal_secs: journal_setup_secs + capped_secs(journal_append_ns),
-        total_secs: run_t0.elapsed().as_secs_f64(),
     };
     Ok(SampledResult {
         workload: name.to_string(),
@@ -1195,19 +1140,9 @@ fn beside_analysis<R>(
     })
 }
 
-/// Why one worker attempt produced no measurement (internal to the stream).
-enum WorkerErr {
-    /// Deterministic simulation error: not retried, reported as
-    /// [`IntervalError::Run`].
-    Run(RunError),
-    /// The run was cancelled before this interval simulated.
-    Cancelled,
-}
-
-/// Records the time since `t0` in `samples`.
-fn push_ns(samples: &Mutex<Vec<u64>>, t0: Instant) {
-    let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    samples.lock().unwrap_or_else(|p| p.into_inner()).push(ns);
+/// Nanoseconds since `t0`, saturating.
+fn elapsed_ns(t0: Instant) -> u64 {
+    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Sums per-event times taken inside the concurrent region, where a
@@ -1232,7 +1167,7 @@ fn capped_secs(samples: Mutex<Vec<u64>>) -> f64 {
 struct IntervalJob {
     index: usize,
     start: u64,
-    snap: Arc<Snapshot>,
+    snap: Snapshot,
     weight: u64,
 }
 
@@ -1291,7 +1226,6 @@ fn run_two_phase(
     spec: &SampleSpec,
 ) -> Result<SampledResult, RunError> {
     spec.validate();
-    let run_t0 = Instant::now();
     let total = detail.len() as u64;
     let intervals = spec.intervals.min(total.max(1) as usize);
     let stride = total / intervals as u64;
@@ -1325,7 +1259,7 @@ fn run_two_phase(
         jobs.push(IntervalJob {
             index: i,
             start,
-            snap: Arc::new(snap),
+            snap,
             weight,
         });
     }
@@ -1344,14 +1278,10 @@ fn run_two_phase(
             warm_eff,
             measure_eff,
         );
-        detail_nanos.fetch_add(
-            u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            Ordering::Relaxed,
-        );
+        detail_nanos.fetch_add(elapsed_ns(t0), Ordering::Relaxed);
         m
     });
 
-    let agg_t0 = Instant::now();
     let mut intervals_out = Vec::with_capacity(measurements.len());
     for m in measurements {
         intervals_out.push(m?);
@@ -1361,9 +1291,7 @@ fn run_two_phase(
     let timing = SampledTiming {
         functional_secs,
         detail_cpu_secs: detail_nanos.load(Ordering::Relaxed) as f64 / 1e9,
-        aggregate_secs: agg_t0.elapsed().as_secs_f64(),
         journal_secs: 0.0,
-        total_secs: run_t0.elapsed().as_secs_f64(),
     };
     Ok(SampledResult {
         workload: name.to_string(),
@@ -1451,8 +1379,8 @@ pub(crate) fn run(ctx: &ExperimentCtx<'_>) -> Report {
     let mut error_points = 0usize;
     // A deterministic digest over every measured interval: two runs that
     // recover to the same measurements print the same digest, so the CI
-    // canary can compare a fault-injected run against a fault-free one
-    // without parsing the table.
+    // canary can compare a run recovered by resume against a fault-free
+    // one without parsing the table.
     let mut digest_buf = String::new();
     let mut notes: Vec<String> = Vec::new();
 
@@ -1476,7 +1404,6 @@ pub(crate) fn run(ctx: &ExperimentCtx<'_>) -> Report {
     let mut functional_insts = 0u64;
     let mut detail_cpu_secs = 0.0f64;
     let mut detailed_insts = 0u64;
-    let mut aggregate_secs = 0.0f64;
     let mut journal_secs = 0.0f64;
     let mut resumed_intervals = 0usize;
     let mut planned_intervals = 0usize;
@@ -1526,15 +1453,14 @@ pub(crate) fn run(ctx: &ExperimentCtx<'_>) -> Report {
             };
             let full_secs = t0.elapsed().as_secs_f64();
 
-            let journal = ctx
-                .journal_dir
-                .as_deref()
-                .map(|dir| journal::journal_path(dir, kind.name(), label));
             let mut request = SampledRequest::new(cfg, kind, spec)
                 .trace(&detail)
                 .decoded(&dec)
                 .control(SampleControl {
-                    journal: journal.clone(),
+                    journal: ctx
+                        .journal_dir
+                        .as_deref()
+                        .map(|dir| journal::journal_path(dir, kind.name(), label)),
                     config_label: label.to_string(),
                     cache: ctx.cache.cloned(),
                     trace_fnv,
@@ -1562,15 +1488,6 @@ pub(crate) fn run(ctx: &ExperimentCtx<'_>) -> Report {
                 }
             };
             let sampled_secs = t1.elapsed().as_secs_f64();
-            // The fault plan's journal-corruption directives fire after the
-            // point has written its journal, so a subsequent --resume run
-            // exercises the checksum recovery end to end.
-            if let Some(path) = journal.as_deref() {
-                if !control.faults.corrupted_records().is_empty() {
-                    let _ =
-                        journal::corrupt_journal_records(path, control.faults.corrupted_records());
-                }
-            }
             if sampled.is_partial() {
                 partial_points += 1;
                 for f in &sampled.failures {
@@ -1593,7 +1510,6 @@ pub(crate) fn run(ctx: &ExperimentCtx<'_>) -> Report {
             functional_insts += sampled.total_insts;
             detail_cpu_secs += sampled.timing.detail_cpu_secs;
             detailed_insts += sampled.detailed_insts;
-            aggregate_secs += sampled.timing.aggregate_secs;
             journal_secs += sampled.timing.journal_secs;
             resumed_intervals += sampled.resumed_intervals;
             planned_intervals += sampled.planned_intervals;
@@ -1656,7 +1572,7 @@ pub(crate) fn run(ctx: &ExperimentCtx<'_>) -> Report {
     out.push_str(&format!(
         "timing breakdown (all sampled points): functional pass {functional_secs:.2}s, \
          detailed intervals {detail_cpu_secs:.2} cpu-s (overlapped with the functional \
-         pass), aggregation {aggregate_secs:.3}s{journal_part}\n"
+         pass){journal_part}\n"
     ));
     out.push_str(&format!(
         "throughput: functional {} insts/s, detailed {} insts/s\n",
@@ -1830,6 +1746,7 @@ mod tests {
     #[test]
     fn timing_breakdown_is_populated() {
         let spec = quick_spec();
+        let t0 = Instant::now();
         let r = SampledRequest::new(
             PipelineConfig::ltp_proposed(),
             WorkloadKind::ComputeBound,
@@ -1837,12 +1754,13 @@ mod tests {
         )
         .run()
         .expect("no deadlock");
+        let wall_secs = t0.elapsed().as_secs_f64();
         assert!(r.timing.functional_secs > 0.0);
         assert!(r.timing.detail_cpu_secs > 0.0);
-        assert!(r.timing.total_secs >= r.timing.functional_secs);
+        assert!(wall_secs >= r.timing.functional_secs);
         // Streaming overlap: the end-to-end wall clock must not exceed the
         // serial sum of the phases (it should be well under on multi-core).
-        assert!(r.timing.total_secs <= r.timing.functional_secs + r.timing.detail_cpu_secs + 1.0);
+        assert!(wall_secs <= r.timing.functional_secs + r.timing.detail_cpu_secs + 1.0);
     }
 
     #[test]
@@ -2180,7 +2098,6 @@ mod tests {
                 "unexpected failure: {:?}",
                 f.error
             );
-            assert_eq!(f.attempts, 0, "cancelled intervals are never attempted");
         }
     }
 

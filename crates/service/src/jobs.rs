@@ -18,7 +18,7 @@ use ltp_experiments::parallel::{panic_message, worker_threads, LptGovernor};
 use ltp_experiments::runner::named_config;
 use ltp_experiments::sampled::{
     digest_line, result_digest, IntervalError, IntervalMeasurement, SampleControl, SampleSpec,
-    SampledRequest, DEFAULT_ATTEMPTS,
+    SampledRequest,
 };
 use ltp_experiments::{Block, CheckpointCache, Experiment, ExperimentCtx, Report, RunOptions};
 use ltp_isa::DynInst;
@@ -42,8 +42,8 @@ pub enum JobState {
     Sampling,
     /// Completed with every planned interval measured.
     Done,
-    /// Completed degraded: some intervals were lost (fault injection, retry
-    /// exhaustion) but the measured remainder is reported.
+    /// Completed degraded: some intervals were lost (a panicked or
+    /// deadlocked interval) but the measured remainder is reported.
     Partial,
     /// The run itself failed (e.g. a deadlocked configuration or a panic).
     Failed,
@@ -101,10 +101,8 @@ pub enum JobKind {
         config_name: String,
         /// Sampling geometry.
         spec: SampleSpec,
-        /// Deterministic worker panics injected into interval attempts.
+        /// Deterministic worker panics injected into interval simulations.
         faults: FaultPlan,
-        /// Per-interval attempt budget.
-        retries: u32,
     },
     /// A whole experiment (the `sample` experiment streams intervals and
     /// journals per point; the figure experiments run opaquely and return
@@ -114,8 +112,6 @@ pub enum JobKind {
         experiment: Experiment,
         /// Instruction budgets and seed.
         opts: RunOptions,
-        /// Per-interval attempt budget (sample experiment only).
-        retries: u32,
     },
 }
 
@@ -164,13 +160,12 @@ impl JobRequest {
     /// Parses a submission body.
     ///
     /// Two shapes are accepted. An experiment job:
-    /// `{"experiment": "sample", "quick": true, "seed": 7, "retries": 3}`,
+    /// `{"experiment": "sample", "quick": true, "seed": 7}`,
     /// and a point job:
     /// `{"workload": "indirect_stream", "config": "ltp_proposed",
     ///   "quick": true, "spec": {"total_insts": ..., "intervals": ...},
-    ///   "trace_hex": "...", "inject": "panic@2.0", "retries": 3}`.
-    /// `"retries"` is the attempt count per interval (1 to 100, default
-    /// [`DEFAULT_ATTEMPTS`]).
+    ///   "trace_hex": "...", "inject": "panic@2"}`.
+    /// Unknown keys are ignored.
     ///
     /// # Errors
     ///
@@ -179,17 +174,10 @@ impl JobRequest {
     /// nothing (zero instructions or intervals), sizes above
     /// [`MAX_JOB_INSTS`], [`MAX_JOB_INTERVALS`] or [`MAX_EXPERIMENT_INSTS`],
     /// and fault plans the server cannot apply: an `"inject"` on an
-    /// experiment job, or a `corrupt@IDX` directive (only the CLI's `sample`
-    /// experiment corrupts journals).
+    /// experiment job, or one that does not parse as `panic@IDX` directives.
     pub fn parse(body: &str) -> Result<JobRequest, String> {
         let v = Json::parse(body).map_err(|e| format!("bad JSON: {e}"))?;
         let quick = v.get("quick").and_then(Json::as_bool).unwrap_or(false);
-        let retries = v
-            .get("retries")
-            .and_then(Json::as_u64)
-            .map_or(DEFAULT_ATTEMPTS, |r| {
-                u32::try_from(r.clamp(1, 100)).expect("clamped")
-            });
 
         if let Some(name) = v.get("experiment") {
             if v.get("inject").is_some() {
@@ -213,11 +201,7 @@ impl JobRequest {
                 opts.seed = n;
             }
             return Ok(JobRequest {
-                kind: JobKind::Experiment {
-                    experiment,
-                    opts,
-                    retries,
-                },
+                kind: JobKind::Experiment { experiment, opts },
                 raw: body.to_string(),
             });
         }
@@ -295,9 +279,6 @@ impl JobRequest {
             })
             .transpose()?
             .unwrap_or_default();
-        if !faults.corrupted_records().is_empty() {
-            return Err("\"inject\" cannot corrupt journal records in a point job".into());
-        }
 
         Ok(JobRequest {
             kind: JobKind::Point {
@@ -306,7 +287,6 @@ impl JobRequest {
                 config_name,
                 spec,
                 faults,
-                retries,
             },
             raw: body.to_string(),
         })
@@ -797,22 +777,10 @@ fn run_job(registry: &Arc<Registry>, job: &Arc<Job>, kind: JobKind) {
             config_name,
             spec,
             faults,
-            retries,
-        } => run_point_job(
-            registry,
-            job,
-            workload,
-            inline,
-            &config_name,
-            spec,
-            faults,
-            retries,
-        ),
-        JobKind::Experiment {
-            experiment,
-            opts,
-            retries,
-        } => run_experiment_job(registry, job, experiment, &opts, retries),
+        } => run_point_job(registry, job, workload, inline, &config_name, spec, faults),
+        JobKind::Experiment { experiment, opts } => {
+            run_experiment_job(registry, job, experiment, &opts)
+        }
     }));
     match outcome {
         Ok(()) => {}
@@ -863,7 +831,6 @@ fn fold_cache_stats(registry: &Registry, cache: Option<&Arc<CheckpointCache>>) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_point_job(
     registry: &Arc<Registry>,
     job: &Arc<Job>,
@@ -872,14 +839,12 @@ fn run_point_job(
     config_name: &str,
     spec: SampleSpec,
     faults: FaultPlan,
-    retries: u32,
 ) {
     job.update(|s| s.planned = spec.intervals);
     let cfg = named_config(config_name).expect("config validated at parse");
     let cache = open_cache(registry);
 
     let mut request = SampledRequest::new(cfg, workload, spec).control(SampleControl {
-        attempts: retries,
         faults,
         journal: registry
             .journal_dir
@@ -959,14 +924,12 @@ fn run_experiment_job(
     job: &Arc<Job>,
     experiment: Experiment,
     opts: &RunOptions,
-    retries: u32,
 ) {
     // The sample controls and the cache reach only the `sample` experiment,
     // which streams intervals, journals per point and honours cancellation;
     // the figure experiments run opaquely.
     let cache = open_cache(registry);
     let mut ctx = ExperimentCtx::new(opts).with_cache(cache.as_ref());
-    ctx.sample.attempts = retries;
     ctx.sample.progress = Some(progress_sink(job));
     ctx.sample.cancel = Some(Arc::clone(&job.cancel));
     ctx.sample.governor = Some(Arc::clone(&registry.governor));
@@ -1243,24 +1206,28 @@ mod tests {
 
     #[test]
     fn parses_point_job_with_spec_overrides() {
-        let req = JobRequest::parse(
-            r#"{"workload":"indirect_stream","config":"micro2015_baseline",
-                "quick":true,"spec":{"total_insts":24000,"intervals":4},"retries":2}"#,
-        )
-        .expect("parse");
+        let body = r#"{"workload":"indirect_stream","config":"micro2015_baseline",
+                "quick":true,"spec":{"total_insts":24000,"intervals":4}}"#;
+        let req = JobRequest::parse(body).expect("parse");
+        // A `"retries"` key, which older clients send, is ignored like any
+        // other unknown key.
+        let with_retries =
+            JobRequest::parse(&body.replacen('{', r#"{"retries":3,"#, 1)).expect("parse");
+        assert_eq!(
+            format!("{:?}", with_retries.kind),
+            format!("{:?}", req.kind)
+        );
         match req.kind {
             JobKind::Point {
                 workload,
                 config_name,
                 spec,
-                retries,
                 ..
             } => {
                 assert_eq!(workload, WorkloadKind::IndirectStream);
                 assert_eq!(config_name, "micro2015_baseline");
                 assert_eq!(spec.total_insts, 24_000);
                 assert_eq!(spec.intervals, 4);
-                assert_eq!(retries, 2);
             }
             JobKind::Experiment { .. } => panic!("expected a point job"),
         }

@@ -59,7 +59,7 @@ pub struct ServiceConfig {
     /// Re-submit persisted jobs that never completed (restart recovery).
     pub resume: bool,
     /// Accept jobs that carry an `"inject"` fault plan. Off by default: a
-    /// fault plan makes workers panic or stall on purpose, which is for
+    /// fault plan makes workers panic on purpose, which is for
     /// testing the server, not for arbitrary clients. When off, such a
     /// submission gets HTTP 400.
     pub allow_fault_injection: bool,

@@ -6,9 +6,10 @@
 #      exit 0 and report journaling overhead <= 5% of the sampled wall-clock
 #      (the fault-tolerant path must stay effectively free when nothing
 #      fails).
-#   2. The same run with an injected worker panic (`--inject panic@0.0`,
-#      killing the first attempt of interval 0 of every point) must still
-#      exit 0 — the default retry policy absorbs the fault — and print the
+#   2. The same run with an injected worker panic (`--inject panic@0`,
+#      panicking interval 0 of every point) must lose that interval: exit 4
+#      and print `DEGRADED RUN`. A resume over its journals must replay the
+#      105 intervals it measured, simulate the 21 it lost, and print the
 #      *same* result digest as the fault-free run: recovery is bit-exact,
 #      not approximate.
 #   3. A resume over the journals written in step 1 must replay intervals
@@ -63,15 +64,26 @@ if [[ -z "$GATE_OK" ]]; then
 fi
 CLEAN_DIGEST="$(digest_of "$OUT/clean/sample.txt")"
 
-echo "== fault canary: injected worker panic (recovered by retry)"
-"${BIN[@]}" sample --quick --out "$OUT/faulted" --inject panic@0.0
-FAULT_DIGEST="$(digest_of "$OUT/faulted/sample.txt")"
-if [[ "$FAULT_DIGEST" != "$CLEAN_DIGEST" ]]; then
-    echo "canary: fault-recovered digest $FAULT_DIGEST != fault-free digest $CLEAN_DIGEST" >&2
+echo "== fault canary: injected worker panic (lost, then recovered by resume)"
+STATUS=0
+"${BIN[@]}" sample --quick --out "$OUT/faulted" --journal "$OUT/faulted-journals" \
+    --inject panic@0 || STATUS=$?
+if [[ "$STATUS" -ne 4 ]]; then
+    echo "canary: a run with a lost interval exited $STATUS, not 4 (partial)" >&2
     exit 1
 fi
-if grep -q "DEGRADED RUN" "$OUT/faulted/sample.txt"; then
-    echo "canary: a single worker panic must be absorbed, not degrade the run" >&2
+if ! grep -q "DEGRADED RUN" "$OUT/faulted/sample.txt"; then
+    echo "canary: a lost interval must flag the run as degraded" >&2
+    exit 1
+fi
+"${BIN[@]}" sample --quick --out "$OUT/recovered" --resume "$OUT/faulted-journals"
+RECOVERED_DIGEST="$(digest_of "$OUT/recovered/sample.txt")"
+if [[ "$RECOVERED_DIGEST" != "$CLEAN_DIGEST" ]]; then
+    echo "canary: resume-recovered digest $RECOVERED_DIGEST != fault-free digest $CLEAN_DIGEST" >&2
+    exit 1
+fi
+if ! grep -q "^resume: 105/126 intervals replayed" "$OUT/recovered/sample.txt"; then
+    echo "canary: the recovering resume must replay exactly the 105 measured intervals" >&2
     exit 1
 fi
 

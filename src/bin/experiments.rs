@@ -3,14 +3,13 @@
 //! ```text
 //! experiments [EXPERIMENT ...] [--quick] [--insts N] [--seed S] [--out DIR]
 //!             [--cache DIR] [--journal DIR] [--resume DIR] [--inject SPEC]
-//!             [--retries N]
 //! experiments serve [--bind ADDR] [--workers N] [--max-jobs N]
 //!             [--cache DIR] [--journal DIR] [--resume DIR]
 //!             [--allow-fault-injection]
 //!
 //! EXPERIMENT: all | table1 | fig1 | fig2 | fig6 | fig7 | fig10 | fig11 | uit
 //!           | ablation | fig_smt | sample
-//! SPEC:       DIRECTIVE[,DIRECTIVE...], DIRECTIVE = panic@IDX.ATT | corrupt@IDX
+//! SPEC:       panic@IDX[,panic@IDX...]
 //! ```
 //!
 //! Reports are printed to stdout and written to `<out>/<experiment>.txt`
@@ -27,11 +26,11 @@
 //! The fault-tolerance flags apply to the `sample` experiment: `--journal DIR`
 //! appends each completed interval's measurement to per-point journals under
 //! `DIR`, `--resume DIR` replays matching journals (and implies journaling to
-//! the same directory), `--retries N` is the number of attempts per interval
-//! (default 3), and `--inject SPEC` injects a deterministic fault plan: a
-//! comma-separated list of `panic@IDX.ATT` (panic attempt `ATT` of interval
-//! `IDX`) and `corrupt@IDX` (corrupt journal record `IDX` after the point
-//! ran) directives.
+//! the same directory), and `--inject SPEC` injects a deterministic fault
+//! plan: a comma-separated list of `panic@IDX` directives, each panicking
+//! the simulation of interval `IDX` of every point. A panicked interval is
+//! lost at once and the run exits 4; `--resume` over its journals simulates
+//! only the lost intervals.
 //!
 //! `serve` starts the `ltp-service` HTTP job server on `--bind` (default
 //! `127.0.0.1:8080`) and runs until killed. `--workers N` sizes the
@@ -98,10 +97,10 @@ impl CliError {
 const USAGE: &str = "usage: experiments \
 [all|table1|fig1|fig2|fig6|fig7|fig10|fig11|uit|ablation|fig_smt|sample ...] \
 [--quick] [--insts N] [--seed S] [--out DIR] [--cache DIR] \
-[--journal DIR] [--resume DIR] [--inject SPEC] [--retries N]\n\
+[--journal DIR] [--resume DIR] [--inject SPEC]\n\
        experiments serve [--bind ADDR] [--workers N] [--max-jobs N] \
 [--cache DIR] [--journal DIR] [--resume DIR] [--allow-fault-injection]\n\
-SPEC: comma-separated panic@IDX.ATT and corrupt@IDX directives";
+SPEC: comma-separated panic@IDX directives";
 
 /// A parsed report invocation.
 #[derive(Debug)]
@@ -113,7 +112,6 @@ struct Invocation {
     journal_dir: Option<PathBuf>,
     resume: bool,
     faults: FaultPlan,
-    retries: Option<u32>,
 }
 
 /// Parses the report flags; `None` for `--help`. `--quick` selects the
@@ -129,7 +127,6 @@ fn parse_invocation(args: &[String]) -> Result<Option<Invocation>, CliError> {
     let mut journal_dir: Option<PathBuf> = None;
     let mut resume = false;
     let mut faults = FaultPlan::new();
-    let mut retries: Option<u32> = None;
 
     let mut i = 0;
     while i < args.len() {
@@ -188,10 +185,6 @@ fn parse_invocation(args: &[String]) -> Result<Option<Invocation>, CliError> {
                 faults = FaultPlan::parse(&spec)
                     .map_err(|e| CliError::config(format!("bad --inject spec: {e}")))?;
             }
-            "--retries" => {
-                i += 1;
-                retries = Some(parse_flag_value(args, i, "--retries", "a number")?);
-            }
             "all" => experiments.extend(Experiment::ALL),
             "--help" | "-h" => return Ok(None),
             name => match Experiment::from_name(name) {
@@ -219,7 +212,6 @@ fn parse_invocation(args: &[String]) -> Result<Option<Invocation>, CliError> {
         journal_dir,
         resume,
         faults,
-        retries,
     }))
 }
 
@@ -256,9 +248,6 @@ fn run() -> Result<ExitCode, CliError> {
     ctx.journal_dir = inv.journal_dir;
     ctx.sample.resume = inv.resume;
     ctx.sample.faults = inv.faults;
-    if let Some(n) = inv.retries {
-        ctx.sample.attempts = n;
-    }
 
     let (mut partial_points, mut error_points) = (0usize, 0usize);
     for experiment in inv.experiments {

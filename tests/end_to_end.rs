@@ -240,19 +240,26 @@ fn cli_rejects_a_zero_instruction_budget() {
     let _ = std::fs::remove_dir_all(&out);
 }
 
-/// `delay@` is not a fault directive: `--inject` refuses it as a usage
-/// error (exit 2) before anything runs.
+/// `--inject` takes only `panic@IDX`: a `delay@` or `corrupt@` directive
+/// and an attempt coordinate are usage errors (exit 2), refused before
+/// anything runs.
 #[test]
 fn cli_rejects_a_delay_fault_directive() {
     let out = std::env::temp_dir().join(format!("ltp-cli-delay-{}", std::process::id()));
-    let run = std::process::Command::new(env!("CARGO_BIN_EXE_experiments"))
-        .args(["sample", "--quick", "--inject", "delay@1.0=80", "--out"])
-        .arg(&out)
-        .output()
-        .expect("run experiments");
-    assert_eq!(run.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&run.stderr);
-    assert!(stderr.contains("unknown fault kind `delay`"), "{stderr}");
-    assert!(!out.join("sample.txt").exists(), "nothing ran");
+    for (spec, complaint) in [
+        ("delay@1.0=80", "unknown fault kind `delay`"),
+        ("corrupt@1", "unknown fault kind `corrupt`"),
+        ("panic@0.0", "bad interval index in `panic@0.0`"),
+    ] {
+        let run = std::process::Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(["sample", "--quick", "--inject", spec, "--out"])
+            .arg(&out)
+            .output()
+            .expect("run experiments");
+        assert_eq!(run.status.code(), Some(2), "{spec}");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(stderr.contains(complaint), "{spec}: {stderr}");
+        assert!(!out.join("sample.txt").exists(), "{spec}: nothing ran");
+    }
     let _ = std::fs::remove_dir_all(&out);
 }

@@ -3,18 +3,15 @@
 //! Every failure path the fault-tolerance layer claims to cover is driven on
 //! purpose here with a deterministic [`FaultPlan`]:
 //!
-//! - a panicking worker attempt is isolated and retried, losing at most that
-//!   one attempt, and the recovered run aggregates **bit-identically** to a
-//!   fault-free one;
-//! - exhausted retries degrade the run to a clearly flagged *partial* result
-//!   with a widened confidence interval instead of failing it;
-//! - a deterministic simulation error (a detected deadlock) is **not**
-//!   retried and surfaces as an [`IntervalFailure`] carrying the
-//!   [`DeadlockSnapshot`] diagnostics;
-//! - a journaled run that dies mid-way resumes from the journal and
-//!   reproduces the uninterrupted result exactly, including when the journal
-//!   tail was corrupted or truncated by the crash, and when its records
-//!   carry checkpoint bytes, as journals of earlier versions did.
+//! - a panicking interval is isolated and lost, degrading the run to a
+//!   clearly flagged *partial* result with a widened confidence interval
+//!   instead of failing it;
+//! - a deterministic simulation error (a detected deadlock) surfaces as an
+//!   [`IntervalFailure`] carrying the [`DeadlockSnapshot`] diagnostics;
+//! - a journaled run that lost intervals, or died mid-way, resumes from the
+//!   journal and reproduces the uninterrupted result exactly, including when
+//!   the journal tail was corrupted or truncated by the crash, and when its
+//!   records carry checkpoint bytes, as journals of earlier versions did.
 //!
 //! The simulator is deterministic, so "recovered correctly" is assertable as
 //! bit-for-bit equality of every per-interval measurement and of the
@@ -112,52 +109,19 @@ fn scratch_journal(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn injected_panic_is_isolated_and_retried() {
-    // Kill attempt 0 of one interval: the worker's panic must not tear down
-    // the scope, must cost exactly that one attempt, and the retried run
-    // must match the fault-free reference bit for bit.
-    let r = run_controlled(&SampleControl {
-        attempts: 2,
-        faults: FaultPlan::new().panic_at(2, 0),
-        ..SampleControl::default()
-    });
-    assert!(!r.is_partial(), "one panic within budget must recover");
-    assert_bit_identical(&r, &reference(), "panic-retried run");
-}
-
-#[test]
-fn all_but_one_interval_panicking_still_recovers_bit_identically() {
-    // N-1 of the N intervals lose their first attempt; with one retry each
-    // the run still completes and aggregates identically to fault-free.
-    let mut plan = FaultPlan::new();
-    for i in 1..spec().intervals {
-        plan = plan.panic_at(i, 0);
-    }
-    let r = run_controlled(&SampleControl {
-        attempts: 3,
-        faults: plan,
-        ..SampleControl::default()
-    });
-    assert!(!r.is_partial());
-    assert_bit_identical(&r, &reference(), "N-1 panics");
-}
-
-#[test]
 fn exhausted_retries_degrade_to_partial_with_widened_ci() {
-    // Interval 2 dies on every allowed attempt: the run must degrade to a
-    // flagged partial result — remaining intervals intact, the lost one
-    // accounted for, and the CI widened exactly per the stats contract.
+    // Interval 2 panics: the run must degrade to a flagged partial result —
+    // remaining intervals intact, the lost one accounted for, and the CI
+    // widened exactly per the stats contract.
     let reference = reference();
     let r = run_controlled(&SampleControl {
-        attempts: 2,
-        faults: FaultPlan::new().panic_at(2, 0).panic_at(2, 1),
+        faults: FaultPlan::new().panic_at(2),
         ..SampleControl::default()
     });
     assert!(r.is_partial());
     assert_eq!(r.failures.len(), 1);
     let f = &r.failures[0];
     assert_eq!(f.index, 2);
-    assert_eq!(f.attempts, 2, "both allowed attempts were consumed");
     match &f.error {
         IntervalError::Task(t) => assert!(
             t.message.contains("injected fault"),
@@ -187,26 +151,21 @@ fn exhausted_retries_degrade_to_partial_with_widened_ci() {
 #[test]
 fn deadlock_surfaces_as_interval_failure_with_snapshot() {
     // A starved frontend never commits, so every interval's detailed run
-    // trips the deadlock watchdog. Deterministic errors are not retried —
-    // each interval fails once, carrying the machine-state diagnostics —
-    // and the runner degrades instead of hanging or aborting.
+    // trips the deadlock watchdog. Each interval fails carrying the
+    // machine-state diagnostics, and the runner degrades instead of hanging
+    // or aborting.
     let (kind, detail, dec) = workload();
     let mut cfg = PipelineConfig::ltp_proposed();
     cfg.frontend_delay = 10_000_000;
     let r = SampledRequest::new(cfg, kind, spec())
         .trace(&detail)
         .decoded(&dec)
-        .control(SampleControl {
-            attempts: 3,
-            ..SampleControl::default()
-        })
         .run()
         .expect("deadlock is a per-interval failure, not a whole-run error");
     assert!(r.is_partial());
     assert_eq!(r.failures.len(), spec().intervals);
     assert!(r.intervals.is_empty());
     for f in &r.failures {
-        assert_eq!(f.attempts, 1, "deterministic errors must not be retried");
         match &f.error {
             IntervalError::Run(RunError::Deadlock { snapshot, .. }) => {
                 assert_eq!(snapshot.workload, kind.name());
@@ -342,29 +301,38 @@ fn each_interval_is_journaled_before_its_progress_callback() {
 
 #[test]
 fn crash_and_resume_matches_uninterrupted_run() {
-    // "Crash": the first run exhausts its single attempt on one interval and
-    // exits partial, with every completed interval journaled. The resume run
-    // replays those and simulates only the missing one; the merged result
-    // must be bit-identical to a run that never crashed.
-    let path = scratch_journal("resume");
-    let crashed = run_controlled(&SampleControl {
-        attempts: 1,
-        faults: FaultPlan::new().panic_at(1, 0),
-        journal: Some(path.clone()),
-        ..SampleControl::default()
-    });
-    assert!(crashed.is_partial());
-    assert_eq!(crashed.intervals.len(), spec().intervals - 1);
+    // "Crash": the first run loses intervals to injected panics and exits
+    // partial, with every completed interval journaled. The resume run
+    // replays those and simulates only the lost ones; the merged result
+    // must be bit-identical to a run that never crashed, whether one
+    // interval was lost or all but one.
+    let reference = reference();
+    let n = spec().intervals;
+    for lost in [vec![1], (1..n).collect()] {
+        let path = scratch_journal(&format!("resume-{}", lost.len()));
+        let crashed = run_controlled(&SampleControl {
+            faults: lost.iter().fold(FaultPlan::new(), |p, &i| p.panic_at(i)),
+            journal: Some(path.clone()),
+            ..SampleControl::default()
+        });
+        let failed: Vec<usize> = crashed.failures.iter().map(|f| f.index).collect();
+        assert_eq!(failed, lost);
+        assert_eq!(crashed.intervals.len(), n - lost.len());
 
-    let resumed = run_controlled(&SampleControl {
-        journal: Some(path.clone()),
-        resume: true,
-        ..SampleControl::default()
-    });
-    assert!(!resumed.is_partial());
-    assert_eq!(resumed.resumed_intervals, spec().intervals - 1);
-    assert_bit_identical(&resumed, &reference(), "crash-and-resume");
-    let _ = std::fs::remove_file(path);
+        let resumed = run_controlled(&SampleControl {
+            journal: Some(path.clone()),
+            resume: true,
+            ..SampleControl::default()
+        });
+        assert!(!resumed.is_partial());
+        assert_eq!(resumed.resumed_intervals, n - lost.len());
+        assert_bit_identical(
+            &resumed,
+            &reference,
+            &format!("resume after losing {lost:?}"),
+        );
+        let _ = std::fs::remove_file(path);
+    }
 }
 
 #[test]
@@ -443,9 +411,9 @@ fn mismatched_journal_is_ignored_on_resume() {
 
 #[test]
 fn experiment_report_flags_partial_points_and_keeps_digest_deterministic() {
-    // End-to-end through the `sample` experiment plumbing: a recovered fault
-    // keeps the exit-status accounting clean and the result digest equal to
-    // the fault-free run's, while an unrecoverable fault flags the run.
+    // End-to-end through the `sample` experiment plumbing: a lost interval
+    // flags the run, and a resume over its journals clears the exit-status
+    // accounting and lands on the fault-free run's result digest.
     let opts = ltp_experiments::RunOptions {
         detail_insts: 3_000,
         warm_insts: 1_000,
@@ -468,46 +436,53 @@ fn experiment_report_flags_partial_points_and_keeps_digest_deterministic() {
         meta
     };
 
-    let run = |faults: FaultPlan| {
+    let journals = std::env::temp_dir().join(format!("ltp_fault_{}_sample", std::process::id()));
+    let run = |faults: FaultPlan, journal_dir: Option<&PathBuf>, resume: bool| {
         let mut ctx = ExperimentCtx::new(&opts);
         ctx.sample.faults = faults;
+        ctx.sample.resume = resume;
+        ctx.journal_dir = journal_dir.cloned();
         Experiment::Sample.run(&ctx)
     };
+    let count = |report: &ltp_experiments::Report, key| -> usize {
+        report
+            .meta(key)
+            .and_then(|v| v.parse().ok())
+            .expect("count meta")
+    };
     // The exit-status accounting: (partial points, failed points).
-    let degraded_points = |report: &ltp_experiments::Report| -> (usize, usize) {
-        let count = |key| {
-            report
-                .meta(key)
-                .and_then(|v| v.parse().ok())
-                .expect("point count meta")
-        };
-        (count("partial_points"), count("error_points"))
+    let degraded_points = |report: &ltp_experiments::Report| {
+        (
+            count(report, "partial_points"),
+            count(report, "error_points"),
+        )
     };
 
-    let clean_report = run(FaultPlan::new());
+    let clean_report = run(FaultPlan::new(), None, false);
     assert_eq!(degraded_points(&clean_report), (0, 0));
     assert!(!clean_report.render_text().contains("DEGRADED RUN"));
 
-    // One injected panic, recovered by the default attempt count: same
-    // digest, clean status.
-    let recovered_report = run(FaultPlan::new().panic_at(0, 0));
-    assert_eq!(degraded_points(&recovered_report), (0, 0));
-    assert_eq!(
-        digest_of(&recovered_report),
-        digest_of(&clean_report),
-        "a recovered fault must not change the measured intervals"
-    );
-
-    // An unrecoverable interval (killed on every attempt of the default
-    // 3-attempt policy): the affected points degrade and are flagged.
-    let partial_report = run(FaultPlan::new()
-        .panic_at(0, 0)
-        .panic_at(0, 1)
-        .panic_at(0, 2));
+    // Interval 0 of every point panics: each point loses it and is flagged.
+    let partial_report = run(FaultPlan::new().panic_at(0), Some(&journals), false);
     let (partial, errors) = degraded_points(&partial_report);
     assert!(partial > 0);
     assert_eq!(errors, 0);
     let partial_text = partial_report.render_text();
     assert!(partial_text.contains("DEGRADED RUN"));
     assert!(partial_text.contains("[PARTIAL"));
+
+    // The resume replays every journaled interval and simulates only the
+    // lost ones: a clean status and the fault-free digest.
+    let resumed_report = run(FaultPlan::new(), Some(&journals), true);
+    assert_eq!(degraded_points(&resumed_report), (0, 0));
+    assert_eq!(
+        count(&resumed_report, "resumed_intervals"),
+        count(&resumed_report, "planned_intervals") - partial
+    );
+    assert_eq!(
+        digest_of(&resumed_report),
+        digest_of(&clean_report),
+        "a resume must reproduce the fault-free measurements"
+    );
+    let _ = std::fs::remove_dir_all(&journals);
 }

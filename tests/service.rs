@@ -299,12 +299,11 @@ fn injected_worker_panic_degrades_the_job_not_the_server() {
     .expect("server");
     let addr = server.addr();
 
-    // Interval 1 panics on every attempt the retry budget allows, so the job
-    // completes degraded: measured remainder + one lost interval.
+    // Interval 1 panics, so the job completes degraded: measured remainder
+    // + one lost interval.
     let s = tiny_spec();
     let body = format!(
-        r#"{{"workload":"indirect_stream","inject":"panic@1.0,panic@1.1,panic@1.2",
-            "retries":3,
+        r#"{{"workload":"indirect_stream","inject":"panic@1",
             "spec":{{"total_insts":{},"intervals":{},"detail_warm":{},
             "detail_measure":{},"seed":{},"warm_insts":{}}}}}"#,
         s.total_insts, s.intervals, s.detail_warm, s.detail_measure, s.seed, s.warm_insts
@@ -338,9 +337,9 @@ fn injected_worker_panic_degrades_the_job_not_the_server() {
 }
 
 /// Even a server that allows fault injection refuses, with HTTP 400 naming
-/// `inject`, a plan it cannot apply: any plan on an experiment job, a
-/// journal corruption in a point job, and a `delay@` directive, which is not
-/// a fault directive.
+/// `inject`, a plan it cannot apply: any plan on an experiment job, and a
+/// point job's plan that is not `panic@IDX` directives (`corrupt@`, an
+/// attempt coordinate, `delay@`).
 #[test]
 fn fault_plans_the_server_cannot_apply_are_refused() {
     let mut server = Server::start(&ServiceConfig {
@@ -351,8 +350,9 @@ fn fault_plans_the_server_cannot_apply_are_refused() {
     let addr = server.addr();
     let point = |plan: &str| tiny_job_body().replacen('{', &format!(r#"{{"inject":"{plan}","#), 1);
     for body in [
-        r#"{"experiment":"sample","quick":true,"inject":"panic@0.0"}"#.to_string(),
+        r#"{"experiment":"sample","quick":true,"inject":"panic@0"}"#.to_string(),
         point("corrupt@1"),
+        point("panic@1.0"),
         point("delay@1.0=80"),
     ] {
         let resp = client::request(addr, "POST", "/jobs", Some(&body)).expect("submit");
@@ -373,7 +373,7 @@ fn fault_plans_the_server_cannot_apply_are_refused() {
 fn fault_injection_is_refused_by_default() {
     let mut server = Server::start(&ServiceConfig::default()).expect("server");
     let addr = server.addr();
-    let body = tiny_job_body().replacen('{', r#"{"inject":"panic@1.0","#, 1);
+    let body = tiny_job_body().replacen('{', r#"{"inject":"panic@1","#, 1);
     let resp = client::request(addr, "POST", "/jobs", Some(&body)).expect("submit");
     assert_eq!(resp.status, 400, "{}", resp.text());
     assert!(

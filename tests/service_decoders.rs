@@ -31,7 +31,7 @@ fn alloc_bound(input: usize) -> usize {
 /// A point job with every field set, and an experiment job.
 const POINT_JOB: &str = r#"{"workload":"indirect_stream","config":"ltp_proposed",
     "quick":true,"spec":{"total_insts":24000,"intervals":4,"detail_warm":250,
-    "detail_measure":600,"seed":11,"warm_insts":1000},"inject":"panic@1.0","retries":3}"#;
+    "detail_measure":600,"seed":11,"warm_insts":1000},"inject":"panic@1"}"#;
 const EXPERIMENT_JOB: &str = r#"{"experiment":"fig1","quick":true,"insts":100,"warm":50,"seed":7}"#;
 
 /// Field bytes of each instruction of a valid trace, in encoding order:
@@ -116,6 +116,16 @@ fn check_parse(body: &str) -> Result<(), TestCaseError> {
         }
     }
     Ok(())
+}
+
+/// The point and experiment bodies the mutation tests start from are ones
+/// the server accepts, so each mutation probes the decoders past their first
+/// error (the inline-trace body is checked below).
+#[test]
+fn the_fixture_job_bodies_parse() {
+    for body in [POINT_JOB, EXPERIMENT_JOB] {
+        assert!(JobRequest::parse(body).is_ok(), "{body}");
+    }
 }
 
 #[test]
