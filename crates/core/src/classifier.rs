@@ -1,42 +1,36 @@
-//! Pluggable criticality classification.
+//! Criticality classification.
 //!
 //! The paper's LTP unit decides *what to park* from a criticality
-//! classification computed at rename (§2, §5.1). The seed implementation
-//! hard-wired two classification paths into [`crate::LtpUnit`] — the
-//! realistic UIT + hit/miss-predictor path and the trace-analysing oracle of
-//! the limit study. [`CriticalityClassifier`] lifts that decision behind one
-//! interface so the classification policy can be swapped against a fixed
-//! pipeline substrate, the methodology of the criticality literature (CG-OoO,
-//! criticality-aware multiprocessors): compare predictors, keep the machine.
+//! classification computed at rename (§2, §5.1). [`Classifier`] is the closed
+//! set of policies [`crate::LtpUnit`] can consult, and a configuration picks
+//! one with [`ClassifierKind`]: the classification policy changes while the
+//! pipeline substrate stays fixed, the methodology of the criticality
+//! literature (CG-OoO, criticality-aware multiprocessors): compare
+//! predictors, keep the machine.
 //!
-//! Implementations shipped here:
+//! The variants:
 //!
-//! * [`UitClassifier`] — the paper's realistic design: a PC-indexed Urgent
+//! * [`Classifier::Uit`] — the paper's realistic design: a PC-indexed Urgent
 //!   Instruction Table with iterative backward dependency analysis plus a
 //!   gshare-style LLC hit/miss predictor (§5.1).
-//! * [`crate::OracleClassifier`] — perfect per-instruction classification
-//!   from an ahead-of-time trace analysis (§4, the limit study).
-//! * [`RandomClassifier`] — an unbiased baseline that calls a configurable
+//! * [`Classifier::Oracle`] — perfect per-instruction classification from an
+//!   ahead-of-time trace analysis (§4, the limit study).
+//! * [`Classifier::Random`] — an unbiased baseline that calls a configurable
 //!   fraction of instructions Non-Urgent at random; separates the benefit of
 //!   *which* instructions are parked from the benefit of parking per se.
-//! * [`AlwaysReadyClassifier`] — calls everything Urgent + Ready so nothing
+//! * [`Classifier::AlwaysReady`] — calls everything Urgent + Ready so nothing
 //!   is ever parkable: the "classification off" control.
-//! * [`ParkEverythingClassifier`] — calls everything Non-Urgent: the
-//!   upper bound on parking pressure (every instruction takes the LTP path
-//!   whenever the monitor enables parking).
+//! * [`Classifier::ParkEverything`] — calls everything Non-Urgent: the upper
+//!   bound on parking pressure (every instruction takes the LTP path whenever
+//!   the monitor enables parking).
 
 use crate::unit::RenamedInst;
+use crate::OracleClassifier;
 use ltp_isa::{ArchReg, Pc};
 use ltp_mem::HitMissPredictor;
 
-/// Lazy lookup of the in-flight producer PC of an architectural register,
-/// handed to [`CriticalityClassifier::assess`]. Only classifiers that need
-/// producer information (the UIT's backward dependency analysis) pay for the
-/// lookups, and only on the instructions that need them.
-pub type ProducerLookup<'a> = dyn Fn(ArchReg) -> Option<Pc> + 'a;
-
 /// One observed load outcome, as fed to the batched classifier/LTP-unit
-/// feedback paths ([`CriticalityClassifier::on_load_outcomes`],
+/// feedback paths ([`Classifier::on_load_outcomes`],
 /// [`crate::LtpUnit::on_load_outcomes`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoadOutcome {
@@ -69,107 +63,113 @@ pub struct Classification {
 }
 
 /// A criticality classification policy, consulted by [`crate::LtpUnit`] for
-/// every renamed instruction.
+/// every renamed instruction, with everything it has *learned* so far (UIT
+/// contents, hit/miss predictor counters, the random stream position):
+/// machine snapshots encode it as it stands, so a restored machine
+/// classifies bit-for-bit like the original.
 ///
 /// The unit keeps ticket inheritance (readiness tracking through the RAT
 /// extension) to itself — a classifier only decides *urgency*, whether to
 /// override readiness, and whether the instruction is a long-latency
-/// producer. `producer_pc` lazily resolves a source register to the PC of
-/// its in-flight producer, when one exists; the UIT's iterative backward
-/// dependency analysis (§5.1) is built on it.
-pub trait CriticalityClassifier: std::fmt::Debug + Send + Sync {
-    /// Classifies one instruction at rename time.
-    fn assess(&mut self, inst: &RenamedInst, producer_pc: &ProducerLookup<'_>) -> Classification;
-
-    /// Feedback from load execution: the load at `pc` hit or missed the LLC.
-    fn on_load_outcome(&mut self, pc: Pc, was_llc_miss: bool) {
-        let _ = (pc, was_llc_miss);
-    }
-
-    /// Batched load-outcome feedback: equivalent to calling
-    /// [`CriticalityClassifier::on_load_outcome`] for each element in order,
-    /// but behind **one** virtual dispatch. The functional fast-forward mode
-    /// of sampled simulation feeds a whole interval's load outcomes at once;
-    /// learned classifiers override this with a monomorphic inner loop so the
-    /// warm-up hot path pays no per-load dynamic dispatch.
-    fn on_load_outcomes(&mut self, outcomes: &[LoadOutcome]) {
-        for o in outcomes {
-            self.on_load_outcome(o.pc, o.missed_llc);
-        }
-    }
-
-    /// Marks the instruction at `pc` as urgent (ancestor seed), when the
-    /// policy has a notion of learned urgency.
-    fn note_urgent(&mut self, pc: Pc) {
-        let _ = pc;
-    }
-
-    /// Short name for reports and sweeps.
-    fn name(&self) -> &'static str;
-
-    /// Clones the classifier behind the object-safe interface.
-    fn box_clone(&self) -> Box<dyn CriticalityClassifier>;
-
-    /// Exports the classifier's full learned state for checkpointing, or
-    /// `None` when the implementation does not support snapshots (custom
-    /// classifiers outside this crate). Built-in classifiers all return
-    /// `Some`, so every shipped configuration can be checkpointed.
-    fn snapshot_state(&self) -> Option<ClassifierState> {
-        None
-    }
-
-    /// Whether [`CriticalityClassifier::snapshot_state`] returns `Some`,
-    /// answerable without building (cloning) the state — the support *check*
-    /// runs on every capture, including ones that carry a whole-trace oracle.
-    /// Implementations overriding `snapshot_state` should override this too;
-    /// the default stays conservative by actually asking.
-    fn supports_snapshot(&self) -> bool {
-        self.snapshot_state().is_some()
-    }
-}
-
-/// The complete serialisable state of a built-in criticality classifier,
-/// used by machine snapshots to round-trip the `Box<dyn
-/// CriticalityClassifier>` inside [`crate::LtpUnit`] — including everything
-/// the classifier has *learned* so far (UIT contents, hit/miss predictor
-/// counters, the random stream position), so a restored machine classifies
-/// bit-for-bit like the original.
+/// producer.
 #[derive(Debug, Clone)]
-pub enum ClassifierState {
-    /// UIT + hit/miss predictor state.
+pub enum Classifier {
+    /// The paper's realistic UIT + hit/miss-predictor design (§5.1).
     Uit(UitClassifier),
-    /// The analysed oracle (per-seq classes and long-latency flags).
-    Oracle(crate::OracleClassifier),
-    /// Random classifier: calibration and xorshift stream position.
+    /// Perfect classification from an ahead-of-time trace analysis (§4),
+    /// attached with [`crate::LtpUnit::set_oracle`].
+    Oracle(OracleClassifier),
+    /// Random urgency at a calibrated rate.
     Random(RandomClassifier),
-    /// Stateless always-ready control.
+    /// Calls every instruction Urgent + Ready: nothing is ever parkable, so
+    /// the machine behaves like the no-LTP baseline even with parking
+    /// enabled.
     AlwaysReady,
-    /// Stateless park-everything control.
+    /// Calls every instruction Non-Urgent: maximal parking pressure, the
+    /// upper bound on how much traffic the LTP structures can see.
     ParkEverything,
 }
 
-impl ClassifierState {
-    /// Rebuilds the boxed classifier this state was exported from.
-    #[must_use]
-    pub fn into_classifier(self) -> Box<dyn CriticalityClassifier> {
+impl Classifier {
+    /// Classifies one instruction at rename time. `producer_pc` resolves a
+    /// source register to the PC of its in-flight producer, when one exists;
+    /// only the UIT's iterative backward dependency analysis (§5.1) calls
+    /// it, and only for instructions it finds urgent.
+    pub fn assess(
+        &mut self,
+        inst: &RenamedInst,
+        producer_pc: impl Fn(ArchReg) -> Option<Pc>,
+    ) -> Classification {
+        // Without a predictor only architecturally long-latency operations
+        // are known ahead of execution.
+        let long_latency = inst.op.is_long_latency_arith();
         match self {
-            ClassifierState::Uit(c) => Box::new(c),
-            ClassifierState::Oracle(c) => Box::new(c),
-            ClassifierState::Random(c) => Box::new(c),
-            ClassifierState::AlwaysReady => Box::new(AlwaysReadyClassifier),
-            ClassifierState::ParkEverything => Box::new(ParkEverythingClassifier),
+            Classifier::Uit(c) => c.assess(inst, producer_pc),
+            Classifier::Oracle(c) => {
+                let class = c.classify(inst.seq);
+                Classification {
+                    urgent: class.urgent,
+                    // The oracle may say "ready" even though tickets were
+                    // inherited (e.g. the producer completed long ago);
+                    // trust the oracle for readiness and drop the inherited
+                    // tickets in that case.
+                    force_ready: class.ready,
+                    long_latency: c.is_long_latency(inst.seq),
+                }
+            }
+            Classifier::Random(c) => Classification {
+                urgent: !c.draw_non_urgent(),
+                force_ready: false,
+                long_latency,
+            },
+            Classifier::AlwaysReady => Classification {
+                urgent: true,
+                force_ready: true,
+                long_latency,
+            },
+            Classifier::ParkEverything => Classification {
+                urgent: false,
+                force_ready: false,
+                long_latency,
+            },
+        }
+    }
+
+    /// Feedback from load execution: the load at `pc` hit or missed the LLC.
+    /// Only the UIT classifier learns from it.
+    pub fn on_load_outcome(&mut self, pc: Pc, was_llc_miss: bool) {
+        if let Classifier::Uit(c) = self {
+            c.on_load_outcome(pc, was_llc_miss);
+        }
+    }
+
+    /// Batched load-outcome feedback: equivalent to calling
+    /// [`Classifier::on_load_outcome`] for each element in order. The
+    /// functional fast-forward mode of sampled simulation feeds a whole
+    /// interval's load outcomes at once.
+    pub fn on_load_outcomes(&mut self, outcomes: &[LoadOutcome]) {
+        if let Classifier::Uit(c) = self {
+            for o in outcomes {
+                c.on_load_outcome(o.pc, o.missed_llc);
+            }
+        }
+    }
+
+    /// Short name for reports and sweeps.
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        match self {
+            Classifier::Uit(_) => "uit",
+            Classifier::Oracle(_) => "oracle",
+            Classifier::Random(_) => "random",
+            Classifier::AlwaysReady => "always-ready",
+            Classifier::ParkEverything => "park-everything",
         }
     }
 }
 
-impl Clone for Box<dyn CriticalityClassifier> {
-    fn clone(&self) -> Box<dyn CriticalityClassifier> {
-        self.box_clone()
-    }
-}
-
-/// Which [`CriticalityClassifier`] a simulation point uses, selectable from
-/// the configuration so sweeps can enumerate classifiers as a first-class
+/// Which [`Classifier`] a simulation point uses, selectable from the
+/// configuration so sweeps can enumerate classifiers as a first-class
 /// dimension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClassifierKind {
@@ -219,14 +219,13 @@ impl ClassifierKind {
     /// [`ClassifierKind::Uit`] and [`ClassifierKind::Oracle`] both
     /// [`build`](ClassifierKind::build) a [`UitClassifier`] whose UIT and
     /// hit/miss predictor learn from every
-    /// [`on_load_outcome`](CriticalityClassifier::on_load_outcome) during
-    /// warm-up (the oracle replaces it only when attached, after any
-    /// warm-up). The remaining kinds have a no-op `on_load_outcome`
-    /// ([`ClassifierKind::Random`]'s stream only advances in
-    /// [`assess`](CriticalityClassifier::assess)), so a freshly built
-    /// classifier is bit-identical to a warmed one. Checkpoint caching keys
-    /// on this: warm state captured under one detail configuration can be
-    /// restored under another exactly when both sides train the same way.
+    /// [`on_load_outcome`](Classifier::on_load_outcome) during warm-up (the
+    /// oracle replaces it only when attached, after any warm-up). The
+    /// remaining kinds ignore `on_load_outcome` ([`ClassifierKind::Random`]'s
+    /// stream only advances in [`assess`](Classifier::assess)), so a freshly
+    /// built classifier is bit-identical to a warmed one. Checkpoint caching
+    /// keys on this: warm state captured under one detail configuration can
+    /// be restored under another exactly when both sides train the same way.
     #[must_use]
     pub fn trains_during_warmup(self) -> bool {
         matches!(self, ClassifierKind::Uit | ClassifierKind::Oracle)
@@ -248,17 +247,17 @@ impl ClassifierKind {
     /// [`ClassifierKind::Uit`]; [`ClassifierKind::Oracle`] also starts as a
     /// UIT classifier until the analysed oracle is attached.
     #[must_use]
-    pub fn build(self, uit_entries: usize) -> Box<dyn CriticalityClassifier> {
+    pub fn build(self, uit_entries: usize) -> Classifier {
         match self {
             ClassifierKind::Uit | ClassifierKind::Oracle => {
-                Box::new(UitClassifier::new(uit_entries))
+                Classifier::Uit(UitClassifier::new(uit_entries))
             }
             ClassifierKind::Random {
                 non_urgent_percent,
                 seed,
-            } => Box::new(RandomClassifier::new(non_urgent_percent, seed)),
-            ClassifierKind::AlwaysReady => Box::new(AlwaysReadyClassifier),
-            ClassifierKind::ParkEverything => Box::new(ParkEverythingClassifier),
+            } => Classifier::Random(RandomClassifier::new(non_urgent_percent, seed)),
+            ClassifierKind::AlwaysReady => Classifier::AlwaysReady,
+            ClassifierKind::ParkEverything => Classifier::ParkEverything,
         }
     }
 }
@@ -283,10 +282,12 @@ impl UitClassifier {
             predictor: HitMissPredictor::default_sized(),
         }
     }
-}
 
-impl CriticalityClassifier for UitClassifier {
-    fn assess(&mut self, inst: &RenamedInst, producer_pc: &ProducerLookup<'_>) -> Classification {
+    fn assess(
+        &mut self,
+        inst: &RenamedInst,
+        producer_pc: impl Fn(ArchReg) -> Option<Pc>,
+    ) -> Classification {
         // Urgency: the instruction's own PC is in the UIT (it is a learned
         // ancestor of a long-latency instruction, or a long-latency load
         // itself).
@@ -320,67 +321,6 @@ impl CriticalityClassifier for UitClassifier {
             self.uit.insert(pc);
         }
     }
-
-    fn on_load_outcomes(&mut self, outcomes: &[LoadOutcome]) {
-        // Monomorphic inner loop: one virtual dispatch per batch instead of
-        // one per load, with direct predictor/UIT access inside.
-        for o in outcomes {
-            self.predictor.update(o.pc, o.missed_llc);
-            if o.missed_llc {
-                self.uit.insert(o.pc);
-            }
-        }
-    }
-
-    fn note_urgent(&mut self, pc: Pc) {
-        self.uit.insert(pc);
-    }
-
-    fn name(&self) -> &'static str {
-        "uit"
-    }
-
-    fn box_clone(&self) -> Box<dyn CriticalityClassifier> {
-        Box::new(self.clone())
-    }
-
-    fn snapshot_state(&self) -> Option<ClassifierState> {
-        Some(ClassifierState::Uit(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-}
-
-impl CriticalityClassifier for crate::OracleClassifier {
-    fn assess(&mut self, inst: &RenamedInst, _producer_pc: &ProducerLookup<'_>) -> Classification {
-        let class = self.classify(inst.seq);
-        Classification {
-            urgent: class.urgent,
-            // The oracle may say "ready" even though tickets were inherited
-            // (e.g. the producer completed long ago); trust the oracle for
-            // readiness and drop the inherited tickets in that case.
-            force_ready: class.ready,
-            long_latency: self.is_long_latency(inst.seq),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "oracle"
-    }
-
-    fn box_clone(&self) -> Box<dyn CriticalityClassifier> {
-        Box::new(self.clone())
-    }
-
-    fn snapshot_state(&self) -> Option<ClassifierState> {
-        Some(ClassifierState::Oracle(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
 }
 
 /// Classifies a configurable fraction of instructions Non-Urgent, at random.
@@ -412,7 +352,8 @@ impl RandomClassifier {
         }
     }
 
-    fn next(&mut self) -> u64 {
+    /// Draws the next Non-Urgent verdict from the stream.
+    fn draw_non_urgent(&mut self) -> bool {
         // xorshift64: deterministic, dependency-free, good enough for an
         // unbiased coin.
         let mut x = self.state;
@@ -420,98 +361,7 @@ impl RandomClassifier {
         x ^= x >> 7;
         x ^= x << 17;
         self.state = x;
-        x
-    }
-}
-
-impl CriticalityClassifier for RandomClassifier {
-    fn assess(&mut self, inst: &RenamedInst, _producer_pc: &ProducerLookup<'_>) -> Classification {
-        let non_urgent = (self.next() % 100) < u64::from(self.non_urgent_percent);
-        Classification {
-            urgent: !non_urgent,
-            force_ready: false,
-            // Without a predictor only architecturally long-latency
-            // operations are known ahead of execution.
-            long_latency: inst.op.is_long_latency_arith(),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "random"
-    }
-
-    fn box_clone(&self) -> Box<dyn CriticalityClassifier> {
-        Box::new(self.clone())
-    }
-
-    fn snapshot_state(&self) -> Option<ClassifierState> {
-        Some(ClassifierState::Random(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-}
-
-/// Calls every instruction Urgent + Ready: nothing is ever parkable, so the
-/// machine behaves like the no-LTP baseline even with parking enabled.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AlwaysReadyClassifier;
-
-impl CriticalityClassifier for AlwaysReadyClassifier {
-    fn assess(&mut self, inst: &RenamedInst, _producer_pc: &ProducerLookup<'_>) -> Classification {
-        Classification {
-            urgent: true,
-            force_ready: true,
-            long_latency: inst.op.is_long_latency_arith(),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "always-ready"
-    }
-
-    fn box_clone(&self) -> Box<dyn CriticalityClassifier> {
-        Box::new(*self)
-    }
-
-    fn snapshot_state(&self) -> Option<ClassifierState> {
-        Some(ClassifierState::AlwaysReady)
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-}
-
-/// Calls every instruction Non-Urgent: maximal parking pressure, the
-/// upper bound on how much traffic the LTP structures can see.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ParkEverythingClassifier;
-
-impl CriticalityClassifier for ParkEverythingClassifier {
-    fn assess(&mut self, inst: &RenamedInst, _producer_pc: &ProducerLookup<'_>) -> Classification {
-        Classification {
-            urgent: false,
-            force_ready: false,
-            long_latency: inst.op.is_long_latency_arith(),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "park-everything"
-    }
-
-    fn box_clone(&self) -> Box<dyn CriticalityClassifier> {
-        Box::new(*self)
-    }
-
-    fn snapshot_state(&self) -> Option<ClassifierState> {
-        Some(ClassifierState::ParkEverything)
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
+        x % 100 < u64::from(self.non_urgent_percent)
     }
 }
 
@@ -535,23 +385,23 @@ mod tests {
 
     #[test]
     fn uit_learns_urgency_through_backward_propagation() {
-        let mut c = UitClassifier::new(64);
-        assert!(!c.assess(&alu(0, 0x100), &no_producers).urgent);
+        let mut c = Classifier::Uit(UitClassifier::new(64));
+        assert!(!c.assess(&alu(0, 0x100), no_producers).urgent);
         c.on_load_outcome(Pc(0x100), true);
         // Now 0x100 is urgent, and its producer at 0x90 becomes urgent too.
-        assert!(c.assess(&alu(1, 0x100), &|_| Some(Pc(0x90))).urgent);
-        assert!(c.assess(&alu(2, 0x90), &no_producers).urgent);
+        assert!(c.assess(&alu(1, 0x100), |_| Some(Pc(0x90))).urgent);
+        assert!(c.assess(&alu(2, 0x90), no_producers).urgent);
         assert_eq!(c.name(), "uit");
     }
 
     #[test]
     fn random_classifier_is_deterministic_and_roughly_calibrated() {
-        let mut a = RandomClassifier::new(30, 42);
-        let mut b = RandomClassifier::new(30, 42);
+        let mut a = Classifier::Random(RandomClassifier::new(30, 42));
+        let mut b = Classifier::Random(RandomClassifier::new(30, 42));
         let mut non_urgent = 0;
         for s in 0..1000 {
-            let ca = a.assess(&alu(s, 0x10), &no_producers);
-            let cb = b.assess(&alu(s, 0x10), &no_producers);
+            let ca = a.assess(&alu(s, 0x10), no_producers);
+            let cb = b.assess(&alu(s, 0x10), no_producers);
             assert_eq!(ca, cb, "same seed must give the same stream");
             if !ca.urgent {
                 non_urgent += 1;
@@ -563,15 +413,15 @@ mod tests {
         );
         // Adjacent seeds (the harness's `seed`/`seed + 1` discipline) must
         // produce distinct streams, and seed 0 must not degenerate.
-        let mut even = RandomClassifier::new(50, 4);
-        let mut odd = RandomClassifier::new(50, 5);
-        let mut zero = RandomClassifier::new(50, 0);
+        let mut even = Classifier::Random(RandomClassifier::new(50, 4));
+        let mut odd = Classifier::Random(RandomClassifier::new(50, 5));
+        let mut zero = Classifier::Random(RandomClassifier::new(50, 0));
         let streams: Vec<(bool, bool, bool)> = (0..64)
             .map(|s| {
                 (
-                    even.assess(&alu(s, 0x10), &no_producers).urgent,
-                    odd.assess(&alu(s, 0x10), &no_producers).urgent,
-                    zero.assess(&alu(s, 0x10), &no_producers).urgent,
+                    even.assess(&alu(s, 0x10), no_producers).urgent,
+                    odd.assess(&alu(s, 0x10), no_producers).urgent,
+                    zero.assess(&alu(s, 0x10), no_producers).urgent,
                 )
             })
             .collect();
@@ -584,11 +434,11 @@ mod tests {
 
     #[test]
     fn degenerate_classifiers_are_constant() {
-        let mut always = AlwaysReadyClassifier;
-        let c = always.assess(&alu(0, 0x10), &no_producers);
+        let mut always = Classifier::AlwaysReady;
+        let c = always.assess(&alu(0, 0x10), no_producers);
         assert!(c.urgent && c.force_ready);
-        let mut park = ParkEverythingClassifier;
-        let c = park.assess(&alu(0, 0x10), &no_producers);
+        let mut park = Classifier::ParkEverything;
+        let c = park.assess(&alu(0, 0x10), no_producers);
         assert!(!c.urgent && !c.force_ready);
     }
 
@@ -597,7 +447,7 @@ mod tests {
         for kind in ClassifierKind::SWEEPABLE {
             let built = kind.build(64);
             assert_eq!(built.name(), kind.label());
-            // The boxed classifier must be cloneable.
+            // The classifier must be cloneable.
             let _copy = built.clone();
         }
         assert!(ClassifierKind::Oracle.needs_trace_oracle());

@@ -32,7 +32,10 @@
 //! * [`TicketFile`] — tickets for waking Non-Ready instructions,
 //! * [`DramTimerMonitor`] — the timer that power-gates LTP when there are no
 //!   long-latency loads,
-//! * [`OracleClassifier`] — the perfect classification used in the limit study.
+//! * [`Classifier`] — the criticality classifier the unit consults at rename,
+//!   one of a closed set selected by [`ClassifierKind`]: the realistic UIT
+//!   with its LLC hit/miss predictor, the limit study's perfect
+//!   [`OracleClassifier`], or one of three controls.
 //!
 //! # Example
 //!
@@ -66,8 +69,7 @@ mod unit;
 
 pub use class::{Criticality, InstClass};
 pub use classifier::{
-    AlwaysReadyClassifier, Classification, ClassifierKind, ClassifierState, CriticalityClassifier,
-    LoadOutcome, ParkEverythingClassifier, ProducerLookup, RandomClassifier, UitClassifier,
+    Classification, Classifier, ClassifierKind, LoadOutcome, RandomClassifier, UitClassifier,
 };
 pub use config::{LtpConfig, LtpMode};
 pub use monitor::DramTimerMonitor;

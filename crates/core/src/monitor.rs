@@ -60,12 +60,6 @@ impl DramTimerMonitor {
         self.was_enabled
     }
 
-    /// Read-only check without advancing accounting.
-    #[must_use]
-    pub fn is_enabled_at(&self, now: Cycle) -> bool {
-        matches!(self.enabled_until, Some(t) if now < t)
-    }
-
     fn advance(&mut self, now: Cycle) {
         if now < self.last_observed {
             return;
@@ -130,8 +124,8 @@ mod tests {
         m.note_llc_miss(100);
         assert!(m.enabled(250));
         assert!(!m.enabled(301));
-        assert!(m.is_enabled_at(299));
-        assert!(!m.is_enabled_at(300));
+        // The window the miss opened is [100, 300).
+        assert_eq!(m.enabled_until, Some(300));
     }
 
     #[test]
@@ -191,14 +185,12 @@ mod tests {
     }
 
     /// Power-gating boundary: LTP is on strictly before `miss + timeout` and
-    /// off exactly at it (the window is exclusive), on both the accounting
-    /// path (`enabled`) and the read-only path (`is_enabled_at`).
+    /// off exactly at it (the window is exclusive).
     #[test]
     fn gating_boundary_is_exclusive() {
         let mut m = DramTimerMonitor::new(100);
         m.note_llc_miss(50);
-        assert!(m.is_enabled_at(149));
-        assert!(!m.is_enabled_at(150));
+        assert_eq!(m.enabled_until, Some(150));
         assert!(m.enabled(149));
         assert!(!m.enabled(150));
     }

@@ -128,12 +128,6 @@ impl RatExtension {
         }
     }
 
-    /// Number of registers whose Parked bit is currently set.
-    #[must_use]
-    pub fn parked_count(&self) -> usize {
-        self.entries.iter().filter(|e| e.parked).count()
-    }
-
     /// Resets all entries (used across simulation phases).
     pub fn reset(&mut self) {
         for e in &mut self.entries {
@@ -177,7 +171,7 @@ mod tests {
         let mut rat = RatExtension::new();
         rat.write(ArchReg::int(3), Pc(0x10), SeqNum(1), true, TicketSet::new());
         assert!(rat.is_parked(ArchReg::int(3)));
-        assert_eq!(rat.parked_count(), 1);
+        assert_eq!(rat.entries.iter().filter(|e| e.parked).count(), 1);
         let cleared = rat.unpark_producer(SeqNum(1));
         assert_eq!(cleared, 1);
         assert!(!rat.is_parked(ArchReg::int(3)));
@@ -227,7 +221,7 @@ mod tests {
         let mut rat = RatExtension::new();
         rat.write(ArchReg::int(4), Pc(0x10), SeqNum(1), true, TicketSet::new());
         rat.reset();
-        assert_eq!(rat.parked_count(), 0);
+        assert!(rat.entries.iter().all(|e| !e.parked));
         assert_eq!(rat.producer_pc(ArchReg::int(4)), None);
     }
 

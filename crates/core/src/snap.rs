@@ -9,7 +9,7 @@
 //! only hash containers are canonicalised.
 
 use crate::class::Criticality;
-use crate::classifier::{ClassifierState, RandomClassifier, UitClassifier};
+use crate::classifier::{Classifier, RandomClassifier, UitClassifier};
 use crate::config::{LtpConfig, LtpMode};
 use crate::monitor::DramTimerMonitor;
 use crate::oracle::OracleClassifier;
@@ -174,32 +174,32 @@ impl Codec for OracleClassifier {
     }
 }
 
-impl Codec for ClassifierState {
+impl Codec for Classifier {
     fn write(&self, w: &mut Writer) {
         match self {
-            ClassifierState::Uit(c) => {
+            Classifier::Uit(c) => {
                 w.byte(0);
                 c.write(w);
             }
-            ClassifierState::Oracle(c) => {
+            Classifier::Oracle(c) => {
                 w.byte(1);
                 c.write(w);
             }
-            ClassifierState::Random(c) => {
+            Classifier::Random(c) => {
                 w.byte(2);
                 c.write(w);
             }
-            ClassifierState::AlwaysReady => w.byte(3),
-            ClassifierState::ParkEverything => w.byte(4),
+            Classifier::AlwaysReady => w.byte(3),
+            Classifier::ParkEverything => w.byte(4),
         }
     }
     fn read(r: &mut Reader<'_>) -> Result<Self, SnapError> {
         Ok(match r.byte()? {
-            0 => ClassifierState::Uit(UitClassifier::read(r)?),
-            1 => ClassifierState::Oracle(OracleClassifier::read(r)?),
-            2 => ClassifierState::Random(RandomClassifier::read(r)?),
-            3 => ClassifierState::AlwaysReady,
-            4 => ClassifierState::ParkEverything,
+            0 => Classifier::Uit(UitClassifier::read(r)?),
+            1 => Classifier::Oracle(OracleClassifier::read(r)?),
+            2 => Classifier::Random(RandomClassifier::read(r)?),
+            3 => Classifier::AlwaysReady,
+            4 => Classifier::ParkEverything,
             t => return Err(SnapError::BadTag(u32::from(t))),
         })
     }
@@ -270,13 +270,10 @@ impl_codec!(LtpStats {
 impl Codec for LtpUnit {
     fn write(&self, w: &mut Writer) {
         self.cfg.write(w);
-        // Capture paths check `snapshot_supported` before encoding, so this
-        // expect only fires on a bug in that contract.
-        self.classifier
-            .snapshot_state()
-            .expect("classifier does not support snapshots (checked at capture)")
-            .write(w);
-        self.classifier_attached.write(w);
+        self.classifier.write(w);
+        // The format keeps its attached-oracle byte. The variant decides it,
+        // and `read` refuses a byte that disagrees with the variant.
+        self.oracle_attached().write(w);
         self.rat_ext.write(w);
         self.queue.write(w);
         self.tickets.write(w);
@@ -286,12 +283,15 @@ impl Codec for LtpUnit {
     }
     fn read(r: &mut Reader<'_>) -> Result<Self, SnapError> {
         let cfg = LtpConfig::read(r)?;
-        let classifier = ClassifierState::read(r)?.into_classifier();
-        let classifier_attached = bool::read(r)?;
+        let classifier = Classifier::read(r)?;
+        if bool::read(r)? != matches!(classifier, Classifier::Oracle(_)) {
+            return Err(SnapError::Invalid(
+                "oracle flag disagrees with the classifier",
+            ));
+        }
         let unit = LtpUnit {
             cfg,
             classifier,
-            classifier_attached,
             rat_ext: RatExtension::read(r)?,
             queue: LtpQueue::read(r)?,
             tickets: TicketFile::read(r)?,
@@ -313,16 +313,6 @@ impl Codec for LtpUnit {
             return Err(SnapError::Invalid("a ticket set holds an id never minted"));
         }
         Ok(unit)
-    }
-}
-
-impl LtpUnit {
-    /// Whether this unit's classifier can be checkpointed (all built-in
-    /// classifiers can; a custom [`crate::CriticalityClassifier`] that does
-    /// not implement `snapshot_state` cannot).
-    #[must_use]
-    pub fn snapshot_supported(&self) -> bool {
-        self.classifier.supports_snapshot()
     }
 }
 
@@ -379,7 +369,6 @@ mod tests {
                 20 + s,
             );
         }
-        assert!(unit.snapshot_supported());
 
         let bytes = encode_value(&unit);
         let mut r = Reader::new(&bytes);
@@ -516,38 +505,121 @@ mod tests {
         }
     }
 
+    /// The encodings of every classifier, and of an LTP unit before and
+    /// after an oracle is attached, pinned by their FNV-1a hashes.
+    #[test]
+    fn classifier_encodings_are_pinned() {
+        let mut uit = Classifier::Uit(UitClassifier::new(64));
+        for i in 0..40u64 {
+            uit.on_load_outcome(Pc(0x100 + (i % 12) * 4), i % 3 != 1);
+        }
+        let oracle = OracleClassifier::from_parts(
+            vec![
+                Criticality::URGENT_READY,
+                Criticality::NON_URGENT_READY,
+                Criticality::NON_URGENT_NON_READY,
+            ],
+            vec![true, false, true],
+        );
+        let mut random = Classifier::Random(RandomClassifier::new(30, 7));
+        for s in 0..10u64 {
+            let _ = random.assess(&inst(s, 0x10, 1, &[], OpClass::IntAlu), |_| None);
+        }
+        let hashes: Vec<u64> = [
+            uit,
+            Classifier::Oracle(oracle.clone()),
+            random,
+            Classifier::AlwaysReady,
+            Classifier::ParkEverything,
+        ]
+        .iter()
+        .map(|c| ltp_snapshot::fnv1a64(&encode_value(c)))
+        .collect();
+        assert_eq!(
+            hashes,
+            [
+                0xd7da_bbcc_c65d_c716,
+                0x7e09_960a_e2f1_2baf,
+                0x2c34_a6e4_b73e_d92e,
+                0xaf63_be4c_8601_b992,
+                0xaf63_b94c_8601_b113,
+            ],
+            "classifier bytes"
+        );
+
+        let mut unit = LtpUnit::new(LtpConfig::ideal(LtpMode::Both), 200);
+        for i in 0..8u64 {
+            unit.on_load_outcome(Pc(0x104), i % 2 == 0, i);
+        }
+        for s in 0..6u64 {
+            let op = if s % 2 == 0 {
+                OpClass::Load
+            } else {
+                OpClass::IntAlu
+            };
+            let _ = unit.at_rename(
+                &inst(s, 0x100 + s * 4, 1 + s as usize, &[s as usize], op),
+                10,
+            );
+        }
+        let without = ltp_snapshot::fnv1a64(&encode_value(&unit));
+        unit.set_oracle(oracle);
+        let with = ltp_snapshot::fnv1a64(&encode_value(&unit));
+        assert_eq!(
+            [without, with],
+            [0x429a_78dd_787e_174e, 0xce58_713f_0862_c0b3],
+            "unit bytes without and with an oracle"
+        );
+    }
+
     #[test]
     fn oracle_and_random_classifiers_roundtrip() {
         let oracle = OracleClassifier::from_parts(
             vec![Criticality::URGENT_READY, Criticality::NON_URGENT_NON_READY],
             vec![true, false],
         );
-        let bytes = encode_value(&ClassifierState::Oracle(oracle));
+        let bytes = encode_value(&Classifier::Oracle(oracle));
         let mut r = Reader::new(&bytes);
-        let back = ClassifierState::read(&mut r).expect("decode");
-        let mut c = back.into_classifier();
+        let mut c = Classifier::read(&mut r).expect("decode");
         assert_eq!(c.name(), "oracle");
         let i = inst(0, 0x10, 1, &[], OpClass::IntAlu);
-        let cls = c.assess(&i, &|_| None);
+        let cls = c.assess(&i, |_| None);
         assert!(cls.urgent);
 
         // A random classifier must resume its stream exactly where it left off.
-        let mut rand = RandomClassifier::new(50, 99);
+        let mut rand = Classifier::Random(RandomClassifier::new(50, 99));
         for s in 0..10u64 {
-            let _ = crate::CriticalityClassifier::assess(
-                &mut rand,
-                &inst(s, 0x10, 1, &[], OpClass::IntAlu),
-                &|_| None,
-            );
+            let _ = rand.assess(&inst(s, 0x10, 1, &[], OpClass::IntAlu), |_| None);
         }
         let bytes = encode_value(&rand);
         let mut r = Reader::new(&bytes);
-        let mut restored = RandomClassifier::read(&mut r).unwrap();
+        let mut restored = Classifier::read(&mut r).unwrap();
         for s in 10..30u64 {
             let i = inst(s, 0x10, 1, &[], OpClass::IntAlu);
-            let a = crate::CriticalityClassifier::assess(&mut rand, &i, &|_| None);
-            let b = crate::CriticalityClassifier::assess(&mut restored, &i, &|_| None);
-            assert_eq!(a, b);
+            assert_eq!(rand.assess(&i, |_| None), restored.assess(&i, |_| None));
+        }
+    }
+
+    /// The byte after the classifier says whether an oracle is attached; a
+    /// unit whose byte disagrees with its classifier does not decode.
+    #[test]
+    fn flipped_attached_byte_is_invalid() {
+        let mut unit = LtpUnit::new(LtpConfig::ideal(LtpMode::Both), 200);
+        for attached in [false, true] {
+            if attached {
+                unit.set_oracle(OracleClassifier::from_parts(vec![], vec![]));
+            }
+            let mut bytes = encode_value(&unit);
+            let at = encode_value(&unit.cfg).len() + encode_value(&unit.classifier).len();
+            assert_eq!(bytes[at], u8::from(attached));
+            assert!(ltp_snapshot::decode_value::<LtpUnit>(&bytes).is_ok());
+            bytes[at] ^= 1;
+            assert_eq!(
+                ltp_snapshot::decode_value::<LtpUnit>(&bytes).map(|_| ()),
+                Err(SnapError::Invalid(
+                    "oracle flag disagrees with the classifier"
+                ))
+            );
         }
     }
 }

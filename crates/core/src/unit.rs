@@ -2,7 +2,7 @@
 //! stages (Figure 8 of the paper).
 
 use crate::class::{Criticality, InstClass};
-use crate::classifier::CriticalityClassifier;
+use crate::classifier::Classifier;
 use crate::config::LtpConfig;
 use crate::monitor::DramTimerMonitor;
 use crate::oracle::OracleClassifier;
@@ -158,16 +158,11 @@ impl LtpStats {
 #[derive(Debug, Clone)]
 pub struct LtpUnit {
     pub(crate) cfg: LtpConfig,
-    pub(crate) classifier: Box<dyn CriticalityClassifier>,
+    pub(crate) classifier: Classifier,
     pub(crate) rat_ext: RatExtension,
     pub(crate) queue: LtpQueue,
     pub(crate) tickets: TicketFile,
     pub(crate) monitor: DramTimerMonitor,
-    /// Whether the default classifier built from the configuration was
-    /// replaced through [`LtpUnit::set_oracle`] / [`LtpUnit::set_classifier`]
-    /// (the pipeline refuses to run an Oracle-configured machine that never
-    /// had anything attached).
-    pub(crate) classifier_attached: bool,
     /// seq -> ticket owned by that (predicted long-latency) instruction.
     pub(crate) ticket_owner: SeqMap<Ticket>,
     pub(crate) stats: LtpStats,
@@ -196,7 +191,6 @@ impl LtpUnit {
             queue,
             tickets: TicketFile::new(cfg.num_tickets.max(1)),
             monitor: DramTimerMonitor::new(monitor_timeout.max(1)),
-            classifier_attached: false,
             // One key per ticket in use (unlimited tickets take the same
             // 1024-entry cap as the IQ).
             ticket_owner: SeqMap::with_capacity(cfg.num_tickets.clamp(1, 1024)),
@@ -210,43 +204,33 @@ impl LtpUnit {
     /// identification come from the oracle instead of the UIT and the
     /// hit/miss predictor.
     pub fn set_oracle(&mut self, oracle: OracleClassifier) {
-        self.classifier = Box::new(oracle);
-        self.classifier_attached = true;
+        self.classifier = Classifier::Oracle(oracle);
     }
 
-    /// Replaces the criticality classifier. Classification state learned so
-    /// far (UIT contents, predictor counters) is discarded with the old
-    /// classifier.
-    pub fn set_classifier(&mut self, classifier: Box<dyn CriticalityClassifier>) {
-        self.classifier = classifier;
-        self.classifier_attached = true;
-    }
-
-    /// Whether a classifier was explicitly attached (via
-    /// [`LtpUnit::set_oracle`] or [`LtpUnit::set_classifier`]) rather than
-    /// built from the configuration's default.
+    /// Whether an oracle is attached: the classifier is
+    /// [`Classifier::Oracle`], which only [`LtpUnit::set_oracle`] installs
+    /// (the pipeline refuses to run an Oracle-configured machine without
+    /// one).
     #[must_use]
-    pub fn classifier_attached(&self) -> bool {
-        self.classifier_attached
+    pub fn oracle_attached(&self) -> bool {
+        matches!(self.classifier, Classifier::Oracle(_))
     }
 
-    /// Exports the serialisable state of the current classifier, or `None`
-    /// when the classifier does not support snapshotting. Used (with
-    /// [`LtpUnit::monitor_state`]) to capture the warm half of a functional
-    /// fast-forward: everything warm-up trains inside this unit.
+    /// A copy of the current classifier with everything it has learned.
+    /// Used (with [`LtpUnit::monitor_state`]) to capture the warm half of a
+    /// functional fast-forward: everything warm-up trains inside this unit.
     #[must_use]
-    pub fn classifier_state(&self) -> Option<crate::ClassifierState> {
-        self.classifier.snapshot_state()
+    pub fn classifier_state(&self) -> Classifier {
+        self.classifier.clone()
     }
 
-    /// Restores previously captured classifier state *without* marking the
-    /// classifier as externally attached (unlike [`LtpUnit::set_classifier`]).
-    /// The restored unit is indistinguishable from one whose
-    /// configuration-built classifier observed the same outcome stream, so
-    /// an Oracle-configured unit still demands
+    /// Restores a previously captured classifier. The restored unit is
+    /// indistinguishable from one whose configuration-built classifier
+    /// observed the same outcome stream; warm-up trains the UIT even under
+    /// an Oracle configuration, so such a unit still demands
     /// [`LtpUnit::set_oracle`] before a detailed run.
-    pub fn restore_classifier_state(&mut self, state: crate::ClassifierState) {
-        self.classifier = state.into_classifier();
+    pub fn restore_classifier_state(&mut self, state: Classifier) {
+        self.classifier = state;
     }
 
     /// The on/off monitor's current state (timer arm, accumulated enabled
@@ -347,9 +331,7 @@ impl LtpUnit {
         // allocates them). Producer PCs are resolved lazily so only the
         // classifiers (and instructions) that need them pay for the lookups.
         let rat_ext = &self.rat_ext;
-        let assessment = self
-            .classifier
-            .assess(inst, &|src| rat_ext.producer_pc(src));
+        let assessment = self.classifier.assess(inst, |src| rat_ext.producer_pc(src));
         let urgent = assessment.urgent;
         let is_long_latency_producer = assessment.long_latency;
         let mut inherited_tickets = TicketSet::new();
@@ -459,13 +441,6 @@ impl LtpUnit {
                 self.monitor.note_llc_miss(o.now);
             }
         }
-    }
-
-    /// Marks the instruction at `pc` as long-latency (ancestor seed). Useful
-    /// when the caller identifies long-latency work that is not a load, e.g.
-    /// a divide whose consumers should be treated as Non-Ready.
-    pub fn mark_urgent(&mut self, pc: Pc) {
-        self.classifier.note_urgent(pc);
     }
 
     /// Signals that the (predicted) long-latency instruction `seq` is about
@@ -597,6 +572,14 @@ mod tests {
 
     use crate::LtpMode;
 
+    /// Makes the instruction at `pc` urgent by seeding the unit's UIT.
+    fn seed_urgent(ltp: &mut LtpUnit, pc: Pc) {
+        let Classifier::Uit(c) = &mut ltp.classifier else {
+            unreachable!("test units classify with the UIT")
+        };
+        c.uit.insert(pc);
+    }
+
     #[test]
     fn disabled_unit_never_parks() {
         let mut ltp = unit(LtpMode::Off);
@@ -642,7 +625,7 @@ mod tests {
     fn parked_bit_propagates_to_consumers() {
         let mut ltp = unit(LtpMode::NonUrgentOnly);
         // Make PC 0x200 urgent so it would normally not park.
-        ltp.mark_urgent(Pc(0x200));
+        seed_urgent(&mut ltp, Pc(0x200));
         // Producer parks (non-urgent).
         let p = ltp.at_rename(&alu(0, 0x100, 5, &[6]), 0);
         assert!(p.parked());
@@ -656,7 +639,7 @@ mod tests {
     #[test]
     fn release_clears_parked_bit() {
         let mut ltp = unit(LtpMode::NonUrgentOnly);
-        ltp.mark_urgent(Pc(0x200));
+        seed_urgent(&mut ltp, Pc(0x200));
         let _ = ltp.at_rename(&alu(0, 0x100, 5, &[6]), 0);
         let released = ltp.release_in_order(SeqNum(100), 16, 1);
         assert_eq!(released.len(), 1);
@@ -728,7 +711,7 @@ mod tests {
     #[test]
     fn mem_dep_parked_forces_parking() {
         let mut ltp = unit(LtpMode::NonUrgentOnly);
-        ltp.mark_urgent(Pc(0x300));
+        seed_urgent(&mut ltp, Pc(0x300));
         let inst = load(0, 0x300, 2, 1).with_mem_dep_parked(true);
         let d = ltp.at_rename(&inst, 0);
         assert!(d.class.urgent);

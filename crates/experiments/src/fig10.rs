@@ -104,7 +104,7 @@ pub fn run(ctx: &ExperimentCtx<'_>) -> Report {
                 entries,
                 ports,
                 format!("{:+.1}", (base_cpi / cpi - 1.0) * 100.0),
-                format!("{:+.1}", (ed2p / base_ed2p - 1.0) * 100.0),
+                format!("{:+.1}", EnergyModel::ed2p_delta_percent(ed2p, base_ed2p)),
             ]
         };
         // The red line: IQ 32 / RF 96 without LTP.

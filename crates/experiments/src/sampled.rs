@@ -165,17 +165,23 @@ impl SampleSpec {
     }
 }
 
-/// Wall-clock breakdown of one sampled run. In the streaming pipeline the
-/// functional pass and the detailed intervals overlap, so the parts can sum
-/// to more than the run's wall clock — that surplus *is* the overlap won
-/// back.
+/// Wall-clock breakdown of one sampled run, with the instructions each
+/// timer covered. In the streaming pipeline the functional pass and the
+/// detailed intervals overlap, so the parts can sum to more than the run's
+/// wall clock — that surplus *is* the overlap won back.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SampledTiming {
     /// Functional pass on the producer thread: cache warming, fast-forward
     /// and per-interval checkpoint capture.
     pub functional_secs: f64,
+    /// Instructions behind `functional_secs`: the trace length, or 0 when
+    /// every interval replayed from the journal and the pass did not run.
+    pub functional_insts: u64,
     /// Detailed interval simulation, summed across workers (CPU seconds).
     pub detail_cpu_secs: f64,
+    /// Instructions behind `detail_cpu_secs` (warm-up + measured): the
+    /// intervals this run simulated, journal-replayed ones excluded.
+    pub detail_insts: u64,
     /// Total journaling cost: loading, rewriting and replaying the journal
     /// at setup, and appending each completed interval's record on the
     /// worker that measured it (zero when the run is not journaled).
@@ -951,10 +957,12 @@ fn run_controlled(
     debug_assert_eq!(outcomes.len(), pushed_log.len());
     let mut intervals_out = replayed;
     let mut failures: Vec<IntervalFailure> = Vec::new();
+    let mut detail_insts = 0;
     for (k, outcome) in outcomes.into_iter().enumerate() {
         let index = pushed_log[k];
         let error = match outcome {
             Ok(Ok(m)) => {
+                detail_insts += m.instructions + warm_eff;
                 intervals_out.push(m);
                 continue;
             }
@@ -986,7 +994,9 @@ fn run_controlled(
     let ipc = ConfidenceInterval::from_samples(&samples).widened_for_missing(failures.len());
     let timing = SampledTiming {
         functional_secs,
+        functional_insts: if all_done { 0 } else { total },
         detail_cpu_secs: detail_nanos.load(Ordering::Relaxed) as f64 / 1e9,
+        detail_insts,
         journal_secs: journal_setup_secs + capped_secs(journal_append_ns),
     };
     Ok(SampledResult {
@@ -1288,18 +1298,21 @@ fn run_two_phase(
     }
     let samples: Vec<f64> = intervals_out.iter().map(|m| m.ipc).collect();
     let ipc = ConfidenceInterval::from_samples(&samples);
+    let detailed_insts = intervals_out
+        .iter()
+        .map(|m| m.instructions + warm_eff)
+        .sum();
     let timing = SampledTiming {
         functional_secs,
+        functional_insts: total,
         detail_cpu_secs: detail_nanos.load(Ordering::Relaxed) as f64 / 1e9,
+        detail_insts: detailed_insts,
         journal_secs: 0.0,
     };
     Ok(SampledResult {
         workload: name.to_string(),
         ipc,
-        detailed_insts: intervals_out
-            .iter()
-            .map(|m| m.instructions + warm_eff)
-            .sum(),
+        detailed_insts,
         total_insts: total,
         planned_intervals: intervals_out.len(),
         intervals: intervals_out,
@@ -1507,9 +1520,9 @@ pub(crate) fn run(ctx: &ExperimentCtx<'_>) -> Report {
             total_full_secs += full_secs;
             total_sampled_secs += sampled_secs;
             functional_secs += sampled.timing.functional_secs;
-            functional_insts += sampled.total_insts;
+            functional_insts += sampled.timing.functional_insts;
             detail_cpu_secs += sampled.timing.detail_cpu_secs;
-            detailed_insts += sampled.detailed_insts;
+            detailed_insts += sampled.timing.detail_insts;
             journal_secs += sampled.timing.journal_secs;
             resumed_intervals += sampled.resumed_intervals;
             planned_intervals += sampled.planned_intervals;

@@ -164,19 +164,6 @@ impl DecodedTrace {
         let hi = self.branches.partition_point(|e| e.idx < end);
         &self.branches[lo..hi]
     }
-
-    /// Fraction of instructions that carry **no** functional event — the
-    /// straight-line work a decoded replay advances over in batched steps.
-    /// (An instruction that is both a branch and a memory op cannot exist in
-    /// this ISA, so events never double-count.)
-    #[must_use]
-    pub fn skip_fraction(&self) -> f64 {
-        if self.len == 0 {
-            return 0.0;
-        }
-        let events = (self.mem.len() + self.branches.len()) as u64;
-        (self.len.saturating_sub(events)) as f64 / self.len as f64
-    }
 }
 
 #[cfg(test)]
@@ -221,7 +208,9 @@ mod tests {
         assert!(dec.mem_events()[0].is_load());
         assert!(dec.mem_events()[1].is_store);
         assert_eq!(dec.branch_events()[0].idx, 2);
-        assert!((dec.skip_fraction() - 0.25).abs() < 1e-12);
+        // A quarter of the instructions carry no event.
+        let events = dec.mem_events().len() + dec.branch_events().len();
+        assert_eq!(dec.len() - events as u64, 4);
     }
 
     #[test]
@@ -280,7 +269,7 @@ mod tests {
     fn empty_trace_is_well_formed() {
         let dec = DecodedTrace::from_insts(&[]);
         assert!(dec.is_empty());
-        assert_eq!(dec.skip_fraction(), 0.0);
+        assert!(dec.mem_events().is_empty() && dec.branch_events().is_empty());
         assert!(dec.mem_events_in(0, 0).is_empty());
     }
 }

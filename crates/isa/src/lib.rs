@@ -54,7 +54,7 @@ pub use mem_access::MemAccess;
 pub use op::{ExecLatency, FuKind, OpClass};
 pub use reg::{ArchReg, PhysReg, RegClass, NUM_ARCH_FP_REGS, NUM_ARCH_INT_REGS, NUM_ARCH_REGS};
 pub use seq_map::SeqMap;
-pub use stream::{ArcStream, InstStream, PeekableStream, SliceStream, TakeStream, VecStream};
+pub use stream::{ArcStream, InstStream, SliceStream, TakeStream, VecStream};
 
 /// A program counter (byte address of a static instruction).
 ///

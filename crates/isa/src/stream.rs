@@ -46,17 +46,6 @@ pub trait InstStream {
         }
     }
 
-    /// Adapter: single-instruction lookahead.
-    fn peekable_stream(self) -> PeekableStream<Self>
-    where
-        Self: Sized,
-    {
-        PeekableStream {
-            inner: self,
-            peeked: None,
-        }
-    }
-
     /// Drains the stream into a vector (for small tests and golden traces).
     fn collect_insts(mut self, max: usize) -> Vec<DynInst>
     where
@@ -244,38 +233,6 @@ impl<S: InstStream + ?Sized> InstStream for Box<S> {
     }
 }
 
-/// Stream adapter returned by [`InstStream::peekable_stream`], giving
-/// one-instruction lookahead (the fetch stage uses this to model a fetch
-/// buffer boundary).
-#[derive(Debug, Clone)]
-pub struct PeekableStream<S> {
-    inner: S,
-    peeked: Option<Option<DynInst>>,
-}
-
-impl<S: InstStream> PeekableStream<S> {
-    /// Returns the next instruction without consuming it.
-    pub fn peek(&mut self) -> Option<&DynInst> {
-        if self.peeked.is_none() {
-            self.peeked = Some(self.inner.next_inst());
-        }
-        self.peeked.as_ref().and_then(|o| o.as_ref())
-    }
-}
-
-impl<S: InstStream> InstStream for PeekableStream<S> {
-    fn next_inst(&mut self) -> Option<DynInst> {
-        match self.peeked.take() {
-            Some(v) => v,
-            None => self.inner.next_inst(),
-        }
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,17 +270,6 @@ mod tests {
     fn take_of_short_stream_stops_early() {
         let s = VecStream::new("test", n_insts(2)).take_insts(10);
         assert_eq!(s.collect_insts(100).len(), 2);
-    }
-
-    #[test]
-    fn peekable_does_not_consume() {
-        let mut s = VecStream::new("test", n_insts(2)).peekable_stream();
-        assert_eq!(s.peek().unwrap().seq().0, 0);
-        assert_eq!(s.peek().unwrap().seq().0, 0);
-        assert_eq!(s.next_inst().unwrap().seq().0, 0);
-        assert_eq!(s.next_inst().unwrap().seq().0, 1);
-        assert!(s.peek().is_none());
-        assert!(s.next_inst().is_none());
     }
 
     #[test]

@@ -235,21 +235,6 @@ impl Cache {
         evicted
     }
 
-    /// Invalidates the line containing `addr` if present. Returns whether a
-    /// line was removed.
-    pub fn invalidate(&mut self, addr: u64) -> bool {
-        let set = self.set_index(addr);
-        let tag = self.tag(addr);
-        self.touched[set >> 6] |= 1 << (set & 63);
-        for l in &mut self.sets[set] {
-            if l.valid && l.tag == tag {
-                l.valid = false;
-                return true;
-            }
-        }
-        false
-    }
-
     /// Number of valid lines currently resident (for tests).
     #[must_use]
     pub fn resident_lines(&self) -> usize {
@@ -564,15 +549,6 @@ mod tests {
         assert!(c.probe(0x2000));
         assert!(!c.probe(0x4000));
         assert_eq!(c.stats(), before);
-    }
-
-    #[test]
-    fn invalidate_removes_line() {
-        let mut c = tiny_cache(2, 2);
-        c.fill(0x2000, false, false);
-        assert!(c.invalidate(0x2000));
-        assert!(!c.probe(0x2000));
-        assert!(!c.invalidate(0x2000));
     }
 
     #[test]

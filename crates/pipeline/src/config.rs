@@ -373,14 +373,6 @@ impl PipelineConfig {
         self
     }
 
-    /// Returns a copy with an arbitrary SMT configuration (thread count and
-    /// policy); `SmtConfig::single()` restores the single-threaded machine.
-    #[must_use]
-    pub fn with_smt(mut self, smt: SmtConfig) -> PipelineConfig {
-        self.smt = smt;
-        self
-    }
-
     /// The warm-up half (what checkpoint-cache keys are derived from).
     ///
     /// The destructuring is exhaustive on purpose: a field added to
@@ -454,13 +446,6 @@ impl PipelineConfig {
             );
         }
         self.ltp.validate();
-    }
-
-    /// Total integer physical registers (architectural + available), the
-    /// quantity the energy model sizes the RF with.
-    #[must_use]
-    pub fn total_int_phys_regs(&self) -> usize {
-        self.int_regs.saturating_add(ltp_isa::NUM_ARCH_INT_REGS)
     }
 }
 
@@ -538,8 +523,6 @@ mod tests {
         assert_eq!(c.smt.policy, SharePolicy::Icount);
         assert!(c.smt.is_smt());
         c.validate();
-        let c = c.with_smt(SmtConfig::single());
-        assert!(!c.smt.is_smt());
         assert_eq!(SharePolicy::StaticPartition.label(), "static");
         assert_eq!(SharePolicy::Shared.label(), "shared");
         assert_eq!(SharePolicy::Icount.label(), "icount");
@@ -552,12 +535,6 @@ mod tests {
             .with_sq(1)
             .smt(SharePolicy::StaticPartition)
             .validate();
-    }
-
-    #[test]
-    fn total_phys_regs_adds_architectural() {
-        let c = PipelineConfig::micro2015_baseline();
-        assert_eq!(c.total_int_phys_regs(), 128 + ltp_isa::NUM_ARCH_INT_REGS);
     }
 
     #[test]

@@ -39,7 +39,7 @@ use crate::rob::Rob;
 use crate::stages::{commit, issue, release, writeback, RenameStage, StageBus};
 use crate::state::{PipelineState, RegSet, ThreadState};
 use crate::FuPool;
-use ltp_core::{CriticalityClassifier, LtpUnit, OracleClassifier};
+use ltp_core::{LtpUnit, OracleClassifier};
 use ltp_isa::{DynInst, InstStream, SeqMap, ThreadId};
 use ltp_mem::{AccessKind, Cycle, MemoryHierarchy, MemoryRequest};
 
@@ -232,20 +232,6 @@ impl Processor {
     /// Panics if `tid` is out of range.
     pub fn set_oracle_for(&mut self, tid: usize, oracle: OracleClassifier) {
         self.state.thread_mut(tid).ltp.set_oracle(oracle);
-    }
-
-    /// Replaces the criticality classifier driving thread 0's LTP unit.
-    pub fn set_classifier(&mut self, classifier: Box<dyn CriticalityClassifier>) {
-        self.set_classifier_for(0, classifier);
-    }
-
-    /// Replaces the criticality classifier of the given hardware thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tid` is out of range.
-    pub fn set_classifier_for(&mut self, tid: usize, classifier: Box<dyn CriticalityClassifier>) {
-        self.state.thread_mut(tid).ltp.set_classifier(classifier);
     }
 
     /// Warms the caches by replaying memory accesses of `trace` functionally
@@ -467,12 +453,7 @@ impl Processor {
         mut observer: Option<&mut dyn FnMut(&CycleView<'_>)>,
     ) -> Result<Run<S>, RunError> {
         let cfg = self.state.cfg;
-        if cfg.needs_oracle()
-            && !self
-                .state
-                .all_threads()
-                .all(|t| t.ltp.classifier_attached())
-        {
+        if cfg.needs_oracle() && !self.state.all_threads().all(|t| t.ltp.oracle_attached()) {
             return Err(RunError::OracleNotAttached);
         }
         let (mut restored, inherited) = self

@@ -314,15 +314,6 @@ impl IssueQueue {
         self.select_into(max, fu_available, &mut out);
         out
     }
-
-    /// Sequence numbers of the waiting instructions, in no particular order
-    /// (diagnostics).
-    pub fn waiting_seqs(&self) -> impl Iterator<Item = SeqNum> + '_ {
-        self.slots
-            .iter()
-            .filter(|s| s.active)
-            .map(|s| SeqNum(s.seq))
-    }
 }
 
 /// The seed's broadcast-scan issue queue, kept verbatim as a reference model
@@ -547,7 +538,7 @@ mod tests {
         assert_eq!(iq.dispatched(), 100);
         assert_eq!(iq.issued(), 100);
         assert!(iq.is_empty());
-        assert!(iq.waiting_seqs().next().is_none());
+        assert!(iq.slots.iter().all(|s| !s.active));
     }
 
     #[test]

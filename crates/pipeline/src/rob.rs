@@ -291,15 +291,6 @@ impl Rob {
         }
         self.tail_boundary()
     }
-
-    /// Number of parked entries currently in the ROB.
-    #[must_use]
-    pub fn parked_count(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| e.state == RobState::Parked)
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -396,15 +387,5 @@ mod tests {
         rob.push(entry(8, false, false));
         assert_eq!(rob.nu_wake_boundary(), SeqNum(9));
         assert_eq!(Rob::new(4).nu_wake_boundary(), SeqNum(0));
-    }
-
-    #[test]
-    fn parked_count() {
-        let mut rob = Rob::new(16);
-        let mut e = entry(0, false, false);
-        e.state = RobState::Parked;
-        rob.push(e);
-        rob.push(entry(1, false, false));
-        assert_eq!(rob.parked_count(), 1);
     }
 }

@@ -222,8 +222,8 @@ impl FunctionalFastForward {
     ///
     /// # Errors
     ///
-    /// Returns [`SnapshotError::ClassifierUnsupported`] for custom
-    /// classifiers without snapshot support.
+    /// Fails only with [`SnapshotError::SmtUnsupported`], on an SMT machine,
+    /// which [`FunctionalFastForward::new`] refuses to build.
     pub fn checkpoint(&self) -> Result<Snapshot, SnapshotError> {
         let mut cpu = Processor::new(self.cpu.state.cfg);
         let now = self.consumed;
@@ -257,15 +257,11 @@ impl FunctionalFastForward {
     ///
     /// # Errors
     ///
-    /// Returns [`SnapshotError::ClassifierUnsupported`] when the
-    /// configuration trains a classifier that cannot export its state.
+    /// Never fails: every classifier can be captured.
     pub fn warm_state(&self) -> Result<FunctionalWarmState, SnapshotError> {
         let ltp = &self.cpu.state.thread.ltp;
         let classifier = match ClassifierTraining::of(&self.cpu.state.cfg.ltp) {
-            ClassifierTraining::Trained { .. } => Some(
-                ltp.classifier_state()
-                    .ok_or(SnapshotError::ClassifierUnsupported)?,
-            ),
+            ClassifierTraining::Trained { .. } => Some(ltp.classifier_state()),
             ClassifierTraining::Inert => None,
         };
         Ok(FunctionalWarmState {
@@ -327,7 +323,7 @@ pub struct FunctionalWarmState {
     pub(crate) mem: ltp_mem::MemoryHierarchy,
     pub(crate) predictor: BranchPredictor,
     pub(crate) monitor: ltp_core::DramTimerMonitor,
-    pub(crate) classifier: Option<ltp_core::ClassifierState>,
+    pub(crate) classifier: Option<ltp_core::Classifier>,
 }
 
 impl FunctionalWarmState {

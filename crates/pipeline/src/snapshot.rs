@@ -368,10 +368,6 @@ pub enum SnapshotError {
     /// Snapshots cover single-threaded machines; SMT co-runs are not
     /// checkpointable (the sampled runner drives single-thread points).
     SmtUnsupported,
-    /// The LTP unit's criticality classifier is a custom implementation that
-    /// does not export its state (see
-    /// [`ltp_core::CriticalityClassifier::snapshot_state`]).
-    ClassifierUnsupported,
     /// The byte stream could not be decoded.
     Decode(SnapError),
 }
@@ -381,12 +377,6 @@ impl std::fmt::Display for SnapshotError {
         match self {
             SnapshotError::SmtUnsupported => {
                 write!(f, "snapshots cover single-threaded machines only")
-            }
-            SnapshotError::ClassifierUnsupported => {
-                write!(
-                    f,
-                    "the attached criticality classifier cannot be checkpointed"
-                )
             }
             SnapshotError::Decode(e) => write!(f, "snapshot decode failed: {e}"),
         }
@@ -460,9 +450,6 @@ impl Snapshot {
     ) -> Result<Snapshot, SnapshotError> {
         if cpu.state.nthreads() != 1 {
             return Err(SnapshotError::SmtUnsupported);
-        }
-        if !cpu.state.thread.ltp.snapshot_supported() {
-            return Err(SnapshotError::ClassifierUnsupported);
         }
         Ok(Snapshot {
             cfg: cpu.state.cfg,

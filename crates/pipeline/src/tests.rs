@@ -238,13 +238,6 @@ fn oracle_config_without_attached_oracle_is_refused() {
         .run(VecStream::new("attached", alu_chain(10)), 10)
         .unwrap();
     assert_eq!(r.instructions, 10);
-    // A deliberate classifier override also counts as attached.
-    let mut p = Processor::new(cfg);
-    p.set_classifier(Box::new(ltp_core::RandomClassifier::new(50, 9)));
-    let r = p
-        .run(VecStream::new("override", alu_chain(10)), 10)
-        .unwrap();
-    assert_eq!(r.instructions, 10);
 }
 
 #[test]

@@ -76,15 +76,6 @@ impl Json {
         }
     }
 
-    /// The value as a float, if it is a number.
-    #[must_use]
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     /// The value as an unsigned integer, if it is a whole non-negative
     /// number.
     #[must_use]
@@ -402,10 +393,7 @@ mod tests {
         assert_eq!(b[0].as_bool(), Some(true));
         assert_eq!(b[1], Json::Null);
         assert_eq!(b[2].as_str(), Some("x\n\"y\""));
-        assert_eq!(
-            v.get("c").and_then(|c| c.get("d")).and_then(Json::as_f64),
-            Some(-2.5)
-        );
+        assert_eq!(v.get("c").and_then(|c| c.get("d")), Some(&Json::Num(-2.5)));
     }
 
     #[test]

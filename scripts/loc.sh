@@ -1,16 +1,16 @@
 #!/usr/bin/env bash
-# Non-test line counts of the simulator, the experiments layer, the job
-# service and the persistence codec. A file's non-test lines are those above
-# its first `#[cfg(test)]` (all of its lines when it has none); a file
-# compiled only through `#[cfg(test)] mod name;` is test code and not
-# counted.
+# Non-test line counts of the LTP mechanism, the simulator, the experiments
+# layer, the job service and the persistence codec. A file's non-test lines
+# are those above its first `#[cfg(test)]` (all of its lines when it has
+# none); a file compiled only through `#[cfg(test)] mod name;` is test code
+# and not counted.
 #
 # Usage: scripts/loc.sh [REPO_ROOT]   (default: the checkout holding this script)
 set -euo pipefail
 
 root=${1:-"$(dirname "$0")/.."}
 total=0
-for crate in pipeline experiments service snapshot; do
+for crate in core pipeline experiments service snapshot; do
     lines=$(find "$root/crates/$crate/src" -name '*.rs' -print0 | sort -z |
         xargs -0 awk '
             # While reading, note the files `#[cfg(test)] mod name;` pulls in;

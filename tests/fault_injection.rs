@@ -187,6 +187,9 @@ fn journaled_fault_free_run_is_unchanged_and_replayable() {
     });
     assert!(journaled.journal_error.is_none());
     assert_bit_identical(&journaled, &reference(), "journaled run");
+    // A fresh run's timers cover the whole trace and every interval.
+    assert_eq!(journaled.timing.functional_insts, spec().total_insts);
+    assert_eq!(journaled.timing.detail_insts, journaled.detailed_insts);
 
     let resumed = run_controlled(&SampleControl {
         journal: Some(path.clone()),
@@ -195,6 +198,9 @@ fn journaled_fault_free_run_is_unchanged_and_replayable() {
     });
     assert_eq!(resumed.resumed_intervals, spec().intervals);
     assert_bit_identical(&resumed, &reference(), "fully replayed run");
+    // Nothing ran, so the timers cover no instructions.
+    assert_eq!(resumed.timing.functional_insts, 0);
+    assert_eq!(resumed.timing.detail_insts, 0);
     let _ = std::fs::remove_file(path);
 }
 
@@ -331,6 +337,16 @@ fn crash_and_resume_matches_uninterrupted_run() {
             &reference,
             &format!("resume after losing {lost:?}"),
         );
+        // The resume's timers cover the functional pass and the lost
+        // intervals only, each with its detailed warm-up.
+        let stride = spec().total_insts / n as u64;
+        let (warm, _) = spec().effective_window(stride);
+        let recovered: u64 = lost
+            .iter()
+            .map(|&i| reference.intervals[i].instructions + warm)
+            .sum();
+        assert_eq!(resumed.timing.functional_insts, spec().total_insts);
+        assert_eq!(resumed.timing.detail_insts, recovered, "lost {lost:?}");
         let _ = std::fs::remove_file(path);
     }
 }
@@ -484,5 +500,16 @@ fn experiment_report_flags_partial_points_and_keeps_digest_deterministic() {
         digest_of(&clean_report),
         "a resume must reproduce the fault-free measurements"
     );
+
+    // The journals are now complete: a second resume replays every
+    // interval, runs nothing and reports no throughput.
+    let replayed_report = run(FaultPlan::new(), Some(&journals), true);
+    assert_eq!(
+        count(&replayed_report, "resumed_intervals"),
+        count(&replayed_report, "planned_intervals")
+    );
+    assert!(replayed_report
+        .render_text()
+        .contains("throughput: functional 0 insts/s, detailed 0 insts/s\n"));
     let _ = std::fs::remove_dir_all(&journals);
 }

@@ -7,7 +7,7 @@
 //! pinned by `tests/golden_stats.rs` (24 golden fingerprints), so these tests
 //! transitively pin checkpoint/restore to the seed simulator's behaviour.
 
-use ltp_core::{ClassifierKind, ClassifierState, LtpConfig, LtpMode, LtpQueue, ParkedInst};
+use ltp_core::{Classifier, ClassifierKind, LtpConfig, LtpMode, LtpQueue, ParkedInst};
 use ltp_experiments::cache::{
     sampled_warm_key, CachedInterval, IntervalGeometry, SampledWarmEntry,
 };
@@ -305,7 +305,7 @@ fn ticket_id_offsets(bytes: &[u8]) -> (usize, usize) {
     let mut r = Reader::new(&bytes[unit..]);
     let at = |r: &Reader<'_>| bytes.len() - r.remaining();
     LtpConfig::read(&mut r).expect("unit configuration");
-    ClassifierState::read(&mut r).expect("classifier state");
+    Classifier::read(&mut r).expect("classifier state");
     bool::read(&mut r).expect("classifier attached");
     ltp_core::RatExtension::read(&mut r).expect("RAT extension");
     let queue_at = at(&r);
